@@ -20,10 +20,10 @@ from .compose import (
     WlConfig,
     compose_bounded_ext,
     compose_bounded_wl,
-    compose_ext,
-    compose_wl,
     method_table,
     trace_equivalent,
+    traces_ext,
+    traces_wl,
 )
 from .errors import (
     DivergenceLimitError,
@@ -122,15 +122,10 @@ def _initial(args, *items) -> State:
 def _cmd_traces(args) -> int:
     program = _load(args.file, args.lang)
     sigma = _initial(args, program.main if args.lang == "wl" else program)
-    policy = _policy(args)
     if args.lang == "wl":
-        traces = frozenset(
-            c.trace for c in compose_wl(policy, WlConfig(singleton(sigma), Pending(program.main)))
-        )
+        traces = traces_wl(program.main, sigma, _policy(args))
     else:
-        table = method_table(program.methods)
-        start = ExtConfig(singleton(sigma), (Pending(program.main),))
-        traces = frozenset(c.trace for c in compose_ext(policy, table, start))
+        traces = traces_ext(program, sigma, _policy(args))
     sys.stdout.write(render_traces(traces, args.format))
     return 0
 

@@ -5,6 +5,13 @@ configuration; the concurrent extension keeps a multiset of markers, glues
 every local trace onto the global one via the semantic chop, and
 concretizes the result under its minimal mapping after every step.
 Invocation reactions spawn new processes out of harvested call arguments.
+
+Both languages explore breadth first with one engine.  The fixpoint
+search grows the step bound round by round, and each round carries the
+previous round's frontier and finished set forward instead of exploring
+again from the initial configuration.  A configuration's successors are
+computed once: those the fixpoint check computes are kept for the step
+that follows it.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from .localeval import DEFAULT_FRESH_BOUND, Done, Marker, Pending, valuate
 from .state import BOUND_EXCEEDED_PREFIX, State, initial_state, update, vargen
 from .syntax import (
     ArithExp,
-    Method,
     MethodRef,
     Program,
     Stmt,
@@ -94,11 +100,67 @@ def method_table(methods) -> tuple:
     return tuple(dict.fromkeys(methods))
 
 
-def _pending_stmt(config) -> tuple:
-    """Split a configuration into its final state and pending statement."""
+def _pending(config) -> tuple:
+    """Split a configuration into its final state and pending marker."""
     if not isinstance(config.marker, Pending):
         raise UndefinedTraceOpError("no successors for a finished configuration")
-    return last_state(config.trace), config.marker.stmt
+    return last_state(config.trace), config.marker
+
+
+class _Exploration:
+    """Breadth-first exploration that a later, larger bound extends.
+
+    ``expand`` maps a configuration to its successor set, or to ``None``
+    when the configuration is terminal; terminal configurations move to
+    ``finished``.  Successors that ``settled`` computes are kept for the
+    next step, so no configuration is expanded twice.
+    """
+
+    def __init__(self, start, expand):
+        self.frontier = {start}
+        self.finished = set()
+        self.depth = 0
+        self._expand = expand
+        self._ahead = {}
+
+    def advance(self, bound: int) -> "_Exploration":
+        """Run steps until ``bound`` steps from the start have been taken."""
+        while self.depth < bound and self.frontier:
+            ahead, self._ahead = self._ahead, {}
+            step = set()
+            for candidate in self.frontier:
+                if ahead and candidate in ahead:
+                    succ = ahead.pop(candidate)
+                else:
+                    succ = self._expand(candidate)
+                if succ is None:
+                    self.finished.add(candidate)
+                else:
+                    step |= succ
+            self.frontier = step
+            self.depth += 1
+        return self
+
+    def settled(self) -> bool:
+        """Whether every frontier configuration is terminal."""
+        if not self._ahead:
+            self._ahead = {c: self._expand(c) for c in self.frontier}
+        return all(succ is None for succ in self._ahead.values())
+
+    def reached(self) -> frozenset:
+        return frozenset(self.finished | self.frontier)
+
+
+def _fixpoint(policy: ComposePolicy, exploration: _Exploration) -> frozenset:
+    """Grow the bound by the policy's increment until the exploration settles."""
+    bound = policy.initial_bound
+    for _ in range(policy.max_rounds):
+        if exploration.advance(bound).settled():
+            return exploration.reached()
+        bound += policy.increment
+    raise DivergenceLimitError(
+        f"no fixpoint after {policy.max_rounds} rounds (bound {bound})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -107,48 +169,27 @@ def _pending_stmt(config) -> tuple:
 
 def successors_wl(config: WlConfig) -> frozenset:
     """One evaluation step: glue each consistent local trace onto the global one."""
-    sigma, stmt = _pending_stmt(config)
+    sigma, marker = _pending(config)
     out = set()
-    for cont in valuate(stmt, sigma, "wl"):
+    for cont in valuate(marker, sigma, "wl"):
         if not is_consistent(cont.cond.pc):
             continue
         out.add(WlConfig(semantic_chop(config.trace, cont.cond.trace), cont.marker))
     return frozenset(out)
 
 
-def _explore_wl(bound: int, config: WlConfig) -> tuple:
-    frontier = {config}
-    finished = set()
-    for _ in range(bound):
-        if not frontier:
-            break
-        step = set()
-        for candidate in frontier:
-            if isinstance(candidate.marker, Done):
-                finished.add(candidate)
-            else:
-                step |= successors_wl(candidate)
-        frontier = step
-    return finished, frontier
+def _expand_wl(config: WlConfig):
+    return None if isinstance(config.marker, Done) else successors_wl(config)
 
 
 def compose_bounded_wl(bound: int, config: WlConfig) -> frozenset:
     """Terminal configurations reachable within the bound, plus the frontier."""
-    finished, frontier = _explore_wl(bound, config)
-    return frozenset(finished | frontier)
+    return _Exploration(config, _expand_wl).advance(bound).reached()
 
 
 def compose_wl(policy: ComposePolicy, config: WlConfig) -> frozenset:
     """Grow the bound until every reached configuration is finished."""
-    bound = policy.initial_bound
-    for _ in range(policy.max_rounds):
-        finished, frontier = _explore_wl(bound, config)
-        if all(isinstance(c.marker, Done) for c in frontier):
-            return frozenset(finished | frontier)
-        bound += policy.increment
-    raise DivergenceLimitError(
-        f"no fixpoint after {policy.max_rounds} rounds (bound {bound})"
-    )
+    return _fixpoint(policy, _Exploration(config, _expand_wl))
 
 
 def traces_wl(stmt: Stmt, sigma: State, policy: ComposePolicy = DEFAULT_POLICY) -> frozenset:
@@ -173,9 +214,9 @@ def basic_successors(
     mapping of the local trace; surviving glued traces are concretized
     under their own minimal mapping.
     """
-    sigma, stmt = _pending_stmt(config)
+    sigma, marker = _pending(config)
     out = set()
-    for cont in valuate(stmt, sigma, "ext", fresh_bound):
+    for cont in valuate(marker, sigma, "ext", fresh_bound):
         local_map = min_conc_map_trace(cont.cond.trace, conc_numeral)
         if not is_consistent(eval_bexp_set(cont.cond.pc, local_map)):
             continue
@@ -246,21 +287,11 @@ def successors_ext(
     )
 
 
-def _explore_ext(bound, table, config, fresh_bound, conc_numeral) -> tuple:
-    frontier = {config}
-    finished = set()
-    for _ in range(bound):
-        if not frontier:
-            break
-        step = set()
-        for candidate in frontier:
-            succ = successors_ext(table, candidate, fresh_bound, conc_numeral)
-            if not succ:
-                finished.add(candidate)
-            else:
-                step |= succ
-        frontier = step
-    return finished, frontier
+def _expand_ext(table, fresh_bound: int, conc_numeral: int):
+    def expand(config: ExtConfig):
+        return successors_ext(table, config, fresh_bound, conc_numeral) or None
+
+    return expand
 
 
 def compose_bounded_ext(
@@ -271,25 +302,13 @@ def compose_bounded_ext(
     conc_numeral: int = 0,
 ) -> frozenset:
     """Like the wl variant, but a configuration is terminal iff it has no successors."""
-    finished, frontier = _explore_ext(bound, table, config, fresh_bound, conc_numeral)
-    return frozenset(finished | frontier)
+    expand = _expand_ext(table, fresh_bound, conc_numeral)
+    return _Exploration(config, expand).advance(bound).reached()
 
 
 def compose_ext(policy: ComposePolicy, table, config: ExtConfig) -> frozenset:
-    bound = policy.initial_bound
-    for _ in range(policy.max_rounds):
-        finished, frontier = _explore_ext(
-            bound, table, config, policy.fresh_bound, policy.conc_numeral
-        )
-        if all(
-            not successors_ext(table, c, policy.fresh_bound, policy.conc_numeral)
-            for c in frontier
-        ):
-            return frozenset(finished | frontier)
-        bound += policy.increment
-    raise DivergenceLimitError(
-        f"no fixpoint after {policy.max_rounds} rounds (bound {bound})"
-    )
+    expand = _expand_ext(table, policy.fresh_bound, policy.conc_numeral)
+    return _fixpoint(policy, _Exploration(config, expand))
 
 
 def traces_ext(program: Program, sigma: State, policy: ComposePolicy = DEFAULT_POLICY) -> frozenset:

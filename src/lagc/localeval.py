@@ -2,13 +2,22 @@
 
 The result of ``valuate`` is the finite set of continuation traces a
 statement can produce in a given state: each carries a path condition, the
-symbolic trace built so far, and the statement remaining after the
+symbolic trace built so far, and the statements remaining after the
 scheduling point.
+
+What remains is a marker: ``DONE``, or a ``Pending`` continuation stack,
+the one form that carries sequencing for both language subsets.  Its
+constructor flattens a ``Seq`` spine once into a head statement and a flat
+tuple of the statements to run after it, so ``valuate`` only ever runs the
+head and pushes whatever the head leaves over in front of the rest.  A
+step therefore costs the same anywhere in a long sequence, and no marker
+nests deeper than the statements it holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Union
 
 from .errors import FreshBoundExceededError, ModeError
@@ -41,11 +50,51 @@ from .trace import CondTrace, EventKind, StateAtom, gen_event, singleton
 DEFAULT_FRESH_BOUND = 100
 
 
-@dataclass(frozen=True)
-class Pending:
-    """A statement still left to evaluate."""
+def _spine(stmt: Stmt) -> list:
+    """The statements of a ``Seq`` spine in execution order, none of them a ``Seq``."""
+    out, todo = [], [stmt]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, Seq):
+            todo.append(item.second)
+            todo.append(item.first)
+        else:
+            out.append(item)
+    return out
 
-    stmt: Stmt
+
+@dataclass(frozen=True, init=False)
+class Pending:
+    """Statements still left to evaluate: ``head`` first, then ``rest`` in order.
+
+    ``Pending(stmt)`` flattens the ``Seq`` spine of ``stmt``; ``rest`` given
+    alongside is appended as it is and must already be flat.  Neither
+    ``head`` nor any member of ``rest`` is a ``Seq``, so every nesting of the
+    same sequence gives the same marker.  The hash is computed at most
+    once, since a marker is hashed again in every set its configuration
+    enters.
+    """
+
+    head: Stmt
+    rest: tuple
+
+    def __init__(self, stmt: Stmt, rest: tuple = ()):
+        if isinstance(stmt, Seq):
+            stmt, *more = _spine(stmt)
+            rest = tuple(more) + rest
+        object.__setattr__(self, "head", stmt)
+        object.__setattr__(self, "rest", rest)
+        object.__setattr__(self, "_hash", None)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.head, self.rest)))
+        return self._hash
+
+    @property
+    def stmt(self) -> Stmt:
+        """The pending statements as one left-nested ``Seq``."""
+        return reduce(Seq, self.rest, self.head)
 
 
 @dataclass(frozen=True)
@@ -64,11 +113,18 @@ class ContTrace:
     marker: Marker
 
 
+def _push(marker: Marker, rest: tuple) -> Marker:
+    """Put a flat tuple of statements behind whatever the marker still holds."""
+    if not rest:
+        return marker
+    if isinstance(marker, Pending):
+        return Pending(marker.head, marker.rest + rest)
+    return Pending(rest[0], rest[1:])
+
+
 def cont_append(marker: Marker, stmt: Stmt) -> Marker:
     """Sequence another statement after whatever the marker still holds."""
-    if isinstance(marker, Pending):
-        return Pending(Seq(marker.stmt, stmt))
-    return Pending(stmt)
+    return _push(marker, tuple(_spine(stmt)))
 
 
 def parallel(left: Marker, right: Marker) -> Marker:
@@ -87,9 +143,27 @@ def _fresh(sigma: State, base: str, suffix: str, bound: int) -> str:
     return name
 
 
-def valuate(stmt: Stmt, sigma: State, mode: str, fresh_bound: int = DEFAULT_FRESH_BOUND) -> frozenset:
-    """All continuation traces of ``stmt`` in ``sigma`` up to one scheduling point."""
+def valuate(
+    stmt: Union[Stmt, Pending],
+    sigma: State,
+    mode: str,
+    fresh_bound: int = DEFAULT_FRESH_BOUND,
+) -> frozenset:
+    """All continuation traces of ``stmt`` in ``sigma`` up to one scheduling point.
+
+    ``stmt`` may also be a ``Pending`` marker: its head runs, and the rest of
+    the stack waits behind whatever the head leaves over.
+    """
     check_mode(mode)
+    pending = stmt if isinstance(stmt, Pending) else Pending(stmt)
+    conts = _valuate_head(pending.head, sigma, mode, fresh_bound)
+    if not pending.rest:
+        return conts
+    return frozenset(ContTrace(c.cond, _push(c.marker, pending.rest)) for c in conts)
+
+
+def _valuate_head(stmt: Stmt, sigma: State, mode: str, fresh_bound: int) -> frozenset:
+    """``valuate`` for a statement that is not a ``Seq``."""
     if isinstance(stmt, Skip):
         return frozenset({ContTrace(CondTrace(frozenset(), singleton(sigma)), DONE)})
     if isinstance(stmt, Assign):
@@ -114,7 +188,7 @@ def valuate(stmt: Stmt, sigma: State, mode: str, fresh_bound: int = DEFAULT_FRES
             {
                 ContTrace(
                     CondTrace(frozenset({eval_bool(stmt.cond, sigma)}), singleton(sigma)),
-                    Pending(Seq(stmt.body, stmt)),
+                    Pending(stmt.body, (stmt,)),
                 ),
                 ContTrace(
                     CondTrace(frozenset({eval_bool(Neg(stmt.cond), sigma)}), singleton(sigma)),
@@ -122,21 +196,17 @@ def valuate(stmt: Stmt, sigma: State, mode: str, fresh_bound: int = DEFAULT_FRES
                 ),
             }
         )
-    if isinstance(stmt, Seq):
-        return frozenset(
-            ContTrace(cont.cond, cont_append(cont.marker, stmt.second))
-            for cont in valuate(stmt.first, sigma, mode, fresh_bound)
-        )
     if mode != "ext":
         raise ModeError(f"{type(stmt).__name__} is not available in wl mode")
     if isinstance(stmt, LocPar):
+        left, right = Pending(stmt.left), Pending(stmt.right)
         from_left = frozenset(
-            ContTrace(cont.cond, parallel(cont.marker, Pending(stmt.right)))
-            for cont in valuate(stmt.left, sigma, mode, fresh_bound)
+            ContTrace(cont.cond, parallel(cont.marker, right))
+            for cont in valuate(left, sigma, mode, fresh_bound)
         )
         from_right = frozenset(
-            ContTrace(cont.cond, parallel(Pending(stmt.left), cont.marker))
-            for cont in valuate(stmt.right, sigma, mode, fresh_bound)
+            ContTrace(cont.cond, parallel(left, cont.marker))
+            for cont in valuate(right, sigma, mode, fresh_bound)
         )
         return from_left | from_right
     if isinstance(stmt, LocMem):

@@ -129,8 +129,6 @@ SExp = Union[StoredExp, Star]
 # ---------------------------------------------------------------------------
 # Statements, methods, programs
 
-VarDecl = tuple  # ordered sequence of variable names, possibly empty
-
 
 @dataclass(frozen=True)
 class Skip:

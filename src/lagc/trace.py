@@ -37,9 +37,6 @@ class EventAtom:
 
 TraceAtom = Union[StateAtom, EventAtom]
 Trace = Tuple[TraceAtom, ...]
-PathCondition = frozenset
-
-EMPTY_TRACE: Trace = ()
 
 
 @dataclass(frozen=True)

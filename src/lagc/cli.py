@@ -3,8 +3,8 @@
 Subcommands: ``traces`` (fixpoint composition), ``traces-bounded`` (bounded
 composition), ``equiv`` (trace equivalence of two files) and ``eval``
 (expression evaluation under an explicit state).  Results go to stdout,
-diagnostics to stderr.  Exit codes: 0 success, 1 parse or mode error,
-2 semantic error, 3 divergence limit, 4 fresh-variable bound exceeded.
+diagnostics to stderr.  Exit codes: 0 success, 1 parse, mode or round-flag
+error, 2 semantic error, 3 divergence limit, 4 fresh-variable bound exceeded.
 """
 
 from __future__ import annotations
@@ -14,33 +14,22 @@ import json
 import sys
 from pathlib import Path
 
-from .compose import (
-    ComposePolicy,
-    ExtConfig,
-    WlConfig,
-    compose_bounded_ext,
-    compose_bounded_wl,
-    method_table,
-    trace_equivalent,
-    traces_ext,
-    traces_wl,
-)
+from .compose import ComposePolicy, trace_equivalent, traces_ext, traces_wl
 from .errors import (
     DivergenceLimitError,
     FreshBoundExceededError,
     MalformedParamError,
     ModeError,
     ParseError,
+    PolicyError,
     UnboundVariableError,
     UndefinedTraceOpError,
 )
 from .evaluate import eval_arith, eval_bool
-from .localeval import Pending
 from .parser import IDENT_RE, parse_expression, parse_program
 from .render import pretty_aexp, pretty_bexp, render_traces
 from .state import State, initial_state, make_state
 from .syntax import ABin, Num, Program, StoredExp, Var, occurrences
-from .trace import singleton
 
 
 def _add_common_flags(sub: argparse.ArgumentParser):
@@ -60,6 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     traces = sub.add_parser("traces", help="fixpoint trace composition")
     traces.add_argument("file")
+    traces.set_defaults(bound=None)
     _add_common_flags(traces)
 
     bounded = sub.add_parser("traces-bounded", help="bounded trace composition")
@@ -121,49 +111,29 @@ def _initial(args, *items) -> State:
 
 def _cmd_traces(args) -> int:
     program = _load(args.file, args.lang)
-    sigma = _initial(args, program.main if args.lang == "wl" else program)
+    sigma = _initial(args, program)
     if args.lang == "wl":
-        traces = traces_wl(program.main, sigma, _policy(args))
+        traces = traces_wl(program.main, sigma, _policy(args), args.bound)
     else:
-        traces = traces_ext(program, sigma, _policy(args))
+        traces = traces_ext(program, sigma, _policy(args), args.bound)
     sys.stdout.write(render_traces(traces, args.format))
-    return 0
-
-
-def _cmd_traces_bounded(args) -> int:
-    program = _load(args.file, args.lang)
-    sigma = _initial(args, program.main if args.lang == "wl" else program)
-    if args.lang == "wl":
-        reached = compose_bounded_wl(args.bound, WlConfig(singleton(sigma), Pending(program.main)))
-    else:
-        table = method_table(program.methods)
-        start = ExtConfig(singleton(sigma), (Pending(program.main),))
-        reached = compose_bounded_ext(args.bound, table, start, args.fresh_bound)
-    sys.stdout.write(render_traces(frozenset(c.trace for c in reached), args.format))
     return 0
 
 
 def _cmd_equiv(args) -> int:
     left = _load(args.file, args.lang)
     right = _load(args.file2, args.lang)
-    policy = _policy(args)
-    if args.state is not None:
-        sigma = parse_state_spec(args.state)
-    elif args.lang == "wl":
-        sigma = _initial(args, left.main, right.main)
-    else:
-        sigma = _initial(args, left, right)
+    sigma = _initial(args, left, right)
     if args.lang == "wl":
-        same = trace_equivalent(left.main, right.main, sigma, policy, mode="wl")
-    else:
-        same = trace_equivalent(left, right, sigma, policy)
+        left, right = left.main, right.main
+    same = trace_equivalent(left, right, sigma, _policy(args), mode=args.lang)
     sys.stdout.write("equivalent\n" if same else "not equivalent\n")
     return 0
 
 
 def _cmd_eval(args) -> int:
     program = _load(args.file, args.lang)
-    sigma = _initial(args, program.main if args.lang == "wl" else program)
+    sigma = _initial(args, program)
     expr = parse_expression(args.expr)
     if isinstance(expr, (Num, Var, ABin)):
         result = pretty_aexp(eval_arith(expr, sigma))
@@ -178,7 +148,7 @@ def _cmd_eval(args) -> int:
 
 _COMMANDS = {
     "traces": _cmd_traces,
-    "traces-bounded": _cmd_traces_bounded,
+    "traces-bounded": _cmd_traces,
     "equiv": _cmd_equiv,
     "eval": _cmd_eval,
 }
@@ -188,7 +158,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, ModeError) as exc:
+    except (ParseError, ModeError, PolicyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (UnboundVariableError, UndefinedTraceOpError, MalformedParamError) as exc:

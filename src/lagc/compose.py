@@ -6,12 +6,13 @@ every local trace onto the global one via the semantic chop, and
 concretizes the result under its minimal mapping after every step.
 Invocation reactions spawn new processes out of harvested call arguments.
 
-Both languages explore breadth first with one engine.  The fixpoint
-search grows the step bound round by round, and each round carries the
-previous round's frontier and finished set forward instead of exploring
-again from the initial configuration.  A configuration's successors are
-computed once: those the fixpoint check computes are kept for the step
-that follows it.
+Both languages explore breadth first with one function, for at most a
+given number of steps.  Bounded composition stops there.  The fixpoint
+search runs at most ``(max_rounds - 1) * increment`` steps and then
+requires every configuration left on the frontier to be terminal.  A
+frontier of terminal configurations is empty one step later, so how that
+budget is split into rounds does not change the result, only the error
+text.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
     FreshBoundExceededError,
     MalformedParamError,
     ModeError,
+    PolicyError,
     UndefinedTraceOpError,
 )
 from .evaluate import eval_bexp_set
@@ -79,7 +81,6 @@ class ExtConfig:
 
 @dataclass(frozen=True)
 class ComposePolicy:
-    initial_bound: int = 0
     increment: int = 100
     max_rounds: int = 100
     fresh_bound: int = DEFAULT_FRESH_BOUND
@@ -87,9 +88,9 @@ class ComposePolicy:
 
     def __post_init__(self):
         if self.increment < 1:
-            raise ValueError("increment must be at least 1")
+            raise PolicyError("increment must be at least 1")
         if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
+            raise PolicyError("max_rounds must be at least 1")
 
 
 DEFAULT_POLICY = ComposePolicy()
@@ -107,59 +108,41 @@ def _pending(config) -> tuple:
     return last_state(config.trace), config.marker
 
 
-class _Exploration:
-    """Breadth-first exploration that a later, larger bound extends.
+def _explore(start, expand, bound: int) -> tuple:
+    """Breadth-first exploration for at most ``bound`` steps.
 
     ``expand`` maps a configuration to its successor set, or to ``None``
-    when the configuration is terminal; terminal configurations move to
-    ``finished``.  Successors that ``settled`` computes are kept for the
-    next step, so no configuration is expanded twice.
+    when the configuration is terminal.  Returns the terminal
+    configurations reached and the frontier left after the last step.
     """
-
-    def __init__(self, start, expand):
-        self.frontier = {start}
-        self.finished = set()
-        self.depth = 0
-        self._expand = expand
-        self._ahead = {}
-
-    def advance(self, bound: int) -> "_Exploration":
-        """Run steps until ``bound`` steps from the start have been taken."""
-        while self.depth < bound and self.frontier:
-            ahead, self._ahead = self._ahead, {}
-            step = set()
-            for candidate in self.frontier:
-                if ahead and candidate in ahead:
-                    succ = ahead.pop(candidate)
-                else:
-                    succ = self._expand(candidate)
-                if succ is None:
-                    self.finished.add(candidate)
-                else:
-                    step |= succ
-            self.frontier = step
-            self.depth += 1
-        return self
-
-    def settled(self) -> bool:
-        """Whether every frontier configuration is terminal."""
-        if not self._ahead:
-            self._ahead = {c: self._expand(c) for c in self.frontier}
-        return all(succ is None for succ in self._ahead.values())
-
-    def reached(self) -> frozenset:
-        return frozenset(self.finished | self.frontier)
+    finished, frontier = set(), {start}
+    for _ in range(bound):
+        if not frontier:
+            break
+        step = set()
+        for config in frontier:
+            succ = expand(config)
+            if succ is None:
+                finished.add(config)
+            else:
+                step |= succ
+        frontier = step
+    return finished, frontier
 
 
-def _fixpoint(policy: ComposePolicy, exploration: _Exploration) -> frozenset:
-    """Grow the bound by the policy's increment until the exploration settles."""
-    bound = policy.initial_bound
-    for _ in range(policy.max_rounds):
-        if exploration.advance(bound).settled():
-            return exploration.reached()
-        bound += policy.increment
+def _fixpoint(policy: ComposePolicy, start, expand) -> frozenset:
+    """Explore the whole step budget, then require a frontier of terminal configurations.
+
+    Every frontier configuration is expanded, so an error any of them
+    raises surfaces.
+    """
+    budget = (policy.max_rounds - 1) * policy.increment
+    finished, frontier = _explore(start, expand, budget)
+    if all([expand(config) is None for config in frontier]):
+        return frozenset(finished | frontier)
     raise DivergenceLimitError(
-        f"no fixpoint after {policy.max_rounds} rounds (bound {bound})"
+        f"no fixpoint after {policy.max_rounds} rounds "
+        f"(bound {policy.max_rounds * policy.increment})"
     )
 
 
@@ -184,19 +167,30 @@ def _expand_wl(config: WlConfig):
 
 def compose_bounded_wl(bound: int, config: WlConfig) -> frozenset:
     """Terminal configurations reachable within the bound, plus the frontier."""
-    return _Exploration(config, _expand_wl).advance(bound).reached()
+    finished, frontier = _explore(config, _expand_wl, bound)
+    return frozenset(finished | frontier)
 
 
 def compose_wl(policy: ComposePolicy, config: WlConfig) -> frozenset:
-    """Grow the bound until every reached configuration is finished."""
-    return _fixpoint(policy, _Exploration(config, _expand_wl))
+    """Every configuration reached, provided all are finished within the policy's budget."""
+    return _fixpoint(policy, config, _expand_wl)
 
 
-def traces_wl(stmt: Stmt, sigma: State, policy: ComposePolicy = DEFAULT_POLICY) -> frozenset:
+def traces_wl(
+    stmt: Stmt,
+    sigma: State,
+    policy: ComposePolicy = DEFAULT_POLICY,
+    bound: int | None = None,
+) -> frozenset:
+    """The fixpoint trace set of ``stmt``, or the bounded one when ``bound`` is given."""
     if not language_check(stmt, "wl"):
         raise ModeError("statement uses constructs outside the wl subset")
     start = WlConfig(singleton(sigma), Pending(stmt))
-    return frozenset(c.trace for c in compose_wl(policy, start))
+    if bound is None:
+        reached = compose_wl(policy, start)
+    else:
+        reached = compose_bounded_wl(bound, start)
+    return frozenset(c.trace for c in reached)
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +297,31 @@ def compose_bounded_ext(
 ) -> frozenset:
     """Like the wl variant, but a configuration is terminal iff it has no successors."""
     expand = _expand_ext(table, fresh_bound, conc_numeral)
-    return _Exploration(config, expand).advance(bound).reached()
+    finished, frontier = _explore(config, expand, bound)
+    return frozenset(finished | frontier)
 
 
 def compose_ext(policy: ComposePolicy, table, config: ExtConfig) -> frozenset:
     expand = _expand_ext(table, policy.fresh_bound, policy.conc_numeral)
-    return _fixpoint(policy, _Exploration(config, expand))
+    return _fixpoint(policy, config, expand)
 
 
-def traces_ext(program: Program, sigma: State, policy: ComposePolicy = DEFAULT_POLICY) -> frozenset:
+def traces_ext(
+    program: Program,
+    sigma: State,
+    policy: ComposePolicy = DEFAULT_POLICY,
+    bound: int | None = None,
+) -> frozenset:
+    """The fixpoint trace set of ``program``, or the bounded one when ``bound`` is given."""
     table = method_table(program.methods)
     start = ExtConfig(singleton(sigma), (Pending(program.main),))
-    return frozenset(c.trace for c in compose_ext(policy, table, start))
+    if bound is None:
+        reached = compose_ext(policy, table, start)
+    else:
+        reached = compose_bounded_ext(
+            bound, table, start, policy.fresh_bound, policy.conc_numeral
+        )
+    return frozenset(c.trace for c in reached)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,10 @@ class DivergenceLimitError(LagcError):
     """Fixpoint composition gave up after the configured number of rounds."""
 
 
+class PolicyError(LagcError, ValueError):
+    """A composition policy was given an out-of-range value."""
+
+
 class ParseError(LagcError):
     def __init__(self, line: int, column: int, expected: str, found: str = ""):
         detail = f", found {found!r}" if found else ""

@@ -43,24 +43,12 @@ from .syntax import (
     Var,
     While,
     check_mode,
+    seq_spine,
     substitute,
 )
 from .trace import CondTrace, EventKind, StateAtom, gen_event, singleton
 
 DEFAULT_FRESH_BOUND = 100
-
-
-def _spine(stmt: Stmt) -> list:
-    """The statements of a ``Seq`` spine in execution order, none of them a ``Seq``."""
-    out, todo = [], [stmt]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, Seq):
-            todo.append(item.second)
-            todo.append(item.first)
-        else:
-            out.append(item)
-    return out
 
 
 @dataclass(frozen=True, init=False)
@@ -80,7 +68,7 @@ class Pending:
 
     def __init__(self, stmt: Stmt, rest: tuple = ()):
         if isinstance(stmt, Seq):
-            stmt, *more = _spine(stmt)
+            stmt, *more = seq_spine(stmt)
             rest = tuple(more) + rest
         object.__setattr__(self, "head", stmt)
         object.__setattr__(self, "rest", rest)
@@ -124,7 +112,7 @@ def _push(marker: Marker, rest: tuple) -> Marker:
 
 def cont_append(marker: Marker, stmt: Stmt) -> Marker:
     """Sequence another statement after whatever the marker still holds."""
-    return _push(marker, tuple(_spine(stmt)))
+    return _push(marker, tuple(seq_spine(stmt)))
 
 
 def parallel(left: Marker, right: Marker) -> Marker:

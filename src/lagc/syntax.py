@@ -206,6 +206,23 @@ class Program:
     main: Stmt
 
 
+def seq_spine(stmt: Stmt) -> list:
+    """The statements of a ``Seq`` spine in execution order, none of them a ``Seq``.
+
+    Walks the spine with a loop, so a long sequence of either nesting
+    does not recurse.
+    """
+    out, todo = [], [stmt]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, Seq):
+            todo.append(item.second)
+            todo.append(item.first)
+        else:
+            out.append(item)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Canonical total order
 
@@ -317,7 +334,7 @@ def occurrences(item) -> list:
     if isinstance(item, (If, While, Guard)):
         return occurrences(item.cond) + occurrences(item.body)
     if isinstance(item, Seq):
-        return occurrences(item.first) + occurrences(item.second)
+        return [v for part in seq_spine(item) for v in occurrences(part)]
     if isinstance(item, LocPar):
         return occurrences(item.left) + occurrences(item.right)
     if isinstance(item, LocMem):
@@ -417,5 +434,5 @@ def language_check(stmt: Stmt, mode: str) -> bool:
     if isinstance(stmt, (If, While)):
         return language_check(stmt.body, mode)
     if isinstance(stmt, Seq):
-        return language_check(stmt.first, mode) and language_check(stmt.second, mode)
+        return all(language_check(part, mode) for part in seq_spine(stmt))
     return True

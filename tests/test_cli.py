@@ -5,10 +5,16 @@ import sys
 import pytest
 
 from lagc.cli import main, parse_state_spec
+from lagc.compose import ExtConfig, compose_bounded_ext, initial_state_for, method_table
+from lagc.localeval import Pending
+from lagc.parser import parse_program
+from lagc.render import render_traces
 from lagc.state import make_state
 from lagc.syntax import Num, StoredExp
+from lagc.trace import singleton
 
 FACTORIAL = "x := 6 ;; y := 1 ;; while x >= 2 do y := y*x ;; x := x-1 od"
+CALL_PROGRAM = "program { method foo(x){ x := 2 } main { (x := 0 ;; call foo(x)) ;; x := 1 } }"
 
 
 @pytest.fixture
@@ -61,6 +67,17 @@ def test_traces_bounded(write, capsys):
     assert main(["traces-bounded", path, "--bound", "3", "--lang", "wl"]) == 0
     out = capsys.readouterr().out
     assert "{x=6, y=1}" in out
+
+
+@pytest.mark.parametrize("bound", [0, 2, 20])
+def test_traces_bounded_ext_matches_compose_bounded(write, capsys, bound):
+    path = write("call.ext", CALL_PROGRAM)
+    argv = ["traces-bounded", path, "--bound", str(bound), "--lang", "ext", "--fresh-bound", "7"]
+    assert main(argv) == 0
+    program = parse_program(CALL_PROGRAM, "ext")
+    start = ExtConfig(singleton(initial_state_for(program)), (Pending(program.main),))
+    reached = compose_bounded_ext(bound, method_table(program.methods), start, 7)
+    assert capsys.readouterr().out == render_traces(frozenset(c.trace for c in reached))
 
 
 def test_equiv(write, capsys):
@@ -125,6 +142,24 @@ def test_deadlocked_guard_exits_normally(write, capsys):
     assert main(["traces", path]) == 0
     out = capsys.readouterr().out
     assert out.startswith("1 trace\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["traces", "{one}", "--increment", "0"], "increment must be at least 1"),
+        (["traces-bounded", "{one}", "--bound", "2", "--increment", "0"],
+         "increment must be at least 1"),
+        (["equiv", "{one}", "{one}", "--max-rounds", "0"], "max_rounds must be at least 1"),
+    ],
+    ids=["traces", "traces-bounded", "equiv"],
+)
+def test_invalid_round_flags_are_usage_errors(write, capsys, argv, message):
+    one = write("skip.ext", "skip")
+    assert main([arg.format(one=one) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_missing_file(capsys):

@@ -20,6 +20,11 @@ from bigstep import execute
 
 LOOP = While(BoolLit(True), Skip())
 SCHEDULE = "no fixpoint after 3 rounds (bound 21)"
+COUNTDOWN = "x := 3 ;; while x >= 1 do x := x - 1 od"
+CALL_LOOP = (
+    "program { method foo(x){ x := 2 } "
+    "main { (x := 0 ;; call foo(x)) ;; while x <= 1 do x := x + 1 od } }"
+)
 
 
 @pytest.mark.parametrize("engine", [compose, ref], ids=["current", "reference"])
@@ -32,6 +37,54 @@ def test_divergence_names_rounds_and_final_bound(engine, lang):
         else:
             engine.traces_ext(Program((), LOOP), EMPTY_STATE, policy)
     assert str(caught.value) == SCHEDULE
+
+
+def _settling_bound(engine, lang, program, sigma) -> int:
+    """The smallest bound at which every configuration bounded composition returns is terminal."""
+    table = engine.method_table(program.methods)
+    for bound in range(100):
+        if lang == "wl":
+            start = engine.WlConfig(singleton(sigma), engine.Pending(program.main))
+            reached = engine.compose_bounded_wl(bound, start)
+            settled = all(isinstance(c.marker, engine.Done) for c in reached)
+        else:
+            start = engine.ExtConfig(singleton(sigma), (engine.Pending(program.main),))
+            reached = engine.compose_bounded_ext(bound, table, start)
+            settled = not any(engine.successors_ext(table, c) for c in reached)
+        if settled:
+            return bound
+    raise AssertionError("no settling bound below 100")
+
+
+@pytest.mark.parametrize("engine", [compose, ref], ids=["current", "reference"])
+@pytest.mark.parametrize("lang", ["wl", "ext"])
+def test_only_the_step_budget_decides_the_outcome(engine, lang):
+    # (max_rounds - 1) * increment steps are explored before the last check
+    program = parse_program(COUNTDOWN if lang == "wl" else CALL_LOOP, lang)
+    sigma = engine.initial_state_for(program)
+
+    def traces(policy):
+        if lang == "wl":
+            return engine.traces_wl(program.main, sigma, policy)
+        return engine.traces_ext(program, sigma, policy)
+
+    k = _settling_bound(engine, lang, program, sigma)
+    fixpoint = traces(engine.ComposePolicy())
+    outcomes = set()
+    for increment in (1, 2, 3, 5):
+        for max_rounds in (1, 2, 3, 4, 7):
+            policy = engine.ComposePolicy(increment=increment, max_rounds=max_rounds)
+            settles = (max_rounds - 1) * increment >= k
+            outcomes.add(settles)
+            if settles:
+                assert traces(policy) == fixpoint
+            else:
+                with pytest.raises(DivergenceLimitError) as caught:
+                    traces(policy)
+                assert str(caught.value) == (
+                    f"no fixpoint after {max_rounds} rounds (bound {max_rounds * increment})"
+                )
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("lang", ["wl", "ext"])
@@ -58,7 +111,8 @@ def _counting(monkeypatch, name):
 
 
 def test_rounds_continue_the_wl_exploration(monkeypatch):
-    # ten rounds reach bound 45; starting every round over would expand 225
+    # the budget of ten rounds is 45 steps plus one final check; starting
+    # every round over would expand 225
     calls = _counting(monkeypatch, "successors_wl")
     start = WlConfig(singleton(EMPTY_STATE), Pending(LOOP))
     with pytest.raises(DivergenceLimitError):
@@ -67,7 +121,7 @@ def test_rounds_continue_the_wl_exploration(monkeypatch):
 
 
 def test_rounds_continue_the_ext_exploration(monkeypatch):
-    # the fixpoint check's successors serve the next round's first step
+    # one pass over the 45-step budget, then one check of the last frontier
     calls = _counting(monkeypatch, "successors_ext")
     start = ExtConfig(singleton(EMPTY_STATE), (Pending(LOOP),))
     with pytest.raises(DivergenceLimitError):
@@ -123,3 +177,20 @@ def test_600_statement_program_runs(tmp_path, capsys):
     final = {name: int(value) for name, value in trace[-1]["state"].items()}
     stmt = parse_program(text, "wl").main
     assert final == execute(stmt, {name: 0 for name in names})
+
+
+def test_1200_statement_program_runs(tmp_path, capsys):
+    # the parser's wl check and the default state's occurrence list walk
+    # the sequence with a loop; the oracle runs one statement at a time
+    names = ("a", "b", "c", "d")
+    lines = [f"{names[i % 4]} := {names[(i + 1) % 4]} + {i % 7}" for i in range(1200)]
+    path = tmp_path / "straight.wl"
+    path.write_text(" ;;\n".join(lines), encoding="utf-8")
+    assert main(["traces", str(path), "--lang", "wl", "--format", "json"]) == 0
+    (trace,) = json.loads(capsys.readouterr().out)["traces"]
+    assert len(trace) == 1201
+    final = {name: int(value) for name, value in trace[-1]["state"].items()}
+    env = {name: 0 for name in names}
+    for line in lines:
+        execute(parse_program(line, "wl").main, env)
+    assert final == env

@@ -4,7 +4,8 @@ Subcommands: ``traces`` (fixpoint composition), ``traces-bounded`` (bounded
 composition), ``equiv`` (trace equivalence of two files) and ``eval``
 (expression evaluation under an explicit state).  Results go to stdout,
 diagnostics to stderr.  Exit codes: 0 success, 1 parse, mode or round-flag
-error, 2 semantic error, 3 divergence limit, 4 fresh-variable bound exceeded.
+error, 2 semantic error, 3 divergence limit, 4 fresh-variable bound exceeded,
+5 resources exhausted (Python's recursion limit or memory).
 """
 
 from __future__ import annotations
@@ -173,6 +174,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: resources exhausted: recursion limit reached", file=sys.stderr)
+        return 5
+    except MemoryError:
+        print("error: resources exhausted: out of memory", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -3,8 +3,13 @@
 The plain while language composes a single continuation marker per
 configuration; the concurrent extension keeps a multiset of markers, glues
 every local trace onto the global one via the semantic chop, and
-concretizes the result under its minimal mapping after every step.
-Invocation reactions spawn new processes out of harvested call arguments.
+concretizes the result under its minimal mapping after every step.  A
+glued trace that is already concrete is its own concretization (its
+minimal mapping is empty), so it is kept as it is and shares its states
+with the global trace it extends; only a step that brings in a symbolic
+value rebuilds the trace.  Invocation reactions spawn new processes out of
+harvested call arguments, checked against the invocations still
+unanswered, which are counted once per configuration.
 
 Both languages explore breadth first with one function, for at most a
 given number of steps.  Bounded composition stops there.  The fixpoint
@@ -48,11 +53,12 @@ from .trace import (
     Trace,
     gen_event,
     harvest_params,
-    invocation_wellformed,
+    is_concrete_trace,
     is_consistent,
     last_state,
     semantic_chop,
     singleton,
+    unanswered_invocations,
 )
 
 
@@ -69,14 +75,18 @@ class ExtConfig:
     """Composed global trace plus a multiset of pending process markers.
 
     The multiset is kept as a canonically sorted tuple so configurations
-    compare and hash structurally.
+    compare and hash structurally.  A single marker is already sorted, so
+    its ``canon_key``, a walk over every statement it holds, is skipped.
     """
 
     trace: Trace
     markers: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "markers", tuple(sorted(self.markers, key=canon_key)))
+        markers = tuple(self.markers)
+        if len(markers) > 1:
+            markers = tuple(sorted(markers, key=canon_key))
+        object.__setattr__(self, "markers", markers)
 
 
 @dataclass(frozen=True)
@@ -207,16 +217,28 @@ def basic_successors(
     Path conditions are judged after simplification under the minimal
     mapping of the local trace; surviving glued traces are concretized
     under their own minimal mapping.
+
+    That step is skipped when the global trace before its last state
+    (decided once for the configuration) and the local trace are both
+    concrete.  The glued trace is then concrete, its minimal mapping (like
+    the local trace's) is empty, and concretizing under the empty mapping
+    rebuilds every atom equal to itself, so the glued trace is kept as it
+    is and shares the global trace's states.  A non-empty mapping adds its
+    keys (a fresh ``$x::Input``, say) to every earlier state, so then the
+    whole glued trace is concretized.
     """
     sigma, marker = _pending(config)
+    prefix_concrete = is_concrete_trace(config.trace[:-1])
     out = set()
     for cont in valuate(marker, sigma, "ext", fresh_bound):
-        local_map = min_conc_map_trace(cont.cond.trace, conc_numeral)
+        local = cont.cond.trace
+        local_map = min_conc_map_trace(local, conc_numeral)
         if not is_consistent(eval_bexp_set(cont.cond.pc, local_map)):
             continue
-        glued = semantic_chop(config.trace, cont.cond.trace)
-        concretized = concretize_trace(min_conc_map_trace(glued, conc_numeral), glued)
-        out.add(WlConfig(concretized, cont.marker))
+        glued = semantic_chop(config.trace, local)
+        if not (prefix_concrete and is_concrete_trace(local)):
+            glued = concretize_trace(min_conc_map_trace(glued, conc_numeral), glued)
+        out.add(WlConfig(glued, cont.marker))
     return frozenset(out)
 
 
@@ -243,9 +265,16 @@ def successors2(table, config: ExtConfig, fresh_bound: int = DEFAULT_FRESH_BOUND
 
     Candidate reactions pair every known method with every harvested call
     argument; a reaction survives only if appending it keeps the invocation
-    bookkeeping wellformed.
+    bookkeeping wellformed, that is, if an invocation with the reaction's
+    arguments is still unanswered.  Those counts are taken once for the
+    configuration, not once per candidate.
     """
+    if not table:
+        return frozenset()
     sigma = last_state(config.trace)
+    open_calls = unanswered_invocations(config.trace)
+    if not open_calls:
+        return frozenset()
     params = harvest_params(config.trace)
     out = set()
     for method in table:
@@ -253,8 +282,8 @@ def successors2(table, config: ExtConfig, fresh_bound: int = DEFAULT_FRESH_BOUND
             if not isinstance(value, ArithExp):
                 raise MalformedParamError(f"call argument {value!r} is not arithmetic")
             reaction = gen_event(EventKind.REACT, sigma, (MethodRef(method.name), value))
-            extended = semantic_chop(config.trace, reaction)
-            if not invocation_wellformed(extended):
+            _, event, _ = reaction
+            if event.args not in open_calls:
                 continue
             fresh = vargen(sigma, 0, fresh_bound, "$" + method.name + "::Param")
             if fresh.startswith(BOUND_EXCEEDED_PREFIX):
@@ -263,7 +292,7 @@ def successors2(table, config: ExtConfig, fresh_bound: int = DEFAULT_FRESH_BOUND
             body = substitute(method.body, method.formal, fresh)
             out.add(
                 ExtConfig(
-                    extended + (StateAtom(bound_state),),
+                    semantic_chop(config.trace, reaction) + (StateAtom(bound_state),),
                     config.markers + (Pending(body),),
                 )
             )

@@ -7,6 +7,7 @@ sorted order and trace sets are sorted by the canonical syntax order.
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .state import State
@@ -33,6 +34,7 @@ from .syntax import (
     Var,
     While,
     canon_key,
+    tuple_key,
 )
 from .trace import StateAtom, Trace
 
@@ -142,7 +144,13 @@ def render_trace(trace: Trace) -> str:
 
 
 def sorted_traces(traces) -> list:
-    return sorted(traces, key=canon_key)
+    """The traces in ``canon_key`` order.
+
+    Traces of one set share most of their atoms, so each distinct atom's
+    key is computed once and the trace keys are assembled from them.
+    """
+    atom_key = functools.cache(canon_key)
+    return sorted(traces, key=lambda trace: tuple_key(map(atom_key, trace)))
 
 
 def _trace_to_json(trace: Trace) -> list:

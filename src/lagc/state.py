@@ -2,7 +2,9 @@
 
 States compare by their key-value sets, iterate in sorted key order, and
 are hashable, so traces built from them can live in sets and be rendered
-deterministically.
+deterministically.  A state's hash is computed at most once: the same
+state sits in every trace that shares it, and each of those traces is
+hashed again in every set its configuration enters.
 """
 
 from __future__ import annotations
@@ -25,6 +27,12 @@ class State:
         mapping = dict(self.entries)
         object.__setattr__(self, "entries", tuple(sorted(mapping.items())))
         object.__setattr__(self, "_map", mapping)
+        object.__setattr__(self, "_hash", None)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.entries))
+        return self._hash
 
     def lookup(self, variable: str) -> Optional[SExp]:
         return self._map.get(variable)

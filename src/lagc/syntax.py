@@ -248,7 +248,7 @@ def canon_key(value):
     if isinstance(value, str):
         return (_KIND_STRING, value)
     if isinstance(value, tuple):
-        return (_KIND_TUPLE, tuple(canon_key(v) for v in value))
+        return tuple_key(canon_key(v) for v in value)
     if isinstance(value, frozenset):
         return (_KIND_FROZENSET, tuple(sorted(canon_key(v) for v in value)))
     if isinstance(value, Enum):
@@ -259,6 +259,11 @@ def canon_key(value):
         )
         return (_KIND_NODE, type(value).__name__, parts)
     raise TypeError(f"no canonical order for {type(value).__name__}")
+
+
+def tuple_key(element_keys) -> tuple:
+    """``canon_key`` of a tuple, given the keys of its elements in order."""
+    return (_KIND_TUPLE, tuple(element_keys))
 
 
 # ---------------------------------------------------------------------------

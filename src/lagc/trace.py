@@ -166,16 +166,29 @@ def count_atom(trace: Trace, atom: TraceAtom) -> int:
     return sum(1 for candidate in trace if candidate == atom)
 
 
+def unanswered_invocations(trace: Trace) -> dict | None:
+    """Invocations not yet reacted to, counted per argument list, in one pass.
+
+    Only argument lists with a positive count are kept.  Returns ``None``
+    when some reaction event has no unmatched invocation before it.
+    Appending a reaction with arguments ``args`` keeps the trace
+    invocation-wellformed iff ``args`` has a count.
+    """
+    open_calls: dict = {}
+    for atom in trace:
+        if isinstance(atom, EventAtom):
+            if atom.kind is EventKind.INVOKE:
+                open_calls[atom.args] = open_calls.get(atom.args, 0) + 1
+            elif atom.kind is EventKind.REACT:
+                if open_calls.get(atom.args, 0) <= 0:
+                    return None
+                open_calls[atom.args] -= 1
+    return {args: count for args, count in open_calls.items() if count}
+
+
 def invocation_wellformed(trace: Trace) -> bool:
     """Every reaction event must have an unmatched invocation before it."""
-    for i, atom in enumerate(trace):
-        if isinstance(atom, EventAtom) and atom.kind is EventKind.REACT:
-            prefix = trace[:i]
-            invocations = count_atom(prefix, EventAtom(EventKind.INVOKE, atom.args))
-            reactions = count_atom(prefix, EventAtom(EventKind.REACT, atom.args))
-            if invocations <= reactions:
-                return False
-    return True
+    return unanswered_invocations(trace) is not None
 
 
 def harvest_params(trace: Trace) -> frozenset:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from lagc import cli
 from lagc.cli import main, parse_state_spec
 from lagc.compose import ExtConfig, compose_bounded_ext, initial_state_for, method_table
 from lagc.localeval import Pending
@@ -160,6 +161,35 @@ def test_invalid_round_flags_are_usage_errors(write, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+LONG_BODY = " ;; ".join(["x := x + 1"] * 1200)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"scope(y){{ {LONG_BODY} }}",
+        f"program {{ method foo(p){{ {LONG_BODY} }} main {{ call foo(1) }} }}",
+    ],
+    ids=["scope-body", "method-body"],
+)
+def test_recursion_limit_is_exit_5(write, capsys, text):
+    path = write("long.ext", text)
+    assert main(["traces", path]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: resources exhausted: recursion limit reached\n"
+    assert "Traceback" not in captured.err
+
+
+def test_memory_error_is_exit_5(write, capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "traces", exhausted)
+    assert main(["traces", write("skip.ext", "skip")]) == 5
+    assert capsys.readouterr().err == "error: resources exhausted: out of memory\n"
 
 
 def test_missing_file(capsys):

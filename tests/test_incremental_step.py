@@ -1,0 +1,260 @@
+"""The per-step shortcuts of ext composition against what they replace.
+
+``basic_successors`` keeps an already concrete glued trace as it is instead
+of concretizing it again; the frozen ``reference_engine`` always
+concretizes, so both must agree from concrete, half-symbolic and symbolic
+starts.  ``successors2`` counts unanswered invocations once per
+configuration; here it is held against the quadratic definition of
+invocation wellformedness, spelled out over every candidate reaction.
+"""
+
+import dataclasses
+import random
+from functools import reduce
+
+import reference_engine as ref
+from lagc import compose
+from lagc.errors import LagcError
+from lagc.localeval import DONE, Pending
+from lagc.state import domain, make_state, update
+from lagc.syntax import (
+    ArithExp,
+    Guard,
+    Input,
+    LocMem,
+    LocPar,
+    Method,
+    MethodRef,
+    Num,
+    Seq,
+    Skip,
+    StoredExp,
+    Var,
+    seq_spine,
+    substitute,
+)
+from lagc.trace import EventAtom, EventKind, StateAtom
+
+from gens import (
+    NAMES,
+    rand_concrete_state,
+    rand_concrete_trace,
+    rand_ext_stmt,
+    rand_state,
+    rand_trace,
+    rand_wl_stmt,
+)
+
+PREFIX_NAMES = NAMES + ("u", "v")
+
+
+STMT_FIELDS = ("first", "second", "left", "right", "body")
+
+
+def _kinds(stmt) -> set:
+    """The statement classes occurring in ``stmt``."""
+    out, todo = set(), [stmt]
+    while todo:
+        item = todo.pop()
+        out.add(type(item))
+        todo.extend(getattr(item, name) for name in STMT_FIELDS if hasattr(item, name))
+    return out
+
+
+def _flat(stmt):
+    """``stmt`` with every sequence in it, at any depth, nested to the left."""
+    if isinstance(stmt, Seq):
+        return reduce(Seq, map(_flat, seq_spine(stmt)))
+    parts = {name: _flat(getattr(stmt, name)) for name in STMT_FIELDS if hasattr(stmt, name)}
+    return dataclasses.replace(stmt, **parts)
+
+
+def _programs(rng, count: int) -> list:
+    stmts = [rand_ext_stmt(rng, rng.randint(1, 6)) for _ in range(count)]
+    kinds = set().union(*map(_kinds, stmts))
+    assert {Input, LocMem, Guard, LocPar, Seq} <= kinds
+    return stmts
+
+
+def _prefix(rng, symbolic: bool) -> tuple:
+    """A trace over states whose domains are random subsets of ``PREFIX_NAMES``."""
+    names = tuple(rng.sample(PREFIX_NAMES, rng.randint(0, len(PREFIX_NAMES))))
+    if symbolic:
+        return rand_trace(rng, names, max_len=4)
+    return rand_concrete_trace(rng, names, max_len=4)
+
+
+def _outcome(run):
+    """The value of ``run()``, or the type of the engine error it raised.
+
+    The text is left out: which of several failing continuations raises
+    first depends on set iteration order.
+    """
+    try:
+        return run()
+    except LagcError as exc:
+        return type(exc).__name__
+
+
+def _normalized(configs) -> frozenset:
+    """Traces paired with what is left to run (None when done), in one nesting."""
+    return frozenset(
+        (c.trace, _flat(c.marker.stmt) if hasattr(c.marker, "stmt") else None)
+        for c in configs
+    )
+
+
+def _compare(trace, stmt):
+    """Both engines' successors of one process; returns the current engine's result."""
+    current = _outcome(lambda: compose.basic_successors(compose.WlConfig(trace, Pending(stmt))))
+    expected = _outcome(
+        lambda: _normalized(ref.basic_successors(ref.WlConfig(trace, ref.Pending(stmt))))
+    )
+    if isinstance(current, frozenset):
+        assert _normalized(current) == expected
+    else:
+        assert current == expected
+    return current
+
+
+def test_concrete_prefixes_share_their_states():
+    rng = random.Random(501)
+    shared = rebuilt = 0
+    for stmt in _programs(rng, 300):
+        trace = _prefix(rng, symbolic=False) + (StateAtom(rand_concrete_state(rng)),)
+        result = _compare(trace, stmt)
+        if not isinstance(result, frozenset):
+            continue
+        for succ in result:
+            head = succ.trace[: len(trace) - 1]
+            if head == trace[:-1]:
+                assert all(a is b for a, b in zip(head, trace))
+                shared += 1
+            else:
+                rebuilt += 1
+    # steps without an input keep the prefix; an input adds its variable to every state
+    assert shared > 100 and rebuilt > 10
+
+
+def _unwellformed_state(rng):
+    """Images that name other variables, none of them symbolic."""
+    images = {}
+    for name in NAMES:
+        images[name] = StoredExp(Var(rng.choice(NAMES)) if rng.random() < 0.3 else Num(1))
+    return make_state(images)
+
+
+def test_symbolic_last_state_matches_reference():
+    rng = random.Random(502)
+    for i, stmt in enumerate(_programs(rng, 300)):
+        # a last state that is not concrete but has no symbolic variable
+        # makes concretization raise, so it must not be skipped either
+        last = _unwellformed_state(rng) if i % 3 == 0 else rand_state(rng)
+        trace = _prefix(rng, symbolic=False) + (StateAtom(last),)
+        _compare(trace, stmt)
+
+
+def test_symbolic_prefix_is_still_concretized():
+    rng = random.Random(503)
+    concretized = 0
+    for stmt in _programs(rng, 300):
+        trace = _prefix(rng, symbolic=True) + (StateAtom(rand_concrete_state(rng)),)
+        result = _compare(trace, stmt)
+        if isinstance(result, frozenset):
+            concretized += sum(succ.trace[: len(trace) - 1] != trace[:-1] for succ in result)
+    assert concretized > 100
+
+
+# ---------------------------------------------------------------------------
+# Reactions
+
+
+TABLE = (
+    Method("m0", "v", Skip()),
+    Method("m1", "v", rand_wl_stmt(random.Random(504), 2)),
+)
+ARGS = tuple(
+    (MethodRef(name), ArithExp(Num(value))) for name in ("m0", "m1", "zz") for value in (0, 1)
+)
+
+
+def _balanced(trace) -> bool:
+    """Each reaction has more equal invocations than equal reactions before it."""
+    for i, atom in enumerate(trace):
+        if isinstance(atom, EventAtom) and atom.kind is EventKind.REACT:
+            before = trace[:i]
+            invokes = sum(a == EventAtom(EventKind.INVOKE, atom.args) for a in before)
+            reacts = sum(a == EventAtom(EventKind.REACT, atom.args) for a in before)
+            if invokes <= reacts:
+                return False
+    return True
+
+
+def _expected_reactions(table, config) -> frozenset:
+    trace, sigma = config.trace, config.trace[-1].state
+    params = {
+        atom.args[1]
+        for atom in trace
+        if isinstance(atom, EventAtom) and atom.kind is EventKind.INVOKE
+    }
+    out = set()
+    for method in table:
+        for value in params:
+            event = EventAtom(EventKind.REACT, (MethodRef(method.name), value))
+            candidate = trace[:-1] + (StateAtom(sigma), event, StateAtom(sigma))
+            if not _balanced(candidate):
+                continue
+            fresh = "$" + method.name + "::Param"
+            while fresh in domain(sigma):
+                fresh = "c" + fresh
+            bound = StateAtom(update(sigma, fresh, StoredExp(value.arith)))
+            body = Pending(substitute(method.body, method.formal, fresh))
+            out.add(compose.ExtConfig(candidate + (bound,), config.markers + (body,)))
+    return frozenset(out)
+
+
+def _events_trace(rng, events) -> tuple:
+    """Concrete states with one event between each pair of equal neighbours."""
+    atoms = [StateAtom(rand_concrete_state(rng))]
+    for event in events:
+        atoms += [event, atoms[-1]]
+    return tuple(atoms)
+
+
+def _invoke(args):
+    return EventAtom(EventKind.INVOKE, args)
+
+
+def _react(args):
+    return EventAtom(EventKind.REACT, args)
+
+
+def test_unanswered_invocations_decide_reactions():
+    rng = random.Random(505)
+    a, b = ARGS[0], ARGS[3]
+    hand_built = [
+        [_react(a), _invoke(a)],  # an earlier reaction with no invocation: no reaction
+        [_invoke(a), _react(a), _react(a), _invoke(a), _invoke(b)],
+        [_invoke(a), _invoke(a), _react(a)],  # repeated invocations: one more reaction
+        [_invoke(a), _invoke(a), _react(a), _react(a)],
+        [_invoke(a), _invoke(b), _invoke(ARGS[4]), _react(b)],
+    ]
+    random_events = [
+        [
+            (_invoke if rng.random() < 0.7 else _react)(rng.choice(ARGS))
+            for _ in range(rng.randint(0, 7))
+        ]
+        for _ in range(300)
+    ]
+    spawned = 0
+    for events in hand_built + random_events:
+        config = compose.ExtConfig(_events_trace(rng, events), (DONE,))
+        expected = _expected_reactions(TABLE, config)
+        assert compose.successors2(TABLE, config) == expected
+        assert compose.successors2((), config) == frozenset()
+        spawned += len(expected)
+    assert spawned > 100
+    config = compose.ExtConfig(_events_trace(rng, hand_built[0]), (DONE,))
+    assert compose.successors2(TABLE, config) == frozenset()
+    config = compose.ExtConfig(_events_trace(rng, hand_built[2]), (DONE,))
+    assert len(compose.successors2(TABLE, config)) == 1

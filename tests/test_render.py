@@ -1,4 +1,5 @@
 import json
+import random
 
 from lagc.compose import initial_state_for, traces_ext, traces_wl
 from lagc.render import (
@@ -8,8 +9,9 @@ from lagc.render import (
     sorted_traces,
 )
 from lagc.state import make_state
-from lagc.syntax import Num, STAR, StoredExp
+from lagc.syntax import Num, STAR, StoredExp, canon_key
 
+from gens import rand_concrete_trace, rand_trace
 from samples import EXT_INPUT, SIGMA1, TAU1, WL_FACTORIAL
 
 
@@ -57,3 +59,14 @@ def test_render_deterministic():
 def test_sorted_traces_is_stable():
     traces = list(traces_wl(WL_FACTORIAL, initial_state_for(WL_FACTORIAL)))
     assert sorted_traces(traces) == sorted_traces(reversed(traces))
+
+
+def test_sorted_traces_follows_canon_key():
+    rng = random.Random(58)
+    for _ in range(100):
+        prefixes = [make(rng, max_len=3) for make in (rand_trace, rand_concrete_trace) * 3]
+        traces = {
+            rng.choice(prefixes) + rng.choice((rand_trace, rand_concrete_trace))(rng, max_len=3)
+            for _ in range(rng.randint(0, 12))
+        }
+        assert sorted_traces(traces) == sorted(traces, key=canon_key)

@@ -40,6 +40,19 @@ def test_equality_ignores_insertion_order():
     assert a == b and hash(a) == hash(b)
 
 
+def test_hash_is_cached_and_independent_of_insertion_order():
+    rng = random.Random(25)
+    for _ in range(200):
+        sigma = rand_state(rng)
+        entries = list(sigma.entries)
+        rng.shuffle(entries)
+        shuffled = make_state(entries)
+        first = hash(sigma)
+        assert {sigma: "found"}.get(shuffled) == "found"
+        assert hash(sigma) == first == hash(shuffled)
+        assert shuffled == sigma
+
+
 def test_symbolic_vars():
     assert symbolic_vars(SIGMA1) == {"y"}
     assert symbolic_vars(SIGMA2) == frozenset()

@@ -9,7 +9,19 @@ minimal mapping is empty), so it is kept as it is and shares its states
 with the global trace it extends; only a step that brings in a symbolic
 value rebuilds the trace.  Invocation reactions spawn new processes out of
 harvested call arguments, checked against the invocations still
-unanswered, which are counted once per configuration.
+unanswered.
+
+Every configuration carries ``prefix``, a ``trace.Summary`` of its trace
+without the last state: a chained hash, whether every atom is concrete,
+the unanswered invocations and the harvested call arguments.  A step
+extends its parent's summary by only the atoms it adds (a glued trace
+keeps ``trace[:-1]`` and appends the local trace up to its last state), so
+neither hashing a configuration nor deciding concreteness nor spawning
+reactions walks the whole trace.  A configuration hashes the prefix's
+chained hash, its last state and its markers.  The fold depends only on
+the trace's content, so equal configurations hash alike however they were
+built; the summary does not take part in equality.  Only a step that
+concretizes the whole trace folds its summary afresh.
 
 Both languages explore breadth first with one function, for at most a
 given number of steps.  Bounded composition stops there.  The fixpoint
@@ -17,17 +29,19 @@ search runs at most ``(max_rounds - 1) * increment`` steps and then
 requires every configuration left on the frontier to be terminal.  A
 frontier of terminal configurations is empty one step later, so how that
 budget is split into rounds does not change the result, only the error
-text.
+text.  When configurations of one step fail, the least error by type and
+message is raised, whatever order the frontier set iterates in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .concretize import concretize_trace, min_conc_map_trace
 from .errors import (
     DivergenceLimitError,
     FreshBoundExceededError,
+    LagcError,
     MalformedParamError,
     ModeError,
     PolicyError,
@@ -42,7 +56,6 @@ from .syntax import (
     Program,
     Stmt,
     StoredExp,
-    canon_key,
     language_check,
     occurrences,
     substitute,
@@ -50,43 +63,66 @@ from .syntax import (
 from .trace import (
     EventKind,
     StateAtom,
+    Summary,
     Trace,
     gen_event,
-    harvest_params,
     is_concrete_trace,
     is_consistent,
     last_state,
     semantic_chop,
     singleton,
-    unanswered_invocations,
+    summarize,
 )
+
+
+def _summarize_prefix(config) -> None:
+    """Fold ``trace[:-1]`` into the configuration's summary unless one was given."""
+    if config.prefix is None:
+        object.__setattr__(config, "prefix", summarize(config.trace[:-1]))
 
 
 @dataclass(frozen=True)
 class WlConfig:
-    """Composed global trace plus the one statement left to run."""
+    """Composed global trace plus the one statement left to run.
+
+    ``prefix`` summarizes ``trace[:-1]``; see the module docstring.
+    """
 
     trace: Trace
     marker: Marker
+    prefix: Summary = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        _summarize_prefix(self)
+
+    def __hash__(self) -> int:
+        return hash((self.prefix.hash, self.trace[-1:], self.marker))
 
 
 @dataclass(frozen=True)
 class ExtConfig:
     """Composed global trace plus a multiset of pending process markers.
 
-    The multiset is kept as a canonically sorted tuple so configurations
-    compare and hash structurally.  A single marker is already sorted, so
-    its ``canon_key``, a walk over every statement it holds, is skipped.
+    The multiset is kept as a tuple sorted by ``canon_key`` so
+    configurations compare and hash structurally.  Each marker computes its
+    key once (``Pending.key``), so a marker that a step leaves alone is not
+    walked again; a single marker is already sorted.  ``prefix``
+    summarizes ``trace[:-1]`` as for ``WlConfig``.
     """
 
     trace: Trace
     markers: tuple
+    prefix: Summary = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         markers = tuple(self.markers)
         if len(markers) > 1:
-            markers = tuple(sorted(markers, key=canon_key))
+            markers = tuple(sorted(markers, key=lambda marker: marker.key))
         object.__setattr__(self, "markers", markers)
+        _summarize_prefix(self)
+
+    def __hash__(self) -> int:
+        return hash((self.prefix.hash, self.trace[-1:], self.markers))
 
 
 @dataclass(frozen=True)
@@ -118,6 +154,24 @@ def _pending(config) -> tuple:
     return last_state(config.trace), config.marker
 
 
+def _expand_all(frontier, expand) -> list:
+    """``expand`` of every configuration of a frontier, in the frontier's order.
+
+    Every configuration is expanded even after one of them fails; then the
+    least error by type name and message is raised, so which error a run
+    reports does not depend on the order in which the set is iterated.
+    """
+    results, errors = [], []
+    for config in frontier:
+        try:
+            results.append((config, expand(config)))
+        except LagcError as exc:
+            errors.append(exc)
+    if errors:
+        raise min(errors, key=lambda exc: (type(exc).__name__, str(exc)))
+    return results
+
+
 def _explore(start, expand, bound: int) -> tuple:
     """Breadth-first exploration for at most ``bound`` steps.
 
@@ -130,8 +184,7 @@ def _explore(start, expand, bound: int) -> tuple:
         if not frontier:
             break
         step = set()
-        for config in frontier:
-            succ = expand(config)
+        for config, succ in _expand_all(frontier, expand):
             if succ is None:
                 finished.add(config)
             else:
@@ -148,7 +201,7 @@ def _fixpoint(policy: ComposePolicy, start, expand) -> frozenset:
     """
     budget = (policy.max_rounds - 1) * policy.increment
     finished, frontier = _explore(start, expand, budget)
-    if all([expand(config) is None for config in frontier]):
+    if all(succ is None for _, succ in _expand_all(frontier, expand)):
         return frozenset(finished | frontier)
     raise DivergenceLimitError(
         f"no fixpoint after {policy.max_rounds} rounds "
@@ -167,7 +220,9 @@ def successors_wl(config: WlConfig) -> frozenset:
     for cont in valuate(marker, sigma, "wl"):
         if not is_consistent(cont.cond.pc):
             continue
-        out.add(WlConfig(semantic_chop(config.trace, cont.cond.trace), cont.marker))
+        local = cont.cond.trace
+        glued = semantic_chop(config.trace, local)
+        out.add(WlConfig(glued, cont.marker, config.prefix.extend(local[:-1])))
     return frozenset(out)
 
 
@@ -218,17 +273,17 @@ def basic_successors(
     mapping of the local trace; surviving glued traces are concretized
     under their own minimal mapping.
 
-    That step is skipped when the global trace before its last state
-    (decided once for the configuration) and the local trace are both
-    concrete.  The glued trace is then concrete, its minimal mapping (like
+    That step is skipped when the global trace before its last state and
+    the local trace are both concrete, which the configuration's prefix
+    summary, extended by the local trace, tells without walking the global
+    trace.  The glued trace is then concrete, its minimal mapping (like
     the local trace's) is empty, and concretizing under the empty mapping
     rebuilds every atom equal to itself, so the glued trace is kept as it
     is and shares the global trace's states.  A non-empty mapping adds its
     keys (a fresh ``$x::Input``, say) to every earlier state, so then the
-    whole glued trace is concretized.
+    whole glued trace is concretized and its summary folded afresh.
     """
     sigma, marker = _pending(config)
-    prefix_concrete = is_concrete_trace(config.trace[:-1])
     out = set()
     for cont in valuate(marker, sigma, "ext", fresh_bound):
         local = cont.cond.trace
@@ -236,9 +291,12 @@ def basic_successors(
         if not is_consistent(eval_bexp_set(cont.cond.pc, local_map)):
             continue
         glued = semantic_chop(config.trace, local)
-        if not (prefix_concrete and is_concrete_trace(local)):
+        prefix = config.prefix.extend(local[:-1])
+        if prefix.concrete and is_concrete_trace(local[-1:]):
+            out.add(WlConfig(glued, cont.marker, prefix))
+        else:
             glued = concretize_trace(min_conc_map_trace(glued, conc_numeral), glued)
-        out.add(WlConfig(glued, cont.marker))
+            out.add(WlConfig(glued, cont.marker))
     return frozenset(out)
 
 
@@ -250,13 +308,14 @@ def successors1(
     """Schedule one marker out of the multiset and reinsert its continuation."""
     last_state(config.trace)
     out = set()
-    for marker in set(config.markers):
+    for marker in dict.fromkeys(config.markers):
         if isinstance(marker, Done):
             continue
         rest = list(config.markers)
         rest.remove(marker)
-        for succ in basic_successors(WlConfig(config.trace, marker), fresh_bound, conc_numeral):
-            out.add(ExtConfig(succ.trace, tuple(rest) + (succ.marker,)))
+        process = WlConfig(config.trace, marker, config.prefix)
+        for succ in basic_successors(process, fresh_bound, conc_numeral):
+            out.add(ExtConfig(succ.trace, tuple(rest) + (succ.marker,), succ.prefix))
     return frozenset(out)
 
 
@@ -266,19 +325,18 @@ def successors2(table, config: ExtConfig, fresh_bound: int = DEFAULT_FRESH_BOUND
     Candidate reactions pair every known method with every harvested call
     argument; a reaction survives only if appending it keeps the invocation
     bookkeeping wellformed, that is, if an invocation with the reaction's
-    arguments is still unanswered.  Those counts are taken once for the
-    configuration, not once per candidate.
+    arguments is still unanswered.  The counts and the arguments travel
+    with the configuration in its prefix summary.
     """
     if not table:
         return frozenset()
     sigma = last_state(config.trace)
-    open_calls = unanswered_invocations(config.trace)
+    open_calls = config.prefix.open_calls
     if not open_calls:
         return frozenset()
-    params = harvest_params(config.trace)
     out = set()
     for method in table:
-        for value in params:
+        for value in config.prefix.params:
             if not isinstance(value, ArithExp):
                 raise MalformedParamError(f"call argument {value!r} is not arithmetic")
             reaction = gen_event(EventKind.REACT, sigma, (MethodRef(method.name), value))
@@ -294,6 +352,7 @@ def successors2(table, config: ExtConfig, fresh_bound: int = DEFAULT_FRESH_BOUND
                 ExtConfig(
                     semantic_chop(config.trace, reaction) + (StateAtom(bound_state),),
                     config.markers + (Pending(body),),
+                    config.prefix.extend(reaction),
                 )
             )
     return frozenset(out)

@@ -42,9 +42,12 @@ from .syntax import (
     StoredExp,
     Var,
     While,
+    canon_key,
     check_mode,
+    node_key,
     seq_spine,
     substitute,
+    tuple_key,
 )
 from .trace import CondTrace, EventKind, StateAtom, gen_event, singleton
 
@@ -58,9 +61,16 @@ class Pending:
     ``Pending(stmt)`` flattens the ``Seq`` spine of ``stmt``; ``rest`` given
     alongside is appended as it is and must already be flat.  Neither
     ``head`` nor any member of ``rest`` is a ``Seq``, so every nesting of the
-    same sequence gives the same marker.  The hash is computed at most
-    once, since a marker is hashed again in every set its configuration
-    enters.
+    same sequence gives the same marker.
+
+    The hash reads only ``head``, the length of ``rest`` and its first
+    statement, so it costs the same however long the sequence is; equality
+    still compares everything, and equal markers agree on those three
+    parts, so hashing stays consistent with it.  ``key`` is
+    ``canon_key(self)``, computed at most once, since a configuration
+    sorts its markers by it at every step.  A marker that a step builds
+    from one whose key is known inherits the keys of the statements the
+    two share, so only the statements the step puts in front are walked.
     """
 
     head: Stmt
@@ -73,11 +83,26 @@ class Pending:
         object.__setattr__(self, "head", stmt)
         object.__setattr__(self, "rest", rest)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_rest_keys", None)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.head, self.rest)))
+            rest = self.rest
+            object.__setattr__(self, "_hash", hash((self.head, len(rest), rest[:1])))
         return self._hash
+
+    @property
+    def key(self) -> tuple:
+        """``canon_key(self)``, computed once."""
+        if self._key is None:
+            self._set_key(canon_key(self.head), tuple(map(canon_key, self.rest)))
+        return self._key
+
+    def _set_key(self, head_key: tuple, rest_keys: tuple) -> None:
+        """Assemble ``key`` from the keys of ``head`` and of each member of ``rest``."""
+        object.__setattr__(self, "_rest_keys", rest_keys)
+        object.__setattr__(self, "_key", node_key(self, (head_key, tuple_key(rest_keys))))
 
     @property
     def stmt(self) -> Stmt:
@@ -89,8 +114,13 @@ class Pending:
 class Done:
     """The empty continuation: the process has finished."""
 
+    @property
+    def key(self) -> tuple:
+        return _DONE_KEY
+
 
 DONE = Done()
+_DONE_KEY = canon_key(DONE)
 
 Marker = Union[Pending, Done]
 
@@ -101,13 +131,21 @@ class ContTrace:
     marker: Marker
 
 
-def _push(marker: Marker, rest: tuple) -> Marker:
-    """Put a flat tuple of statements behind whatever the marker still holds."""
+def _push(marker: Marker, rest: tuple, rest_keys: tuple | None = None) -> Marker:
+    """Put a flat tuple of statements behind whatever the marker still holds.
+
+    ``rest_keys``, the ``canon_key`` of each member of ``rest`` when known,
+    goes into the new marker's key.
+    """
     if not rest:
         return marker
-    if isinstance(marker, Pending):
-        return Pending(marker.head, marker.rest + rest)
-    return Pending(rest[0], rest[1:])
+    front = (marker.head,) + marker.rest if isinstance(marker, Pending) else ()
+    stmts = front + rest
+    out = Pending(stmts[0], stmts[1:])
+    if rest_keys is not None:
+        keys = tuple(map(canon_key, front)) + rest_keys
+        out._set_key(keys[0], keys[1:])
+    return out
 
 
 def cont_append(marker: Marker, stmt: Stmt) -> Marker:
@@ -147,7 +185,9 @@ def valuate(
     conts = _valuate_head(pending.head, sigma, mode, fresh_bound)
     if not pending.rest:
         return conts
-    return frozenset(ContTrace(c.cond, _push(c.marker, pending.rest)) for c in conts)
+    return frozenset(
+        ContTrace(c.cond, _push(c.marker, pending.rest, pending._rest_keys)) for c in conts
+    )
 
 
 def _valuate_head(stmt: Stmt, sigma: State, mode: str, fresh_bound: int) -> frozenset:

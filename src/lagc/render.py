@@ -146,9 +146,13 @@ def render_trace(trace: Trace) -> str:
 def sorted_traces(traces) -> list:
     """The traces in ``canon_key`` order.
 
-    Traces of one set share most of their atoms, so each distinct atom's
-    key is computed once and the trace keys are assembled from them.
+    Fewer than two traces are already in order, so no key is built for
+    them.  Traces of one set share most of their atoms, so each distinct
+    atom's key is computed once and the trace keys are assembled from them.
     """
+    traces = list(traces)
+    if len(traces) < 2:
+        return traces
     atom_key = functools.cache(canon_key)
     return sorted(traces, key=lambda trace: tuple_key(map(atom_key, trace)))
 

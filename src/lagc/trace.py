@@ -1,16 +1,18 @@
 """Symbolic traces: sequences of states and events, plus path conditions.
 
 A trace is a plain tuple of atoms so that concatenation, hashing and set
-membership come for free.  The partial operations (first/last state and the
-semantic chop) raise ``UndefinedTraceOpError`` outside their domain instead
-of guessing.
+membership come for free.  ``Summary`` folds what composition needs to
+know about a trace (a chained hash, concreteness, unanswered invocations,
+harvested call arguments) so that it can be extended atom by atom.  The
+partial operations (first/last state and the semantic chop) raise
+``UndefinedTraceOpError`` outside their domain instead of guessing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 from .errors import UndefinedTraceOpError
 from .evaluate import eval_exp_list, is_concrete
@@ -144,14 +146,14 @@ def is_wellformed_cond_trace(cond: CondTrace) -> bool:
     return True
 
 
+def is_concrete_atom(atom: TraceAtom) -> bool:
+    if isinstance(atom, StateAtom):
+        return is_concrete_state(atom.state)
+    return is_concrete(atom.args)
+
+
 def is_concrete_trace(trace: Trace) -> bool:
-    for atom in trace:
-        if isinstance(atom, StateAtom):
-            if not is_concrete_state(atom.state):
-                return False
-        elif not is_concrete(atom.args):
-            return False
-    return True
+    return all(map(is_concrete_atom, trace))
 
 
 def is_concrete_cond_trace(cond: CondTrace) -> bool:
@@ -166,6 +168,70 @@ def count_atom(trace: Trace, atom: TraceAtom) -> int:
     return sum(1 for candidate in trace if candidate == atom)
 
 
+class Summary(NamedTuple):
+    """What a composition step needs to know about a trace, folded atom by atom.
+
+    ``hash`` chains the atoms' hashes, ``h' = hash((h, atom))``, so it
+    depends only on the trace's content.  ``concrete`` says every atom is
+    concrete.  ``open_calls`` counts the invocations not yet reacted to per
+    argument list, keeping positive counts only, and is ``None`` once some
+    reaction has no unmatched invocation before it.  ``params`` holds the
+    arithmetic arguments of every invocation shaped [method, argument],
+    harvested whether or not the trace is still wellformed.
+
+    A summary is never changed in place: ``extend`` returns a new one and
+    copies ``open_calls`` only when the added atoms hold an event, so one
+    step costs what it adds, not the length of the trace.
+    """
+
+    hash: int
+    concrete: bool
+    open_calls: Optional[dict]
+    params: frozenset
+
+    def extend(self, atoms) -> "Summary":
+        """The summary of the trace followed by ``atoms``."""
+        chained, concrete, open_calls, params = self
+        copied = False
+        for atom in atoms:
+            chained = hash((chained, atom))
+            if concrete and not is_concrete_atom(atom):
+                concrete = False
+            if isinstance(atom, StateAtom) or atom.kind is EventKind.INPUT:
+                continue
+            args = atom.args
+            if atom.kind is EventKind.INVOKE:
+                if (
+                    len(args) == 2
+                    and isinstance(args[0], MethodRef)
+                    and isinstance(args[1], ArithExp)
+                ):
+                    params = params | {args[1]}
+                if open_calls is not None:
+                    if not copied:
+                        open_calls, copied = dict(open_calls), True
+                    open_calls[args] = open_calls.get(args, 0) + 1
+            elif open_calls is not None:
+                count = open_calls.get(args, 0)
+                if not count:
+                    open_calls = None
+                    continue
+                if not copied:
+                    open_calls, copied = dict(open_calls), True
+                if count == 1:
+                    del open_calls[args]
+                else:
+                    open_calls[args] = count - 1
+        return Summary(chained, concrete, open_calls, params)
+
+
+EMPTY_SUMMARY = Summary(hash(()), True, {}, frozenset())
+
+
+def summarize(trace: Trace) -> Summary:
+    return EMPTY_SUMMARY.extend(trace)
+
+
 def unanswered_invocations(trace: Trace) -> dict | None:
     """Invocations not yet reacted to, counted per argument list, in one pass.
 
@@ -174,16 +240,9 @@ def unanswered_invocations(trace: Trace) -> dict | None:
     Appending a reaction with arguments ``args`` keeps the trace
     invocation-wellformed iff ``args`` has a count.
     """
-    open_calls: dict = {}
-    for atom in trace:
-        if isinstance(atom, EventAtom):
-            if atom.kind is EventKind.INVOKE:
-                open_calls[atom.args] = open_calls.get(atom.args, 0) + 1
-            elif atom.kind is EventKind.REACT:
-                if open_calls.get(atom.args, 0) <= 0:
-                    return None
-                open_calls[atom.args] -= 1
-    return {args: count for args, count in open_calls.items() if count}
+    open_calls = summarize(trace).open_calls
+    # a copy, so that no caller can change a summary
+    return None if open_calls is None else dict(open_calls)
 
 
 def invocation_wellformed(trace: Trace) -> bool:
@@ -193,14 +252,4 @@ def invocation_wellformed(trace: Trace) -> bool:
 
 def harvest_params(trace: Trace) -> frozenset:
     """Arguments of all invocation events shaped [method, arithmetic arg]."""
-    out = set()
-    for atom in trace:
-        if (
-            isinstance(atom, EventAtom)
-            and atom.kind is EventKind.INVOKE
-            and len(atom.args) == 2
-            and isinstance(atom.args[0], MethodRef)
-            and isinstance(atom.args[1], ArithExp)
-        ):
-            out.add(atom.args[1])
-    return frozenset(out)
+    return summarize(trace).params

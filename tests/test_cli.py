@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -215,3 +216,22 @@ def test_console_entry_point(write, tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.startswith("1 trace\n")
+
+
+def test_error_does_not_depend_on_the_hash_seed(write):
+    # both methods fail, in configurations of the same step
+    path = write(
+        "two_errors.lagc",
+        "program { method m(v){ x := a } method n(v){ x := b } "
+        "main { co call m(1) || call n(1) oc } }",
+    )
+    outcomes = set()
+    for seed in range(8):
+        result = subprocess.run(
+            [sys.executable, "-m", "lagc.cli", "traces", path, "--state", "x=0"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)},
+        )
+        outcomes.add((result.returncode, result.stdout, result.stderr))
+    assert outcomes == {(2, "", "error: unbound variable: 'a'\n")}

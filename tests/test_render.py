@@ -1,6 +1,7 @@
 import json
 import random
 
+from lagc import render
 from lagc.compose import initial_state_for, traces_ext, traces_wl
 from lagc.render import (
     render_state,
@@ -70,3 +71,15 @@ def test_sorted_traces_follows_canon_key():
             for _ in range(rng.randint(0, 12))
         }
         assert sorted_traces(traces) == sorted(traces, key=canon_key)
+
+
+def test_sorted_traces_builds_no_key_for_fewer_than_two(monkeypatch):
+    def no_key(value):
+        raise AssertionError("a lone trace needs no sort key")
+
+    monkeypatch.setattr(render, "canon_key", no_key)
+    trace = rand_trace(random.Random(59))
+    for make in (list, iter):
+        assert sorted_traces(make([])) == []
+        (alone,) = sorted_traces(make([trace]))
+        assert alone is trace

@@ -3,9 +3,11 @@
 Subcommands: ``traces`` (fixpoint composition), ``traces-bounded`` (bounded
 composition), ``equiv`` (trace equivalence of two files) and ``eval``
 (expression evaluation under an explicit state).  Results go to stdout,
-diagnostics to stderr.  Exit codes: 0 success, 1 parse, mode or round-flag
-error, 2 semantic error, 3 divergence limit, 4 fresh-variable bound exceeded,
-5 resources exhausted (Python's recursion limit or memory).
+diagnostics to stderr as one ``error: ...`` line.  Exit codes, as listed in
+``_EXIT_CODES``: 0 success, 1 parse, mode or policy error (a round flag or a
+negative ``--bound``) or an unreadable file, 2 semantic error, 3 divergence
+limit, 4 fresh-variable bound exceeded, 5 resources exhausted (Python's
+recursion limit or memory).
 """
 
 from __future__ import annotations
@@ -15,11 +17,10 @@ import json
 import sys
 from pathlib import Path
 
-from .compose import ComposePolicy, trace_equivalent, traces_ext, traces_wl
+from .compose import DEFAULT_POLICY, ComposePolicy, initial_state_for, traces_ext, traces_wl
 from .errors import (
     DivergenceLimitError,
     FreshBoundExceededError,
-    MalformedParamError,
     ModeError,
     ParseError,
     PolicyError,
@@ -29,15 +30,15 @@ from .errors import (
 from .evaluate import eval_arith, eval_bool
 from .parser import IDENT_RE, parse_expression, parse_program
 from .render import pretty_aexp, pretty_bexp, render_traces
-from .state import State, initial_state, make_state
-from .syntax import ABin, Num, Program, StoredExp, Var, occurrences
+from .state import State, make_state
+from .syntax import ABin, Num, Program, StoredExp, Var
 
 
 def _add_common_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--lang", choices=("wl", "ext"), default="ext")
-    sub.add_argument("--increment", type=int, default=100)
-    sub.add_argument("--max-rounds", type=int, default=100)
-    sub.add_argument("--fresh-bound", type=int, default=100)
+    sub.add_argument("--increment", type=int, default=DEFAULT_POLICY.increment)
+    sub.add_argument("--max-rounds", type=int, default=DEFAULT_POLICY.max_rounds)
+    sub.add_argument("--fresh-bound", type=int, default=DEFAULT_POLICY.fresh_bound)
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--state", default=None, help="initial state override, k=v,...")
 
@@ -61,6 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     equiv = sub.add_parser("equiv", help="trace equivalence of two programs")
     equiv.add_argument("file")
     equiv.add_argument("file2")
+    equiv.set_defaults(bound=None)
     _add_common_flags(equiv)
 
     evaluate = sub.add_parser("eval", help="evaluate an expression under a state")
@@ -104,19 +106,19 @@ def _load(path: str, mode: str) -> Program:
 def _initial(args, *items) -> State:
     if args.state is not None:
         return parse_state_spec(args.state)
-    names = []
-    for item in items:
-        names.extend(occurrences(item))
-    return initial_state(names)
+    return initial_state_for(*items)
+
+
+def _traces(args, program: Program, sigma: State) -> frozenset:
+    """The trace set of ``program`` in the selected language, bounded if asked."""
+    if args.lang == "wl":
+        return traces_wl(program.main, sigma, _policy(args), args.bound)
+    return traces_ext(program, sigma, _policy(args), args.bound)
 
 
 def _cmd_traces(args) -> int:
     program = _load(args.file, args.lang)
-    sigma = _initial(args, program)
-    if args.lang == "wl":
-        traces = traces_wl(program.main, sigma, _policy(args), args.bound)
-    else:
-        traces = traces_ext(program, sigma, _policy(args), args.bound)
+    traces = _traces(args, program, _initial(args, program))
     sys.stdout.write(render_traces(traces, args.format))
     return 0
 
@@ -125,9 +127,7 @@ def _cmd_equiv(args) -> int:
     left = _load(args.file, args.lang)
     right = _load(args.file2, args.lang)
     sigma = _initial(args, left, right)
-    if args.lang == "wl":
-        left, right = left.main, right.main
-    same = trace_equivalent(left, right, sigma, _policy(args), mode=args.lang)
+    same = _traces(args, left, sigma) == _traces(args, right, sigma)
     sys.stdout.write("equivalent\n" if same else "not equivalent\n")
     return 0
 
@@ -155,31 +155,34 @@ _COMMANDS = {
 }
 
 
+_EXIT_CODES = {
+    ParseError: 1,
+    ModeError: 1,
+    PolicyError: 1,
+    OSError: 1,
+    UnboundVariableError: 2,
+    UndefinedTraceOpError: 2,
+    DivergenceLimitError: 3,
+    FreshBoundExceededError: 4,
+    RecursionError: 5,
+    MemoryError: 5,
+}
+
+# Errors reported by a fixed text instead of their own message.
+_MESSAGES = {
+    RecursionError: "resources exhausted: recursion limit reached",
+    MemoryError: "resources exhausted: out of memory",
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, ModeError, PolicyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (UnboundVariableError, UndefinedTraceOpError, MalformedParamError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DivergenceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FreshBoundExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RecursionError:
-        print("error: resources exhausted: recursion limit reached", file=sys.stderr)
-        return 5
-    except MemoryError:
-        print("error: resources exhausted: out of memory", file=sys.stderr)
-        return 5
+    except tuple(_EXIT_CODES) as exc:
+        kind = next(kind for kind in _EXIT_CODES if isinstance(exc, kind))
+        print(f"error: {_MESSAGES.get(kind, exc)}", file=sys.stderr)
+        return _EXIT_CODES[kind]
 
 
 if __name__ == "__main__":

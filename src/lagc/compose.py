@@ -42,7 +42,6 @@ from .errors import (
     DivergenceLimitError,
     FreshBoundExceededError,
     LagcError,
-    MalformedParamError,
     ModeError,
     PolicyError,
     UndefinedTraceOpError,
@@ -51,7 +50,6 @@ from .evaluate import eval_bexp_set
 from .localeval import DEFAULT_FRESH_BOUND, Done, Marker, Pending, valuate
 from .state import BOUND_EXCEEDED_PREFIX, State, initial_state, update, vargen
 from .syntax import (
-    ArithExp,
     MethodRef,
     Program,
     Stmt,
@@ -179,6 +177,8 @@ def _explore(start, expand, bound: int) -> tuple:
     when the configuration is terminal.  Returns the terminal
     configurations reached and the frontier left after the last step.
     """
+    if bound < 0:
+        raise PolicyError("bound must be at least 0")
     finished, frontier = set(), {start}
     for _ in range(bound):
         if not frontier:
@@ -337,8 +337,6 @@ def successors2(table, config: ExtConfig, fresh_bound: int = DEFAULT_FRESH_BOUND
     out = set()
     for method in table:
         for value in config.prefix.params:
-            if not isinstance(value, ArithExp):
-                raise MalformedParamError(f"call argument {value!r} is not arithmetic")
             reaction = gen_event(EventKind.REACT, sigma, (MethodRef(method.name), value))
             _, event, _ = reaction
             if event.args not in open_calls:
@@ -435,6 +433,6 @@ def trace_equivalent(
     return traces_wl(left, sigma, policy) == traces_wl(right, sigma, policy)
 
 
-def initial_state_for(item) -> State:
-    """The canonical start state: every occurring variable mapped to zero."""
-    return initial_state(occurrences(item))
+def initial_state_for(*items) -> State:
+    """The canonical start state: every variable occurring in ``items`` mapped to zero."""
+    return initial_state(name for item in items for name in occurrences(item))

@@ -169,6 +169,11 @@ def _fresh(sigma: State, base: str, suffix: str, bound: int) -> str:
     return name
 
 
+def _branch(cond, sigma: State, marker: Marker) -> ContTrace:
+    """Continue with ``marker`` under the path condition ``cond``, adding no atom."""
+    return ContTrace(CondTrace(frozenset({eval_bool(cond, sigma)}), singleton(sigma)), marker)
+
+
 def valuate(
     stmt: Union[Stmt, Pending],
     sigma: State,
@@ -201,27 +206,15 @@ def _valuate_head(stmt: Stmt, sigma: State, mode: str, fresh_bound: int) -> froz
     if isinstance(stmt, If):
         return frozenset(
             {
-                ContTrace(
-                    CondTrace(frozenset({eval_bool(stmt.cond, sigma)}), singleton(sigma)),
-                    Pending(stmt.body),
-                ),
-                ContTrace(
-                    CondTrace(frozenset({eval_bool(Neg(stmt.cond), sigma)}), singleton(sigma)),
-                    DONE,
-                ),
+                _branch(stmt.cond, sigma, Pending(stmt.body)),
+                _branch(Neg(stmt.cond), sigma, DONE),
             }
         )
     if isinstance(stmt, While):
         return frozenset(
             {
-                ContTrace(
-                    CondTrace(frozenset({eval_bool(stmt.cond, sigma)}), singleton(sigma)),
-                    Pending(stmt.body, (stmt,)),
-                ),
-                ContTrace(
-                    CondTrace(frozenset({eval_bool(Neg(stmt.cond), sigma)}), singleton(sigma)),
-                    DONE,
-                ),
+                _branch(stmt.cond, sigma, Pending(stmt.body, (stmt,))),
+                _branch(Neg(stmt.cond), sigma, DONE),
             }
         )
     if mode != "ext":
@@ -253,14 +246,7 @@ def _valuate_head(stmt: Stmt, sigma: State, mode: str, fresh_bound: int) -> froz
         )
         return frozenset({ContTrace(CondTrace(frozenset(), trace), DONE)})
     if isinstance(stmt, Guard):
-        return frozenset(
-            {
-                ContTrace(
-                    CondTrace(frozenset({eval_bool(stmt.cond, sigma)}), singleton(sigma)),
-                    Pending(stmt.body),
-                )
-            }
-        )
+        return frozenset({_branch(stmt.cond, sigma, Pending(stmt.body))})
     if isinstance(stmt, Call):
         trace = gen_event(
             EventKind.INVOKE, sigma, (MethodRef(stmt.method), ArithExp(stmt.arg))

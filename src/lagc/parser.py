@@ -52,7 +52,7 @@ IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*(?::+[A-Za-z0-9_$]+)*")
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
-    r"|(?P<ident>[A-Za-z_$][A-Za-z0-9_$]*(?::+[A-Za-z0-9_$]+)*)"
+    rf"|(?P<ident>{IDENT_RE.pattern})"
     r"|(?P<num>\d+)"
     r"|(?P<sym>:=|;;|\|\||&&|<=|>=|==|[!+\-*();{}])"
 )

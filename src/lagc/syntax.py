@@ -274,61 +274,14 @@ def node_key(value, field_keys) -> tuple:
 # Free variables
 
 
-def free_vars(item) -> frozenset:
-    """Free variables of any syntax value.
+def occurrences(item) -> list:
+    """Left-to-right list of free variable occurrences, duplicates kept.
 
-    Scope declarations and method formals bind, so they are subtracted from
-    the free variables of the respective bodies.
+    Scope declarations and method formals bind, so their occurrences in the
+    respective bodies are left out.  Works on any syntax value, state values
+    and event arguments included.
     """
     if isinstance(item, (Num, BoolLit, MethodRef, Star, Skip)):
-        return frozenset()
-    if isinstance(item, Var):
-        return frozenset((item.name,))
-    if isinstance(item, (ABin, Rel)):
-        return free_vars(item.left) | free_vars(item.right)
-    if isinstance(item, Neg):
-        return free_vars(item.operand)
-    if isinstance(item, BBin):
-        return free_vars(item.left) | free_vars(item.right)
-    if isinstance(item, ArithExp):
-        return free_vars(item.arith)
-    if isinstance(item, BoolExp):
-        return free_vars(item.boolexp)
-    if isinstance(item, StoredExp):
-        return free_vars(item.arith)
-    if isinstance(item, tuple):
-        return frozenset(item)
-    if isinstance(item, Assign):
-        return frozenset((item.target,)) | free_vars(item.value)
-    if isinstance(item, (If, While, Guard)):
-        return free_vars(item.cond) | free_vars(item.body)
-    if isinstance(item, Seq):
-        return free_vars(item.first) | free_vars(item.second)
-    if isinstance(item, LocPar):
-        return free_vars(item.left) | free_vars(item.right)
-    if isinstance(item, LocMem):
-        return free_vars(item.body) - frozenset(item.decls)
-    if isinstance(item, Input):
-        return frozenset((item.target,))
-    if isinstance(item, Call):
-        return free_vars(item.arg)
-    if isinstance(item, Method):
-        return free_vars(item.body) - frozenset((item.formal,))
-    if isinstance(item, Program):
-        out = frozenset()
-        for method in item.methods:
-            out |= free_vars(method)
-        return out | free_vars(item.main)
-    raise TypeError(f"free_vars: unsupported {type(item).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Occurrence lists
-
-
-def occurrences(item) -> list:
-    """Left-to-right list of free variable occurrences, duplicates kept."""
-    if isinstance(item, (Num, BoolLit, Skip)):
         return []
     if isinstance(item, Var):
         return [item.name]
@@ -336,6 +289,10 @@ def occurrences(item) -> list:
         return occurrences(item.left) + occurrences(item.right)
     if isinstance(item, Neg):
         return occurrences(item.operand)
+    if isinstance(item, (ArithExp, StoredExp)):
+        return occurrences(item.arith)
+    if isinstance(item, BoolExp):
+        return occurrences(item.boolexp)
     if isinstance(item, tuple):
         return list(item)
     if isinstance(item, Assign):
@@ -361,6 +318,11 @@ def occurrences(item) -> list:
             out.extend(occurrences(method))
         return out + occurrences(item.main)
     raise TypeError(f"occurrences: unsupported {type(item).__name__}")
+
+
+def free_vars(item) -> frozenset:
+    """The free variables of any syntax value: the set of its ``occurrences``."""
+    return frozenset(occurrences(item))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,15 @@ import pytest
 from lagc import cli
 from lagc.cli import main, parse_state_spec
 from lagc.compose import ExtConfig, compose_bounded_ext, initial_state_for, method_table
+from lagc.errors import (
+    DivergenceLimitError,
+    FreshBoundExceededError,
+    ModeError,
+    ParseError,
+    PolicyError,
+    UnboundVariableError,
+    UndefinedTraceOpError,
+)
 from lagc.localeval import Pending
 from lagc.parser import parse_program
 from lagc.render import render_traces
@@ -235,3 +244,50 @@ def test_error_does_not_depend_on_the_hash_seed(write):
         )
         outcomes.add((result.returncode, result.stdout, result.stderr))
     assert outcomes == {(2, "", "error: unbound variable: 'a'\n")}
+
+
+@pytest.mark.parametrize("lang", ["wl", "ext"])
+def test_negative_bound_is_a_usage_error(write, capsys, lang):
+    path = write("fact.prog", FACTORIAL)
+    assert main(["traces-bounded", path, "--bound", "-1", "--lang", lang]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bound must be at least 0\n"
+
+
+EXIT_CASES = [
+    (ParseError(2, 3, "a token", "?"), 1, "2:3: expected a token, found '?'"),
+    (ModeError("mode"), 1, "mode"),
+    (PolicyError("policy"), 1, "policy"),
+    (OSError("os"), 1, "os"),
+    (FileNotFoundError("missing"), 1, "missing"),
+    (UnboundVariableError("v"), 2, "unbound variable: 'v'"),
+    (UndefinedTraceOpError("undefined"), 2, "undefined"),
+    (DivergenceLimitError("diverged"), 3, "diverged"),
+    (FreshBoundExceededError("fresh"), 4, "fresh"),
+    (RecursionError("deep"), 5, "resources exhausted: recursion limit reached"),
+    (MemoryError("big"), 5, "resources exhausted: out of memory"),
+]
+
+
+@pytest.mark.parametrize(
+    "error, code, message", EXIT_CASES, ids=[type(case[0]).__name__ for case in EXIT_CASES]
+)
+def test_exit_code_table(write, capsys, monkeypatch, error, code, message):
+    def failing(args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "traces", failing)
+    assert main(["traces", write("skip.ext", "skip")]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_unmapped_error_propagates(write, monkeypatch):
+    def failing(args):
+        raise ValueError("not a lagc error")
+
+    monkeypatch.setitem(cli._COMMANDS, "traces", failing)
+    with pytest.raises(ValueError, match="not a lagc error"):
+        main(["traces", write("skip.ext", "skip")])

@@ -21,7 +21,7 @@ from lagc.compose import (
     traces_ext,
     traces_wl,
 )
-from lagc.errors import DivergenceLimitError, UndefinedTraceOpError
+from lagc.errors import DivergenceLimitError, PolicyError, UndefinedTraceOpError
 from lagc.localeval import DONE, Pending, cont_append
 from lagc.state import EMPTY_STATE, domain, initial_state, make_state, update
 from lagc.syntax import (
@@ -423,3 +423,26 @@ def test_engine_traces_bracketed_by_states():
         for config in reached:
             assert isinstance(config.trace[0], StateAtom)
             assert isinstance(config.trace[-1], StateAtom)
+
+
+def test_negative_bound_is_a_policy_error():
+    wl_start = WlConfig(singleton(EMPTY_STATE), Pending(Skip()))
+    ext_start = ExtConfig(singleton(EMPTY_STATE), (Pending(Skip()),))
+    for bound in (-1, -5):
+        with pytest.raises(PolicyError, match="bound must be at least 0"):
+            compose_bounded_wl(bound, wl_start)
+        with pytest.raises(PolicyError, match="bound must be at least 0"):
+            compose_bounded_ext(bound, (), ext_start)
+    assert compose_bounded_wl(0, wl_start) == {wl_start}
+    assert compose_bounded_ext(0, (), ext_start) == {ext_start}
+
+
+def test_initial_state_for_several_items():
+    rng = random.Random(41)
+    for _ in range(200):
+        left = rand_ext_stmt(rng, rng.randint(1, 6))
+        right = Program((Method("m0", "x", rand_ext_stmt(rng, 3)),), rand_ext_stmt(rng, 3))
+        assert initial_state_for(left, right) == initial_state(
+            occurrences(left) + occurrences(right)
+        )
+        assert initial_state_for(left) == initial_state(occurrences(left))

@@ -1,18 +1,26 @@
 import random
 
 from lagc.syntax import (
+    STAR,
     ABin,
+    ArithExp,
     ArithOp,
     Assign,
+    BoolExp,
     BoolLit,
     Call,
     Input,
     LocMem,
     LocPar,
+    Method,
+    MethodRef,
     Num,
     Program,
+    Rel,
+    RelOp,
     Seq,
     Skip,
+    StoredExp,
     Var,
     canon_key,
     free_vars,
@@ -21,7 +29,9 @@ from lagc.syntax import (
     substitute,
 )
 
-from gens import rand_aexp, rand_bexp, rand_ext_stmt, rand_wl_stmt
+from lagc.trace import EventAtom
+
+from gens import rand_aexp, rand_bexp, rand_ext_stmt, rand_trace, rand_wl_stmt
 from samples import AEXP_SAMPLE, EXT_CALL, EXT_SCOPE_PAR, WL_FACTORIAL, WL_SWAP
 
 
@@ -103,3 +113,33 @@ def test_canon_key_is_a_total_order():
     assert sorted(values, key=canon_key) == keys
     for value in values:
         assert canon_key(value) == canon_key(value)
+
+
+def test_free_vars_of_values_and_event_arguments():
+    assert free_vars(StoredExp(AEXP_SAMPLE)) == {"x", "y"}
+    assert free_vars(ArithExp(Var("z"))) == {"z"}
+    assert free_vars(BoolExp(Rel(Var("a"), RelOp.LEQ, Num(1)))) == {"a"}
+    assert free_vars(MethodRef("x")) == frozenset()
+    assert free_vars(STAR) == frozenset()
+    assert occurrences(StoredExp(AEXP_SAMPLE)) == ["x", "y", "x"]
+
+
+def _free_vars_items(rng):
+    """Statements, methods, programs, state values and event arguments."""
+    for _ in range(150):
+        stmt = rand_ext_stmt(rng, rng.randint(1, 8))
+        method = Method("m" + str(rng.randint(0, 2)), rng.choice("xyz"), stmt)
+        yield stmt
+        yield method
+        yield Program((method,), rand_ext_stmt(rng, rng.randint(1, 4)))
+        for atom in rand_trace(rng):
+            if isinstance(atom, EventAtom):
+                yield from atom.args
+            else:
+                yield from (value for _, value in atom.state.entries)
+
+
+def test_free_vars_is_the_set_of_occurrences():
+    rng = random.Random(11)
+    for item in _free_vars_items(rng):
+        assert free_vars(item) == frozenset(occurrences(item))

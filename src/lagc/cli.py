@@ -5,9 +5,9 @@ composition), ``equiv`` (trace equivalence of two files) and ``eval``
 (expression evaluation under an explicit state).  Results go to stdout,
 diagnostics to stderr as one ``error: ...`` line.  Exit codes, as listed in
 ``_EXIT_CODES``: 0 success, 1 parse, mode or policy error (a round flag or a
-negative ``--bound``) or an unreadable file, 2 semantic error, 3 divergence
-limit, 4 fresh-variable bound exceeded, 5 resources exhausted (Python's
-recursion limit or memory).
+negative ``--bound`` or ``--fresh-bound``) or a file that cannot be read or
+is not UTF-8, 2 semantic error, 3 divergence limit, 4 fresh-variable bound
+exceeded, 5 resources exhausted (Python's recursion limit or memory).
 """
 
 from __future__ import annotations
@@ -160,6 +160,7 @@ _EXIT_CODES = {
     ModeError: 1,
     PolicyError: 1,
     OSError: 1,
+    UnicodeDecodeError: 1,
     UnboundVariableError: 2,
     UndefinedTraceOpError: 2,
     DivergenceLimitError: 3,

@@ -18,9 +18,9 @@ extends its parent's summary by only the atoms it adds (a glued trace
 keeps ``trace[:-1]`` and appends the local trace up to its last state), so
 neither hashing a configuration nor deciding concreteness nor spawning
 reactions walks the whole trace.  A configuration hashes the prefix's
-chained hash, its last state and its markers.  The fold depends only on
-the trace's content, so equal configurations hash alike however they were
-built; the summary does not take part in equality.  Only a step that
+chained hash, its last state and the set of its markers.  The fold depends
+only on the trace's content, so equal configurations hash alike however
+they were built; the summary does not take part in equality.  Only a step that
 concretizes the whole trace folds its summary afresh.
 
 Both languages explore breadth first with one function, for at most a
@@ -35,6 +35,7 @@ message is raised, whatever order the frontier set iterates in.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .concretize import concretize_trace, min_conc_map_trace
@@ -101,11 +102,11 @@ class WlConfig:
 class ExtConfig:
     """Composed global trace plus a multiset of pending process markers.
 
-    The multiset is kept as a tuple sorted by ``canon_key`` so
-    configurations compare and hash structurally.  Each marker computes its
-    key once (``Pending.key``), so a marker that a step leaves alone is not
-    walked again; a single marker is already sorted.  ``prefix``
-    summarizes ``trace[:-1]`` as for ``WlConfig``.
+    ``markers`` is a tuple in the order the steps built it; only how often
+    each marker occurs matters.  Equality compares the tuples directly and
+    counts the markers only when the orders differ, and the hash takes the
+    set of distinct markers, so neither puts markers in a canonical order.
+    ``prefix`` summarizes ``trace[:-1]`` as for ``WlConfig``.
     """
 
     trace: Trace
@@ -113,14 +114,18 @@ class ExtConfig:
     prefix: Summary = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        markers = tuple(self.markers)
-        if len(markers) > 1:
-            markers = tuple(sorted(markers, key=lambda marker: marker.key))
-        object.__setattr__(self, "markers", markers)
+        object.__setattr__(self, "markers", tuple(self.markers))
         _summarize_prefix(self)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExtConfig):
+            return NotImplemented
+        return self.trace == other.trace and (
+            self.markers == other.markers or Counter(self.markers) == Counter(other.markers)
+        )
+
     def __hash__(self) -> int:
-        return hash((self.prefix.hash, self.trace[-1:], self.markers))
+        return hash((self.prefix.hash, self.trace[-1:], frozenset(self.markers)))
 
 
 @dataclass(frozen=True)
@@ -135,6 +140,8 @@ class ComposePolicy:
             raise PolicyError("increment must be at least 1")
         if self.max_rounds < 1:
             raise PolicyError("max_rounds must be at least 1")
+        if self.fresh_bound < 0:
+            raise PolicyError("fresh_bound must be at least 0")
 
 
 DEFAULT_POLICY = ComposePolicy()
@@ -152,17 +159,17 @@ def _pending(config) -> tuple:
     return last_state(config.trace), config.marker
 
 
-def _expand_all(frontier, expand) -> list:
-    """``expand`` of every configuration of a frontier, in the frontier's order.
+def _expand_all(items, expand) -> list:
+    """``(item, expand(item))`` for every configuration or marker, in order.
 
-    Every configuration is expanded even after one of them fails; then the
-    least error by type name and message is raised, so which error a run
-    reports does not depend on the order in which the set is iterated.
+    Every item is expanded even after one of them fails; then the least
+    error by type name and message is raised, so which error a run reports
+    does not depend on the order in which the items are iterated.
     """
     results, errors = [], []
-    for config in frontier:
+    for item in items:
         try:
-            results.append((config, expand(config)))
+            results.append((item, expand(item)))
         except LagcError as exc:
             errors.append(exc)
     if errors:
@@ -305,16 +312,24 @@ def successors1(
     fresh_bound: int = DEFAULT_FRESH_BOUND,
     conc_numeral: int = 0,
 ) -> frozenset:
-    """Schedule one marker out of the multiset and reinsert its continuation."""
+    """Schedule one marker out of the multiset and reinsert its continuation.
+
+    Every distinct pending marker is stepped, even after one of them fails;
+    then the least error is raised, so the error does not depend on the
+    order in which the configuration lists its markers.
+    """
     last_state(config.trace)
+    pending = [m for m in dict.fromkeys(config.markers) if isinstance(m, Pending)]
+
+    def step(marker: Pending) -> frozenset:
+        process = WlConfig(config.trace, marker, config.prefix)
+        return basic_successors(process, fresh_bound, conc_numeral)
+
     out = set()
-    for marker in dict.fromkeys(config.markers):
-        if isinstance(marker, Done):
-            continue
+    for marker, succs in _expand_all(pending, step):
         rest = list(config.markers)
         rest.remove(marker)
-        process = WlConfig(config.trace, marker, config.prefix)
-        for succ in basic_successors(process, fresh_bound, conc_numeral):
+        for succ in succs:
             out.add(ExtConfig(succ.trace, tuple(rest) + (succ.marker,), succ.prefix))
     return frozenset(out)
 

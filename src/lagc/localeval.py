@@ -42,12 +42,9 @@ from .syntax import (
     StoredExp,
     Var,
     While,
-    canon_key,
     check_mode,
-    node_key,
     seq_spine,
     substitute,
-    tuple_key,
 )
 from .trace import CondTrace, EventKind, StateAtom, gen_event, singleton
 
@@ -66,11 +63,9 @@ class Pending:
     The hash reads only ``head``, the length of ``rest`` and its first
     statement, so it costs the same however long the sequence is; equality
     still compares everything, and equal markers agree on those three
-    parts, so hashing stays consistent with it.  ``key`` is
-    ``canon_key(self)``, computed at most once, since a configuration
-    sorts its markers by it at every step.  A marker that a step builds
-    from one whose key is known inherits the keys of the statements the
-    two share, so only the statements the step puts in front are walked.
+    parts, so hashing stays consistent with it.  Equality and the hash are
+    all a configuration needs of its markers, which it holds as an
+    order-free multiset.
     """
 
     head: Stmt
@@ -83,26 +78,12 @@ class Pending:
         object.__setattr__(self, "head", stmt)
         object.__setattr__(self, "rest", rest)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_rest_keys", None)
 
     def __hash__(self) -> int:
         if self._hash is None:
             rest = self.rest
             object.__setattr__(self, "_hash", hash((self.head, len(rest), rest[:1])))
         return self._hash
-
-    @property
-    def key(self) -> tuple:
-        """``canon_key(self)``, computed once."""
-        if self._key is None:
-            self._set_key(canon_key(self.head), tuple(map(canon_key, self.rest)))
-        return self._key
-
-    def _set_key(self, head_key: tuple, rest_keys: tuple) -> None:
-        """Assemble ``key`` from the keys of ``head`` and of each member of ``rest``."""
-        object.__setattr__(self, "_rest_keys", rest_keys)
-        object.__setattr__(self, "_key", node_key(self, (head_key, tuple_key(rest_keys))))
 
     @property
     def stmt(self) -> Stmt:
@@ -114,13 +95,8 @@ class Pending:
 class Done:
     """The empty continuation: the process has finished."""
 
-    @property
-    def key(self) -> tuple:
-        return _DONE_KEY
-
 
 DONE = Done()
-_DONE_KEY = canon_key(DONE)
 
 Marker = Union[Pending, Done]
 
@@ -131,21 +107,13 @@ class ContTrace:
     marker: Marker
 
 
-def _push(marker: Marker, rest: tuple, rest_keys: tuple | None = None) -> Marker:
-    """Put a flat tuple of statements behind whatever the marker still holds.
-
-    ``rest_keys``, the ``canon_key`` of each member of ``rest`` when known,
-    goes into the new marker's key.
-    """
+def _push(marker: Marker, rest: tuple) -> Marker:
+    """Put a flat tuple of statements behind whatever the marker still holds."""
     if not rest:
         return marker
     front = (marker.head,) + marker.rest if isinstance(marker, Pending) else ()
     stmts = front + rest
-    out = Pending(stmts[0], stmts[1:])
-    if rest_keys is not None:
-        keys = tuple(map(canon_key, front)) + rest_keys
-        out._set_key(keys[0], keys[1:])
-    return out
+    return Pending(stmts[0], stmts[1:])
 
 
 def cont_append(marker: Marker, stmt: Stmt) -> Marker:
@@ -190,9 +158,7 @@ def valuate(
     conts = _valuate_head(pending.head, sigma, mode, fresh_bound)
     if not pending.rest:
         return conts
-    return frozenset(
-        ContTrace(c.cond, _push(c.marker, pending.rest, pending._rest_keys)) for c in conts
-    )
+    return frozenset(ContTrace(c.cond, _push(c.marker, pending.rest)) for c in conts)
 
 
 def _valuate_head(stmt: Stmt, sigma: State, mode: str, fresh_bound: int) -> frozenset:

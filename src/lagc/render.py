@@ -44,7 +44,6 @@ _MUL = 2
 _DISJ = 1
 _CONJ = 2
 _NOT = 3
-_BATOM = 4
 
 _SEQ = 1
 _STMT = 2

@@ -254,20 +254,16 @@ def canon_key(value):
     if isinstance(value, Enum):
         return (_KIND_ENUM, type(value).__name__, value.name)
     if dataclasses.is_dataclass(value):
-        return node_key(
-            value, (canon_key(getattr(value, f.name)) for f in dataclasses.fields(value))
+        parts = tuple(
+            canon_key(getattr(value, f.name)) for f in dataclasses.fields(value)
         )
+        return (_KIND_NODE, type(value).__name__, parts)
     raise TypeError(f"no canonical order for {type(value).__name__}")
 
 
 def tuple_key(element_keys) -> tuple:
     """``canon_key`` of a tuple, given the keys of its elements in order."""
     return (_KIND_TUPLE, tuple(element_keys))
-
-
-def node_key(value, field_keys) -> tuple:
-    """``canon_key`` of a dataclass node, given the keys of its fields in order."""
-    return (_KIND_NODE, type(value).__name__, tuple(field_keys))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Tuple, Union
 from .errors import UndefinedTraceOpError
 from .evaluate import eval_exp_list, is_concrete
 from .state import State, is_concrete_state, is_wellformed_state, symbolic_vars
-from .syntax import ArithExp, BoolLit, Exp, MethodRef, free_vars
+from .syntax import ArithExp, BoolLit, MethodRef, free_vars
 
 
 class EventKind(Enum):

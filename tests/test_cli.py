@@ -207,6 +207,43 @@ def test_missing_file(capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["traces", "{bad}"], ["equiv", "{bad}", "{bad}"], ["eval", "{bad}", "--expr", "1"]],
+    ids=["traces", "equiv", "eval"],
+)
+def test_non_utf8_file_is_a_usage_error(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.ext"
+    bad.write_bytes(b"x := 1 \xff")
+    assert main([arg.format(bad=bad) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["traces", "{one}"],
+        ["traces-bounded", "{one}", "--bound", "2"],
+        ["equiv", "{one}", "{one}"],
+    ],
+    ids=["traces", "traces-bounded", "equiv"],
+)
+def test_negative_fresh_bound_is_a_usage_error(write, capsys, argv):
+    one = write("scope.ext", "scope(y){ x := y }")
+    assert main([arg.format(one=one) for arg in argv] + ["--fresh-bound", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fresh_bound must be at least 0\n"
+
+
+def test_zero_fresh_bound_is_valid(write, capsys):
+    assert main(["traces", write("skip.ext", "skip"), "--fresh-bound", "0"]) == 0
+    assert capsys.readouterr().out.startswith("1 trace\n")
+
+
 def test_parse_state_spec():
     assert parse_state_spec("x=1, y=-2") == make_state(
         {"x": StoredExp(Num(1)), "y": StoredExp(Num(-2))}
@@ -261,6 +298,11 @@ EXIT_CASES = [
     (PolicyError("policy"), 1, "policy"),
     (OSError("os"), 1, "os"),
     (FileNotFoundError("missing"), 1, "missing"),
+    (
+        UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
+        1,
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    ),
     (UnboundVariableError("v"), 2, "unbound variable: 'v'"),
     (UndefinedTraceOpError("undefined"), 2, "undefined"),
     (DivergenceLimitError("diverged"), 3, "diverged"),

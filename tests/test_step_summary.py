@@ -12,9 +12,11 @@ import random
 from collections import Counter
 from functools import reduce
 
+import pytest
+
 from lagc import compose, localeval, syntax
-from lagc.errors import LagcError
-from lagc.localeval import DONE, Pending, valuate
+from lagc.errors import LagcError, UnboundVariableError
+from lagc.localeval import DONE, Pending
 from lagc.parser import parse_program
 from lagc.state import initial_state
 from lagc.syntax import (
@@ -29,7 +31,6 @@ from lagc.syntax import (
     Seq,
     Skip,
     Var,
-    canon_key,
     free_vars,
     occurrences,
 )
@@ -116,7 +117,6 @@ def test_carried_summaries_equal_a_fold_from_scratch(monkeypatch):
         run = lambda: compose.compose_bounded_ext(6, table, start)
         for config in _reached(monkeypatch, "successors_ext", run):
             _check_summary(config, compose.ExtConfig(config.trace, config.markers))
-            assert all(marker.key == canon_key(marker) for marker in config.markers)
             seen["config"] += 1
             seen["open call"] += bool(config.prefix.open_calls)
             seen["argument"] += bool(config.prefix.params)
@@ -172,7 +172,6 @@ def test_markers_colliding_on_their_hash_stay_apart():
     sigma = singleton(initial_state(["x", "y"]))
     config = compose.ExtConfig(sigma, (right, left, DONE, right))
     assert Counter(config.markers) == Counter((left, right, right, DONE))
-    assert list(config.markers) == sorted(config.markers, key=canon_key)
     assert config != compose.ExtConfig(sigma, (left, left, DONE, right))
 
 
@@ -181,30 +180,49 @@ def test_marker_hash_and_key_ignore_the_nesting():
     left = Pending(reduce(Seq, stmts))
     right = Pending(reduce(lambda rest, s: Seq(s, rest), reversed(stmts)))
     assert left == right and hash(left) == hash(right)
-    assert left.key == right.key == canon_key(left)
-    assert DONE.key == canon_key(DONE)
 
 
-def test_a_step_walks_only_the_statements_it_puts_in_front(monkeypatch):
-    stmts = [Assign("x", Num(i)) for i in range(1000)]
+def test_markers_form_an_order_free_multiset():
+    a, b, c = Assign("x", Num(1)), Assign("y", Num(1)), Assign("y", Num(2))
+    left, right = Pending(Skip(), (a, b)), Pending(Skip(), (a, c))
+    sigma = singleton(initial_state(["x", "y"]))
+
+    def config(*markers):
+        return compose.ExtConfig(sigma, markers)
+
+    assert config(left, right) == config(right, left)
+    assert hash(config(left, right)) == hash(config(right, left))
+    assert len({config(left, right), config(right, left)}) == 1
+    # equal sets of distinct markers, different counts
+    assert config(left, left, right) != config(left, right, right)
+    assert config(left, right) != config(left)
+
+
+def test_error_does_not_depend_on_the_order_of_the_markers():
+    first = Pending(Assign("x", Var("a")))
+    second = Pending(Assign("x", Var("b")))
+    sigma = singleton(initial_state(["x"]))
+    for markers in ((first, second), (second, first)):
+        with pytest.raises(UnboundVariableError, match="unbound variable: 'a'"):
+            compose.successors_ext((), compose.ExtConfig(sigma, markers))
+
+
+def test_a_step_computes_no_canonical_key(monkeypatch):
+    stmts = tuple(Assign("x", Num(i)) for i in range(1000))
     loop = parse_program("while x >= 1 do x := x - 1 ;; y := y + 1 od").main
-    marker = Pending(loop, tuple(stmts))
-    marker.key
-    walked = [0]
+    sigma = singleton(initial_state(["x", "y"]))
+    config = compose.ExtConfig(sigma, (Pending(loop, stmts), Pending(Skip(), stmts)))
+    keys = [0]
     original = syntax.canon_key
 
     def counting(value):
-        walked[0] += 1
+        keys[0] += 1
         return original(value)
 
-    for module in (syntax, localeval):
-        monkeypatch.setattr(module, "canon_key", counting)
-    continuations = [c.marker for c in valuate(marker, initial_state(["x", "y"]), "ext")]
-    keys = [continuation.key for continuation in continuations]
-    # the loop body and the loop itself, not the thousand statements behind them
-    assert len(continuations) == 2 and walked[0] < 100, walked
-    monkeypatch.undo()
-    assert keys == [canon_key(continuation) for continuation in continuations]
+    for module in (syntax, localeval, compose):
+        monkeypatch.setattr(module, "canon_key", counting, raising=False)
+    assert len(compose.successors_ext((), config)) == 2
+    assert keys[0] == 0
 
 
 def _state_atom_hashes(monkeypatch, run) -> int:

@@ -23,18 +23,48 @@ only on the trace's content, so equal configurations hash alike however
 they were built; the summary does not take part in equality.  Only a step that
 concretizes the whole trace folds its summary afresh.
 
-Both languages explore breadth first with one function, for at most a
-given number of steps.  Bounded composition stops there.  The fixpoint
-search runs at most ``(max_rounds - 1) * increment`` steps and then
-requires every configuration left on the frontier to be terminal.  A
-frontier of terminal configurations is empty one step later, so how that
-budget is split into rounds does not change the result, only the error
-text.  When configurations of one step fail, the least error by type and
-message is raised, whatever order the frontier set iterates in.
+Bounded composition explores at most a given number of steps; the
+fixpoint search has the budget ``B = (max_rounds - 1) * increment`` and
+diverges iff some path is longer than ``B``, so how that budget is split
+into rounds does not change the result, only the error text.  When
+configurations of one step fail, the least error by type and message is
+raised, whatever order they are iterated in.
+
+The wl search walks the configurations breadth first, one frontier per
+step, and for a fixpoint requires every configuration on the last
+frontier to be terminal.  From a concrete start a wl run has one
+configuration per step, so merging configurations would save nothing
+there and only add bookkeeping.
+
+The ext search explores a graph instead of the trace tree.  The
+successors of a configuration whose prefix is concrete depend on nothing
+of its trace but the last state and the prefix's open invocations and
+harvested arguments, so its node is that *future key* together with the
+marker multiset; any other configuration is its own node.  A node keeps
+the first configuration that reached it, with its whole trace, and
+expands it once.  Each edge keeps the atoms its step appends after
+``trace[:-1]`` and, for a step that concretized the whole trace, the
+mapping ``rho`` it used.  For a concrete prefix that mapping comes from
+the local trace alone, and concretization works atom by atom, so the
+step takes every trace ``t`` of the node to
+``concretize_trace(rho, t[:-1])`` followed by those atoms, exactly as
+expanding ``t`` itself would.  Only the start configuration can have a
+concrete prefix and a symbolic last state, and no step returns to it, so
+no node with a future key reaches a node without one along more than
+one trace.
+
+Nodes are expanded layer by layer in order of minimum depth, and the
+least error of the shallowest failing layer is raised, which is the
+error the trace tree meets first.  The fixpoint search diverges iff a
+node first appears after ``B + 1`` steps or, once the graph is closed, a
+cycle is reachable or the longest path is longer than ``B``.  The traces
+come from replaying the paths layer by layer over pairs of a node and a
+trace, merged by node and the chained hash of ``trace[:-1]``.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -60,6 +90,7 @@ from .syntax import (
     substitute,
 )
 from .trace import (
+    EMPTY_SUMMARY,
     EventKind,
     StateAtom,
     Summary,
@@ -85,11 +116,15 @@ class WlConfig:
     """Composed global trace plus the one statement left to run.
 
     ``prefix`` summarizes ``trace[:-1]``; see the module docstring.
+    ``rho`` is the mapping the step that built the configuration
+    concretized the whole glued trace under, or ``None`` when it kept the
+    glued trace as it is.
     """
 
     trace: Trace
     marker: Marker
     prefix: Summary = field(default=None, compare=False, repr=False)
+    rho: State = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         _summarize_prefix(self)
@@ -106,12 +141,13 @@ class ExtConfig:
     each marker occurs matters.  Equality compares the tuples directly and
     counts the markers only when the orders differ, and the hash takes the
     set of distinct markers, so neither puts markers in a canonical order.
-    ``prefix`` summarizes ``trace[:-1]`` as for ``WlConfig``.
+    ``prefix`` and ``rho`` are as for ``WlConfig``.
     """
 
     trace: Trace
     markers: tuple
     prefix: Summary = field(default=None, compare=False, repr=False)
+    rho: State = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "markers", tuple(self.markers))
@@ -178,7 +214,7 @@ def _expand_all(items, expand) -> list:
 
 
 def _explore(start, expand, bound: int) -> tuple:
-    """Breadth-first exploration for at most ``bound`` steps.
+    """Breadth-first exploration of the wl configurations for at most ``bound`` steps.
 
     ``expand`` maps a configuration to its successor set, or to ``None``
     when the configuration is terminal.  Returns the terminal
@@ -200,17 +236,8 @@ def _explore(start, expand, bound: int) -> tuple:
     return finished, frontier
 
 
-def _fixpoint(policy: ComposePolicy, start, expand) -> frozenset:
-    """Explore the whole step budget, then require a frontier of terminal configurations.
-
-    Every frontier configuration is expanded, so an error any of them
-    raises surfaces.
-    """
-    budget = (policy.max_rounds - 1) * policy.increment
-    finished, frontier = _explore(start, expand, budget)
-    if all(succ is None for _, succ in _expand_all(frontier, expand)):
-        return frozenset(finished | frontier)
-    raise DivergenceLimitError(
+def _divergence(policy: ComposePolicy) -> DivergenceLimitError:
+    return DivergenceLimitError(
         f"no fixpoint after {policy.max_rounds} rounds "
         f"(bound {policy.max_rounds * policy.increment})"
     )
@@ -244,8 +271,16 @@ def compose_bounded_wl(bound: int, config: WlConfig) -> frozenset:
 
 
 def compose_wl(policy: ComposePolicy, config: WlConfig) -> frozenset:
-    """Every configuration reached, provided all are finished within the policy's budget."""
-    return _fixpoint(policy, config, _expand_wl)
+    """Every configuration reached, provided all are finished within the policy's budget.
+
+    Every configuration on the last frontier is expanded, so an error any
+    of them raises surfaces before the divergence.
+    """
+    budget = (policy.max_rounds - 1) * policy.increment
+    finished, frontier = _explore(config, _expand_wl, budget)
+    if all(succ is None for _, succ in _expand_all(frontier, _expand_wl)):
+        return frozenset(finished | frontier)
+    raise _divergence(policy)
 
 
 def traces_wl(
@@ -288,7 +323,8 @@ def basic_successors(
     rebuilds every atom equal to itself, so the glued trace is kept as it
     is and shares the global trace's states.  A non-empty mapping adds its
     keys (a fresh ``$x::Input``, say) to every earlier state, so then the
-    whole glued trace is concretized and its summary folded afresh.
+    whole glued trace is concretized, its summary folded afresh, and the
+    mapping kept as the successor's ``rho``.
     """
     sigma, marker = _pending(config)
     out = set()
@@ -302,8 +338,8 @@ def basic_successors(
         if prefix.concrete and is_concrete_trace(local[-1:]):
             out.add(WlConfig(glued, cont.marker, prefix))
         else:
-            glued = concretize_trace(min_conc_map_trace(glued, conc_numeral), glued)
-            out.add(WlConfig(glued, cont.marker))
+            rho = min_conc_map_trace(glued, conc_numeral)
+            out.add(WlConfig(concretize_trace(rho, glued), cont.marker, rho=rho))
     return frozenset(out)
 
 
@@ -330,7 +366,7 @@ def successors1(
         rest = list(config.markers)
         rest.remove(marker)
         for succ in succs:
-            out.add(ExtConfig(succ.trace, tuple(rest) + (succ.marker,), succ.prefix))
+            out.add(ExtConfig(succ.trace, tuple(rest) + (succ.marker,), succ.prefix, succ.rho))
     return frozenset(out)
 
 
@@ -382,11 +418,142 @@ def successors_ext(
     )
 
 
-def _expand_ext(table, fresh_bound: int, conc_numeral: int):
-    def expand(config: ExtConfig):
-        return successors_ext(table, config, fresh_bound, conc_numeral) or None
+def _future_key(config: ExtConfig):
+    """The graph node of ``config``; see the module docstring.
 
-    return expand
+    For a concrete prefix that is the last state, the marker multiset and
+    the prefix's open invocations and harvested arguments; otherwise it is
+    the configuration itself.
+    """
+    prefix = config.prefix
+    if not prefix.concrete:
+        return config
+    open_calls = prefix.open_calls
+    return (
+        config.trace[-1],
+        frozenset(Counter(config.markers).items()),
+        None if open_calls is None else frozenset(open_calls.items()),
+        prefix.params,
+    )
+
+
+class _Node:
+    """The first configuration that reached a node and, once expanded, its edges.
+
+    An edge is ``(target, rho, tail)``: the step takes a trace ``t`` of
+    this node to ``concretize_trace(rho, t[:-1]) + tail``, or to
+    ``t[:-1] + tail`` when ``rho`` is ``None``.  ``edges`` stays ``None``
+    for a node that was not expanded.
+    """
+
+    __slots__ = ("rep", "edges")
+
+    def __init__(self, rep: ExtConfig):
+        self.rep, self.edges = rep, None
+
+
+def _graph(start: ExtConfig, table, fresh_bound: int, conc_numeral: int, depth: int) -> tuple:
+    """Expand, layer by layer, every node first reached within fewer than ``depth`` steps.
+
+    Returns every node, in order of minimum depth with the root first, and
+    the nodes first reached after exactly ``depth`` steps, which are left
+    unexpanded.  The least error of the shallowest failing layer is raised.
+    """
+    if depth < 0:
+        raise PolicyError("bound must be at least 0")
+
+    def expand(node: _Node) -> frozenset:
+        return successors_ext(table, node.rep, fresh_bound, conc_numeral)
+
+    root = _Node(start)
+    nodes = {_future_key(start): root}
+    layer = [root]
+    for _ in range(depth):
+        if not layer:
+            break
+        step = []
+        for node, succs in _expand_all(layer, expand):
+            cut = len(node.rep.trace) - 1
+            node.edges = []
+            for succ in succs:
+                key = _future_key(succ)
+                target = nodes.get(key)
+                if target is None:
+                    target = nodes[key] = _Node(succ)
+                    step.append(target)
+                node.edges.append((target, succ.rho, succ.trace[cut:]))
+        layer = step
+    return list(nodes.values()), layer
+
+
+def _longest_path(nodes: list) -> float:
+    """Steps on the longest path from the first node, infinite if a cycle is reachable.
+
+    Every node must be expanded and reachable from the first one.
+    """
+    indegree = Counter(target for node in nodes for target, _, _ in node.edges)
+    length = dict.fromkeys(nodes, 0)
+    ready = [node for node in nodes if not indegree[node]]
+    done = 0
+    while ready:
+        node = ready.pop()
+        done += 1
+        for target, _, _ in node.edges:
+            length[target] = max(length[target], length[node] + 1)
+            indegree[target] -= 1
+            if not indegree[target]:
+                ready.append(target)
+    return max(length.values()) if done == len(nodes) else math.inf
+
+
+def _chain(chained: int, atoms) -> int:
+    """Extend a chained trace hash as ``Summary.extend`` does."""
+    for atom in atoms:
+        chained = hash((chained, atom))
+    return chained
+
+
+def _paths(root: _Node, steps: int) -> frozenset:
+    """The configurations that end the paths from ``root`` of at most ``steps`` steps.
+
+    A path ends at a terminal or unexpanded node, or after ``steps`` steps.
+    A layer maps a node and the chained hash of ``trace[:-1]`` to the
+    distinct traces reached there, so equal traces meet without hashing
+    whole tuples.
+    """
+    layer = {(root, root.rep.prefix.hash): [root.rep.trace]}
+    ends = []
+    for _ in range(steps):
+        step = {}
+        for (node, chained), traces in layer.items():
+            if not node.edges:
+                ends += (_end(node, trace, chained) for trace in traces)
+                continue
+            for target, rho, tail in node.edges:
+                if rho is None:
+                    # the traces here share ``trace[:-1]``'s hash, so they share the new one
+                    bucket = step.setdefault((target, _chain(chained, tail[:-1])), [])
+                for trace in traces:
+                    if rho is None:
+                        reached = trace[:-1] + tail
+                    else:
+                        reached = concretize_trace(rho, trace[:-1]) + tail
+                        key = (target, _chain(EMPTY_SUMMARY.hash, reached[:-1]))
+                        bucket = step.setdefault(key, [])
+                    if reached not in bucket:
+                        bucket.append(reached)
+        layer = step
+        if not layer:
+            break
+    for (node, chained), traces in layer.items():
+        ends += (_end(node, trace, chained) for trace in traces)
+    return frozenset(ends)
+
+
+def _end(node: _Node, trace: Trace, chained: int) -> ExtConfig:
+    """The configuration of ``node`` with ``trace``, whose ``trace[:-1]`` chains to ``chained``."""
+    rep = node.rep
+    return ExtConfig(trace, rep.markers, rep.prefix._replace(hash=chained))
 
 
 def compose_bounded_ext(
@@ -397,14 +564,18 @@ def compose_bounded_ext(
     conc_numeral: int = 0,
 ) -> frozenset:
     """Like the wl variant, but a configuration is terminal iff it has no successors."""
-    expand = _expand_ext(table, fresh_bound, conc_numeral)
-    finished, frontier = _explore(config, expand, bound)
-    return frozenset(finished | frontier)
+    nodes, _ = _graph(config, table, fresh_bound, conc_numeral, bound)
+    return _paths(nodes[0], bound)
 
 
 def compose_ext(policy: ComposePolicy, table, config: ExtConfig) -> frozenset:
-    expand = _expand_ext(table, policy.fresh_bound, policy.conc_numeral)
-    return _fixpoint(policy, config, expand)
+    """Every configuration reached, provided no path is longer than the policy's budget."""
+    budget = (policy.max_rounds - 1) * policy.increment
+    nodes, beyond = _graph(config, table, policy.fresh_bound, policy.conc_numeral, budget + 1)
+    longest = math.inf if beyond else _longest_path(nodes)
+    if longest > budget:
+        raise _divergence(policy)
+    return _paths(nodes[0], longest)
 
 
 def traces_ext(

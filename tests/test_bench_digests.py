@@ -3,9 +3,10 @@
 ``bench/digests.json`` pins the exit code and the SHA-256 of stdout of
 every benchmark command.  The benchmark checks them only when it runs;
 here the fastest command of each workload for seed 1 (a few milliseconds
-each) runs through ``lagc.cli.main``, so an output change shows up in the
-tests.  Neither ``bench/workloads.py`` nor ``bench/digests.json`` is
-written.
+each) and the ext commands whose exploration merges the most
+configurations run through ``lagc.cli.main``, so an output change shows
+up in the tests.  Neither ``bench/workloads.py`` nor ``bench/digests.json``
+is written.
 """
 
 import contextlib
@@ -31,11 +32,20 @@ FASTEST = {
     "ext-interleave": "k2-2x1",
     "ext-calls": "calls-1",
 }
+# the heaviest ext commands, where merging configurations saves the most
+HEAVIEST = (
+    ("ext-interleave", "k4-2x2x2x1"),
+    ("ext-calls", "calls-3"),
+    ("ext-calls", "equiv-3-calls"),
+)
+CASES = [pytest.param(w, FASTEST[w], id=w) for w in sorted(FASTEST)] + [
+    pytest.param(w, slot, id=f"{w}-{slot}") for w, slot in HEAVIEST
+]
 
 
-@pytest.mark.parametrize("workload", sorted(FASTEST))
-def test_fastest_command_reproduces_pinned_digest(workload, tmp_path):
-    (command,) = [c for c in workloads.commands(workload, SEED) if c.slot == FASTEST[workload]]
+@pytest.mark.parametrize("workload, slot", CASES)
+def test_fastest_command_reproduces_pinned_digest(workload, slot, tmp_path):
+    (command,) = [c for c in workloads.commands(workload, SEED) if c.slot == slot]
     paths = []
     for i, text in enumerate(command.files):
         path = tmp_path / f"{i}.prog"

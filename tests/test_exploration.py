@@ -98,12 +98,15 @@ def test_cli_reports_divergence_schedule(tmp_path, capsys, lang):
     assert captured.err == f"error: {SCHEDULE}\n"
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, limit=None):
+    """Record the arguments of every call; raise once there are more than ``limit``."""
     calls = []
     original = getattr(compose, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
+        if limit is not None and len(calls) > limit:
+            raise RuntimeError(f"more than {limit} calls to {name}")
         return original(*args, **kwargs)
 
     monkeypatch.setattr(compose, name, counted)
@@ -137,6 +140,42 @@ def test_terminating_run_expands_each_configuration_once(monkeypatch):
     assert len(traces) == 1
     expanded = [args[1] for args in calls]
     assert len(expanded) == len(set(expanded))
+
+
+FOUR_WAY_CO = (
+    "co (a := 1 ;; a := 2) || co (b := 1 ;; b := 2) || "
+    "co (c := 1 ;; c := 2) || (d := 1 ;; d := 2) oc oc oc"
+)
+CALL_THEN_ASSIGNMENTS = (
+    "program { method m(v){ skip } main { call m(1) ;; "
+    + " ;; ".join(f"x := {i}" for i in range(100))
+    + " } }"
+)
+
+
+@pytest.mark.parametrize(
+    "text, count, most",
+    [(FOUR_WAY_CO, 2520, 81), (CALL_THEN_ASSIGNMENTS, 101, 304)],
+    ids=["four-way-co", "call-then-100-assignments"],
+)
+def test_ext_expands_each_future_key_once(monkeypatch, text, count, most):
+    # one expansion per future key; one per distinct trace prefix would be
+    # 7365 and 10404
+    calls = _counting(monkeypatch, "successors_ext")
+    program = parse_program(text, "ext")
+    traces = compose.traces_ext(program, compose.initial_state_for(program))
+    assert len(traces) == count
+    assert len(calls) <= most
+
+
+def test_ext_divergence_needs_no_walk_through_the_budget(monkeypatch):
+    # the loop's graph closes on a cycle after a few keys; walking the
+    # 10^11-step budget would not end, so the wrapper stops it at 100 calls
+    calls = _counting(monkeypatch, "successors_ext", limit=100)
+    with pytest.raises(DivergenceLimitError) as caught:
+        compose.traces_ext(Program((), LOOP), EMPTY_STATE, ComposePolicy(max_rounds=10**9))
+    assert str(caught.value) == "no fixpoint after 1000000000 rounds (bound 100000000000)"
+    assert len(calls) <= 10
 
 
 def test_pending_is_one_stack_for_every_nesting():

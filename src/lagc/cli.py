@@ -13,6 +13,7 @@ exceeded, 5 resources exhausted (Python's recursion limit or memory).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -43,7 +44,9 @@ def _add_common_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--state", default=None, help="initial state override, k=v,...")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by every ``main``."""
     parser = argparse.ArgumentParser(
         prog="lagc", description="Trace semantics for a While language"
     )

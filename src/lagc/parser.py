@@ -331,17 +331,20 @@ def parse_program(source: str, mode: str = "ext") -> Program:
 
 
 def parse_expression(source: str):
-    """Parse an arithmetic or Boolean expression, trying arithmetic first."""
+    """Parse an arithmetic or Boolean expression, trying arithmetic first.
+
+    If neither parse covers the whole input, the failure that got further
+    is raised, the arithmetic one on a tie.
+    """
     parser = _Parser(source)
-    saved = parser.index
-    try:
-        expr = parser.aexp()
-        if parser.peek().kind == "eof":
-            return expr
-    except ParseError:
-        pass
-    parser.index = saved
-    expr = parser.bexp()
-    if parser.peek().kind != "eof":
-        parser.fail("end of input")
-    return expr
+    failures = []
+    for parse in (parser.aexp, parser.bexp):
+        parser.index = 0
+        try:
+            expr = parse()
+            if parser.peek().kind == "eof":
+                return expr
+            parser.fail("end of input")
+        except ParseError as exc:
+            failures.append(exc)
+    raise max(failures, key=lambda exc: (exc.line, exc.column))

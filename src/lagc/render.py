@@ -7,7 +7,6 @@ sorted order and trace sets are sorted by the canonical syntax order.
 
 from __future__ import annotations
 
-import functools
 import json
 
 from .state import State
@@ -34,7 +33,6 @@ from .syntax import (
     Var,
     While,
     canon_key,
-    tuple_key,
 )
 from .trace import StateAtom, Trace
 
@@ -142,46 +140,96 @@ def render_trace(trace: Trace) -> str:
     return " ~> ".join(render_atom(atom) for atom in trace)
 
 
+def _atom_table(traces) -> tuple:
+    """Number the distinct atoms of ``traces``.
+
+    Returns the distinct atoms in order of first occurrence and each trace
+    as a list of atom numbers.  Traces of one set share their atom objects,
+    so an atom is looked up by identity first and only an object not seen
+    before is hashed; the value-keyed lookup merges equal atoms built
+    separately.
+    """
+    atoms = []
+    by_id = {}
+    by_value = {}
+    rows = []
+    for trace in traces:
+        row = []
+        for atom in trace:
+            number = by_id.get(id(atom))
+            if number is None:
+                number = by_value.setdefault(atom, len(atoms))
+                if number == len(atoms):
+                    atoms.append(atom)
+                by_id[id(atom)] = number
+            row.append(number)
+        rows.append(row)
+    return atoms, rows
+
+
+def _ranks(atoms) -> list:
+    """Each atom's position in ``canon_key`` order; equal keys share a rank."""
+    keys = [canon_key(atom) for atom in atoms]
+    ranks = [0] * len(atoms)
+    rank, previous = -1, None
+    for number in sorted(range(len(atoms)), key=keys.__getitem__):
+        if keys[number] != previous:
+            rank, previous = rank + 1, keys[number]
+        ranks[number] = rank
+    return ranks
+
+
 def sorted_traces(traces) -> list:
     """The traces in ``canon_key`` order.
 
     Fewer than two traces are already in order, so no key is built for
-    them.  Traces of one set share most of their atoms, so each distinct
-    atom's key is computed once and the trace keys are assembled from them.
+    them.  A trace's key is ``tuple_key`` of its atoms' keys, so comparing
+    traces by the ranks of their atoms, element-wise, gives the same order
+    while ``canon_key`` runs once per distinct atom.
     """
     traces = list(traces)
     if len(traces) < 2:
         return traces
-    atom_key = functools.cache(canon_key)
-    return sorted(traces, key=lambda trace: tuple_key(map(atom_key, trace)))
+    atoms, rows = _atom_table(traces)
+    ranks = _ranks(atoms)
+    keys = [[ranks[number] for number in row] for row in rows]
+    return [traces[i] for i in sorted(range(len(traces)), key=keys.__getitem__)]
 
 
-def _trace_to_json(trace: Trace) -> list:
-    atoms = []
-    for atom in trace:
-        if isinstance(atom, StateAtom):
-            atoms.append(
-                {"state": {name: pretty_sexp(value) for name, value in atom.state.entries}}
-            )
-        else:
-            atoms.append(
-                {
-                    "event": {
-                        "kind": atom.kind.value,
-                        "args": [pretty_exp(arg) for arg in atom.args],
-                    }
-                }
-            )
-    return atoms
+def _atom_json(atom) -> str:
+    """The atom's JSON fragment, laid out as ``json.dumps(indent=2, sort_keys=True)``."""
+    if isinstance(atom, StateAtom):
+        fragment = {"state": {name: pretty_sexp(value) for name, value in atom.state.entries}}
+    else:
+        fragment = {
+            "event": {"kind": atom.kind.value, "args": [pretty_exp(arg) for arg in atom.args]}
+        }
+    return json.dumps(fragment, indent=2, sort_keys=True)
+
+
+def _json_list(items, indent: str) -> str:
+    """A JSON list of laid-out items, as ``json.dumps(indent=2)`` lays it out
+    at the depth whose indentation is ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
 def render_traces(traces, fmt: str = "text") -> str:
-    """Render a trace set; the output is byte-deterministic."""
-    ordered = sorted_traces(traces)
+    """Render a trace set; the output is byte-deterministic.
+
+    Each distinct atom is formatted once and the output is joined from
+    those pieces.  The JSON is what ``json.dumps(indent=2, sort_keys=True)``
+    makes of ``{"traces": [[fragment, ...], ...]}``.
+    """
+    atoms, rows = _atom_table(sorted_traces(traces))
     if fmt == "json":
-        payload = {"traces": [_trace_to_json(t) for t in ordered]}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    count = len(ordered)
+        # An atom sits at depth 3 of the payload: object, trace list, trace.
+        pieces = [_atom_json(atom).replace("\n", "\n      ") for atom in atoms]
+        blocks = [_json_list([pieces[n] for n in row], "    ") for row in rows]
+        return '{\n  "traces": ' + _json_list(blocks, "  ") + "\n}\n"
+    pieces = [render_atom(atom) for atom in atoms]
+    count = len(rows)
     header = f"{count} trace" + ("" if count == 1 else "s") + "\n"
-    blocks = [render_trace(t) + "\n" for t in ordered]
-    return header + "".join("\n" + block for block in blocks)
+    return header + "".join(["\n" + " ~> ".join([pieces[n] for n in row]) + "\n" for row in rows])

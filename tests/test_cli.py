@@ -117,6 +117,34 @@ def test_eval(write, capsys):
     assert capsys.readouterr().out == "true\n"
 
 
+def test_eval_reports_the_arithmetic_parse_error(write, capsys):
+    path = write("ctx.wl", "x := x")
+    assert main(["eval", path, "--expr", "x + * 2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 1:5: expected an arithmetic expression, found '*'\n"
+
+
+def test_main_builds_the_argument_parser_once(write, capsys, monkeypatch):
+    used = []
+    parse_args = cli.argparse.ArgumentParser.parse_args
+
+    def recording(parser, *args, **kwargs):
+        used.append(parser)
+        return parse_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_args", recording)
+    path = write("one.wl", "x := 1")
+    assert main(["traces", path, "--lang", "wl"]) == 0
+    with pytest.raises(SystemExit) as caught:
+        main(["traces-bounded", path])
+    assert caught.value.code == 2
+    assert "the following arguments are required: --bound" in capsys.readouterr().err
+    assert main(["traces-bounded", path, "--bound", "1", "--lang", "wl"]) == 0
+    assert len(used) == 3
+    assert all(parser is cli.build_parser() for parser in used)
+
+
 def test_exit_code_parse_error(write, capsys):
     path = write("bad.wl", "while true do skip")
     assert main(["traces", path, "--lang", "wl"]) == 1

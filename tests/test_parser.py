@@ -123,6 +123,23 @@ def test_parse_expression():
         parse_expression("x +")
 
 
+@pytest.mark.parametrize(
+    "source, column, expected, found",
+    [
+        ("x + * 2", 5, "an arithmetic expression", "*"),
+        ("1 +", 4, "an arithmetic expression", "end of input"),
+        ("1 2", 3, "end of input", "2"),
+        ("x == 1 &&", 10, "(", "end of input"),
+        ("x == 1 )", 8, "end of input", ")"),
+    ],
+)
+def test_parse_expression_reports_the_failure_that_got_furthest(source, column, expected, found):
+    with pytest.raises(ParseError) as caught:
+        parse_expression(source)
+    error = caught.value
+    assert (error.line, error.column, error.expected, error.found) == (1, column, expected, found)
+
+
 def test_round_trip_random_programs():
     rng = random.Random(71)
     for _ in range(300):

@@ -1,5 +1,7 @@
+import functools
 import json
 import random
+from collections import Counter
 
 from lagc import render
 from lagc.compose import initial_state_for, traces_ext, traces_wl
@@ -10,7 +12,8 @@ from lagc.render import (
     sorted_traces,
 )
 from lagc.state import make_state
-from lagc.syntax import Num, STAR, StoredExp, canon_key
+from lagc.syntax import Num, STAR, StoredExp, canon_key, tuple_key
+from lagc.trace import EventAtom, EventKind, StateAtom
 
 from gens import rand_concrete_trace, rand_trace
 from samples import EXT_INPUT, SIGMA1, TAU1, WL_FACTORIAL
@@ -83,3 +86,83 @@ def test_sorted_traces_builds_no_key_for_fewer_than_two(monkeypatch):
         assert sorted_traces(make([])) == []
         (alone,) = sorted_traces(make([trace]))
         assert alone is trace
+
+
+def _whole_payload_render(traces, fmt):
+    """The renderer as it was before atoms were formatted once: one sort key
+    per trace and one ``json.dumps`` over the whole payload."""
+    atom_key = functools.cache(canon_key)
+    ordered = sorted(traces, key=lambda trace: tuple_key(map(atom_key, trace)))
+    if fmt == "json":
+        payload = {"traces": [[_atom_payload(atom) for atom in t] for t in ordered]}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    header = f"{len(ordered)} trace" + ("" if len(ordered) == 1 else "s") + "\n"
+    return header + "".join("\n" + render_trace(t) + "\n" for t in ordered)
+
+
+def _atom_payload(atom):
+    if isinstance(atom, StateAtom):
+        return {"state": {name: render.pretty_sexp(value) for name, value in atom.state.entries}}
+    return {"event": {"kind": atom.kind.value, "args": [render.pretty_exp(a) for a in atom.args]}}
+
+
+def _rebuilt(seed):
+    """A random trace whose atoms are built afresh on every call."""
+    return rand_trace(random.Random(seed))
+
+
+def _trace_sets(rng):
+    empty_state = StateAtom(make_state({}))
+    no_args = EventAtom(EventKind.INPUT, ())
+    yield frozenset()
+    yield frozenset({rand_trace(rng)})
+    yield frozenset({(empty_state,), (empty_state, no_args, empty_state)})
+    yield frozenset({(), _rebuilt(1)})
+    for _ in range(60):
+        prefixes = [rand_trace(rng, max_len=3) for _ in range(4)]
+        traces = {
+            rng.choice(prefixes)[:-1] + rand_trace(rng, max_len=3)
+            for _ in range(rng.randint(2, 12))
+        }
+        seeds = [rng.randrange(1000) for _ in range(3)]
+        traces |= {_rebuilt(a)[:-1] + _rebuilt(b) for a in seeds for b in seeds}
+        traces.add(rng.choice(prefixes)[:-1] + (empty_state, no_args, empty_state))
+        yield frozenset(traces)
+
+
+def test_render_traces_matches_the_whole_payload_renderer():
+    for traces in _trace_sets(random.Random(60)):
+        for fmt in ("text", "json"):
+            assert render_traces(traces, fmt) == _whole_payload_render(traces, fmt)
+
+
+def test_render_traces_formats_each_distinct_atom_once(monkeypatch):
+    formatted = Counter()
+
+    def counting(format_atom):
+        def wrapper(atom):
+            formatted[atom] += 1
+            return format_atom(atom)
+
+        return wrapper
+
+    monkeypatch.setattr(render, "render_atom", counting(render.render_atom))
+    monkeypatch.setattr(render, "_atom_json", counting(render._atom_json))
+    for traces in _trace_sets(random.Random(61)):
+        distinct = {atom for trace in traces for atom in trace}
+        for fmt in ("text", "json"):
+            formatted.clear()
+            render_traces(traces, fmt)
+            assert formatted == Counter(distinct)
+
+
+def test_sorted_traces_gives_atoms_with_equal_keys_equal_ranks(monkeypatch):
+    def coarse_key(atom):
+        return type(atom).__name__
+
+    monkeypatch.setattr(render, "canon_key", coarse_key)
+    rng = random.Random(62)
+    for _ in range(50):
+        traces = [rand_trace(rng, max_len=3) for _ in range(rng.randint(2, 8))]
+        expected = sorted(traces, key=lambda trace: [coarse_key(atom) for atom in trace])
+        assert sorted_traces(traces) == expected

@@ -32,7 +32,7 @@ from .evaluate import eval_arith, eval_bool
 from .parser import IDENT_RE, parse_expression, parse_program
 from .render import pretty_aexp, pretty_bexp, render_traces
 from .state import State, make_state
-from .syntax import ABin, Num, Program, StoredExp, Var
+from .syntax import ABin, Num, Program, StoredExp, Var, holding_nodes
 
 
 def _add_common_flags(sub: argparse.ArgumentParser):
@@ -182,7 +182,8 @@ _MESSAGES = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        with holding_nodes():
+            return _COMMANDS[args.command](args)
     except tuple(_EXIT_CODES) as exc:
         kind = next(kind for kind in _EXIT_CODES if isinstance(exc, kind))
         print(f"error: {_MESSAGES.get(kind, exc)}", file=sys.stderr)

@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .concretize import concretize_trace, min_conc_map_trace
 from .errors import (
@@ -83,6 +82,7 @@ from .state import BOUND_EXCEEDED_PREFIX, State, initial_state, update, vargen
 from .syntax import (
     MethodRef,
     Program,
+    Record,
     Stmt,
     StoredExp,
     language_check,
@@ -105,36 +105,42 @@ from .trace import (
 )
 
 
-def _summarize_prefix(config) -> None:
-    """Fold ``trace[:-1]`` into the configuration's summary unless one was given."""
-    if config.prefix is None:
-        object.__setattr__(config, "prefix", summarize(config.trace[:-1]))
+def _init_config(config, trace: Trace, prefix: Summary | None, rho: State | None) -> None:
+    """Set the fields a configuration shares, folding ``trace[:-1]`` unless a summary is given."""
+    object.__setattr__(config, "trace", trace)
+    object.__setattr__(config, "prefix", summarize(trace[:-1]) if prefix is None else prefix)
+    object.__setattr__(config, "rho", rho)
 
 
-@dataclass(frozen=True)
-class WlConfig:
+class WlConfig(Record):
     """Composed global trace plus the one statement left to run.
 
     ``prefix`` summarizes ``trace[:-1]``; see the module docstring.
     ``rho`` is the mapping the step that built the configuration
     concretized the whole glued trace under, or ``None`` when it kept the
-    glued trace as it is.
+    glued trace as it is.  Neither takes part in equality.
     """
 
+    __slots__ = _fields = ("trace", "marker", "prefix", "rho")
     trace: Trace
     marker: Marker
-    prefix: Summary = field(default=None, compare=False, repr=False)
-    rho: State = field(default=None, compare=False, repr=False)
+    prefix: Summary
+    rho: State
 
-    def __post_init__(self):
-        _summarize_prefix(self)
+    def __init__(self, trace: Trace, marker: Marker, prefix: Summary = None, rho: State = None):
+        _init_config(self, trace, prefix, rho)
+        object.__setattr__(self, "marker", marker)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WlConfig):
+            return NotImplemented
+        return self.trace == other.trace and self.marker == other.marker
 
     def __hash__(self) -> int:
         return hash((self.prefix.hash, self.trace[-1:], self.marker))
 
 
-@dataclass(frozen=True)
-class ExtConfig:
+class ExtConfig(Record):
     """Composed global trace plus a multiset of pending process markers.
 
     ``markers`` is a tuple in the order the steps built it; only how often
@@ -144,14 +150,15 @@ class ExtConfig:
     ``prefix`` and ``rho`` are as for ``WlConfig``.
     """
 
+    __slots__ = _fields = ("trace", "markers", "prefix", "rho")
     trace: Trace
     markers: tuple
-    prefix: Summary = field(default=None, compare=False, repr=False)
-    rho: State = field(default=None, compare=False, repr=False)
+    prefix: Summary
+    rho: State
 
-    def __post_init__(self):
-        object.__setattr__(self, "markers", tuple(self.markers))
-        _summarize_prefix(self)
+    def __init__(self, trace: Trace, markers, prefix: Summary = None, rho: State = None):
+        _init_config(self, trace, prefix, rho)
+        object.__setattr__(self, "markers", tuple(markers))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtConfig):
@@ -164,20 +171,30 @@ class ExtConfig:
         return hash((self.prefix.hash, self.trace[-1:], frozenset(self.markers)))
 
 
-@dataclass(frozen=True)
-class ComposePolicy:
-    increment: int = 100
-    max_rounds: int = 100
-    fresh_bound: int = DEFAULT_FRESH_BOUND
-    conc_numeral: int = 0
+class ComposePolicy(Record):
+    __slots__ = _fields = ("increment", "max_rounds", "fresh_bound", "conc_numeral")
+    increment: int
+    max_rounds: int
+    fresh_bound: int
+    conc_numeral: int
 
-    def __post_init__(self):
-        if self.increment < 1:
+    def __init__(
+        self,
+        increment: int = 100,
+        max_rounds: int = 100,
+        fresh_bound: int = DEFAULT_FRESH_BOUND,
+        conc_numeral: int = 0,
+    ):
+        if increment < 1:
             raise PolicyError("increment must be at least 1")
-        if self.max_rounds < 1:
+        if max_rounds < 1:
             raise PolicyError("max_rounds must be at least 1")
-        if self.fresh_bound < 0:
+        if fresh_bound < 0:
             raise PolicyError("fresh_bound must be at least 0")
+        object.__setattr__(self, "increment", increment)
+        object.__setattr__(self, "max_rounds", max_rounds)
+        object.__setattr__(self, "fresh_bound", fresh_bound)
+        object.__setattr__(self, "conc_numeral", conc_numeral)
 
 
 DEFAULT_POLICY = ComposePolicy()

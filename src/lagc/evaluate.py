@@ -21,6 +21,7 @@ from .syntax import (
     BoolLit,
     BoolOp,
     Exp,
+    FALSE,
     MethodRef,
     Neg,
     Num,
@@ -29,6 +30,7 @@ from .syntax import (
     SExp,
     Star,
     StoredExp,
+    TRUE,
     Var,
 )
 
@@ -104,18 +106,18 @@ def eval_bool(b: BExp, sigma: State) -> BExp:
     if isinstance(b, Neg):
         operand = eval_bool(b.operand, sigma)
         if isinstance(operand, BoolLit):
-            return BoolLit(not operand.value)
+            return FALSE if operand.value else TRUE
         return Neg(operand)
     if isinstance(b, BBin):
         left = eval_bool(b.left, sigma)
         right = eval_bool(b.right, sigma)
         if isinstance(left, BoolLit) and isinstance(right, BoolLit):
-            return BoolLit(apply_bool(b.op, left.value, right.value))
+            return TRUE if apply_bool(b.op, left.value, right.value) else FALSE
         return BBin(left, b.op, right)
     left = eval_arith(b.left, sigma)
     right = eval_arith(b.right, sigma)
     if isinstance(left, Num) and isinstance(right, Num):
-        return BoolLit(apply_rel(b.op, left.value, right.value))
+        return TRUE if apply_rel(b.op, left.value, right.value) else FALSE
     return Rel(left, b.op, right)
 
 

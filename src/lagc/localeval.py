@@ -16,7 +16,6 @@ nests deeper than the statements it holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Union
 
@@ -33,8 +32,8 @@ from .syntax import (
     LocMem,
     LocPar,
     MethodRef,
-    Neg,
     Num,
+    Record,
     STAR,
     Seq,
     Skip,
@@ -51,8 +50,7 @@ from .trace import CondTrace, EventKind, StateAtom, gen_event, singleton
 DEFAULT_FRESH_BOUND = 100
 
 
-@dataclass(frozen=True, init=False)
-class Pending:
+class Pending(Record):
     """Statements still left to evaluate: ``head`` first, then ``rest`` in order.
 
     ``Pending(stmt)`` flattens the ``Seq`` spine of ``stmt``; ``rest`` given
@@ -68,6 +66,8 @@ class Pending:
     order-free multiset.
     """
 
+    __slots__ = ("head", "rest", "_hash")
+    _fields = ("head", "rest")
     head: Stmt
     rest: tuple
 
@@ -91,9 +91,10 @@ class Pending:
         return reduce(Seq, self.rest, self.head)
 
 
-@dataclass(frozen=True)
-class Done:
+class Done(Record):
     """The empty continuation: the process has finished."""
+
+    __slots__ = ()
 
 
 DONE = Done()
@@ -101,10 +102,14 @@ DONE = Done()
 Marker = Union[Pending, Done]
 
 
-@dataclass(frozen=True)
-class ContTrace:
+class ContTrace(Record):
+    __slots__ = _fields = ("cond", "marker")
     cond: CondTrace
     marker: Marker
+
+    def __init__(self, cond: CondTrace, marker: Marker):
+        object.__setattr__(self, "cond", cond)
+        object.__setattr__(self, "marker", marker)
 
 
 def _push(marker: Marker, rest: tuple) -> Marker:
@@ -173,14 +178,14 @@ def _valuate_head(stmt: Stmt, sigma: State, mode: str, fresh_bound: int) -> froz
         return frozenset(
             {
                 _branch(stmt.cond, sigma, Pending(stmt.body)),
-                _branch(Neg(stmt.cond), sigma, DONE),
+                _branch(stmt.negated, sigma, DONE),
             }
         )
     if isinstance(stmt, While):
         return frozenset(
             {
                 _branch(stmt.cond, sigma, Pending(stmt.body, (stmt,))),
-                _branch(Neg(stmt.cond), sigma, DONE),
+                _branch(stmt.negated, sigma, DONE),
             }
         )
     if mode != "ext":

@@ -9,7 +9,6 @@ so ``co x := 1 || x := 2 ;; skip oc`` splits at the bar.  Identifiers admit
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ModeError, ParseError
 from .syntax import (
@@ -19,9 +18,9 @@ from .syntax import (
     Assign,
     BBin,
     BExp,
-    BoolLit,
     BoolOp,
     Call,
+    FALSE,
     Guard,
     If,
     Input,
@@ -31,11 +30,13 @@ from .syntax import (
     Neg,
     Num,
     Program,
+    Record,
     Rel,
     RelOp,
     Seq,
     Skip,
     Stmt,
+    TRUE,
     Var,
     While,
     check_mode,
@@ -58,12 +59,18 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
+    __slots__ = _fields = ("kind", "text", "line", "column")
     kind: str  # 'ident' | 'num' | 'sym' | 'kw' | 'eof'
     text: str
     line: int
     column: int
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
 
 
 def tokenize(source: str):
@@ -186,9 +193,9 @@ class _Parser:
 
     def batom(self) -> BExp:
         if self.accept("kw", "true"):
-            return BoolLit(True)
+            return TRUE
         if self.accept("kw", "false"):
-            return BoolLit(False)
+            return FALSE
         saved = self.index
         try:
             left = self.aexp()

@@ -179,21 +179,25 @@ def _ranks(atoms) -> list:
     return ranks
 
 
-def sorted_traces(traces) -> list:
-    """The traces in ``canon_key`` order.
+def _order(atoms, rows) -> list:
+    """The positions of ``rows`` in ``canon_key`` order of the traces they number.
 
-    Fewer than two traces are already in order, so no key is built for
+    Fewer than two rows are already in order, so no key is built for
     them.  A trace's key is ``tuple_key`` of its atoms' keys, so comparing
     traces by the ranks of their atoms, element-wise, gives the same order
     while ``canon_key`` runs once per distinct atom.
     """
-    traces = list(traces)
-    if len(traces) < 2:
-        return traces
-    atoms, rows = _atom_table(traces)
+    if len(rows) < 2:
+        return list(range(len(rows)))
     ranks = _ranks(atoms)
     keys = [[ranks[number] for number in row] for row in rows]
-    return [traces[i] for i in sorted(range(len(traces)), key=keys.__getitem__)]
+    return sorted(range(len(rows)), key=keys.__getitem__)
+
+
+def sorted_traces(traces) -> list:
+    """The traces in ``canon_key`` order."""
+    traces = list(traces)
+    return [traces[i] for i in _order(*_atom_table(traces))]
 
 
 def _atom_json(atom) -> str:
@@ -223,7 +227,8 @@ def render_traces(traces, fmt: str = "text") -> str:
     those pieces.  The JSON is what ``json.dumps(indent=2, sort_keys=True)``
     makes of ``{"traces": [[fragment, ...], ...]}``.
     """
-    atoms, rows = _atom_table(sorted_traces(traces))
+    atoms, rows = _atom_table(traces)
+    rows = [rows[i] for i in _order(atoms, rows)]
     if fmt == "json":
         # An atom sits at depth 3 of the payload: object, trace list, trace.
         pieces = [_atom_json(atom).replace("\n", "\n      ") for atom in atoms]

@@ -9,22 +9,21 @@ hashed again in every set its configuration enters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
-from .syntax import Num, SExp, Star, StoredExp, free_vars
+from .syntax import Num, Record, SExp, Star, StoredExp, free_vars
 
 BOUND_EXCEEDED_PREFIX = "$BOUND_EXCEEDED::"
 
 Entries = Union[Mapping[str, SExp], Iterable[Tuple[str, SExp]]]
 
 
-@dataclass(frozen=True)
-class State:
-    entries: tuple = ()
+class State(Record):
+    __slots__ = ("entries", "_map", "_hash")
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        mapping = dict(self.entries)
+    def __init__(self, entries: tuple = ()):
+        mapping = dict(entries)
         object.__setattr__(self, "entries", tuple(sorted(mapping.items())))
         object.__setattr__(self, "_map", mapping)
         object.__setattr__(self, "_hash", None)

@@ -2,19 +2,137 @@
 
 Two language subsets share one statement type: the plain while language
 (``wl``) and its concurrent extension (``ext``).  ``language_check`` tells
-them apart.  All nodes are immutable and hashable, and ``canon_key`` gives
-a total order over every syntax value so that sets and multisets built from
-them can be canonicalized deterministically.
+them apart.
+
+Syntax nodes are hash-consed (Filliâtre and Conchon, "Type-safe modular
+hash-consing", 2006).  Constructing a node looks its class and fields up
+in a table of the nodes alive and returns the node found there, so equal
+nodes are one object: equality is identity and the hash is the object's,
+both O(1) however deep the node.  The table refers to its nodes weakly, so
+a node nothing else holds leaves it.  Nodes are immutable.
+
+``canon_key`` gives a total order over every syntax value, so that sets
+and multisets built from them can be canonicalized deterministically; a
+node computes its key once and keeps it.  ``Record`` is the immutable
+value with structural equality that states, atoms, markers and
+configurations build on.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+import weakref
+from contextlib import contextmanager
 from enum import Enum
+from operator import attrgetter
 from typing import Union
 
 from .errors import ModeError
+
+_set = object.__setattr__
+
+
+class Record:
+    """An immutable value that compares and hashes by its ``_fields``.
+
+    A subclass names its fields in ``__slots__`` and ``_fields`` and sets
+    them in ``__init__`` through ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields
+        # the field values: one value for one field, a tuple for more
+        cls._values = attrgetter(*fields) if fields else staticmethod(lambda record: ())
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+# (class, *fields) -> weak reference to the one node with them
+_interned: dict = {}
+
+
+class _Ref(weakref.ref):
+    """A table entry's weak reference, which knows its key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref, table: dict = _interned) -> None:
+    """Drop a dead node's entry, unless a newer node has taken its key."""
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+class Node(Record):
+    """A syntax node, hash-consed at construction; see the module docstring.
+
+    The constructor takes the fields positionally.
+    """
+
+    __slots__ = ("_key", "__weakref__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        ref = _interned.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        fields = cls._fields
+        if len(args) != len(fields):
+            raise TypeError(f"{cls.__name__} takes {len(fields)} fields, got {len(args)}")
+        node = object.__new__(cls)
+        for name, value in zip(fields, args):
+            _set(node, name, value)
+        ref = _interned[key] = _Ref(node, _forget)
+        ref.key = key
+        if _held is not None:
+            _held.append(node)
+        return node
+
+
+# the nodes built inside the innermost ``holding_nodes`` block, or None
+_held = None
+
+
+@contextmanager
+def holding_nodes():
+    """Keep every node built inside the block alive until the block ends.
+
+    A run builds many short-lived nodes again and again, such as the
+    numerals a loop test compares and the statements a step leaves
+    pending.  Held, each is built once and found in the table from then
+    on, and a node's identity, and so its hash, stays the same for the
+    whole block, so hashes taken at different times of a run compare
+    like the values.
+    """
+    global _held
+    outer, _held = _held, []
+    try:
+        yield
+    finally:
+        _held = outer
 
 
 class ArithOp(Enum):
@@ -22,10 +140,15 @@ class ArithOp(Enum):
     SUB = "-"
     MUL = "*"
 
+    # members are singletons; ``Enum.__hash__`` hashes the name in Python
+    __hash__ = object.__hash__
+
 
 class BoolOp(Enum):
     CONJ = "&&"
     DISJ = "||"
+
+    __hash__ = object.__hash__
 
 
 class RelOp(Enum):
@@ -33,50 +156,56 @@ class RelOp(Enum):
     GEQ = ">="
     EQ = "=="
 
+    __hash__ = object.__hash__
+
 
 # ---------------------------------------------------------------------------
 # Expressions
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(Node):
+    __slots__ = _fields = ("value",)
     value: int
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Node):
+    __slots__ = _fields = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
-class ABin:
-    left: "AExp"
+class ABin(Node):
+    __slots__ = _fields = ("left", "op", "right")
+    left: AExp
     op: ArithOp
-    right: "AExp"
+    right: AExp
 
 
 AExp = Union[Num, Var, ABin]
 
 
-@dataclass(frozen=True)
-class BoolLit:
+class BoolLit(Node):
+    __slots__ = _fields = ("value",)
     value: bool
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "BExp"
+TRUE = BoolLit(True)
+FALSE = BoolLit(False)
 
 
-@dataclass(frozen=True)
-class BBin:
-    left: "BExp"
+class Neg(Node):
+    __slots__ = _fields = ("operand",)
+    operand: BExp
+
+
+class BBin(Node):
+    __slots__ = _fields = ("left", "op", "right")
+    left: BExp
     op: BoolOp
-    right: "BExp"
+    right: BExp
 
 
-@dataclass(frozen=True)
-class Rel:
+class Rel(Node):
+    __slots__ = _fields = ("left", "op", "right")
     left: AExp
     op: RelOp
     right: AExp
@@ -85,40 +214,41 @@ class Rel:
 BExp = Union[BoolLit, Neg, BBin, Rel]
 
 
-@dataclass(frozen=True)
-class ArithExp:
+class ArithExp(Node):
     """An arithmetic expression used as a generic expression."""
 
+    __slots__ = _fields = ("arith",)
     arith: AExp
 
 
-@dataclass(frozen=True)
-class BoolExp:
+class BoolExp(Node):
     """A Boolean expression used as a generic expression."""
 
+    __slots__ = _fields = ("boolexp",)
     boolexp: BExp
 
 
-@dataclass(frozen=True)
-class MethodRef:
+class MethodRef(Node):
     """A method name used as a generic expression (event payloads only)."""
 
+    __slots__ = _fields = ("name",)
     name: str
 
 
 Exp = Union[ArithExp, BoolExp, MethodRef]
 
 
-@dataclass(frozen=True)
-class StoredExp:
+class StoredExp(Node):
     """A state value backed by an arithmetic expression."""
 
+    __slots__ = _fields = ("arith",)
     arith: AExp
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(Node):
     """The symbolic placeholder for a value unknown until concretization."""
+
+    __slots__ = ()
 
 
 STAR = Star()
@@ -130,60 +260,78 @@ SExp = Union[StoredExp, Star]
 # Statements, methods, programs
 
 
-@dataclass(frozen=True)
-class Skip:
-    pass
+class Skip(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(Node):
+    __slots__ = _fields = ("target", "value")
     target: str
     value: AExp
 
 
-@dataclass(frozen=True)
-class If:
+class _Branch(Node):
+    """A statement left when its condition fails: an ``If`` or a ``While``."""
+
+    __slots__ = ("_neg",)
+
+    @property
+    def negated(self) -> Neg:
+        """``Neg(cond)``, built on first use and kept with the statement.
+
+        Each step of a loop asks for it, and the statement keeps the
+        negation alive, so it is not built again every step.
+        """
+        try:
+            return self._neg
+        except AttributeError:
+            _set(self, "_neg", Neg(self.cond))
+            return self._neg
+
+
+class If(_Branch):
+    __slots__ = _fields = ("cond", "body")
     cond: BExp
-    body: "Stmt"
+    body: Stmt
 
 
-@dataclass(frozen=True)
-class While:
+class While(_Branch):
+    __slots__ = _fields = ("cond", "body")
     cond: BExp
-    body: "Stmt"
+    body: Stmt
 
 
-@dataclass(frozen=True)
-class Seq:
-    first: "Stmt"
-    second: "Stmt"
+class Seq(Node):
+    __slots__ = _fields = ("first", "second")
+    first: Stmt
+    second: Stmt
 
 
-@dataclass(frozen=True)
-class LocPar:
-    left: "Stmt"
-    right: "Stmt"
+class LocPar(Node):
+    __slots__ = _fields = ("left", "right")
+    left: Stmt
+    right: Stmt
 
 
-@dataclass(frozen=True)
-class LocMem:
+class LocMem(Node):
+    __slots__ = _fields = ("decls", "body")
     decls: tuple
-    body: "Stmt"
+    body: Stmt
 
 
-@dataclass(frozen=True)
-class Input:
+class Input(Node):
+    __slots__ = _fields = ("target",)
     target: str
 
 
-@dataclass(frozen=True)
-class Guard:
+class Guard(Node):
+    __slots__ = _fields = ("cond", "body")
     cond: BExp
-    body: "Stmt"
+    body: Stmt
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Node):
+    __slots__ = _fields = ("method", "arg")
     method: str
     arg: AExp
 
@@ -193,15 +341,15 @@ Stmt = Union[Skip, Assign, If, While, Seq, LocPar, LocMem, Input, Guard, Call]
 EXT_ONLY = (LocPar, LocMem, Input, Guard, Call)
 
 
-@dataclass(frozen=True)
-class Method:
+class Method(Node):
+    __slots__ = _fields = ("name", "formal", "body")
     name: str
     formal: str
     body: Stmt
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Node):
+    __slots__ = _fields = ("methods", "main")
     methods: tuple
     main: Stmt
 
@@ -237,10 +385,17 @@ _KIND_NODE = 5
 def canon_key(value):
     """Map any syntax-level value onto a totally ordered key.
 
-    Nodes order by constructor name first, then by their fields; containers
-    order element-wise.  The induced order is arbitrary but fixed, which is
-    all that deterministic canonicalization needs.
+    Nodes and records order by constructor name first, then by their
+    fields; containers order element-wise.  The induced order is arbitrary
+    but fixed, which is all that deterministic canonicalization needs.  A
+    node's key is computed once and kept in the node.
     """
+    if isinstance(value, Node):
+        try:
+            return value._key
+        except AttributeError:
+            _set(value, "_key", _fields_key(value, value._fields))
+            return value._key
     if isinstance(value, bool):
         return (_KIND_PRIMITIVE, 0, int(value))
     if isinstance(value, int):
@@ -253,12 +408,18 @@ def canon_key(value):
         return (_KIND_FROZENSET, tuple(sorted(canon_key(v) for v in value)))
     if isinstance(value, Enum):
         return (_KIND_ENUM, type(value).__name__, value.name)
-    if dataclasses.is_dataclass(value):
-        parts = tuple(
-            canon_key(getattr(value, f.name)) for f in dataclasses.fields(value)
-        )
-        return (_KIND_NODE, type(value).__name__, parts)
+    if isinstance(value, Record):
+        return _fields_key(value, value._fields)
+    if hasattr(value, "__dataclass_fields__"):
+        # a dataclass defined outside lagc; its class loaded the module
+        import dataclasses
+
+        return _fields_key(value, [f.name for f in dataclasses.fields(value)])
     raise TypeError(f"no canonical order for {type(value).__name__}")
+
+
+def _fields_key(value, names) -> tuple:
+    return (_KIND_NODE, type(value).__name__, tuple(canon_key(getattr(value, n)) for n in names))
 
 
 def tuple_key(element_keys) -> tuple:

@@ -10,14 +10,13 @@ partial operations (first/last state and the semantic chop) raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Tuple, Union
 
 from .errors import UndefinedTraceOpError
 from .evaluate import eval_exp_list, is_concrete
 from .state import State, is_concrete_state, is_wellformed_state, symbolic_vars
-from .syntax import ArithExp, BoolLit, MethodRef, free_vars
+from .syntax import ArithExp, BoolLit, MethodRef, Record, free_vars
 
 
 class EventKind(Enum):
@@ -25,28 +24,42 @@ class EventKind(Enum):
     INVOKE = "invEv"
     REACT = "invREv"
 
+    # members are singletons; ``Enum.__hash__`` hashes the name in Python
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
-class StateAtom:
+
+class StateAtom(Record):
+    __slots__ = _fields = ("state",)
     state: State
 
+    def __init__(self, state: State):
+        object.__setattr__(self, "state", state)
 
-@dataclass(frozen=True)
-class EventAtom:
+
+class EventAtom(Record):
+    __slots__ = _fields = ("kind", "args")
     kind: EventKind
     args: tuple
+
+    def __init__(self, kind: EventKind, args: tuple):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "args", args)
 
 
 TraceAtom = Union[StateAtom, EventAtom]
 Trace = Tuple[TraceAtom, ...]
 
 
-@dataclass(frozen=True)
-class CondTrace:
+class CondTrace(Record):
     """A symbolic trace guarded by a path condition."""
 
+    __slots__ = _fields = ("pc", "trace")
     pc: frozenset
     trace: Trace
+
+    def __init__(self, pc: frozenset, trace: Trace):
+        object.__setattr__(self, "pc", pc)
+        object.__setattr__(self, "trace", trace)
 
 
 def singleton(sigma: State) -> Trace:
@@ -172,12 +185,14 @@ class Summary(NamedTuple):
     """What a composition step needs to know about a trace, folded atom by atom.
 
     ``hash`` chains the atoms' hashes, ``h' = hash((h, atom))``, so it
-    depends only on the trace's content.  ``concrete`` says every atom is
-    concrete.  ``open_calls`` counts the invocations not yet reacted to per
-    argument list, keeping positive counts only, and is ``None`` once some
-    reaction has no unmatched invocation before it.  ``params`` holds the
-    arithmetic arguments of every invocation shaped [method, argument],
-    harvested whether or not the trace is still wellformed.
+    depends only on the trace's content (syntax nodes hash by identity,
+    which equal nodes share while they exist).  ``concrete`` says every
+    atom is concrete.  ``open_calls`` counts the invocations not yet
+    reacted to per argument list, keeping positive counts only, and is
+    ``None`` once some reaction has no unmatched invocation before it.
+    ``params`` holds the arithmetic arguments of every invocation shaped
+    [method, argument], harvested whether or not the trace is still
+    wellformed.
 
     A summary is never changed in place: ``extend`` returns a new one and
     copies ``open_calls`` only when the added atoms hold an event, so one

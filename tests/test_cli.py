@@ -221,6 +221,16 @@ def test_recursion_limit_is_exit_5(write, capsys, text):
     assert "Traceback" not in captured.err
 
 
+def test_traces_runs_a_deep_co_branch(write, capsys):
+    branch = " ;; ".join(["x := x + 1"] * 500)
+    path = write("deep_co.ext", f"co {branch} || y := 1 oc")
+    assert main(["traces", path]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    traces = [line for line in lines if line]
+    assert header == "501 traces" and len(traces) == 501
+    assert all(trace.endswith(" ~> {x=500, y=1}") for trace in traces)
+
+
 def test_memory_error_is_exit_5(write, capsys, monkeypatch):
     def exhausted(args):
         raise MemoryError

@@ -8,7 +8,6 @@ configuration; here it is held against the quadratic definition of
 invocation wellformedness, spelled out over every candidate reaction.
 """
 
-import dataclasses
 import random
 from functools import reduce
 
@@ -65,8 +64,8 @@ def _flat(stmt):
     """``stmt`` with every sequence in it, at any depth, nested to the left."""
     if isinstance(stmt, Seq):
         return reduce(Seq, map(_flat, seq_spine(stmt)))
-    parts = {name: _flat(getattr(stmt, name)) for name in STMT_FIELDS if hasattr(stmt, name)}
-    return dataclasses.replace(stmt, **parts)
+    parts = [_flat(getattr(stmt, n)) if n in STMT_FIELDS else getattr(stmt, n) for n in stmt._fields]
+    return type(stmt)(*parts)
 
 
 def _programs(rng, count: int) -> list:

@@ -1,0 +1,149 @@
+"""Hash-consed syntax nodes: one object per value, dropped when nothing holds it.
+
+Equal nodes are the same object however they were built, so equality is
+identity.  The table of nodes holds them weakly, so a node nobody refers
+to leaves it and repeated runs do not grow it.  ``canon_key``, memoized
+per node, gives the keys of the recursive definition it replaced.
+"""
+
+import gc
+import random
+import subprocess
+import sys
+import weakref
+from enum import Enum
+
+import pytest
+
+from lagc import cli, syntax
+from lagc.localeval import Pending
+from lagc.parser import parse_program
+from lagc.syntax import (
+    ABin,
+    ArithOp,
+    Assign,
+    Method,
+    Neg,
+    Node,
+    Num,
+    Program,
+    Record,
+    Rel,
+    RelOp,
+    Seq,
+    Var,
+    While,
+    canon_key,
+    substitute,
+)
+
+from gens import rand_ext_stmt, rand_state, rand_trace, rand_wl_stmt
+
+SOURCE = "x := y + 1 ;; while x <= 3 do x := x + 1 od"
+
+
+def _built() -> Program:
+    step = Assign("x", ABin(Var("x"), ArithOp.ADD, Num(1)))
+    loop = While(Rel(Var("x"), RelOp.LEQ, Num(3)), step)
+    return Program((), Seq(Assign("x", ABin(Var("y"), ArithOp.ADD, Num(1))), loop))
+
+
+def test_equal_nodes_built_separately_are_one_object():
+    parsed = parse_program(SOURCE)
+    assert parse_program(SOURCE) is parsed
+    assert _built() is parsed
+    assert substitute(parsed, "x", "z") is parse_program(SOURCE.replace("x", "z"))
+    assert substitute(substitute(parsed, "x", "z"), "z", "x") is parsed
+    loop = parsed.main.second
+    assert loop.negated is Neg(loop.cond) is loop.negated
+
+
+def test_random_statements_built_twice_are_one_object():
+    for seed in range(50):
+        first = rand_ext_stmt(random.Random(seed), 6)
+        second = rand_ext_stmt(random.Random(seed), 6)
+        assert first is second
+        assert Pending(first) == Pending(second)
+
+
+def test_a_node_nothing_holds_leaves_the_table():
+    gc.collect()
+    before = len(syntax._interned)
+    node = ABin(Var("only_here"), ArithOp.MUL, Num(987654321))
+    assert len(syntax._interned) == before + 3
+    gone = weakref.ref(node)
+    del node
+    gc.collect()
+    assert gone() is None
+    assert len(syntax._interned) == before
+
+
+def test_nodes_are_immutable():
+    node = Var("x")
+    with pytest.raises(AttributeError):
+        node.name = "y"
+    with pytest.raises(AttributeError):
+        del node.name
+    assert node.name == "x" and node is Var("x")
+
+
+def test_repeated_commands_leave_the_table_the_same_size(tmp_path, capsys):
+    path = tmp_path / "calls.lagc"
+    path.write_text(
+        "program { method m(v){ scope(t){ t := v ;; x := x + t } } "
+        "main { co call m(1) || input y oc ;; while x <= 3 do x := x + 1 od } }",
+        encoding="utf-8",
+    )
+    sizes = []
+    for _ in range(5):
+        assert cli.main(["traces", str(path)]) == 0
+        gc.collect()
+        sizes.append(len(syntax._interned))
+    assert len(set(sizes)) == 1, sizes
+    assert capsys.readouterr().out.count("traces\n") == 5
+
+
+def _reference_key(value):
+    """The recursive ``canon_key`` from before nodes were interned, walking every field."""
+    if isinstance(value, bool):
+        return (0, 0, int(value))
+    if isinstance(value, int):
+        return (0, 1, value)
+    if isinstance(value, str):
+        return (1, value)
+    if isinstance(value, tuple):
+        return (2, tuple(_reference_key(v) for v in value))
+    if isinstance(value, frozenset):
+        return (3, tuple(sorted(_reference_key(v) for v in value)))
+    if isinstance(value, Enum):
+        return (4, type(value).__name__, value.name)
+    # the fields the dataclasses declared, in order
+    parts = tuple(_reference_key(getattr(value, name)) for name in value._fields)
+    return (5, type(value).__name__, parts)
+
+
+def test_canon_key_matches_the_recursive_definition():
+    rng = random.Random(71)
+    values = []
+    for _ in range(60):
+        stmt = rand_ext_stmt(rng, rng.randint(1, 8))
+        values += [stmt, Pending(stmt), rand_wl_stmt(rng, rng.randint(1, 8))]
+        values.append(Program((Method("m0", "v", rand_ext_stmt(rng, 3)),), stmt))
+        values += [rand_state(rng), rand_trace(rng), frozenset(rand_trace(rng))]
+    for value in values:
+        assert canon_key(value) == _reference_key(value), value
+    assert sorted(values, key=canon_key) == sorted(values, key=_reference_key)
+    node = values[0]
+    assert canon_key(node) is canon_key(node)
+    assert isinstance(node, Node) and not isinstance(values[1], Node)
+    assert isinstance(values[1], Record)
+
+
+def test_importing_the_cli_does_not_load_dataclasses():
+    result = subprocess.run(
+        [sys.executable, "-c", "import lagc.cli, sys; print('dataclasses' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

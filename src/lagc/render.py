@@ -144,27 +144,12 @@ def _atom_table(traces) -> tuple:
     """Number the distinct atoms of ``traces``.
 
     Returns the distinct atoms in order of first occurrence and each trace
-    as a list of atom numbers.  Traces of one set share their atom objects,
-    so an atom is looked up by identity first and only an object not seen
-    before is hashed; the value-keyed lookup merges equal atoms built
-    separately.
+    as a list of atom numbers.  Equal atoms are one node, so the atom
+    itself is the key.
     """
-    atoms = []
-    by_id = {}
-    by_value = {}
-    rows = []
-    for trace in traces:
-        row = []
-        for atom in trace:
-            number = by_id.get(id(atom))
-            if number is None:
-                number = by_value.setdefault(atom, len(atoms))
-                if number == len(atoms):
-                    atoms.append(atom)
-                by_id[id(atom)] = number
-            row.append(number)
-        rows.append(row)
-    return atoms, rows
+    numbers = {}
+    rows = [[numbers.setdefault(atom, len(numbers)) for atom in trace] for trace in traces]
+    return list(numbers), rows
 
 
 def _ranks(atoms) -> list:

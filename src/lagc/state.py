@@ -1,37 +1,34 @@
 """Symbolic states: finite maps from variables to stored expressions.
 
-States compare by their key-value sets, iterate in sorted key order, and
-are hashable, so traces built from them can live in sets and be rendered
-deterministically.  A state's hash is computed at most once: the same
-state sits in every trace that shares it, and each of those traces is
-hashed again in every set its configuration enters.
+States are hash-consed syntax nodes keyed by their key-value sets, so
+equal states are one object, and they iterate in sorted key order, so
+traces built from them can live in sets and be rendered deterministically.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
-from .syntax import Num, Record, SExp, Star, StoredExp, free_vars
+from .syntax import Node, Num, SExp, Star, StoredExp, free_vars
 
 BOUND_EXCEEDED_PREFIX = "$BOUND_EXCEEDED::"
 
 Entries = Union[Mapping[str, SExp], Iterable[Tuple[str, SExp]]]
 
 
-class State(Record):
-    __slots__ = ("entries", "_map", "_hash")
+class State(Node):
+    """A state, built from (name, value) pairs of which later ones win."""
+
+    __slots__ = ("entries", "_map")
     _fields = ("entries",)
 
-    def __init__(self, entries: tuple = ()):
+    def __new__(cls, entries: tuple = ()):
         mapping = dict(entries)
-        object.__setattr__(self, "entries", tuple(sorted(mapping.items())))
-        object.__setattr__(self, "_map", mapping)
-        object.__setattr__(self, "_hash", None)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.entries))
-        return self._hash
+        state = Node.__new__(cls, tuple(sorted(mapping.items())))
+        if not hasattr(state, "_map"):
+            # a new state; one found in the table has its map already
+            object.__setattr__(state, "_map", mapping)
+        return state
 
     def lookup(self, variable: str) -> Optional[SExp]:
         return self._map.get(variable)

@@ -13,9 +13,9 @@ a node nothing else holds leaves it.  Nodes are immutable.
 
 ``canon_key`` gives a total order over every syntax value, so that sets
 and multisets built from them can be canonicalized deterministically; a
-node computes its key once and keeps it.  ``Record`` is the immutable
-value with structural equality that states, atoms, markers and
-configurations build on.
+node computes its key once and keeps it.  States and trace atoms are
+nodes too.  ``Record`` is the immutable value with structural equality
+that markers and configurations build on.
 """
 
 from __future__ import annotations
@@ -92,6 +92,11 @@ class Node(Record):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # each field's slot setter, which goes round the raising ``__setattr__``
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
     def __new__(cls, *args):
         key = (cls, *args)
         ref = _interned.get(key)
@@ -99,12 +104,12 @@ class Node(Record):
             node = ref()
             if node is not None:
                 return node
-        fields = cls._fields
-        if len(args) != len(fields):
-            raise TypeError(f"{cls.__name__} takes {len(fields)} fields, got {len(args)}")
+        setters = cls._setters
+        if len(args) != len(setters):
+            raise TypeError(f"{cls.__name__} takes {len(setters)} fields, got {len(args)}")
         node = object.__new__(cls)
-        for name, value in zip(fields, args):
-            _set(node, name, value)
+        for setter, value in zip(setters, args):
+            setter(node, value)
         ref = _interned[key] = _Ref(node, _forget)
         ref.key = key
         if _held is not None:
@@ -120,12 +125,13 @@ _held = None
 def holding_nodes():
     """Keep every node built inside the block alive until the block ends.
 
-    A run builds many short-lived nodes again and again, such as the
-    numerals a loop test compares and the statements a step leaves
-    pending.  Held, each is built once and found in the table from then
-    on, and a node's identity, and so its hash, stays the same for the
-    whole block, so hashes taken at different times of a run compare
-    like the values.
+    Nodes here include states and trace atoms.  A run builds many
+    short-lived nodes again and again, such as the numerals a loop test
+    compares, the statements a step leaves pending and the states of
+    traces it drops.  Held, each is built once and found in the table
+    from then on, and a node's identity, and so its hash, stays the same
+    for the whole block, so hashes taken at different times of a run
+    compare like the values.
     """
     global _held
     outer, _held = _held, []

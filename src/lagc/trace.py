@@ -1,11 +1,13 @@
 """Symbolic traces: sequences of states and events, plus path conditions.
 
 A trace is a plain tuple of atoms so that concatenation, hashing and set
-membership come for free.  ``Summary`` folds what composition needs to
-know about a trace (a chained hash, concreteness, unanswered invocations,
-harvested call arguments) so that it can be extended atom by atom.  The
-partial operations (first/last state and the semantic chop) raise
-``UndefinedTraceOpError`` outside their domain instead of guessing.
+membership come for free.  Atoms, like states, are hash-consed syntax
+nodes, so comparing two traces costs one identity check per atom.
+``Summary`` folds what composition needs to know about a trace (a chained
+hash, concreteness, unanswered invocations, harvested call arguments) so
+that it can be extended atom by atom.  The partial operations (first/last
+state and the semantic chop) raise ``UndefinedTraceOpError`` outside their
+domain instead of guessing.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import NamedTuple, Optional, Tuple, Union
 from .errors import UndefinedTraceOpError
 from .evaluate import eval_exp_list, is_concrete
 from .state import State, is_concrete_state, is_wellformed_state, symbolic_vars
-from .syntax import ArithExp, BoolLit, MethodRef, Record, free_vars
+from .syntax import ArithExp, BoolLit, MethodRef, Node, Record, free_vars
 
 
 class EventKind(Enum):
@@ -28,22 +30,15 @@ class EventKind(Enum):
     __hash__ = object.__hash__
 
 
-class StateAtom(Record):
+class StateAtom(Node):
     __slots__ = _fields = ("state",)
     state: State
 
-    def __init__(self, state: State):
-        object.__setattr__(self, "state", state)
 
-
-class EventAtom(Record):
+class EventAtom(Node):
     __slots__ = _fields = ("kind", "args")
     kind: EventKind
     args: tuple
-
-    def __init__(self, kind: EventKind, args: tuple):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "args", args)
 
 
 TraceAtom = Union[StateAtom, EventAtom]

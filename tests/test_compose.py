@@ -378,11 +378,17 @@ def test_bounded_ext_matches_recursive_reference():
     rng = random.Random(67)
     methods = (Method("m0", "v", Assign("v", Num(1))),)
     table = method_table(methods)
+    cases = []
     for _ in range(60):
         stmt = rand_ext_stmt(rng, rng.randint(1, 4))
         sigma = rand_concrete_state(rng, tuple(sorted(free_vars(stmt) | {"x"})))
-        start = ExtConfig(singleton(sigma), (Pending(stmt),))
-        for bound in (0, 1, 2, 4):
+        cases.append((ExtConfig(singleton(sigma), (Pending(stmt),)), (0, 1, 2, 4)))
+    # a cycle in the configuration graph, whose traces grow on every turn
+    body = Seq(Assign("x", Num(1)), Assign("x", Num(0)))
+    loop = Seq(Assign("x", Num(0)), While(BoolLit(True), body))
+    cases.append((ExtConfig(singleton(make_state({"x": ZERO})), (Pending(loop),)), range(13)))
+    for start, bounds in cases:
+        for bound in bounds:
             assert compose_bounded_ext(bound, table, start) == _bounded_ext_reference(
                 bound, table, start
             )

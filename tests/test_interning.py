@@ -1,8 +1,9 @@
 """Hash-consed syntax nodes: one object per value, dropped when nothing holds it.
 
 Equal nodes are the same object however they were built, so equality is
-identity.  The table of nodes holds them weakly, so a node nobody refers
-to leaves it and repeated runs do not grow it.  ``canon_key``, memoized
+identity; states and trace atoms are nodes too.  The table of nodes holds
+them weakly, so a node nobody refers to leaves it and repeated runs do not
+grow it.  ``canon_key``, memoized
 per node, gives the keys of the recursive definition it replaced.
 """
 
@@ -16,13 +17,17 @@ from enum import Enum
 import pytest
 
 from lagc import cli, syntax
+from lagc.concretize import apply_conc_state
 from lagc.localeval import Pending
 from lagc.parser import parse_program
+from lagc.state import initial_state, make_state, update
 from lagc.syntax import (
     ABin,
+    ArithExp,
     ArithOp,
     Assign,
     Method,
+    MethodRef,
     Neg,
     Node,
     Num,
@@ -30,14 +35,17 @@ from lagc.syntax import (
     Record,
     Rel,
     RelOp,
+    STAR,
     Seq,
+    StoredExp,
     Var,
     While,
     canon_key,
     substitute,
 )
+from lagc.trace import EventAtom, EventKind, StateAtom, gen_event
 
-from gens import rand_ext_stmt, rand_state, rand_trace, rand_wl_stmt
+from gens import rand_concrete_trace, rand_ext_stmt, rand_state, rand_trace, rand_wl_stmt
 
 SOURCE = "x := y + 1 ;; while x <= 3 do x := x + 1 od"
 
@@ -66,6 +74,32 @@ def test_random_statements_built_twice_are_one_object():
         assert Pending(first) == Pending(second)
 
 
+def test_equal_states_built_separately_are_one_object():
+    one, two = StoredExp(Num(1)), StoredExp(Num(2))
+    sigma = make_state({"x": one, "y": STAR})
+    assert make_state([("y", STAR), ("x", one)]) is sigma
+    assert make_state([("x", two), ("y", STAR), ("x", one)]) is sigma
+    assert update(make_state({"y": STAR}), "x", one) is sigma
+    assert update(update(sigma, "x", two), "x", one) is sigma
+    rho = make_state({"y": two})
+    assert apply_conc_state(rho, sigma) is make_state({"x": one, "y": two})
+    zero = StoredExp(Num(0))
+    assert initial_state(["y", "x", "y"]) is make_state({"x": zero, "y": zero})
+    assert sigma.lookup("x") is one and "y" in sigma and len(sigma) == 2
+    assert StateAtom(sigma) is StateAtom(make_state({"y": STAR, "x": one}))
+
+
+def test_equal_event_atoms_are_one_object():
+    sigma = make_state({"x": StoredExp(Num(3))})
+    args = (MethodRef("m"), ArithExp(Var("x")))
+    first = gen_event(EventKind.INVOKE, sigma, args)
+    second = gen_event(EventKind.INVOKE, make_state({"x": StoredExp(Num(3))}), args)
+    assert all(a is b for a, b in zip(first, second))
+    assert first[1] is EventAtom(EventKind.INVOKE, (MethodRef("m"), ArithExp(Num(3))))
+    assert first[0] is first[2] is StateAtom(sigma)
+    assert gen_event(EventKind.REACT, sigma, args)[1] is not first[1]
+
+
 def test_a_node_nothing_holds_leaves_the_table():
     gc.collect()
     before = len(syntax._interned)
@@ -73,6 +107,19 @@ def test_a_node_nothing_holds_leaves_the_table():
     assert len(syntax._interned) == before + 3
     gone = weakref.ref(node)
     del node
+    gc.collect()
+    assert gone() is None
+    assert len(syntax._interned) == before
+
+
+def test_a_state_nothing_holds_leaves_the_table():
+    gc.collect()
+    before = len(syntax._interned)
+    sigma = make_state({"only_here": STAR})
+    atom = StateAtom(sigma)
+    assert len(syntax._interned) == before + 2
+    gone = weakref.ref(sigma)
+    del sigma, atom
     gc.collect()
     assert gone() is None
     assert len(syntax._interned) == before
@@ -129,7 +176,9 @@ def test_canon_key_matches_the_recursive_definition():
         stmt = rand_ext_stmt(rng, rng.randint(1, 8))
         values += [stmt, Pending(stmt), rand_wl_stmt(rng, rng.randint(1, 8))]
         values.append(Program((Method("m0", "v", rand_ext_stmt(rng, 3)),), stmt))
-        values += [rand_state(rng), rand_trace(rng), frozenset(rand_trace(rng))]
+        trace = rand_trace(rng)
+        values += [rand_state(rng), trace, *trace, frozenset(rand_trace(rng))]
+        values += [rand_concrete_trace(rng), *gen_event(EventKind.INPUT, trace[-1].state, ())]
     for value in values:
         assert canon_key(value) == _reference_key(value), value
     assert sorted(values, key=canon_key) == sorted(values, key=_reference_key)

@@ -17,8 +17,8 @@ from lagc import compose
 from lagc.errors import LagcError
 from lagc.localeval import Pending
 from lagc.parser import parse_program
-from lagc.syntax import Assign, Method, Num, Program, Skip, free_vars, occurrences
-from lagc.state import initial_state
+from lagc.syntax import Assign, Method, Num, Program, STAR, Skip, free_vars, occurrences
+from lagc.state import initial_state, make_state
 from lagc.trace import singleton
 
 from gens import rand_concrete_state, rand_ext_stmt, rand_state, rand_wl_stmt
@@ -116,6 +116,26 @@ def test_ext_from_initial_state_matches_reference():
     for _ in range(100):
         program = Program(METHODS, rand_ext_stmt(rng, rng.randint(1, 5)))
         assert_same_ext(program, initial_state(occurrences(program)), rng.choice(INCREMENTS))
+
+
+@pytest.mark.parametrize("skips", [0, 1, 2])
+@pytest.mark.parametrize("max_rounds, increment", [(1, 1), (2, 1), (3, 1), (2, 2), (100, 100)])
+def test_wl_stuck_configuration_at_the_budget_matches_reference(skips, max_rounds, increment):
+    # from x = *, wl can take neither branch of the test, so the configuration
+    # that reaches the ``if``, after ``skips`` steps, has no successor
+    stmt = parse_program("skip ;; " * skips + "if x == 0 then skip fi", "wl").main
+    sigma = make_state({"x": STAR})
+    policy = compose.ComposePolicy(increment=increment, max_rounds=max_rounds)
+    ref_policy = ref.ComposePolicy(increment=increment, max_rounds=max_rounds)
+    outcome = _outcome(lambda: compose.traces_wl(stmt, sigma, policy))
+    assert outcome == _outcome(lambda: ref.traces_wl(stmt, sigma, ref_policy))
+    if skips >= (max_rounds - 1) * increment:
+        bound = max_rounds * increment
+        assert outcome == (
+            "DivergenceLimitError", f"no fixpoint after {max_rounds} rounds (bound {bound})"
+        )
+    else:
+        assert outcome == frozenset()
 
 
 @pytest.mark.parametrize(

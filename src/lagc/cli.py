@@ -18,7 +18,14 @@ import json
 import sys
 from pathlib import Path
 
-from .compose import DEFAULT_POLICY, ComposePolicy, initial_state_for, traces_ext, traces_wl
+from .compose import (
+    DEFAULT_POLICY,
+    ComposePolicy,
+    initial_state_for,
+    memoizing,
+    traces_ext,
+    traces_wl,
+)
 from .errors import (
     DivergenceLimitError,
     FreshBoundExceededError,
@@ -182,7 +189,7 @@ _MESSAGES = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with holding_nodes():
+        with holding_nodes(), memoizing():
             return _COMMANDS[args.command](args)
     except tuple(_EXIT_CODES) as exc:
         kind = next(kind for kind in _EXIT_CODES if isinstance(exc, kind))

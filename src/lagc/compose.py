@@ -60,14 +60,28 @@ node first appears after ``B + 1`` steps or, once the graph is closed, a
 cycle is reachable or the longest path is longer than ``B``.  The traces
 come from replaying the paths layer by layer over pairs of a node and a
 trace, merged by node and the chained hash of ``trace[:-1]``.
+
+Three caches keep the ext engine from computing the same thing twice in
+one command.  A local step is memoized per ``(marker, state, fresh_bound,
+conc_numeral)``: ``valuate``, the minimal mapping of each local trace and
+the consistency check run once per key, and only gluing the kept local
+traces onto a configuration's trace is done per configuration.  A state
+keeps, once asked, whether it is concrete and which names it maps to
+``*`` (see ``lagc.state``).  Concretizing is memoized per ``(rho,
+atom)``, shared by the steps that concretize a whole trace and by the
+replay of their edges.  The step and concretization tables live as long
+as the outermost ``memoizing`` block; ``lagc.cli.main`` opens one per
+command, and an exploration or ``trace_equivalent`` called outside any
+opens its own.  No table outlives the block.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import contextmanager
 
-from .concretize import concretize_trace, min_conc_map_trace
+from .concretize import concretize_atom, min_conc_map_trace
 from .errors import (
     DivergenceLimitError,
     FreshBoundExceededError,
@@ -96,7 +110,7 @@ from .trace import (
     Summary,
     Trace,
     gen_event,
-    is_concrete_trace,
+    is_concrete_atom,
     is_consistent,
     last_state,
     semantic_chop,
@@ -321,6 +335,72 @@ def traces_wl(
 # Concurrent extension
 
 
+class _Memo:
+    """The local-step and concretization tables one command shares; see ``memoizing``."""
+
+    __slots__ = ("steps", "atoms")
+
+    def __init__(self):
+        self.steps, self.atoms = {}, {}
+
+
+# the tables of the outermost ``memoizing`` block, or None outside every block
+_memo = None
+
+
+@contextmanager
+def memoizing():
+    """Share one step table and one concretization table across the block.
+
+    A block inside another uses the outer block's tables, and the
+    outermost block drops them when it ends; see the module docstring.
+    """
+    global _memo
+    if _memo is not None:
+        yield
+        return
+    _memo = _Memo()
+    try:
+        yield
+    finally:
+        _memo = None
+
+
+def _local_steps(marker: Pending, sigma: State, fresh_bound: int, conc_numeral: int) -> tuple:
+    """The local steps of ``marker`` in ``sigma`` whose path condition is consistent.
+
+    Each is ``(local trace, next marker, minimal mapping of the local
+    trace)``.  The path condition is judged after simplification under
+    that mapping.  The result is memoized per ``(marker, sigma,
+    fresh_bound, conc_numeral)`` in the command's table; an error is not,
+    so it is raised again on every call.
+    """
+    table = {} if _memo is None else _memo.steps
+    key = (marker, sigma, fresh_bound, conc_numeral)
+    steps = table.get(key)
+    if steps is None:
+        steps = []
+        for cont in valuate(marker, sigma, "ext", fresh_bound):
+            local = cont.cond.trace
+            local_map = min_conc_map_trace(local, conc_numeral)
+            if is_consistent(eval_bexp_set(cont.cond.pc, local_map)):
+                steps.append((local, cont.marker, local_map))
+        steps = table[key] = tuple(steps)
+    return steps
+
+
+def _concretize(rho: State, trace: Trace) -> Trace:
+    """``concretize_trace(rho, trace)``, mapping each distinct (ρ, atom) once per command."""
+    images = {} if _memo is None else _memo.atoms.setdefault(rho, {})
+    out = []
+    for atom in trace:
+        image = images.get(atom)
+        if image is None:
+            image = images[atom] = concretize_atom(rho, atom)
+        out.append(image)
+    return tuple(out)
+
+
 def basic_successors(
     config: WlConfig,
     fresh_bound: int = DEFAULT_FRESH_BOUND,
@@ -330,33 +410,34 @@ def basic_successors(
 
     Path conditions are judged after simplification under the minimal
     mapping of the local trace; surviving glued traces are concretized
-    under their own minimal mapping.
+    under their own minimal mapping.  The surviving local steps come
+    from ``_local_steps``; gluing them onto the configuration's trace is
+    done per configuration.
 
-    That step is skipped when the global trace before its last state and
-    the local trace are both concrete, which the configuration's prefix
-    summary, extended by the local trace, tells without walking the global
-    trace.  The glued trace is then concrete, its minimal mapping (like
-    the local trace's) is empty, and concretizing under the empty mapping
-    rebuilds every atom equal to itself, so the glued trace is kept as it
-    is and shares the global trace's states.  A non-empty mapping adds its
-    keys (a fresh ``$x::Input``, say) to every earlier state, so then the
-    whole glued trace is concretized, its summary folded afresh, and the
-    mapping kept as the successor's ``rho``.
+    Concretizing is skipped when the global trace before its last state
+    and the local trace are both concrete, which the configuration's
+    prefix summary, extended by the local trace, tells without walking
+    the global trace.  The glued trace is then concrete, its minimal
+    mapping (like the local trace's) is empty, and concretizing under the
+    empty mapping rebuilds every atom equal to itself, so the glued trace
+    is kept as it is and shares the global trace's states.  A non-empty
+    mapping adds its keys (a fresh ``$x::Input``, say) to every earlier
+    state, so then the whole glued trace is concretized, its summary
+    folded afresh, and the mapping kept as the successor's ``rho``.  When
+    the global trace before its last state is concrete, it maps no name
+    to ``*``, so that mapping is the local trace's.
     """
     sigma, marker = _pending(config)
+    prefix = config.prefix
     out = set()
-    for cont in valuate(marker, sigma, "ext", fresh_bound):
-        local = cont.cond.trace
-        local_map = min_conc_map_trace(local, conc_numeral)
-        if not is_consistent(eval_bexp_set(cont.cond.pc, local_map)):
-            continue
+    for local, after, local_map in _local_steps(marker, sigma, fresh_bound, conc_numeral):
         glued = semantic_chop(config.trace, local)
-        prefix = config.prefix.extend(local[:-1])
-        if prefix.concrete and is_concrete_trace(local[-1:]):
-            out.add(WlConfig(glued, cont.marker, prefix))
+        extended = prefix.extend(local[:-1])
+        if extended.concrete and is_concrete_atom(local[-1]):
+            out.add(WlConfig(glued, after, extended))
         else:
-            rho = min_conc_map_trace(glued, conc_numeral)
-            out.add(WlConfig(concretize_trace(rho, glued), cont.marker, rho=rho))
+            rho = local_map if prefix.concrete else min_conc_map_trace(glued, conc_numeral)
+            out.add(WlConfig(_concretize(rho, glued), after, rho=rho))
     return frozenset(out)
 
 
@@ -530,11 +611,12 @@ def _chain(chained: int, atoms) -> int:
     return chained
 
 
-def _paths(root: _Node, steps: int) -> frozenset:
-    """The configurations that end the paths from ``root`` of at most ``steps`` steps.
+def _paths(root: _Node, steps: int) -> list:
+    """The ends of the paths from ``root`` of at most ``steps`` steps.
 
     A path ends at a terminal or unexpanded node, or after ``steps`` steps.
-    A layer maps a node and the chained hash of ``trace[:-1]`` to the
+    An end is ``(node, chained, trace)``, where ``chained`` is the chained
+    hash of ``trace[:-1]``.  A layer maps a node and that hash to the
     distinct traces reached there, so equal traces meet without hashing
     whole tuples.
     """
@@ -544,7 +626,7 @@ def _paths(root: _Node, steps: int) -> frozenset:
         step = {}
         for (node, chained), traces in layer.items():
             if not node.edges:
-                ends += (_end(node, trace, chained) for trace in traces)
+                ends += ((node, chained, trace) for trace in traces)
                 continue
             for target, rho, tail in node.edges:
                 if rho is None:
@@ -554,7 +636,7 @@ def _paths(root: _Node, steps: int) -> frozenset:
                     if rho is None:
                         reached = trace[:-1] + tail
                     else:
-                        reached = concretize_trace(rho, trace[:-1]) + tail
+                        reached = _concretize(rho, trace[:-1]) + tail
                         key = (target, _chain(EMPTY_SUMMARY.hash, reached[:-1]))
                         bucket = step.setdefault(key, [])
                     if reached not in bucket:
@@ -563,14 +645,32 @@ def _paths(root: _Node, steps: int) -> frozenset:
         if not layer:
             break
     for (node, chained), traces in layer.items():
-        ends += (_end(node, trace, chained) for trace in traces)
-    return frozenset(ends)
+        ends += ((node, chained, trace) for trace in traces)
+    return ends
 
 
-def _end(node: _Node, trace: Trace, chained: int) -> ExtConfig:
+def _end(node: _Node, chained: int, trace: Trace) -> ExtConfig:
     """The configuration of ``node`` with ``trace``, whose ``trace[:-1]`` chains to ``chained``."""
     rep = node.rep
     return ExtConfig(trace, rep.markers, rep.prefix._replace(hash=chained))
+
+
+def _bounded_ends(
+    bound: int, table, config: ExtConfig, fresh_bound: int, conc_numeral: int
+) -> list:
+    with memoizing():
+        nodes, _ = _graph(config, table, fresh_bound, conc_numeral, bound)
+        return _paths(nodes[0], bound)
+
+
+def _fixpoint_ends(policy: ComposePolicy, table, config: ExtConfig) -> list:
+    budget = (policy.max_rounds - 1) * policy.increment
+    with memoizing():
+        nodes, beyond = _graph(config, table, policy.fresh_bound, policy.conc_numeral, budget + 1)
+        longest = math.inf if beyond else _longest_path(nodes)
+        if longest > budget:
+            raise _divergence(policy)
+        return _paths(nodes[0], longest)
 
 
 def compose_bounded_ext(
@@ -581,18 +681,13 @@ def compose_bounded_ext(
     conc_numeral: int = 0,
 ) -> frozenset:
     """Like the wl variant, but a configuration is terminal iff it has no successors."""
-    nodes, _ = _graph(config, table, fresh_bound, conc_numeral, bound)
-    return _paths(nodes[0], bound)
+    ends = _bounded_ends(bound, table, config, fresh_bound, conc_numeral)
+    return frozenset(_end(*end) for end in ends)
 
 
 def compose_ext(policy: ComposePolicy, table, config: ExtConfig) -> frozenset:
     """Every configuration reached, provided no path is longer than the policy's budget."""
-    budget = (policy.max_rounds - 1) * policy.increment
-    nodes, beyond = _graph(config, table, policy.fresh_bound, policy.conc_numeral, budget + 1)
-    longest = math.inf if beyond else _longest_path(nodes)
-    if longest > budget:
-        raise _divergence(policy)
-    return _paths(nodes[0], longest)
+    return frozenset(_end(*end) for end in _fixpoint_ends(policy, table, config))
 
 
 def traces_ext(
@@ -601,16 +696,17 @@ def traces_ext(
     policy: ComposePolicy = DEFAULT_POLICY,
     bound: int | None = None,
 ) -> frozenset:
-    """The fixpoint trace set of ``program``, or the bounded one when ``bound`` is given."""
+    """The fixpoint trace set of ``program``, or the bounded one when ``bound`` is given.
+
+    The traces come straight from the path ends; no configuration is built for them.
+    """
     table = method_table(program.methods)
     start = ExtConfig(singleton(sigma), (Pending(program.main),))
     if bound is None:
-        reached = compose_ext(policy, table, start)
+        ends = _fixpoint_ends(policy, table, start)
     else:
-        reached = compose_bounded_ext(
-            bound, table, start, policy.fresh_bound, policy.conc_numeral
-        )
-    return frozenset(c.trace for c in reached)
+        ends = _bounded_ends(bound, table, start, policy.fresh_bound, policy.conc_numeral)
+    return frozenset(trace for _, _, trace in ends)
 
 
 # ---------------------------------------------------------------------------
@@ -624,16 +720,20 @@ def trace_equivalent(
     policy: ComposePolicy = DEFAULT_POLICY,
     mode: str | None = None,
 ) -> bool:
-    """Whether both operands generate the same global trace set from ``sigma``."""
-    if isinstance(left, Program) and isinstance(right, Program):
-        return traces_ext(left, sigma, policy) == traces_ext(right, sigma, policy)
-    if isinstance(left, Program) or isinstance(right, Program):
-        raise ModeError("cannot compare a program against a bare statement")
-    if mode == "ext":
-        return traces_ext(Program((), left), sigma, policy) == traces_ext(
-            Program((), right), sigma, policy
-        )
-    return traces_wl(left, sigma, policy) == traces_wl(right, sigma, policy)
+    """Whether both operands generate the same global trace set from ``sigma``.
+
+    Both sides share one set of ``memoizing`` tables.
+    """
+    with memoizing():
+        if isinstance(left, Program) and isinstance(right, Program):
+            return traces_ext(left, sigma, policy) == traces_ext(right, sigma, policy)
+        if isinstance(left, Program) or isinstance(right, Program):
+            raise ModeError("cannot compare a program against a bare statement")
+        if mode == "ext":
+            return traces_ext(Program((), left), sigma, policy) == traces_ext(
+                Program((), right), sigma, policy
+            )
+        return traces_wl(left, sigma, policy) == traces_wl(right, sigma, policy)
 
 
 def initial_state_for(*items) -> State:

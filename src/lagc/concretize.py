@@ -5,13 +5,20 @@ symbolic variables of its target.  Applying one evaluates the target under
 the mapping and then lets the mapping win on common keys.  The minimal
 mapping sends every symbolic variable to one fixed numeral, which is what
 the composition engine uses at every step.
+
+Concretization works atom by atom (``concretize_atom``), so the engine
+maps each distinct pair of a mapping and an atom once per command and
+reuses the result (``compose._concretize``).  Which names a state maps to
+``*`` is kept with the state (``state.star_names``), so the minimal
+mapping of a trace reads one slot per state and builds no state of its
+own but the result.
 """
 
 from __future__ import annotations
 
 from .evaluate import eval_bexp_set, eval_exp_list, eval_sexp
-from .state import State, domain, is_concrete_state, symbolic_vars
-from .syntax import Num, Star, StoredExp
+from .state import EMPTY_STATE, State, domain, is_concrete_state, star_names, symbolic_vars
+from .syntax import Num, StoredExp
 from .trace import CondTrace, EventAtom, StateAtom, Trace
 
 
@@ -27,13 +34,8 @@ def apply_conc_state(rho: State, sigma: State) -> State:
 
 
 def min_conc_map_state(sigma: State, numeral: int) -> State:
-    return State(
-        tuple(
-            (name, StoredExp(Num(numeral)))
-            for name, value in sigma.entries
-            if isinstance(value, Star)
-        )
-    )
+    value = StoredExp(Num(numeral))
+    return State(tuple((name, value) for name in star_names(sigma)))
 
 
 def is_conc_map_trace(rho: State, trace: Trace) -> bool:
@@ -47,21 +49,30 @@ def is_conc_map_trace(rho: State, trace: Trace) -> bool:
 
 
 def min_conc_map_trace(trace: Trace, numeral: int) -> State:
-    """Combine the minimal mappings of all states, later states winning."""
-    merged: dict = {}
+    """Combine the minimal mappings of all states, later states winning.
+
+    Every image is the same numeral, so the mapping is that numeral on
+    every name some state maps to ``*``: ``EMPTY_STATE`` for a concrete
+    trace.
+    """
+    names = set()
     for atom in trace:
         if isinstance(atom, StateAtom):
-            merged.update(min_conc_map_state(atom.state, numeral).as_dict())
-    return State(tuple(merged.items()))
+            names.update(star_names(atom.state))
+    if not names:
+        return EMPTY_STATE
+    value = StoredExp(Num(numeral))
+    return State(tuple((name, value) for name in names))
+
+
+def concretize_atom(rho: State, atom):
+    if isinstance(atom, StateAtom):
+        return StateAtom(apply_conc_state(rho, atom.state))
+    return EventAtom(atom.kind, eval_exp_list(atom.args, rho))
 
 
 def concretize_trace(rho: State, trace: Trace) -> Trace:
-    return tuple(
-        StateAtom(apply_conc_state(rho, atom.state))
-        if isinstance(atom, StateAtom)
-        else EventAtom(atom.kind, eval_exp_list(atom.args, rho))
-        for atom in trace
-    )
+    return tuple(concretize_atom(rho, atom) for atom in trace)
 
 
 def concretize_cond_trace(rho: State, cond: CondTrace) -> CondTrace:

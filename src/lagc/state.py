@@ -11,23 +11,32 @@ from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .syntax import Node, Num, SExp, Star, StoredExp, free_vars
 
+_set = object.__setattr__
+
 BOUND_EXCEEDED_PREFIX = "$BOUND_EXCEEDED::"
 
 Entries = Union[Mapping[str, SExp], Iterable[Tuple[str, SExp]]]
 
 
 class State(Node):
-    """A state, built from (name, value) pairs of which later ones win."""
+    """A state, built from (name, value) pairs of which later ones win.
 
-    __slots__ = ("entries", "_map")
+    Besides its entries a state keeps its map for lookups and, once asked,
+    whether it is concrete and which names it maps to ``*``.  Each of those
+    facts is computed at most once per state, when first asked, and the
+    two separately: a wl run asks every state the first and hardly any
+    the second.
+    """
+
+    __slots__ = ("entries", "_map", "_concrete", "_stars")
     _fields = ("entries",)
 
     def __new__(cls, entries: tuple = ()):
         mapping = dict(entries)
         state = Node.__new__(cls, tuple(sorted(mapping.items())))
-        if not hasattr(state, "_map"):
+        if state._map is None:
             # a new state; one found in the table has its map already
-            object.__setattr__(state, "_map", mapping)
+            _set(state, "_map", mapping)
         return state
 
     def lookup(self, variable: str) -> Optional[SExp]:
@@ -61,9 +70,18 @@ def update(sigma: State, variable: str, value: SExp) -> State:
     return State(sigma.entries + ((variable, value),))
 
 
+def star_names(sigma: State) -> tuple:
+    """The variables the state maps to the symbolic placeholder, in name order."""
+    stars = sigma._stars
+    if stars is None:
+        stars = tuple(name for name, value in sigma.entries if isinstance(value, Star))
+        _set(sigma, "_stars", stars)
+    return stars
+
+
 def symbolic_vars(sigma: State) -> frozenset:
     """Variables the state maps to the symbolic placeholder."""
-    return frozenset(name for name, value in sigma.entries if isinstance(value, Star))
+    return frozenset(star_names(sigma))
 
 
 def is_wellformed_state(sigma: State) -> bool:
@@ -74,10 +92,14 @@ def is_wellformed_state(sigma: State) -> bool:
 
 def is_concrete_state(sigma: State) -> bool:
     """Every image is a plain numeral."""
-    return all(
-        isinstance(value, StoredExp) and isinstance(value.arith, Num)
-        for _, value in sigma.entries
-    )
+    concrete = sigma._concrete
+    if concrete is None:
+        concrete = all(
+            isinstance(value, StoredExp) and isinstance(value.arith, Num)
+            for _, value in sigma.entries
+        )
+        _set(sigma, "_concrete", concrete)
+    return concrete
 
 
 def vargen(sigma: State, n: int, bound: int, variable: str) -> str:

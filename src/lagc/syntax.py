@@ -85,7 +85,9 @@ def _forget(ref: _Ref, table: dict = _interned) -> None:
 class Node(Record):
     """A syntax node, hash-consed at construction; see the module docstring.
 
-    The constructor takes the fields positionally.
+    The constructor takes the fields positionally.  Every other slot, such
+    as the memoized ``_key``, starts out as ``None`` in a new node, so a
+    memo is read without catching an ``AttributeError``.
     """
 
     __slots__ = ("_key", "__weakref__")
@@ -96,6 +98,13 @@ class Node(Record):
         super().__init_subclass__(**kwargs)
         # each field's slot setter, which goes round the raising ``__setattr__``
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+        # the setters of the slots that are not fields, each set to None
+        cls._memo_setters = tuple(
+            getattr(cls, name).__set__
+            for klass in cls.__mro__
+            for name in vars(klass).get("__slots__", ())
+            if name not in cls._fields and name != "__weakref__"
+        )
 
     def __new__(cls, *args):
         key = (cls, *args)
@@ -110,6 +119,8 @@ class Node(Record):
         node = object.__new__(cls)
         for setter, value in zip(setters, args):
             setter(node, value)
+        for setter in cls._memo_setters:
+            setter(node, None)
         ref = _interned[key] = _Ref(node, _forget)
         ref.key = key
         if _held is not None:
@@ -288,11 +299,9 @@ class _Branch(Node):
         Each step of a loop asks for it, and the statement keeps the
         negation alive, so it is not built again every step.
         """
-        try:
-            return self._neg
-        except AttributeError:
+        if self._neg is None:
             _set(self, "_neg", Neg(self.cond))
-            return self._neg
+        return self._neg
 
 
 class If(_Branch):
@@ -397,11 +406,11 @@ def canon_key(value):
     node's key is computed once and kept in the node.
     """
     if isinstance(value, Node):
-        try:
-            return value._key
-        except AttributeError:
-            _set(value, "_key", _fields_key(value, value._fields))
-            return value._key
+        key = value._key
+        if key is None:
+            key = _fields_key(value, value._fields)
+            _set(value, "_key", key)
+        return key
     if isinstance(value, bool):
         return (_KIND_PRIMITIVE, 0, int(value))
     if isinstance(value, int):

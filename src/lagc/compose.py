@@ -401,44 +401,58 @@ def _concretize(rho: State, trace: Trace) -> Trace:
     return tuple(out)
 
 
-def basic_successors(
-    config: WlConfig,
-    fresh_bound: int = DEFAULT_FRESH_BOUND,
-    conc_numeral: int = 0,
-) -> frozenset:
-    """One step of a single process, with composition-time concretization.
+def _glue(
+    trace: Trace,
+    prefix: Summary,
+    sigma: State,
+    marker: Pending,
+    fresh_bound: int,
+    conc_numeral: int,
+) -> list:
+    """The steps of ``marker`` in ``sigma``, the last state of ``trace``, glued onto ``trace``.
 
-    Path conditions are judged after simplification under the minimal
-    mapping of the local trace; surviving glued traces are concretized
-    under their own minimal mapping.  The surviving local steps come
-    from ``_local_steps``; gluing them onto the configuration's trace is
-    done per configuration.
+    Each is ``(glued trace, next marker, summary of the glued trace
+    without its last state or None, rho)``, the fields of a configuration
+    but its markers.  Path conditions are judged after simplification
+    under the minimal mapping of the local trace; surviving glued traces
+    are concretized under their own minimal mapping.  The surviving local
+    steps come from ``_local_steps``; gluing them onto ``trace`` is done
+    per configuration.
 
     Concretizing is skipped when the global trace before its last state
-    and the local trace are both concrete, which the configuration's
-    prefix summary, extended by the local trace, tells without walking
+    and the local trace are both concrete, which ``prefix``, the summary
+    of ``trace[:-1]``, extended by the local trace, tells without walking
     the global trace.  The glued trace is then concrete, its minimal
     mapping (like the local trace's) is empty, and concretizing under the
     empty mapping rebuilds every atom equal to itself, so the glued trace
     is kept as it is and shares the global trace's states.  A non-empty
     mapping adds its keys (a fresh ``$x::Input``, say) to every earlier
-    state, so then the whole glued trace is concretized, its summary
-    folded afresh, and the mapping kept as the successor's ``rho``.  When
+    state, so then the whole glued trace is concretized, its summary left
+    to be folded afresh, and the mapping kept as the step's ``rho``.  When
     the global trace before its last state is concrete, it maps no name
     to ``*``, so that mapping is the local trace's.
     """
-    sigma, marker = _pending(config)
-    prefix = config.prefix
-    out = set()
+    out = []
     for local, after, local_map in _local_steps(marker, sigma, fresh_bound, conc_numeral):
-        glued = semantic_chop(config.trace, local)
+        glued = semantic_chop(trace, local)
         extended = prefix.extend(local[:-1])
         if extended.concrete and is_concrete_atom(local[-1]):
-            out.add(WlConfig(glued, after, extended))
+            out.append((glued, after, extended, None))
         else:
             rho = local_map if prefix.concrete else min_conc_map_trace(glued, conc_numeral)
-            out.add(WlConfig(_concretize(rho, glued), after, rho=rho))
-    return frozenset(out)
+            out.append((_concretize(rho, glued), after, None, rho))
+    return out
+
+
+def basic_successors(
+    config: WlConfig,
+    fresh_bound: int = DEFAULT_FRESH_BOUND,
+    conc_numeral: int = 0,
+) -> frozenset:
+    """One step of a single process, with composition-time concretization; see ``_glue``."""
+    sigma, marker = _pending(config)
+    steps = _glue(config.trace, config.prefix, sigma, marker, fresh_bound, conc_numeral)
+    return frozenset(WlConfig(*step) for step in steps)
 
 
 def successors1(
@@ -452,19 +466,20 @@ def successors1(
     then the least error is raised, so the error does not depend on the
     order in which the configuration lists its markers.
     """
-    last_state(config.trace)
+    trace, prefix = config.trace, config.prefix
+    sigma = last_state(trace)
     pending = [m for m in dict.fromkeys(config.markers) if isinstance(m, Pending)]
 
-    def step(marker: Pending) -> frozenset:
-        process = WlConfig(config.trace, marker, config.prefix)
-        return basic_successors(process, fresh_bound, conc_numeral)
+    def step(marker: Pending) -> list:
+        return _glue(trace, prefix, sigma, marker, fresh_bound, conc_numeral)
 
     out = set()
-    for marker, succs in _expand_all(pending, step):
+    for marker, steps in _expand_all(pending, step):
         rest = list(config.markers)
         rest.remove(marker)
-        for succ in succs:
-            out.add(ExtConfig(succ.trace, tuple(rest) + (succ.marker,), succ.prefix, succ.rho))
+        rest = tuple(rest)
+        for glued, after, summary, rho in steps:
+            out.add(ExtConfig(glued, rest + (after,), summary, rho))
     return frozenset(out)
 
 

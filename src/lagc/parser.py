@@ -30,7 +30,6 @@ from .syntax import (
     Neg,
     Num,
     Program,
-    Record,
     Rel,
     RelOp,
     Seq,
@@ -51,79 +50,73 @@ KEYWORDS = {
 
 IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*(?::+[A-Za-z0-9_$]+)*")
 
+# Each match skips the whitespace before one token: an identifier (a
+# keyword is one too), a numeral, a symbol, the end of the input or, for
+# any other character, ``bad``.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    rf"|(?P<ident>{IDENT_RE.pattern})"
+    rf"\s*(?:(?P<ident>{IDENT_RE.pattern})"
     r"|(?P<num>\d+)"
     r"|(?P<sym>:=|;;|\|\||&&|<=|>=|==|[!+\-*();{}])"
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>.))",
+    re.DOTALL,
 )
 
 
-class Token(Record):
-    __slots__ = _fields = ("kind", "text", "line", "column")
-    kind: str  # 'ident' | 'num' | 'sym' | 'kw' | 'eof'
-    text: str
-    line: int
-    column: int
-
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "column", column)
+def _error(source: str, offset: int, expected: str, found: str) -> ParseError:
+    """A ``ParseError`` at ``offset`` of ``source``, with 1-based line and column."""
+    line_start = source.rfind("\n", 0, offset)
+    return ParseError(source.count("\n", 0, offset) + 1, offset - line_start, expected, found)
 
 
-def tokenize(source: str):
+def tokenize(source: str) -> list:
+    """The tokens of ``source``, each ``(kind, text, offset)``, the last of kind ``eof``.
+
+    A kind is ``ident``, ``kw``, ``num``, ``sym`` or ``eof``, and the
+    offset is where the token starts in ``source``.
+    """
     tokens = []
-    line, column = 1, 1
-    pos = 0
-    while pos < len(source):
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            raise ParseError(line, column, "a token", source[pos])
-        text = match.group(0)
+    for match in _TOKEN_RE.finditer(source):
         kind = match.lastgroup
-        if kind != "ws":
-            if kind == "ident" and text in KEYWORDS:
+        text, offset = match[kind], match.start(kind)
+        if kind == "ident":
+            if text in KEYWORDS:
                 kind = "kw"
-            tokens.append(Token(kind, text, line, column))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            column = len(text) - text.rfind("\n")
-        else:
-            column += len(text)
-        pos = match.end()
-    tokens.append(Token("eof", "", line, column))
-    return tokens
+        elif kind == "bad":
+            raise _error(source, offset, "a token", text)
+        tokens.append((kind, text, offset))
+        if kind == "eof":
+            return tokens
 
 
 class _Parser:
     def __init__(self, source: str):
+        self.source = source
         self.tokens = tokenize(source)
         self.index = 0
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.tokens[self.index]
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple:
         token = self.tokens[self.index]
         self.index += 1
         return token
 
     def fail(self, expected: str):
-        token = self.peek()
-        raise ParseError(token.line, token.column, expected, token.text or "end of input")
+        _, text, offset = self.peek()
+        raise _error(self.source, offset, expected, text or "end of input")
 
     def accept(self, kind: str, text: str = None):
-        token = self.peek()
-        if token.kind == kind and (text is None or token.text == text):
-            return self.advance()
+        token = self.tokens[self.index]
+        if token[0] == kind and (text is None or token[1] == text):
+            self.index += 1
+            return token
         return None
 
-    def expect(self, kind: str, text: str = None) -> Token:
+    def expect(self, kind: str, text: str = None) -> tuple:
         token = self.accept(kind, text)
         if token is None:
             self.fail(text if text is not None else kind)
@@ -131,9 +124,10 @@ class _Parser:
 
     def ident(self) -> str:
         token = self.peek()
-        if token.kind != "ident":
+        if token[0] != "ident":
             self.fail("an identifier")
-        return self.advance().text
+        self.index += 1
+        return token[1]
 
     # -- arithmetic expressions --------------------------------------------
 
@@ -154,18 +148,18 @@ class _Parser:
         return left
 
     def aprimary(self) -> AExp:
-        token = self.peek()
-        if token.kind == "num":
+        kind, text, _ = self.peek()
+        if kind == "num":
             self.advance()
-            return Num(int(token.text))
-        if token.kind == "sym" and token.text == "-":
+            return Num(int(text))
+        if kind == "sym" and text == "-":
             self.advance()
             literal = self.expect("num")
-            return Num(-int(literal.text))
-        if token.kind == "ident":
+            return Num(-int(literal[1]))
+        if kind == "ident":
             self.advance()
-            return Var(token.text)
-        if token.kind == "sym" and token.text == "(":
+            return Var(text)
+        if kind == "sym" and text == "(":
             self.advance()
             inner = self.aexp()
             self.expect("sym", ")")
@@ -226,37 +220,37 @@ class _Parser:
         return node
 
     def atom_stmt(self) -> Stmt:
-        token = self.peek()
-        if token.kind == "kw":
-            if token.text == "skip":
+        kind, text, _ = self.peek()
+        if kind == "kw":
+            if text == "skip":
                 self.advance()
                 return Skip()
-            if token.text == "if":
+            if text == "if":
                 self.advance()
                 cond = self.bexp()
                 self.expect("kw", "then")
                 body = self.stmt()
                 self.expect("kw", "fi")
                 return If(cond, body)
-            if token.text == "while":
+            if text == "while":
                 self.advance()
                 cond = self.bexp()
                 self.expect("kw", "do")
                 body = self.stmt()
                 self.expect("kw", "od")
                 return While(cond, body)
-            if token.text == "co":
+            if text == "co":
                 self.advance()
                 left = self.stmt()
                 self.expect("sym", "||")
                 right = self.stmt()
                 self.expect("kw", "oc")
                 return LocPar(left, right)
-            if token.text == "scope":
+            if text == "scope":
                 self.advance()
                 self.expect("sym", "(")
                 decls = []
-                if self.peek().kind == "ident":
+                if self.peek()[0] == "ident":
                     decls.append(self.ident())
                     while self.accept("sym", ";"):
                         decls.append(self.ident())
@@ -265,17 +259,17 @@ class _Parser:
                 body = self.stmt()
                 self.expect("sym", "}")
                 return LocMem(tuple(decls), body)
-            if token.text == "input":
+            if text == "input":
                 self.advance()
                 return Input(self.ident())
-            if token.text == "guard":
+            if text == "guard":
                 self.advance()
                 cond = self.bexp()
                 self.expect("kw", "then")
                 body = self.stmt()
                 self.expect("kw", "end")
                 return Guard(cond, body)
-            if token.text == "call":
+            if text == "call":
                 self.advance()
                 name = self.ident()
                 self.expect("sym", "(")
@@ -283,12 +277,12 @@ class _Parser:
                 self.expect("sym", ")")
                 return Call(name, arg)
             self.fail("a statement")
-        if token.kind == "sym" and token.text == "(":
+        if kind == "sym" and text == "(":
             self.advance()
             inner = self.stmt()
             self.expect("sym", ")")
             return inner
-        if token.kind == "ident":
+        if kind == "ident":
             target = self.ident()
             self.expect("sym", ":=")
             return Assign(target, self.aexp())
@@ -311,7 +305,7 @@ class _Parser:
         if self.accept("kw", "program"):
             self.expect("sym", "{")
             methods = []
-            while self.peek().kind == "kw" and self.peek().text == "method":
+            while self.peek()[:2] == ("kw", "method"):
                 methods.append(self.method())
             self.expect("kw", "main")
             self.expect("sym", "{")
@@ -327,7 +321,7 @@ def parse_program(source: str, mode: str = "ext") -> Program:
     check_mode(mode)
     parser = _Parser(source)
     program = parser.program()
-    if parser.peek().kind != "eof":
+    if parser.peek()[0] != "eof":
         parser.fail("end of input")
     if mode == "wl":
         if program.methods:
@@ -349,7 +343,7 @@ def parse_expression(source: str):
         parser.index = 0
         try:
             expr = parse()
-            if parser.peek().kind == "eof":
+            if parser.peek()[0] == "eof":
                 return expr
             parser.fail("end of input")
         except ParseError as exc:

@@ -8,6 +8,8 @@ sorted order and trace sets are sorted by the canonical syntax order.
 from __future__ import annotations
 
 import json
+from itertools import groupby
+from operator import itemgetter
 
 from .state import State
 from .syntax import (
@@ -140,86 +142,108 @@ def render_trace(trace: Trace) -> str:
     return " ~> ".join(render_atom(atom) for atom in trace)
 
 
-def _atom_table(traces) -> tuple:
-    """Number the distinct atoms of ``traces``.
-
-    Returns the distinct atoms in order of first occurrence and each trace
-    as a list of atom numbers.  Equal atoms are one node, so the atom
-    itself is the key.
-    """
-    numbers = {}
-    rows = [[numbers.setdefault(atom, len(numbers)) for atom in trace] for trace in traces]
-    return list(numbers), rows
-
-
-def _ranks(atoms) -> list:
-    """Each atom's position in ``canon_key`` order; equal keys share a rank."""
-    keys = [canon_key(atom) for atom in atoms]
-    ranks = [0] * len(atoms)
-    rank, previous = -1, None
-    for number in sorted(range(len(atoms)), key=keys.__getitem__):
-        if keys[number] != previous:
-            rank, previous = rank + 1, keys[number]
-        ranks[number] = rank
+def _dense_ranks(items, key, start: int = 0) -> dict:
+    """Number ``items`` from ``start`` in ``key`` order; equal keys share a number."""
+    keyed = sorted([(key(item), item) for item in items], key=itemgetter(0))
+    ranks = {}
+    for rank, (_, group) in enumerate(groupby(keyed, itemgetter(0)), start):
+        for _, item in group:
+            ranks[item] = rank
     return ranks
 
 
-def _order(atoms, rows) -> list:
-    """The positions of ``rows`` in ``canon_key`` order of the traces they number.
+def _atom_ranks(atoms) -> dict:
+    """Each atom's rank in ``canon_key`` order; equal keys share a rank.
 
-    Fewer than two rows are already in order, so no key is built for
-    them.  A trace's key is ``tuple_key`` of its atoms' keys, so comparing
-    traces by the ranks of their atoms, element-wise, gives the same order
-    while ``canon_key`` runs once per distinct atom.
+    Keys order nodes by class name first, so every event ranks before
+    every state, and events are ranked by their keys.  A state's key
+    compares its entries in name order, each by name and then by the key
+    of its value, and a state whose entries begin another's sorts first.
+    So only the distinct values are ranked by ``canon_key``, and a state
+    is ranked by the tuple of ``(name, value rank)`` over its entries,
+    which orders states as their keys do while comparing small integers.
     """
-    if len(rows) < 2:
-        return list(range(len(rows)))
-    ranks = _ranks(atoms)
-    keys = [[ranks[number] for number in row] for row in rows]
-    return sorted(range(len(rows)), key=keys.__getitem__)
+    states, events = [], []
+    for atom in atoms:
+        (states if atom.__class__ is StateAtom else events).append(atom)
+    value_rank = _dense_ranks(
+        {value for atom in states for _, value in atom.state.entries}, canon_key
+    )
+
+    def state_key(atom) -> tuple:
+        return tuple([(name, value_rank[value]) for name, value in atom.state.entries])
+
+    ranks = _dense_ranks(events, canon_key)
+    ranks.update(_dense_ranks(states, state_key, len(events)))
+    return ranks
+
+
+def _ordered(traces) -> tuple:
+    """The traces as a list in ``canon_key`` order, and the set of their atoms.
+
+    A trace's key compares its atoms' keys element-wise, shorter first, so
+    comparing traces by the lists of their atoms' ranks gives the same
+    order, and ties keep their input order.  Fewer than two traces are
+    already in order, so no key is built for them.
+    """
+    traces = list(traces)
+    atoms = set().union(*traces)
+    if len(traces) > 1:
+        rank = _atom_ranks(atoms)
+        traces.sort(key=lambda trace: list(map(rank.__getitem__, trace)))
+    return traces, atoms
 
 
 def sorted_traces(traces) -> list:
     """The traces in ``canon_key`` order."""
-    traces = list(traces)
-    return [traces[i] for i in _order(*_atom_table(traces))]
+    return _ordered(traces)[0]
+
+
+# An atom sits at depth 3 of the JSON payload: object, trace list, trace.
+_DEPTH3 = "\n      "
 
 
 def _atom_json(atom) -> str:
-    """The atom's JSON fragment, laid out as ``json.dumps(indent=2, sort_keys=True)``."""
-    if isinstance(atom, StateAtom):
-        fragment = {"state": {name: pretty_sexp(value) for name, value in atom.state.entries}}
-    else:
+    """The atom's JSON fragment at depth 3, laid out as ``json.dumps(indent=2, sort_keys=True)``.
+
+    A state's entries are already in name order, so its fragment is laid
+    out directly and only its strings go through ``json.dumps``.
+    """
+    if atom.__class__ is not StateAtom:
         fragment = {
             "event": {"kind": atom.kind.value, "args": [pretty_exp(arg) for arg in atom.args]}
         }
-    return json.dumps(fragment, indent=2, sort_keys=True)
-
-
-def _json_list(items, indent: str) -> str:
-    """A JSON list of laid-out items, as ``json.dumps(indent=2)`` lays it out
-    at the depth whose indentation is ``indent``."""
-    if not items:
-        return "[]"
-    inner = indent + "  "
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+        return json.dumps(fragment, indent=2, sort_keys=True).replace("\n", _DEPTH3)
+    entries = atom.state.entries
+    if not entries:
+        return '{\n        "state": {}\n      }'
+    dumps = json.dumps
+    inner = ",\n          ".join(
+        [dumps(name) + ": " + dumps(pretty_sexp(value)) for name, value in entries]
+    )
+    return '{\n        "state": {\n          ' + inner + "\n        }\n      }"
 
 
 def render_traces(traces, fmt: str = "text") -> str:
     """Render a trace set; the output is byte-deterministic.
 
-    Each distinct atom is formatted once and the output is joined from
+    Each distinct atom is formatted once and every row is joined from
     those pieces.  The JSON is what ``json.dumps(indent=2, sort_keys=True)``
     makes of ``{"traces": [[fragment, ...], ...]}``.
     """
-    atoms, rows = _atom_table(traces)
-    rows = [rows[i] for i in _order(atoms, rows)]
+    traces, atoms = _ordered(traces)
     if fmt == "json":
-        # An atom sits at depth 3 of the payload: object, trace list, trace.
-        pieces = [_atom_json(atom).replace("\n", "\n      ") for atom in atoms]
-        blocks = [_json_list([pieces[n] for n in row], "    ") for row in rows]
-        return '{\n  "traces": ' + _json_list(blocks, "  ") + "\n}\n"
-    pieces = [render_atom(atom) for atom in atoms]
+        piece = {atom: _atom_json(atom) for atom in atoms}
+        rows = [
+            "[" + _DEPTH3 + ("," + _DEPTH3).join(map(piece.__getitem__, trace)) + "\n    ]"
+            if trace else "[]"
+            for trace in traces
+        ]
+        if not rows:
+            return '{\n  "traces": []\n}\n'
+        return '{\n  "traces": [\n    ' + ",\n    ".join(rows) + "\n  ]\n}\n"
+    piece = {atom: render_atom(atom) for atom in atoms}
+    rows = [" ~> ".join(map(piece.__getitem__, trace)) for trace in traces]
     count = len(rows)
     header = f"{count} trace" + ("" if count == 1 else "s") + "\n"
-    return header + "".join(["\n" + " ~> ".join([pieces[n] for n in row]) + "\n" for row in rows])
+    return header + "\n" + "\n\n".join(rows) + "\n" if rows else header

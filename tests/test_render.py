@@ -12,10 +12,10 @@ from lagc.render import (
     sorted_traces,
 )
 from lagc.state import make_state
-from lagc.syntax import Num, STAR, StoredExp, canon_key, tuple_key
+from lagc.syntax import ArithExp, MethodRef, Num, STAR, StoredExp, canon_key, tuple_key
 from lagc.trace import EventAtom, EventKind, StateAtom
 
-from gens import rand_concrete_trace, rand_trace
+from gens import rand_aexp, rand_concrete_trace, rand_trace
 from samples import EXT_INPUT, SIGMA1, TAU1, WL_FACTORIAL
 
 
@@ -157,12 +157,58 @@ def test_render_traces_formats_each_distinct_atom_once(monkeypatch):
 
 
 def test_sorted_traces_gives_atoms_with_equal_keys_equal_ranks(monkeypatch):
-    def coarse_key(atom):
-        return type(atom).__name__
+    # the coarse key ties the values of one class, and every two events
+    def coarse_key(value):
+        return type(value).__name__
+
+    def atom_key(atom):
+        if isinstance(atom, StateAtom):
+            return (1, tuple((name, coarse_key(value)) for name, value in atom.state.entries))
+        return (0, coarse_key(atom))
 
     monkeypatch.setattr(render, "canon_key", coarse_key)
     rng = random.Random(62)
     for _ in range(50):
         traces = [rand_trace(rng, max_len=3) for _ in range(rng.randint(2, 8))]
-        expected = sorted(traces, key=lambda trace: [coarse_key(atom) for atom in trace])
+        expected = sorted(traces, key=lambda trace: [atom_key(atom) for atom in trace])
         assert sorted_traces(traces) == expected
+        atoms = set().union(*traces)
+        ranks = render._atom_ranks(atoms)
+        for a in atoms:
+            for b in atoms:
+                assert (ranks[a] == ranks[b]) == (atom_key(a) == atom_key(b))
+
+
+def _rand_value(rng):
+    roll = rng.random()
+    if roll < 0.25:
+        return STAR
+    if roll < 0.7:
+        return StoredExp(Num(rng.randint(-12, 12)))
+    return StoredExp(rand_aexp(rng, depth=2))
+
+
+def _rand_atom(rng):
+    if rng.random() < 0.2:
+        kind = rng.choice(list(EventKind))
+        args = () if kind is EventKind.INPUT else (
+            MethodRef(rng.choice("mn")),
+            ArithExp(Num(rng.randint(-3, 3))),
+        )
+        return EventAtom(kind, args)
+    # names taken in order from a prefix, so entry lists are often prefixes of one another
+    names = [name for name in "abcde"[: rng.randint(0, 5)] if rng.random() < 0.8]
+    return StateAtom(make_state({name: _rand_value(rng) for name in names}))
+
+
+def test_atom_ranks_order_atoms_as_canon_key_does():
+    rng = random.Random(63)
+    for _ in range(150):
+        atoms = {_rand_atom(rng) for _ in range(rng.randint(1, 25))}
+        atoms.add(StateAtom(make_state({})))
+        ranks = render._atom_ranks(atoms)
+        assert sorted(atoms, key=ranks.__getitem__) == sorted(atoms, key=canon_key)
+        for a in atoms:
+            for b in atoms:
+                assert (ranks[a] < ranks[b]) == (canon_key(a) < canon_key(b))
+                assert (ranks[a] == ranks[b]) == (canon_key(a) == canon_key(b))

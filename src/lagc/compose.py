@@ -18,10 +18,11 @@ extends its parent's summary by only the atoms it adds (a glued trace
 keeps ``trace[:-1]`` and appends the local trace up to its last state), so
 neither hashing a configuration nor deciding concreteness nor spawning
 reactions walks the whole trace.  A configuration hashes the prefix's
-chained hash, its last state and the set of its markers.  The fold depends
-only on the trace's content, so equal configurations hash alike however
-they were built; the summary does not take part in equality.  Only a step that
-concretizes the whole trace folds its summary afresh.
+chained hash, its last state and its markers, which are hash-consed
+nodes.  The fold depends only on the trace's content, so equal
+configurations hash alike however they were built; the summary does not
+take part in equality.  Only a step that concretizes the whole trace folds
+its summary afresh.
 
 Bounded composition explores at most a given number of steps; the
 fixpoint search has the budget ``B = (max_rounds - 1) * increment`` and
@@ -135,7 +136,8 @@ class WlConfig(Record):
     glued trace as it is.  Neither takes part in equality.
     """
 
-    __slots__ = _fields = ("trace", "marker", "prefix", "rho")
+    __slots__ = ("trace", "marker", "prefix", "rho")
+    _fields = ("trace", "marker")
     trace: Trace
     marker: Marker
     prefix: Summary
@@ -145,11 +147,6 @@ class WlConfig(Record):
         _init_config(self, trace, prefix, rho)
         object.__setattr__(self, "marker", marker)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WlConfig):
-            return NotImplemented
-        return self.trace == other.trace and self.marker == other.marker
-
     def __hash__(self) -> int:
         return hash((self.prefix.hash, self.trace[-1:], self.marker))
 
@@ -157,14 +154,14 @@ class WlConfig(Record):
 class ExtConfig(Record):
     """Composed global trace plus a multiset of pending process markers.
 
-    ``markers`` is a tuple in the order the steps built it; only how often
-    each marker occurs matters.  Equality compares the tuples directly and
-    counts the markers only when the orders differ, and the hash takes the
-    set of distinct markers, so neither puts markers in a canonical order.
-    ``prefix`` and ``rho`` are as for ``WlConfig``.
+    Markers are hash-consed, so equal markers are one object, and
+    ``markers`` keeps them sorted by ``id``: equal multisets are equal
+    tuples, without putting markers in a canonical order.  ``prefix`` and
+    ``rho`` are as for ``WlConfig``.
     """
 
-    __slots__ = _fields = ("trace", "markers", "prefix", "rho")
+    __slots__ = ("trace", "markers", "prefix", "rho")
+    _fields = ("trace", "markers")
     trace: Trace
     markers: tuple
     prefix: Summary
@@ -172,17 +169,10 @@ class ExtConfig(Record):
 
     def __init__(self, trace: Trace, markers, prefix: Summary = None, rho: State = None):
         _init_config(self, trace, prefix, rho)
-        object.__setattr__(self, "markers", tuple(markers))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExtConfig):
-            return NotImplemented
-        return self.trace == other.trace and (
-            self.markers == other.markers or Counter(self.markers) == Counter(other.markers)
-        )
+        object.__setattr__(self, "markers", tuple(sorted(markers, key=id)))
 
     def __hash__(self) -> int:
-        return hash((self.prefix.hash, self.trace[-1:], frozenset(self.markers)))
+        return hash((self.prefix.hash, self.trace[-1:], self.markers))
 
 
 class ComposePolicy(Record):
@@ -475,9 +465,8 @@ def successors1(
 
     out = set()
     for marker, steps in _expand_all(pending, step):
-        rest = list(config.markers)
-        rest.remove(marker)
-        rest = tuple(rest)
+        i = config.markers.index(marker)
+        rest = config.markers[:i] + config.markers[i + 1 :]
         for glued, after, summary, rho in steps:
             out.add(ExtConfig(glued, rest + (after,), summary, rho))
     return frozenset(out)
@@ -544,7 +533,7 @@ def _future_key(config: ExtConfig):
     open_calls = prefix.open_calls
     return (
         config.trace[-1],
-        frozenset(Counter(config.markers).items()),
+        config.markers,
         None if open_calls is None else frozenset(open_calls.items()),
         prefix.params,
     )

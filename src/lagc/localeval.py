@@ -5,13 +5,17 @@ statement can produce in a given state: each carries a path condition, the
 symbolic trace built so far, and the statements remaining after the
 scheduling point.
 
-What remains is a marker: ``DONE``, or a ``Pending`` continuation stack,
-the one form that carries sequencing for both language subsets.  Its
-constructor flattens a ``Seq`` spine once into a head statement and a flat
-tuple of the statements to run after it, so ``valuate`` only ever runs the
-head and pushes whatever the head leaves over in front of the rest.  A
-step therefore costs the same anywhere in a long sequence, and no marker
-nests deeper than the statements it holds.
+What remains is a marker: ``DONE``, or a ``Pending`` cell holding the
+statement to run next and the marker to run after it, the one form that
+carries sequencing for both language subsets.  Markers are hash-consed
+nodes like the syntax they hold, so equal markers are one object and a
+marker hashes and compares in O(1).  Building a marker flattens a ``Seq``
+spine into one cell per statement and turns a ``co`` into a ``Par`` head
+holding the markers of its two branches, so every nesting of the same
+statements gives the same marker.  ``valuate`` runs only the head and
+builds whatever the head leaves over directly in front of the rest, which
+it shares: a step costs the same anywhere in a long sequence, and no
+marker nests deeper than the statements it holds.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .syntax import (
     LocMem,
     LocPar,
     MethodRef,
+    Node,
     Num,
     Record,
     STAR,
@@ -50,54 +55,57 @@ from .trace import CondTrace, EventKind, StateAtom, gen_event, singleton
 DEFAULT_FRESH_BOUND = 100
 
 
-class Pending(Record):
-    """Statements still left to evaluate: ``head`` first, then ``rest`` in order.
-
-    ``Pending(stmt)`` flattens the ``Seq`` spine of ``stmt``; ``rest`` given
-    alongside is appended as it is and must already be flat.  Neither
-    ``head`` nor any member of ``rest`` is a ``Seq``, so every nesting of the
-    same sequence gives the same marker.
-
-    The hash reads only ``head``, the length of ``rest`` and its first
-    statement, so it costs the same however long the sequence is; equality
-    still compares everything, and equal markers agree on those three
-    parts, so hashing stays consistent with it.  Equality and the hash are
-    all a configuration needs of its markers, which it holds as an
-    order-free multiset.
-    """
-
-    __slots__ = ("head", "rest", "_hash")
-    _fields = ("head", "rest")
-    head: Stmt
-    rest: tuple
-
-    def __init__(self, stmt: Stmt, rest: tuple = ()):
-        if isinstance(stmt, Seq):
-            stmt, *more = seq_spine(stmt)
-            rest = tuple(more) + rest
-        object.__setattr__(self, "head", stmt)
-        object.__setattr__(self, "rest", rest)
-        object.__setattr__(self, "_hash", None)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            rest = self.rest
-            object.__setattr__(self, "_hash", hash((self.head, len(rest), rest[:1])))
-        return self._hash
-
-    @property
-    def stmt(self) -> Stmt:
-        """The pending statements as one left-nested ``Seq``."""
-        return reduce(Seq, self.rest, self.head)
-
-
-class Done(Record):
+class Done(Node):
     """The empty continuation: the process has finished."""
 
     __slots__ = ()
 
 
 DONE = Done()
+
+
+class Pending(Node):
+    """Statements still left to evaluate: ``head`` first, then the marker ``rest``.
+
+    ``Pending(stmt, rest)`` puts ``stmt`` in front of ``rest``.  It
+    flattens the ``Seq`` spine of ``stmt`` with a loop, one cell per
+    statement, and turns a ``LocPar`` into a ``Par`` head, so no head is a
+    ``Seq`` or a ``LocPar`` and every nesting of the same sequence gives
+    the same marker.
+    """
+
+    __slots__ = _fields = ("head", "rest")
+    head: Stmt
+    rest: Marker
+
+    def __new__(cls, stmt, rest: Marker = DONE):
+        if isinstance(stmt, Seq):
+            for part in reversed(seq_spine(stmt)):
+                rest = cls(part, rest)
+            return rest
+        if isinstance(stmt, LocPar):
+            stmt = Par(cls(stmt.left), cls(stmt.right))
+        return Node.__new__(cls, stmt, rest)
+
+    @property
+    def stmt(self) -> Stmt:
+        """The pending statements as one left-nested ``Seq``, each ``Par`` as a ``LocPar``."""
+        return reduce(
+            Seq,
+            [LocPar(h.left.stmt, h.right.stmt) if isinstance(h, Par) else h for h in _heads(self)],
+        )
+
+    def __repr__(self) -> str:
+        return f"Pending({', '.join(map(repr, _heads(self)))})"
+
+
+class Par(Node):
+    """The head of a running ``co``: the markers of its two branches, both pending."""
+
+    __slots__ = _fields = ("left", "right")
+    left: Pending
+    right: Pending
+
 
 Marker = Union[Pending, Done]
 
@@ -112,27 +120,36 @@ class ContTrace(Record):
         object.__setattr__(self, "marker", marker)
 
 
-def _push(marker: Marker, rest: tuple) -> Marker:
-    """Put a flat tuple of statements behind whatever the marker still holds."""
-    if not rest:
+def _heads(marker: Marker) -> list:
+    """The heads of ``marker``'s cells, in order."""
+    heads = []
+    while marker is not DONE:
+        heads.append(marker.head)
+        marker = marker.rest
+    return heads
+
+
+def _then(marker: Marker, rest: Marker) -> Marker:
+    """``marker``'s statements followed by ``rest``'s; only ``marker``'s cells are built."""
+    if rest is DONE:
         return marker
-    front = (marker.head,) + marker.rest if isinstance(marker, Pending) else ()
-    stmts = front + rest
-    return Pending(stmts[0], stmts[1:])
+    for head in reversed(_heads(marker)):
+        rest = Pending(head, rest)
+    return rest
 
 
 def cont_append(marker: Marker, stmt: Stmt) -> Marker:
     """Sequence another statement after whatever the marker still holds."""
-    return _push(marker, tuple(seq_spine(stmt)))
+    return _then(marker, Pending(stmt))
 
 
-def parallel(left: Marker, right: Marker) -> Marker:
-    """Rebuild local parallelism around two markers; finished sides drop out."""
-    if isinstance(left, Pending) and isinstance(right, Pending):
-        return Pending(LocPar(left.stmt, right.stmt))
-    if isinstance(left, Pending):
-        return left
-    return right
+def parallel(left: Marker, right: Marker, rest: Marker = DONE) -> Marker:
+    """Two ``co`` branches, then ``rest``; a finished branch drops out."""
+    if left is DONE:
+        return _then(right, rest)
+    if right is DONE:
+        return _then(left, rest)
+    return Pending(Par(left, right), rest)
 
 
 def _fresh(sigma: State, base: str, suffix: str, bound: int) -> str:
@@ -156,71 +173,61 @@ def valuate(
     """All continuation traces of ``stmt`` in ``sigma`` up to one scheduling point.
 
     ``stmt`` may also be a ``Pending`` marker: its head runs, and the rest of
-    the stack waits behind whatever the head leaves over.
+    the marker waits behind whatever the head leaves over.
     """
     check_mode(mode)
-    pending = stmt if isinstance(stmt, Pending) else Pending(stmt)
-    conts = _valuate_head(pending.head, sigma, mode, fresh_bound)
-    if not pending.rest:
-        return conts
-    return frozenset(ContTrace(c.cond, _push(c.marker, pending.rest)) for c in conts)
+    return _step(stmt if isinstance(stmt, Pending) else Pending(stmt), sigma, mode, fresh_bound)
 
 
-def _valuate_head(stmt: Stmt, sigma: State, mode: str, fresh_bound: int) -> frozenset:
-    """``valuate`` for a statement that is not a ``Seq``."""
-    if isinstance(stmt, Skip):
-        return frozenset({ContTrace(CondTrace(frozenset(), singleton(sigma)), DONE)})
-    if isinstance(stmt, Assign):
-        value = StoredExp(eval_arith(stmt.value, sigma))
-        trace = singleton(sigma) + (StateAtom(update(sigma, stmt.target, value)),)
-        return frozenset({ContTrace(CondTrace(frozenset(), trace), DONE)})
+def _step(marker: Pending, sigma: State, mode: str, fresh_bound: int) -> frozenset:
+    """``valuate`` of a marker: run its head and build the leftovers in front of its rest."""
+    stmt, rest = marker.head, marker.rest
     if isinstance(stmt, If):
         return frozenset(
             {
-                _branch(stmt.cond, sigma, Pending(stmt.body)),
-                _branch(stmt.negated, sigma, DONE),
+                _branch(stmt.cond, sigma, Pending(stmt.body, rest)),
+                _branch(stmt.negated, sigma, rest),
             }
         )
     if isinstance(stmt, While):
         return frozenset(
             {
-                _branch(stmt.cond, sigma, Pending(stmt.body, (stmt,))),
-                _branch(stmt.negated, sigma, DONE),
+                _branch(stmt.cond, sigma, Pending(stmt.body, Pending(stmt, rest))),
+                _branch(stmt.negated, sigma, rest),
             }
         )
-    if mode != "ext":
-        raise ModeError(f"{type(stmt).__name__} is not available in wl mode")
-    if isinstance(stmt, LocPar):
-        left, right = Pending(stmt.left), Pending(stmt.right)
-        from_left = frozenset(
-            ContTrace(cont.cond, parallel(cont.marker, right))
-            for cont in valuate(left, sigma, mode, fresh_bound)
-        )
-        from_right = frozenset(
-            ContTrace(cont.cond, parallel(left, cont.marker))
-            for cont in valuate(right, sigma, mode, fresh_bound)
-        )
-        return from_left | from_right
-    if isinstance(stmt, LocMem):
+    # the statements below leave nothing over but ``rest``, or return early
+    if isinstance(stmt, Skip):
+        trace = singleton(sigma)
+    elif isinstance(stmt, Assign):
+        value = StoredExp(eval_arith(stmt.value, sigma))
+        trace = singleton(sigma) + (StateAtom(update(sigma, stmt.target, value)),)
+    elif mode != "ext":
+        name = "LocPar" if isinstance(stmt, Par) else type(stmt).__name__
+        raise ModeError(f"{name} is not available in wl mode")
+    elif isinstance(stmt, Par):
+        left, right = stmt.left, stmt.right
+        conts = _step(left, sigma, mode, fresh_bound)
+        out = [ContTrace(c.cond, parallel(c.marker, right, rest)) for c in conts]
+        conts = _step(right, sigma, mode, fresh_bound)
+        out += [ContTrace(c.cond, parallel(left, c.marker, rest)) for c in conts]
+        return frozenset(out)
+    elif isinstance(stmt, LocMem):
         if not stmt.decls:
-            return valuate(stmt.body, sigma, mode, fresh_bound)
-        declared, rest = stmt.decls[0], stmt.decls[1:]
+            return _step(Pending(stmt.body, rest), sigma, mode, fresh_bound)
+        declared, later = stmt.decls[0], stmt.decls[1:]
         fresh = _fresh(sigma, declared, "::Scope", fresh_bound)
         trace = singleton(sigma) + (StateAtom(update(sigma, fresh, StoredExp(Num(0)))),)
-        marker = Pending(substitute(LocMem(rest, stmt.body), declared, fresh))
+        marker = Pending(substitute(LocMem(later, stmt.body), declared, fresh), rest)
         return frozenset({ContTrace(CondTrace(frozenset(), trace), marker)})
-    if isinstance(stmt, Input):
+    elif isinstance(stmt, Guard):
+        return frozenset({_branch(stmt.cond, sigma, Pending(stmt.body, rest))})
+    elif isinstance(stmt, Input):
         fresh = _fresh(sigma, stmt.target, "::Input", fresh_bound)
         rerouted = update(update(sigma, fresh, STAR), stmt.target, StoredExp(Var(fresh)))
-        trace = singleton(sigma) + gen_event(
-            EventKind.INPUT, rerouted, (ArithExp(Var(fresh)),)
-        )
-        return frozenset({ContTrace(CondTrace(frozenset(), trace), DONE)})
-    if isinstance(stmt, Guard):
-        return frozenset({_branch(stmt.cond, sigma, Pending(stmt.body))})
-    if isinstance(stmt, Call):
-        trace = gen_event(
-            EventKind.INVOKE, sigma, (MethodRef(stmt.method), ArithExp(stmt.arg))
-        )
-        return frozenset({ContTrace(CondTrace(frozenset(), trace), DONE)})
-    raise ModeError(f"valuate: unsupported statement {type(stmt).__name__}")
+        trace = singleton(sigma) + gen_event(EventKind.INPUT, rerouted, (ArithExp(Var(fresh)),))
+    elif isinstance(stmt, Call):
+        trace = gen_event(EventKind.INVOKE, sigma, (MethodRef(stmt.method), ArithExp(stmt.arg)))
+    else:
+        raise ModeError(f"valuate: unsupported statement {type(stmt).__name__}")
+    return frozenset({ContTrace(CondTrace(frozenset(), trace), rest)})

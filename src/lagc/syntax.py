@@ -13,9 +13,9 @@ a node nothing else holds leaves it.  Nodes are immutable.
 
 ``canon_key`` gives a total order over every syntax value, so that sets
 and multisets built from them can be canonicalized deterministically; a
-node computes its key once and keeps it.  States and trace atoms are
-nodes too.  ``Record`` is the immutable value with structural equality
-that markers and configurations build on.
+node computes its key once and keeps it.  States, trace atoms and
+continuation markers are nodes too.  ``Record`` is the immutable value
+with structural equality that configurations build on.
 """
 
 from __future__ import annotations
@@ -535,7 +535,15 @@ def substitute(item, old: str, new: str):
     if isinstance(item, While):
         return While(substitute(item.cond, old, new), substitute(item.body, old, new))
     if isinstance(item, Seq):
-        return Seq(substitute(item.first, old, new), substitute(item.second, old, new))
+        # walk a left-nested spine with a loop and rebuild the same shape
+        seconds = []
+        while isinstance(item, Seq):
+            seconds.append(item.second)
+            item = item.first
+        out = substitute(item, old, new)
+        for second in reversed(seconds):
+            out = Seq(out, substitute(second, old, new))
+        return out
     if isinstance(item, LocPar):
         return LocPar(substitute(item.left, old, new), substitute(item.right, old, new))
     if isinstance(item, LocMem):

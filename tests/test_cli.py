@@ -202,6 +202,25 @@ def test_invalid_round_flags_are_usage_errors(write, capsys, argv, message):
 
 
 LONG_BODY = " ;; ".join(["x := x + 1"] * 1200)
+DEEP_PARENS = "(" * 2000 + "1" + ")" * 2000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"scope(y){{ x := {DEEP_PARENS} }}",
+        f"program {{ method foo(p){{ x := {DEEP_PARENS} }} main {{ call foo(1) }} }}",
+    ],
+    ids=["scope-body", "method-body"],
+)
+def test_recursion_limit_is_exit_5(write, capsys, text):
+    # the parser descends once per parenthesis
+    path = write("deep.ext", text)
+    assert main(["traces", path]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: resources exhausted: recursion limit reached\n"
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(
@@ -212,13 +231,11 @@ LONG_BODY = " ;; ".join(["x := x + 1"] * 1200)
     ],
     ids=["scope-body", "method-body"],
 )
-def test_recursion_limit_is_exit_5(write, capsys, text):
+def test_traces_runs_a_long_body(write, capsys, text):
     path = write("long.ext", text)
-    assert main(["traces", path]) == 5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: resources exhausted: recursion limit reached\n"
-    assert "Traceback" not in captured.err
+    assert main(["traces", path, "--format", "json"]) == 0
+    (trace,) = json.loads(capsys.readouterr().out)["traces"]
+    assert [atom["state"]["x"] for atom in trace[-1201:]] == [str(i) for i in range(1201)]
 
 
 def test_traces_runs_a_deep_co_branch(write, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import random
+from functools import reduce
 
 import pytest
 
@@ -10,10 +11,10 @@ from lagc import compose
 from lagc.cli import main
 from lagc.compose import ComposePolicy, ExtConfig, WlConfig
 from lagc.errors import DivergenceLimitError
-from lagc.localeval import Pending
+from lagc.localeval import DONE, Par, Pending, parallel, valuate
 from lagc.parser import parse_program
 from lagc.state import EMPTY_STATE
-from lagc.syntax import Assign, BoolLit, Num, Program, Seq, Skip, While, canon_key
+from lagc.syntax import Assign, BoolLit, LocPar, Num, Program, Seq, Skip, While
 from lagc.trace import singleton
 
 from bigstep import execute
@@ -181,20 +182,33 @@ def test_ext_divergence_needs_no_walk_through_the_budget(monkeypatch):
 def test_pending_is_one_stack_for_every_nesting():
     a, b, c = Assign("a", Num(1)), Assign("b", Num(2)), Skip()
     left, right = Pending(Seq(Seq(a, b), c)), Pending(Seq(a, Seq(b, c)))
-    assert left == right == Pending(a, (b, c))
-    assert hash(left) == hash(right)
-    assert (left.head, left.rest) == (a, (b, c))
+    assert left is right is Pending(a, Pending(b, Pending(c)))
+    assert (left.head, left.rest.head, left.rest.rest.head) == (a, b, c)
+    assert left.rest.rest.rest is DONE
     assert left.stmt == Seq(Seq(a, b), c)
+    # a co is one head holding the markers of its branches
+    marker = Pending(LocPar(Seq(a, b), c), Pending(a))
+    assert marker.head is Par(Pending(Seq(a, b)), Pending(c))
+    assert marker is parallel(Pending(Seq(a, b)), Pending(c), Pending(a))
+    assert marker.stmt == Seq(LocPar(Seq(a, b), c), a)
 
 
-def test_long_sequence_marker_hashes_and_orders_without_recursion():
-    stmt = Skip()
-    for i in range(5000):
-        stmt = Seq(stmt, Assign("x", Num(i)))
-    marker = Pending(stmt)
-    assert len(marker.rest) == 5000
+def test_long_sequence_marker_builds_steps_hashes_and_prints_without_recursion():
+    stmts = [Skip()] + [Assign("x", Num(i)) for i in range(5000)]
+    left = reduce(Seq, stmts)
+    right = reduce(lambda rest, stmt: Seq(stmt, rest), reversed(stmts))
+    marker = Pending(left)
+    assert marker is Pending(right)
     assert hash(marker) == hash(Pending(Skip(), marker.rest))
-    assert canon_key(marker) == canon_key(Pending(Skip(), marker.rest))
+    assert marker != marker.rest and marker.rest == Pending(reduce(Seq, stmts[1:]))
+    cells, cell = 0, marker
+    while cell is not DONE:
+        cells, cell = cells + 1, cell.rest
+    assert cells == 5001
+    assert marker.stmt is left and Pending(marker.stmt) is marker
+    assert repr(marker).startswith("Pending(Skip(), Assign(target='x', value=Num(value=0)), ")
+    (cont,) = valuate(marker, EMPTY_STATE, "wl")
+    assert cont.marker is marker.rest
 
 
 def test_600_statement_program_runs(tmp_path, capsys):

@@ -17,6 +17,7 @@ from enum import Enum
 import pytest
 
 from lagc import cli, syntax
+from lagc.compose import ComposePolicy
 from lagc.concretize import apply_conc_state
 from lagc.localeval import Pending
 from lagc.parser import parse_program
@@ -184,8 +185,11 @@ def test_canon_key_matches_the_recursive_definition():
     assert sorted(values, key=canon_key) == sorted(values, key=_reference_key)
     node = values[0]
     assert canon_key(node) is canon_key(node)
-    assert isinstance(node, Node) and not isinstance(values[1], Node)
-    assert isinstance(values[1], Record)
+    # markers are nodes too; a policy is a plain record
+    assert isinstance(node, Node) and isinstance(values[1], Node)
+    policy = ComposePolicy(increment=7)
+    assert canon_key(policy) == _reference_key(policy)
+    assert isinstance(policy, Record) and not isinstance(policy, Node)
 
 
 def test_importing_the_cli_does_not_load_dataclasses():

@@ -1,12 +1,18 @@
 import random
+from functools import reduce
 
 import pytest
 
+import reference_engine as ref
+from lagc.compose import initial_state_for, traces_ext
 from lagc.errors import FreshBoundExceededError, ModeError
 from lagc.localeval import DONE, ContTrace, Pending, cont_append, parallel, valuate
-from lagc.state import update
+from lagc.parser import parse_program
+from lagc.state import initial_state, update
 from lagc.syntax import (
+    ABin,
     ArithExp,
+    ArithOp,
     Assign,
     BoolLit,
     Call,
@@ -189,3 +195,47 @@ def test_valuate_traces_start_at_sigma():
                 isinstance(atom, EventAtom) for atom in cont.cond.trace
             )
             assert all(isinstance(b, BoolLit) for b in cont.cond.pc)
+
+
+def _long_sequence(length: int) -> list:
+    """Assignments, skips, calls and some inputs, none of which leaves a statement over."""
+    kinds = (
+        Assign("x", ABin(Var("x"), ArithOp.ADD, Num(1))),
+        Skip(),
+        Call("m", Var("x")),
+        Assign("y", Var("x")),
+    )
+    return [Input("y") if i % 50 == 49 else kinds[i % 4] for i in range(length)]
+
+
+def test_a_step_continues_with_the_rest_of_the_marker_itself():
+    marker, sigma = Pending(reduce(Seq, _long_sequence(1000))), initial_state(["x", "y"])
+    steps = 0
+    while marker is not DONE:
+        (cont,) = valuate(marker, sigma, "ext")
+        assert cont.marker is marker.rest
+        sigma, marker = cont.cond.trace[-1].state, marker.rest
+        steps += 1
+    assert steps == 1000
+
+
+CO_NESTS = [
+    "co x := 1 ;; y := x || x := 2 oc",
+    "co x := 0 ;; while x <= 1 do x := x + 1 od || y := x oc ;; z := x + y",
+    "co co a := 1 || b := 2 oc ;; c := a + b || d := 1 ;; co e := d || d := 2 oc oc",
+    "scope(t){ co t := 1 ;; x := t || if x >= 1 then y := x fi oc ;; y := y + t }",
+    "program { method m(v){ co x := v || y := v oc } main { co call m(1) || x := 3 oc } }",
+]
+
+
+@pytest.mark.parametrize("text", CO_NESTS)
+def test_co_nests_run_without_turning_markers_into_statements(monkeypatch, text):
+    program = parse_program(text)
+    sigma = initial_state_for(program)
+    expected = ref.traces_ext(program, sigma)
+
+    def no_statement(marker):
+        raise AssertionError("a marker was turned back into a statement")
+
+    monkeypatch.setattr(Pending, "stmt", property(no_statement))
+    assert traces_ext(program, sigma) == expected

@@ -11,18 +11,24 @@ value rebuilds the trace.  Invocation reactions spawn new processes out of
 harvested call arguments, checked against the invocations still
 unanswered.
 
-Every configuration carries ``prefix``, a ``trace.Summary`` of its trace
-without the last state: a chained hash, whether every atom is concrete,
-the unanswered invocations and the harvested call arguments.  A step
-extends its parent's summary by only the atoms it adds (a glued trace
-keeps ``trace[:-1]`` and appends the local trace up to its last state), so
-neither hashing a configuration nor deciding concreteness nor spawning
-reactions walks the whole trace.  A configuration hashes the prefix's
-chained hash, its last state and its markers, which are hash-consed
-nodes.  The fold depends only on the trace's content, so equal
-configurations hash alike however they were built; the summary does not
-take part in equality.  Only a step that concretizes the whole trace folds
-its summary afresh.
+No step copies the global trace.  A local trace starts with the state it
+ran in, which is the last atom of the global trace, so gluing appends the
+rest of the local trace.  A ``WlConfig`` holds its trace as a
+``trace.Cell``, a hash-consed cons cell of the trace before the last atom
+and that atom, so a wl step builds one cell per atom it appends, and a
+configuration hashes and compares its cell and marker in O(1).  An
+``ExtConfig`` holds a cell and a tuple of at most ``_LOOSE`` further
+atoms, which a step extends; only a configuration expanded with a longer
+tuple turns those atoms into cells.  Building a cell costs about as much
+as copying a tuple of several hundred atoms, and ext traces are mostly
+short, so a short trace builds no cell, and a long one builds its cells
+once and shares them.  An
+``ExtConfig`` also carries ``prefix``, a ``trace.Summary`` of its trace
+without the last state (concreteness, the unanswered invocations and the
+harvested call arguments), which a step extends by the atoms it adds, so
+neither deciding concreteness nor spawning reactions walks the trace.
+Only a step that concretizes the whole trace leaves its summary to be
+folded afresh, from cells that keep their folds.
 
 Bounded composition explores at most a given number of steps; the
 fixpoint search has the budget ``B = (max_rounds - 1) * increment`` and
@@ -42,38 +48,44 @@ successors of a configuration whose prefix is concrete depend on nothing
 of its trace but the last state and the prefix's open invocations and
 harvested arguments, so its node is that *future key* together with the
 marker multiset; any other configuration is its own node.  A node keeps
-the first configuration that reached it, with its whole trace, and
-expands it once.  Each edge keeps the atoms its step appends after
-``trace[:-1]`` and, for a step that concretized the whole trace, the
-mapping ``rho`` it used.  For a concrete prefix that mapping comes from
-the local trace alone, and concretization works atom by atom, so the
-step takes every trace ``t`` of the node to
-``concretize_trace(rho, t[:-1])`` followed by those atoms, exactly as
-expanding ``t`` itself would.  Only the start configuration can have a
-concrete prefix and a symbolic last state, and no step returns to it, so
-no node with a future key reaches a node without one along more than
-one trace.
+the first configuration that reached it and expands it once.  Each edge
+keeps the atoms its step appends and, for a step that concretized the
+whole trace, the mapping ``rho`` it used.  For a concrete prefix that
+mapping comes from the local trace alone, and concretization works atom
+by atom, so the step takes every trace ``t`` of the node to ``t``
+followed by those atoms, or to ``concretize_trace(rho, t[:-1])``
+followed by them, exactly as expanding ``t`` itself would.  Only the
+start configuration can have a concrete prefix and a symbolic last state,
+and no step returns to it, so no node with a future key reaches a node
+without one along more than one trace.
 
+Successors, like ``valuate``'s local traces, come out as set-like views
+that list them in the order they were generated, and a layer of the
+graph is expanded in the order its nodes were first reached, so which
+configuration represents a node does not depend on identity hashes.
 Nodes are expanded layer by layer in order of minimum depth, and the
 least error of the shallowest failing layer is raised, which is the
 error the trace tree meets first.  The fixpoint search diverges iff a
 node first appears after ``B + 1`` steps or, once the graph is closed, a
 cycle is reachable or the longest path is longer than ``B``.  The traces
-come from replaying the paths layer by layer over pairs of a node and a
-trace, merged by node and the chained hash of ``trace[:-1]``.
+come from replaying the paths layer by layer over the distinct traces
+reaching each node, each held as a rope of cells and a short tuple
+(``_rope``), so equal traces meet in a set and an edge costs what it
+appends; each returned trace is spelled out as a tuple once.
 
-Three caches keep the ext engine from computing the same thing twice in
+Four caches keep the ext engine from computing the same thing twice in
 one command.  A local step is memoized per ``(marker, state, fresh_bound,
 conc_numeral)``: ``valuate``, the minimal mapping of each local trace and
 the consistency check run once per key, and only gluing the kept local
 traces onto a configuration's trace is done per configuration.  A state
 keeps, once asked, whether it is concrete and which names it maps to
 ``*`` (see ``lagc.state``).  Concretizing is memoized per ``(rho,
-atom)``, shared by the steps that concretize a whole trace and by the
-replay of their edges.  The step and concretization tables live as long
-as the outermost ``memoizing`` block; ``lagc.cli.main`` opens one per
-command, and an exploration or ``trace_equivalent`` called outside any
-opens its own.  No table outlives the block.
+atom)`` and per ``(rho, cell)``, shared by the steps that concretize a
+whole trace and by the replay of their edges.  The step and
+concretization tables live as long as the outermost ``memoizing`` block;
+``lagc.cli.main`` opens one per command, and an exploration or
+``trace_equivalent`` called outside any opens its own.  No table
+outlives the block.
 """
 
 from __future__ import annotations
@@ -81,6 +93,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from contextlib import contextmanager
+from functools import partial
+from operator import itemgetter
 
 from .concretize import concretize_atom, min_conc_map_trace
 from .errors import (
@@ -92,7 +106,7 @@ from .errors import (
     UndefinedTraceOpError,
 )
 from .evaluate import eval_bexp_set
-from .localeval import DEFAULT_FRESH_BOUND, Done, Marker, Pending, valuate
+from .localeval import DEFAULT_FRESH_BOUND, Done, Marker, Pending, ordered, valuate
 from .state import BOUND_EXCEEDED_PREFIX, State, initial_state, update, vargen
 from .syntax import (
     MethodRef,
@@ -100,79 +114,189 @@ from .syntax import (
     Record,
     Stmt,
     StoredExp,
+    canon_key,
     language_check,
     occurrences,
     substitute,
 )
 from .trace import (
-    EMPTY_SUMMARY,
+    Cell,
     EventKind,
     StateAtom,
     Summary,
     Trace,
+    cell_of,
     gen_event,
+    grow,
     is_concrete_atom,
     is_consistent,
-    last_state,
-    semantic_chop,
     singleton,
-    summarize,
+    summary_of,
+    trace_of,
 )
 
-
-def _init_config(config, trace: Trace, prefix: Summary | None, rho: State | None) -> None:
-    """Set the fields a configuration shares, folding ``trace[:-1]`` unless a summary is given."""
-    object.__setattr__(config, "trace", trace)
-    object.__setattr__(config, "prefix", summarize(trace[:-1]) if prefix is None else prefix)
-    object.__setattr__(config, "rho", rho)
+_set = object.__setattr__
 
 
-class WlConfig(Record):
+class WlConfig(tuple):
     """Composed global trace plus the one statement left to run.
 
-    ``prefix`` summarizes ``trace[:-1]``; see the module docstring.
-    ``rho`` is the mapping the step that built the configuration
-    concretized the whole glued trace under, or ``None`` when it kept the
-    glued trace as it is.  Neither takes part in equality.
+    Underneath it is the pair ``(cell, marker)`` of the trace as a
+    ``trace.Cell`` and the marker, both hash-consed, so a configuration
+    hashes and compares in O(1) and a step builds one (``_wl``) without
+    running Python code of its own.  ``trace`` spells the trace out as a
+    tuple and ``prefix`` folds the summary of ``trace[:-1]``; the engine
+    uses neither.
     """
 
-    __slots__ = ("trace", "marker", "prefix", "rho")
-    _fields = ("trace", "marker")
-    trace: Trace
-    marker: Marker
-    prefix: Summary
-    rho: State
+    __slots__ = ()
 
-    def __init__(self, trace: Trace, marker: Marker, prefix: Summary = None, rho: State = None):
-        _init_config(self, trace, prefix, rho)
-        object.__setattr__(self, "marker", marker)
+    def __new__(cls, trace: Trace, marker: Marker):
+        return tuple.__new__(cls, (cell_of(trace), marker))
 
-    def __hash__(self) -> int:
-        return hash((self.prefix.hash, self.trace[-1:], self.marker))
+    marker = property(itemgetter(1))
+
+    @property
+    def trace(self) -> Trace:
+        return trace_of(self[0])
+
+    @property
+    def prefix(self) -> Summary:
+        cell = self[0]
+        return summary_of(None if cell is None else cell.parent)
+
+    def __repr__(self) -> str:
+        return f"WlConfig(trace={self.trace!r}, marker={self.marker!r})"
+
+
+# a WlConfig from the pair (cell, marker)
+_wl = partial(tuple.__new__, WlConfig)
+
+
+# the most atoms an ext trace keeps in a tuple after its cell, in a configuration or a replay
+_LOOSE = 32
 
 
 class ExtConfig(Record):
     """Composed global trace plus a multiset of pending process markers.
 
-    Markers are hash-consed, so equal markers are one object, and
-    ``markers`` keeps them sorted by ``id``: equal multisets are equal
-    tuples, without putting markers in a canonical order.  ``prefix`` and
-    ``rho`` are as for ``WlConfig``.
+    The trace is the cell ``base`` followed by the atoms of the tuple
+    ``tail``.  A step appends the atoms it adds, ``added``, to its
+    parent's tail, and extends the parent's ``prefix``, the summary of
+    ``trace[:-1]``, by them, so it copies no more than a short tail and
+    builds no cell.  Only a configuration that is expanded with more
+    than ``_LOOSE`` atoms in its tail turns them into cells first, so a
+    long trace is held as cells, shared with every configuration that
+    extends it, and a short one costs no cell at all: building a cell
+    costs about as much as copying a tuple of several hundred atoms.
+    ``cell``, the
+    whole trace as one cell, is built when first asked for.  A
+    configuration built from a trace tuple folds its ``prefix`` when
+    first asked.
+
+    ``markers`` keeps the order the configuration was built in, which is
+    the order its successors come out in.  ``bag`` holds the same markers
+    sorted by ``id``: markers are hash-consed, so equal multisets are
+    equal bags.  A configuration hashes its last atom and its bag and
+    compares bags and cells, so hashing builds no cell.  ``rho`` is the
+    mapping the step that built the configuration concretized the whole
+    glued trace under, or ``None`` when it kept the glued trace as it
+    is; ``added`` then follows ``concretize_trace(rho, trace[:-1])`` of
+    the configuration it stepped from, or that whole trace.  Only
+    ``trace`` and ``markers`` take part in equality.
     """
 
-    __slots__ = ("trace", "markers", "prefix", "rho")
+    __slots__ = ("base", "tail", "added", "markers", "bag", "rho", "_prefix", "_cell")
     _fields = ("trace", "markers")
-    trace: Trace
+    base: Cell
+    tail: Trace
+    added: Trace
     markers: tuple
-    prefix: Summary
+    bag: tuple
     rho: State
 
-    def __init__(self, trace: Trace, markers, prefix: Summary = None, rho: State = None):
-        _init_config(self, trace, prefix, rho)
-        object.__setattr__(self, "markers", tuple(sorted(markers, key=id)))
+    def __init__(self, trace: Trace, markers):
+        _fill(self, None, tuple(trace), (), tuple(markers), None, None)
+
+    @property
+    def cell(self) -> Cell:
+        cell = self._cell
+        if cell is None:
+            cell = grow(self.base, self.tail)
+            _set(self, "_cell", cell)
+        return cell
+
+    @property
+    def trace(self) -> Trace:
+        return trace_of(self.base) + self.tail
+
+    @property
+    def last(self):
+        """The last atom of the trace, ``None`` for the empty trace."""
+        if self.tail:
+            return self.tail[-1]
+        return None if self.base is None else self.base.atom
+
+    @property
+    def prefix(self) -> Summary:
+        prefix = self._prefix
+        if prefix is None:
+            base, tail = _before_last(self.base, self.tail)
+            prefix = summary_of(base).extend(tail)
+            _set(self, "_prefix", prefix)
+        return prefix
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ExtConfig:
+            return NotImplemented
+        return self.bag == other.bag and self.last is other.last and self.cell is other.cell
 
     def __hash__(self) -> int:
-        return hash((self.prefix.hash, self.trace[-1:], self.markers))
+        return hash((self.last, self.bag))
+
+
+def _fill(config: ExtConfig, base, tail: tuple, added: tuple, markers: tuple, prefix, rho):
+    _set(config, "base", base)
+    _set(config, "tail", tail)
+    _set(config, "added", added)
+    _set(config, "markers", markers)
+    _set(config, "bag", markers if len(markers) < 2 else tuple(sorted(markers, key=id)))
+    _set(config, "rho", rho)
+    _set(config, "_prefix", prefix)
+    _set(config, "_cell", None)
+
+
+def _ext(base: Cell, tail: tuple, added: tuple, markers: tuple, prefix, rho) -> ExtConfig:
+    """A configuration a step built; see ``ExtConfig``."""
+    config = object.__new__(ExtConfig)
+    _fill(config, base, tail, added, markers, prefix, rho)
+    return config
+
+
+def _before_last(base: Cell, tail: Trace) -> tuple:
+    """``(base, tail)`` of the trace ``base`` + ``tail`` without its last atom."""
+    if tail:
+        return base, tail[:-1]
+    return (None if base is None else base.parent), ()
+
+
+def _to_step_from(config: ExtConfig) -> tuple:
+    """``(base, tail)`` of ``config``'s trace for its successors to extend.
+
+    A tail longer than ``_LOOSE`` atoms becomes cells once, when the
+    configuration is expanded, so no step copies more than ``_LOOSE``
+    atoms.
+    """
+    if len(config.tail) <= _LOOSE:
+        return config.base, config.tail
+    return config.cell, ()
+
+
+def _final_state(atom) -> State:
+    """The state of a trace's last atom, which must be a state."""
+    if isinstance(atom, StateAtom):
+        return atom.state
+    raise UndefinedTraceOpError("trace does not end with a state")
 
 
 class ComposePolicy(Record):
@@ -209,11 +333,15 @@ def method_table(methods) -> tuple:
     return tuple(dict.fromkeys(methods))
 
 
-def _pending(config) -> tuple:
-    """Split a configuration into its final state and pending marker."""
-    if not isinstance(config.marker, Pending):
+# the successors of a configuration that has none
+_NO_SUCCESSORS = {}.keys()
+
+
+def _pending(cell: Cell, marker: Marker) -> State:
+    """The final state of a configuration whose marker is pending."""
+    if not isinstance(marker, Pending):
         raise UndefinedTraceOpError("no successors for a finished configuration")
-    return last_state(config.trace), config.marker
+    return _final_state(None if cell is None else cell.atom)
 
 
 def _expand_all(items, expand) -> list:
@@ -237,22 +365,24 @@ def _expand_all(items, expand) -> list:
 def _explore(start, expand, bound: int) -> tuple:
     """Breadth-first exploration of the wl configurations for at most ``bound`` steps.
 
-    ``expand`` maps a configuration to its successor set, or to ``None``
+    ``expand`` maps a configuration to its successors, or to ``None``
     when the configuration is terminal.  Returns the terminal
-    configurations reached and the frontier left after the last step.
+    configurations reached and the frontier left after the last step,
+    each as a dict keeping the order configurations were first reached in.
     """
     if bound < 0:
         raise PolicyError("bound must be at least 0")
-    finished, frontier = set(), {start}
+    finished, frontier = {}, {start: None}
     for _ in range(bound):
         if not frontier:
             break
-        step = set()
+        step = {}
         for config, succ in _expand_all(frontier, expand):
             if succ is None:
-                finished.add(config)
+                finished[config] = None
             else:
-                step |= succ
+                for reached in succ:
+                    step[reached] = None
         frontier = step
     return finished, frontier
 
@@ -268,27 +398,31 @@ def _divergence(policy: ComposePolicy) -> DivergenceLimitError:
 # Plain while language
 
 
-def successors_wl(config: WlConfig) -> frozenset:
-    """One evaluation step: glue each consistent local trace onto the global one."""
-    sigma, marker = _pending(config)
-    out = set()
+def successors_wl(config: WlConfig):
+    """One evaluation step: glue each consistent local trace onto the global one.
+
+    A local trace starts with the state it ran in, the last atom of the
+    global trace, so gluing appends the rest of it to the configuration's
+    cell.  The successors come out in the order ``valuate`` lists the
+    local traces.
+    """
+    cell, marker = config
+    sigma = _pending(cell, marker)
+    out = []
     for cont in valuate(marker, sigma, "wl"):
-        if not is_consistent(cont.cond.pc):
-            continue
-        local = cont.cond.trace
-        glued = semantic_chop(config.trace, local)
-        out.add(WlConfig(glued, cont.marker, config.prefix.extend(local[:-1])))
-    return frozenset(out)
+        if is_consistent(cont.cond.pc):
+            out.append(_wl((grow(cell, cont.cond.trace[1:]), cont.marker)))
+    return ordered(out)
 
 
 def _expand_wl(config: WlConfig):
-    return None if isinstance(config.marker, Done) else successors_wl(config)
+    return None if isinstance(config[1], Done) else successors_wl(config)
 
 
 def compose_bounded_wl(bound: int, config: WlConfig) -> frozenset:
     """Terminal configurations reachable within the bound, plus the frontier."""
     finished, frontier = _explore(config, _expand_wl, bound)
-    return frozenset(finished | frontier)
+    return frozenset(finished.keys() | frontier.keys())
 
 
 def compose_wl(policy: ComposePolicy, config: WlConfig) -> frozenset:
@@ -300,7 +434,7 @@ def compose_wl(policy: ComposePolicy, config: WlConfig) -> frozenset:
     budget = (policy.max_rounds - 1) * policy.increment
     finished, frontier = _explore(config, _expand_wl, budget)
     if all(succ is None for _, succ in _expand_all(frontier, _expand_wl)):
-        return frozenset(finished | frontier)
+        return frozenset(finished.keys() | frontier.keys())
     raise _divergence(policy)
 
 
@@ -313,12 +447,12 @@ def traces_wl(
     """The fixpoint trace set of ``stmt``, or the bounded one when ``bound`` is given."""
     if not language_check(stmt, "wl"):
         raise ModeError("statement uses constructs outside the wl subset")
-    start = WlConfig(singleton(sigma), Pending(stmt))
+    start = _wl((cell_of(singleton(sigma)), Pending(stmt)))
     if bound is None:
         reached = compose_wl(policy, start)
     else:
         reached = compose_bounded_wl(bound, start)
-    return frozenset(c.trace for c in reached)
+    return frozenset(trace_of(cell) for cell, _ in reached)
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +460,12 @@ def traces_wl(
 
 
 class _Memo:
-    """The local-step and concretization tables one command shares; see ``memoizing``."""
+    """The tables one command shares; see ``memoizing``."""
 
-    __slots__ = ("steps", "atoms")
+    __slots__ = ("steps", "atoms", "cells")
 
     def __init__(self):
-        self.steps, self.atoms = {}, {}
+        self.steps, self.atoms, self.cells = {}, {}, {}
 
 
 # the tables of the outermost ``memoizing`` block, or None outside every block
@@ -340,7 +474,7 @@ _memo = None
 
 @contextmanager
 def memoizing():
-    """Share one step table and one concretization table across the block.
+    """Share one step table and the concretization tables across the block.
 
     A block inside another uses the outer block's tables, and the
     outermost block drops them when it ends; see the module docstring.
@@ -360,10 +494,10 @@ def _local_steps(marker: Pending, sigma: State, fresh_bound: int, conc_numeral: 
     """The local steps of ``marker`` in ``sigma`` whose path condition is consistent.
 
     Each is ``(local trace, next marker, minimal mapping of the local
-    trace)``.  The path condition is judged after simplification under
-    that mapping.  The result is memoized per ``(marker, sigma,
-    fresh_bound, conc_numeral)`` in the command's table; an error is not,
-    so it is raised again on every call.
+    trace)``, in the order ``valuate`` lists them.  The path condition is
+    judged after simplification under that mapping.  The result is
+    memoized per ``(marker, sigma, fresh_bound, conc_numeral)`` in the
+    command's table; an error is not, so it is raised again on every call.
     """
     table = {} if _memo is None else _memo.steps
     key = (marker, sigma, fresh_bound, conc_numeral)
@@ -391,46 +525,74 @@ def _concretize(rho: State, trace: Trace) -> Trace:
     return tuple(out)
 
 
+def _concretize_cell(rho: State, cell: Cell) -> Cell:
+    """``concretize_trace(rho, ·)`` of the trace ``cell``, as a cell.
+
+    Each distinct (ρ, cell) is mapped once per command: the walk stops at
+    the first cell already mapped and maps the cells below it in turn.
+    """
+    images = {} if _memo is None else _memo.cells.setdefault(rho, {})
+    unmapped = []
+    while cell is not None and cell not in images:
+        unmapped.append(cell)
+        cell = cell.parent
+    image = None if cell is None else images[cell]
+    for cell in reversed(unmapped):
+        image = images[cell] = Cell(image, _concretize(rho, (cell.atom,))[0])
+    return image
+
+
 def _glue(
-    trace: Trace,
+    base: Cell,
+    tail: Trace,
     prefix: Summary,
     sigma: State,
     marker: Pending,
     fresh_bound: int,
     conc_numeral: int,
 ) -> list:
-    """The steps of ``marker`` in ``sigma``, the last state of ``trace``, glued onto ``trace``.
+    """The steps of ``marker`` in ``sigma``, glued onto the trace ``base`` + ``tail``.
 
-    Each is ``(glued trace, next marker, summary of the glued trace
-    without its last state or None, rho)``, the fields of a configuration
-    but its markers.  Path conditions are judged after simplification
-    under the minimal mapping of the local trace; surviving glued traces
-    are concretized under their own minimal mapping.  The surviving local
-    steps come from ``_local_steps``; gluing them onto ``trace`` is done
-    per configuration.
+    ``sigma`` is the last state of that trace and ``prefix`` the summary
+    of the trace without it.  Each step is ``(base, tail, added, next
+    marker, summary of the glued trace without its last state or None,
+    rho)``, the fields of an ``ExtConfig`` but its markers.  Path
+    conditions are judged after simplification under the minimal mapping
+    of the local trace; surviving glued traces are concretized under
+    their own minimal mapping.  The surviving local steps come from
+    ``_local_steps``; gluing them onto the trace is done per
+    configuration.
 
-    Concretizing is skipped when the global trace before its last state
-    and the local trace are both concrete, which ``prefix``, the summary
-    of ``trace[:-1]``, extended by the local trace, tells without walking
-    the global trace.  The glued trace is then concrete, its minimal
-    mapping (like the local trace's) is empty, and concretizing under the
-    empty mapping rebuilds every atom equal to itself, so the glued trace
-    is kept as it is and shares the global trace's states.  A non-empty
-    mapping adds its keys (a fresh ``$x::Input``, say) to every earlier
-    state, so then the whole glued trace is concretized, its summary left
-    to be folded afresh, and the mapping kept as the step's ``rho``.  When
-    the global trace before its last state is concrete, it maps no name
-    to ``*``, so that mapping is the local trace's.
+    A local trace starts with ``sigma``, so the glued trace is the trace
+    followed by the rest of the local trace, ``added``.  Concretizing is
+    skipped when the trace before its last state and the local trace are
+    both concrete, which ``prefix`` extended by the local trace tells
+    without walking the global trace.  The glued trace is then concrete,
+    its minimal mapping (like the local trace's) is empty, and
+    concretizing under the empty mapping rebuilds every atom equal to
+    itself, so the step keeps ``base`` and appends ``added`` to ``tail``.
+    A non-empty mapping adds its keys (a fresh ``$x::Input``, say) to
+    every earlier state, so then the glued trace is concretized (the
+    cells of ``base`` once per mapping and command), its summary is left
+    to be folded afresh, and the mapping is kept as the step's ``rho``.
+    When the global trace before its last state is concrete, it maps no
+    name to ``*``, so that mapping is the local trace's.
     """
     out = []
     for local, after, local_map in _local_steps(marker, sigma, fresh_bound, conc_numeral):
-        glued = semantic_chop(trace, local)
         extended = prefix.extend(local[:-1])
         if extended.concrete and is_concrete_atom(local[-1]):
-            out.append((glued, after, extended, None))
+            added = local[1:]
+            out.append((base, tail + added, added, after, extended, None))
+            continue
+        before, loose = _before_last(base, tail)
+        if prefix.concrete:
+            rho = local_map
         else:
-            rho = local_map if prefix.concrete else min_conc_map_trace(glued, conc_numeral)
-            out.append((_concretize(rho, glued), after, None, rho))
+            rho = min_conc_map_trace(trace_of(before) + loose + local, conc_numeral)
+        added = _concretize(rho, local)
+        glued = _concretize(rho, loose) + added
+        out.append((_concretize_cell(rho, before), glued, added, after, None, rho))
     return out
 
 
@@ -440,58 +602,68 @@ def basic_successors(
     conc_numeral: int = 0,
 ) -> frozenset:
     """One step of a single process, with composition-time concretization; see ``_glue``."""
-    sigma, marker = _pending(config)
-    steps = _glue(config.trace, config.prefix, sigma, marker, fresh_bound, conc_numeral)
-    return frozenset(WlConfig(*step) for step in steps)
+    cell, marker = config
+    sigma = _pending(cell, marker)
+    steps = _glue(cell, (), config.prefix, sigma, marker, fresh_bound, conc_numeral)
+    return frozenset(_wl((grow(base, tail), after)) for base, tail, _, after, _, _ in steps)
 
 
 def successors1(
     config: ExtConfig,
     fresh_bound: int = DEFAULT_FRESH_BOUND,
     conc_numeral: int = 0,
-) -> frozenset:
+):
     """Schedule one marker out of the multiset and reinsert its continuation.
 
-    Every distinct pending marker is stepped, even after one of them fails;
-    then the least error is raised, so the error does not depend on the
-    order in which the configuration lists its markers.
+    Every distinct pending marker is stepped, in the order of
+    ``config.markers``, even after one of them fails; then the least error
+    is raised, so the error does not depend on the order in which the
+    configuration lists its markers.
     """
-    trace, prefix = config.trace, config.prefix
-    sigma = last_state(trace)
-    pending = [m for m in dict.fromkeys(config.markers) if isinstance(m, Pending)]
+    sigma = _final_state(config.last)
+    base, tail = _to_step_from(config)
+    prefix, markers = config.prefix, config.markers
+    pending = [m for m in dict.fromkeys(markers) if isinstance(m, Pending)]
 
     def step(marker: Pending) -> list:
-        return _glue(trace, prefix, sigma, marker, fresh_bound, conc_numeral)
+        return _glue(base, tail, prefix, sigma, marker, fresh_bound, conc_numeral)
 
-    out = set()
+    out = []
     for marker, steps in _expand_all(pending, step):
-        i = config.markers.index(marker)
-        rest = config.markers[:i] + config.markers[i + 1 :]
-        for glued, after, summary, rho in steps:
-            out.add(ExtConfig(glued, rest + (after,), summary, rho))
-    return frozenset(out)
+        i = markers.index(marker)
+        rest = markers[:i] + markers[i + 1 :]
+        for glued_base, glued, added, after, summary, rho in steps:
+            out.append(_ext(glued_base, glued, added, rest + (after,), summary, rho))
+    return ordered(out)
 
 
-def successors2(table, config: ExtConfig, fresh_bound: int = DEFAULT_FRESH_BOUND) -> frozenset:
+def successors2(table, config: ExtConfig, fresh_bound: int = DEFAULT_FRESH_BOUND):
     """Spawn processes reacting to pending method invocations.
 
     Candidate reactions pair every known method with every harvested call
     argument; a reaction survives only if appending it keeps the invocation
     bookkeeping wellformed, that is, if an invocation with the reaction's
     arguments is still unanswered.  The counts and the arguments travel
-    with the configuration in its prefix summary.
+    with the configuration in its prefix summary.  Arguments are tried in
+    ``canon_key`` order, so the reactions come out in an order that does
+    not depend on identity hashes.
     """
     if not table:
-        return frozenset()
-    sigma = last_state(config.trace)
-    open_calls = config.prefix.open_calls
+        return _NO_SUCCESSORS
+    sigma = _final_state(config.last)
+    prefix = config.prefix
+    open_calls = prefix.open_calls
     if not open_calls:
-        return frozenset()
-    out = set()
+        return _NO_SUCCESSORS
+    params = prefix.params
+    if len(params) > 1:
+        params = sorted(params, key=canon_key)
+    base, tail = _to_step_from(config)
+    out = []
     for method in table:
-        for value in config.prefix.params:
+        for value in params:
             reaction = gen_event(EventKind.REACT, sigma, (MethodRef(method.name), value))
-            _, event, _ = reaction
+            _, event, after = reaction
             if event.args not in open_calls:
                 continue
             fresh = vargen(sigma, 0, fresh_bound, "$" + method.name + "::Param")
@@ -499,14 +671,10 @@ def successors2(table, config: ExtConfig, fresh_bound: int = DEFAULT_FRESH_BOUND
                 raise FreshBoundExceededError(fresh)
             bound_state = update(sigma, fresh, StoredExp(value.arith))
             body = substitute(method.body, method.formal, fresh)
-            out.add(
-                ExtConfig(
-                    semantic_chop(config.trace, reaction) + (StateAtom(bound_state),),
-                    config.markers + (Pending(body),),
-                    config.prefix.extend(reaction),
-                )
-            )
-    return frozenset(out)
+            added = (event, after, StateAtom(bound_state))
+            markers = config.markers + (Pending(body),)
+            out.append(_ext(base, tail + added, added, markers, prefix.extend(reaction), None))
+    return ordered(out)
 
 
 def successors_ext(
@@ -514,16 +682,19 @@ def successors_ext(
     config: ExtConfig,
     fresh_bound: int = DEFAULT_FRESH_BOUND,
     conc_numeral: int = 0,
-) -> frozenset:
-    return successors1(config, fresh_bound, conc_numeral) | successors2(
-        table, config, fresh_bound
-    )
+):
+    """The scheduled steps of ``successors1``, then the reactions of ``successors2``."""
+    scheduled = successors1(config, fresh_bound, conc_numeral)
+    reactions = successors2(table, config, fresh_bound)
+    if not reactions:
+        return scheduled
+    return ordered([*scheduled, *reactions])
 
 
 def _future_key(config: ExtConfig):
     """The graph node of ``config``; see the module docstring.
 
-    For a concrete prefix that is the last state, the marker multiset and
+    For a concrete prefix that is the last atom, the marker multiset and
     the prefix's open invocations and harvested arguments; otherwise it is
     the configuration itself.
     """
@@ -532,8 +703,8 @@ def _future_key(config: ExtConfig):
         return config
     open_calls = prefix.open_calls
     return (
-        config.trace[-1],
-        config.markers,
+        config.last,
+        config.bag,
         None if open_calls is None else frozenset(open_calls.items()),
         prefix.params,
     )
@@ -543,9 +714,9 @@ class _Node:
     """The first configuration that reached a node and, once expanded, its edges.
 
     An edge is ``(target, rho, tail)``: the step takes a trace ``t`` of
-    this node to ``concretize_trace(rho, t[:-1]) + tail``, or to
-    ``t[:-1] + tail`` when ``rho`` is ``None``.  ``edges`` stays ``None``
-    for a node that was not expanded.
+    this node to ``t + tail``, or to ``concretize_trace(rho, t[:-1]) +
+    tail`` when ``rho`` is not ``None``.  ``edges`` stays ``None`` for a
+    node that was not expanded.
     """
 
     __slots__ = ("rep", "edges")
@@ -559,12 +730,16 @@ def _graph(start: ExtConfig, table, fresh_bound: int, conc_numeral: int, depth: 
 
     Returns every node, in order of minimum depth with the root first, and
     the nodes first reached after exactly ``depth`` steps, which are left
-    unexpanded.  The least error of the shallowest failing layer is raised.
+    unexpanded.  A layer is expanded in the order its nodes were first
+    reached, and a node's successors in the order ``successors_ext``
+    lists them, so which configuration represents a node does not depend
+    on identity hashes.  The least error of the shallowest failing layer
+    is raised.
     """
     if depth < 0:
         raise PolicyError("bound must be at least 0")
 
-    def expand(node: _Node) -> frozenset:
+    def expand(node: _Node):
         return successors_ext(table, node.rep, fresh_bound, conc_numeral)
 
     root = _Node(start)
@@ -575,15 +750,14 @@ def _graph(start: ExtConfig, table, fresh_bound: int, conc_numeral: int, depth: 
             break
         step = []
         for node, succs in _expand_all(layer, expand):
-            cut = len(node.rep.trace) - 1
-            node.edges = []
+            node.edges = edges = []
             for succ in succs:
                 key = _future_key(succ)
                 target = nodes.get(key)
                 if target is None:
                     target = nodes[key] = _Node(succ)
                     step.append(target)
-                node.edges.append((target, succ.rho, succ.trace[cut:]))
+                edges.append((target, succ.rho, succ.added))
         layer = step
     return list(nodes.values()), layer
 
@@ -608,55 +782,52 @@ def _longest_path(nodes: list) -> float:
     return max(length.values()) if done == len(nodes) else math.inf
 
 
-def _chain(chained: int, atoms) -> int:
-    """Extend a chained trace hash as ``Summary.extend`` does."""
-    for atom in atoms:
-        chained = hash((chained, atom))
-    return chained
+def _rope(cell: Cell, loose: Trace) -> tuple:
+    """The trace ``cell`` + ``loose`` as a rope: ``loose`` keeps its last 1 to ``_LOOSE`` atoms.
+
+    The cell takes the others, a multiple of ``_LOOSE`` atoms, so the
+    split depends only on the trace's length, and equal traces are equal
+    ropes.
+    """
+    if len(loose) <= _LOOSE:
+        return cell, loose
+    cut = _LOOSE * ((len(loose) - 1) // _LOOSE)
+    return grow(cell, loose[:cut]), loose[cut:]
 
 
 def _paths(root: _Node, steps: int) -> list:
-    """The ends of the paths from ``root`` of at most ``steps`` steps.
+    """The ends of the paths from ``root`` of at most ``steps`` steps, as ``(node, trace)``.
 
-    A path ends at a terminal or unexpanded node, or after ``steps`` steps.
-    An end is ``(node, chained, trace)``, where ``chained`` is the chained
-    hash of ``trace[:-1]``.  A layer maps a node and that hash to the
-    distinct traces reached there, so equal traces meet without hashing
-    whole tuples.
+    A path ends at a terminal or unexpanded node, or after ``steps``
+    steps.  A layer maps each node to the distinct traces that reach it,
+    each held as a rope (``_rope``), so an edge copies, hashes and
+    compares at most ``_LOOSE + len(added)`` atoms, whatever the length of
+    the trace; a trace of at most ``_LOOSE`` atoms is a plain tuple.  A ρ
+    edge concretizes the cells once per (ρ, cell) and command.
     """
-    layer = {(root, root.rep.prefix.hash): [root.rep.trace]}
+    layer = {root: {_rope(None, root.rep.trace)}}
     ends = []
     for _ in range(steps):
         step = {}
-        for (node, chained), traces in layer.items():
+        for node, traces in layer.items():
             if not node.edges:
-                ends += ((node, chained, trace) for trace in traces)
+                ends += ((node, trace) for trace in traces)
                 continue
-            for target, rho, tail in node.edges:
-                if rho is None:
-                    # the traces here share ``trace[:-1]``'s hash, so they share the new one
-                    bucket = step.setdefault((target, _chain(chained, tail[:-1])), [])
-                for trace in traces:
-                    if rho is None:
-                        reached = trace[:-1] + tail
-                    else:
-                        reached = _concretize(rho, trace[:-1]) + tail
-                        key = (target, _chain(EMPTY_SUMMARY.hash, reached[:-1]))
-                        bucket = step.setdefault(key, [])
-                    if reached not in bucket:
-                        bucket.append(reached)
+            for target, rho, added in node.edges:
+                bucket = step.get(target)
+                if bucket is None:
+                    bucket = step[target] = set()
+                for cell, loose in traces:
+                    if rho is not None:
+                        cell, loose = _concretize_cell(rho, cell), _concretize(rho, loose[:-1])
+                    loose += added
+                    bucket.add((cell, loose) if len(loose) <= _LOOSE else _rope(cell, loose))
         layer = step
         if not layer:
             break
-    for (node, chained), traces in layer.items():
-        ends += ((node, chained, trace) for trace in traces)
-    return ends
-
-
-def _end(node: _Node, chained: int, trace: Trace) -> ExtConfig:
-    """The configuration of ``node`` with ``trace``, whose ``trace[:-1]`` chains to ``chained``."""
-    rep = node.rep
-    return ExtConfig(trace, rep.markers, rep.prefix._replace(hash=chained))
+    for node, traces in layer.items():
+        ends += ((node, trace) for trace in traces)
+    return [(node, loose if cell is None else trace_of(cell) + loose) for node, (cell, loose) in ends]
 
 
 def _bounded_ends(
@@ -686,12 +857,13 @@ def compose_bounded_ext(
 ) -> frozenset:
     """Like the wl variant, but a configuration is terminal iff it has no successors."""
     ends = _bounded_ends(bound, table, config, fresh_bound, conc_numeral)
-    return frozenset(_end(*end) for end in ends)
+    return frozenset(ExtConfig(trace, node.rep.markers) for node, trace in ends)
 
 
 def compose_ext(policy: ComposePolicy, table, config: ExtConfig) -> frozenset:
     """Every configuration reached, provided no path is longer than the policy's budget."""
-    return frozenset(_end(*end) for end in _fixpoint_ends(policy, table, config))
+    ends = _fixpoint_ends(policy, table, config)
+    return frozenset(ExtConfig(trace, node.rep.markers) for node, trace in ends)
 
 
 def traces_ext(
@@ -710,7 +882,7 @@ def traces_ext(
         ends = _fixpoint_ends(policy, table, start)
     else:
         ends = _bounded_ends(bound, table, start, policy.fresh_bound, policy.conc_numeral)
-    return frozenset(trace for _, _, trace in ends)
+    return frozenset(trace for _, trace in ends)
 
 
 # ---------------------------------------------------------------------------

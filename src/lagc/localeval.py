@@ -164,37 +164,46 @@ def _branch(cond, sigma: State, marker: Marker) -> ContTrace:
     return ContTrace(CondTrace(frozenset({eval_bool(cond, sigma)}), singleton(sigma)), marker)
 
 
+def ordered(items):
+    """``items`` without repeats, in order, as a set-like view (``dict.keys()``)."""
+    return dict.fromkeys(items).keys()
+
+
 def valuate(
     stmt: Union[Stmt, Pending],
     sigma: State,
     mode: str,
     fresh_bound: int = DEFAULT_FRESH_BOUND,
-) -> frozenset:
+):
     """All continuation traces of ``stmt`` in ``sigma`` up to one scheduling point.
 
     ``stmt`` may also be a ``Pending`` marker: its head runs, and the rest of
-    the marker waits behind whatever the head leaves over.
+    the marker waits behind whatever the head leaves over.  The result is
+    a set-like view (``dict.keys()``) that lists the traces in the order
+    they were built: the true branch of a test before the false one, a
+    ``co``'s left branch before its right.  That order does not depend on
+    identity hashes, so neither does the order composition explores in.
     """
     check_mode(mode)
     return _step(stmt if isinstance(stmt, Pending) else Pending(stmt), sigma, mode, fresh_bound)
 
 
-def _step(marker: Pending, sigma: State, mode: str, fresh_bound: int) -> frozenset:
+def _step(marker: Pending, sigma: State, mode: str, fresh_bound: int):
     """``valuate`` of a marker: run its head and build the leftovers in front of its rest."""
     stmt, rest = marker.head, marker.rest
     if isinstance(stmt, If):
-        return frozenset(
-            {
+        return ordered(
+            (
                 _branch(stmt.cond, sigma, Pending(stmt.body, rest)),
                 _branch(stmt.negated, sigma, rest),
-            }
+            )
         )
     if isinstance(stmt, While):
-        return frozenset(
-            {
+        return ordered(
+            (
                 _branch(stmt.cond, sigma, Pending(stmt.body, Pending(stmt, rest))),
                 _branch(stmt.negated, sigma, rest),
-            }
+            )
         )
     # the statements below leave nothing over but ``rest``, or return early
     if isinstance(stmt, Skip):
@@ -211,7 +220,7 @@ def _step(marker: Pending, sigma: State, mode: str, fresh_bound: int) -> frozens
         out = [ContTrace(c.cond, parallel(c.marker, right, rest)) for c in conts]
         conts = _step(right, sigma, mode, fresh_bound)
         out += [ContTrace(c.cond, parallel(left, c.marker, rest)) for c in conts]
-        return frozenset(out)
+        return ordered(out)
     elif isinstance(stmt, LocMem):
         if not stmt.decls:
             return _step(Pending(stmt.body, rest), sigma, mode, fresh_bound)
@@ -219,9 +228,9 @@ def _step(marker: Pending, sigma: State, mode: str, fresh_bound: int) -> frozens
         fresh = _fresh(sigma, declared, "::Scope", fresh_bound)
         trace = singleton(sigma) + (StateAtom(update(sigma, fresh, StoredExp(Num(0)))),)
         marker = Pending(substitute(LocMem(later, stmt.body), declared, fresh), rest)
-        return frozenset({ContTrace(CondTrace(frozenset(), trace), marker)})
+        return {ContTrace(CondTrace(frozenset(), trace), marker): None}.keys()
     elif isinstance(stmt, Guard):
-        return frozenset({_branch(stmt.cond, sigma, Pending(stmt.body, rest))})
+        return {_branch(stmt.cond, sigma, Pending(stmt.body, rest)): None}.keys()
     elif isinstance(stmt, Input):
         fresh = _fresh(sigma, stmt.target, "::Input", fresh_bound)
         rerouted = update(update(sigma, fresh, STAR), stmt.target, StoredExp(Var(fresh)))
@@ -230,4 +239,4 @@ def _step(marker: Pending, sigma: State, mode: str, fresh_bound: int) -> frozens
         trace = gen_event(EventKind.INVOKE, sigma, (MethodRef(stmt.method), ArithExp(stmt.arg)))
     else:
         raise ModeError(f"valuate: unsupported statement {type(stmt).__name__}")
-    return frozenset({ContTrace(CondTrace(frozenset(), trace), rest)})
+    return {ContTrace(CondTrace(frozenset(), trace), rest): None}.keys()

@@ -1,13 +1,25 @@
 """Symbolic traces: sequences of states and events, plus path conditions.
 
-A trace is a plain tuple of atoms so that concatenation, hashing and set
-membership come for free.  Atoms, like states, are hash-consed syntax
-nodes, so comparing two traces costs one identity check per atom.
-``Summary`` folds what composition needs to know about a trace (a chained
-hash, concreteness, unanswered invocations, harvested call arguments) so
-that it can be extended atom by atom.  The partial operations (first/last
-state and the semantic chop) raise ``UndefinedTraceOpError`` outside their
-domain instead of guessing.
+The paper's operations take a trace as a plain tuple of atoms, and so do
+the functions here that define them (``semantic_chop``, ``summarize``,
+``harvest_params`` and the rest), which the frozen reference engine in the
+tests calls as they are.  Atoms, like states, are hash-consed syntax
+nodes, so comparing two tuples costs one identity check per atom.
+
+The composition engine holds a trace as a ``Cell`` instead: a hash-consed
+cons cell of the trace before the last atom (``parent``) and that atom,
+a persistent list whose tails are shared (Okasaki, *Purely Functional
+Data Structures*, 1998).  Equal traces are one cell, so a trace hashes
+and compares in O(1), and a step that appends k atoms to a trace builds
+k cells, however long the trace is.  ``grow`` appends atoms to a cell,
+``cell_of`` and ``trace_of`` convert from and to tuples, and
+``summary_of`` folds a cell's ``Summary`` at most once per cell.
+
+``Summary`` folds what composition needs to know about a trace
+(concreteness, unanswered invocations, harvested call arguments) so that
+it can be extended atom by atom.  The partial operations (first/last
+state and the semantic chop) raise ``UndefinedTraceOpError`` outside
+their domain instead of guessing.
 """
 
 from __future__ import annotations
@@ -19,6 +31,8 @@ from .errors import UndefinedTraceOpError
 from .evaluate import eval_exp_list, is_concrete
 from .state import State, is_concrete_state, is_wellformed_state, symbolic_vars
 from .syntax import ArithExp, BoolLit, MethodRef, Node, Record, free_vars
+
+_set = object.__setattr__
 
 
 class EventKind(Enum):
@@ -179,32 +193,28 @@ def count_atom(trace: Trace, atom: TraceAtom) -> int:
 class Summary(NamedTuple):
     """What a composition step needs to know about a trace, folded atom by atom.
 
-    ``hash`` chains the atoms' hashes, ``h' = hash((h, atom))``, so it
-    depends only on the trace's content (syntax nodes hash by identity,
-    which equal nodes share while they exist).  ``concrete`` says every
-    atom is concrete.  ``open_calls`` counts the invocations not yet
-    reacted to per argument list, keeping positive counts only, and is
-    ``None`` once some reaction has no unmatched invocation before it.
-    ``params`` holds the arithmetic arguments of every invocation shaped
-    [method, argument], harvested whether or not the trace is still
-    wellformed.
+    ``concrete`` says every atom is concrete.  ``open_calls`` counts the
+    invocations not yet reacted to per argument list, keeping positive
+    counts only, and is ``None`` once some reaction has no unmatched
+    invocation before it.  ``params`` holds the arithmetic arguments of
+    every invocation shaped [method, argument], harvested whether or not
+    the trace is still wellformed.
 
-    A summary is never changed in place: ``extend`` returns a new one and
-    copies ``open_calls`` only when the added atoms hold an event, so one
-    step costs what it adds, not the length of the trace.
+    A summary is never changed in place: ``extend`` returns a new one, or
+    the same one when the added atoms change nothing, and copies
+    ``open_calls`` only when they hold an event, so one step costs what it
+    adds, not the length of the trace.
     """
 
-    hash: int
     concrete: bool
     open_calls: Optional[dict]
     params: frozenset
 
     def extend(self, atoms) -> "Summary":
         """The summary of the trace followed by ``atoms``."""
-        chained, concrete, open_calls, params = self
+        concrete, open_calls, params = self
         copied = False
         for atom in atoms:
-            chained = hash((chained, atom))
             if concrete and not is_concrete_atom(atom):
                 concrete = False
             if isinstance(atom, StateAtom) or atom.kind is EventKind.INPUT:
@@ -232,10 +242,12 @@ class Summary(NamedTuple):
                     del open_calls[args]
                 else:
                     open_calls[args] = count - 1
-        return Summary(chained, concrete, open_calls, params)
+        if concrete is self.concrete and open_calls is self.open_calls and params is self.params:
+            return self
+        return Summary(concrete, open_calls, params)
 
 
-EMPTY_SUMMARY = Summary(hash(()), True, {}, frozenset())
+EMPTY_SUMMARY = Summary(True, {}, frozenset())
 
 
 def summarize(trace: Trace) -> Summary:
@@ -263,3 +275,61 @@ def invocation_wellformed(trace: Trace) -> bool:
 def harvest_params(trace: Trace) -> frozenset:
     """Arguments of all invocation events shaped [method, arithmetic arg]."""
     return summarize(trace).params
+
+
+# ---------------------------------------------------------------------------
+# Traces as cells
+
+
+class Cell(Node):
+    """The trace ``parent`` followed by ``atom``; ``parent`` is ``None`` for one atom.
+
+    The empty trace is ``None``.  ``_summary`` keeps the ``Summary`` of
+    the whole trace once ``summary_of`` has folded it.
+    """
+
+    __slots__ = ("parent", "atom", "_summary")
+    _fields = ("parent", "atom")
+    parent: Optional["Cell"]
+    atom: TraceAtom
+
+    def __repr__(self) -> str:
+        return f"Cell{trace_of(self)!r}"
+
+
+def grow(cell: Optional[Cell], atoms) -> Optional[Cell]:
+    """The trace ``cell`` followed by ``atoms``: one cell per atom, the tail shared."""
+    for atom in atoms:
+        cell = Cell(cell, atom)
+    return cell
+
+
+def cell_of(trace: Trace) -> Optional[Cell]:
+    return grow(None, trace)
+
+
+def trace_of(cell: Optional[Cell]) -> Trace:
+    """The atoms of ``cell``'s trace as a tuple, first atom first."""
+    atoms = []
+    while cell is not None:
+        atoms.append(cell.atom)
+        cell = cell.parent
+    atoms.reverse()
+    return tuple(atoms)
+
+
+def summary_of(cell: Optional[Cell]) -> Summary:
+    """``summarize(trace_of(cell))``, folded at most once per cell.
+
+    The fold walks up to the nearest cell that already holds its summary
+    and extends that one down again, keeping every summary on the way.
+    """
+    unfolded = []
+    while cell is not None and cell._summary is None:
+        unfolded.append(cell)
+        cell = cell.parent
+    summary = EMPTY_SUMMARY if cell is None else cell._summary
+    for cell in reversed(unfolded):
+        summary = summary.extend((cell.atom,))
+        _set(cell, "_summary", summary)
+    return summary

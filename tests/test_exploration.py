@@ -1,5 +1,6 @@
 """The fixpoint round schedule, the work it does, and long sequential programs."""
 
+import gc
 import json
 import random
 from functools import reduce
@@ -10,14 +11,28 @@ import reference_engine as ref
 from lagc import compose
 from lagc.cli import main
 from lagc.compose import ComposePolicy, ExtConfig, WlConfig
-from lagc.errors import DivergenceLimitError
+from lagc.errors import DivergenceLimitError, LagcError
 from lagc.localeval import DONE, Par, Pending, parallel, valuate
 from lagc.parser import parse_program
 from lagc.state import EMPTY_STATE
-from lagc.syntax import Assign, BoolLit, LocPar, Num, Program, Seq, Skip, While
+from lagc.syntax import (
+    Assign,
+    BoolLit,
+    Call,
+    LocPar,
+    Method,
+    Num,
+    Program,
+    Seq,
+    Skip,
+    Var,
+    While,
+    free_vars,
+)
 from lagc.trace import singleton
 
 from bigstep import execute
+from gens import rand_aexp, rand_concrete_state, rand_ext_stmt
 
 LOOP = While(BoolLit(True), Skip())
 SCHEDULE = "no fixpoint after 3 rounds (bound 21)"
@@ -179,6 +194,50 @@ def test_ext_divergence_needs_no_walk_through_the_budget(monkeypatch):
     assert len(calls) <= 10
 
 
+def _expansions(monkeypatch, program, sigma) -> list:
+    """The configurations ``successors_ext`` expands while composing, in order, as text.
+
+    Text keeps no node of the run alive, so a second run builds its
+    states, atoms and markers afresh, at other addresses.
+    """
+    seen = []
+    original = compose.successors_ext
+
+    def recording(table, config, *rest):
+        seen.append(f"{config.trace!r} {config.markers!r}")
+        return original(table, config, *rest)
+
+    monkeypatch.setattr(compose, "successors_ext", recording)
+    try:
+        compose.traces_ext(program, sigma)
+    except LagcError:
+        pass
+    monkeypatch.setattr(compose, "successors_ext", original)
+    return seen
+
+
+def test_ext_expands_the_same_representatives_in_the_same_order(monkeypatch):
+    # which configuration represents a node, and the order nodes are
+    # expanded in, must not follow identity hashes
+    rng = random.Random(1606)
+    methods = (
+        Method("m0", "v", Assign("x", Var("v"))),
+        Method("m1", "v", Seq(Assign("y", Var("v")), Assign("x", Num(1)))),
+    )
+    for _ in range(12):
+        calls = [Call(f"m{rng.randint(0, 1)}", rand_aexp(rng, ("x", "y"), 1)) for _ in range(2)]
+        main = LocPar(Seq(rand_ext_stmt(rng, 2, ("x", "y")), calls[0]), calls[1])
+        program = Program(methods, main)
+        names = tuple(sorted(free_vars(program) | {"x", "y"}))
+        sigma = rand_concrete_state(rng, names)
+        first = _expansions(monkeypatch, program, sigma)
+        # move later allocations to other addresses
+        ballast = [[Pending(Assign("x", Num(i)))] for i in range(rng.randint(1, 3000))]
+        del ballast[::2]
+        gc.collect()
+        assert _expansions(monkeypatch, program, sigma) == first
+
+
 def test_pending_is_one_stack_for_every_nesting():
     a, b, c = Assign("a", Num(1)), Assign("b", Num(2)), Skip()
     left, right = Pending(Seq(Seq(a, b), c)), Pending(Seq(a, Seq(b, c)))
@@ -247,3 +306,22 @@ def test_1200_statement_program_runs(tmp_path, capsys):
     for line in lines:
         execute(parse_program(line, "wl").main, env)
     assert final == env
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        " ;; ".join(f"x := x + {i}" for i in range(40)) + " ;; input y ;; y := y + x",
+        "co " + " ;; ".join(f"x := {i}" for i in range(34)) + " ;; input y || input z oc",
+        "program { method m(v){ input w ;; w := w + v } main { "
+        + " ;; ".join(f"x := {i}" for i in range(35))
+        + " ;; call m(2) ;; input y } }",
+    ],
+    ids=["input-after-40", "inputs-in-a-long-co", "input-in-a-late-reaction"],
+)
+def test_inputs_at_the_end_of_long_traces_match_reference(text):
+    # an input concretizes every earlier state, including those a long
+    # trace keeps as cells
+    program = parse_program(text, "ext")
+    sigma = compose.initial_state_for(program)
+    assert compose.traces_ext(program, sigma) == ref.traces_ext(program, sigma)

@@ -36,6 +36,7 @@ from lagc.syntax import (
 )
 from lagc.trace import (
     EMPTY_SUMMARY,
+    Cell,
     EventAtom,
     EventKind,
     StateAtom,
@@ -56,10 +57,7 @@ METHODS = (
 
 
 def _spelled_out(trace):
-    """The summary's four parts, each from its own definition."""
-    chained = hash(())
-    for atom in trace:
-        chained = hash((chained, atom))
+    """The summary's three parts, each from its own definition."""
     open_calls, malformed = Counter(), False
     for atom in trace:
         if isinstance(atom, EventAtom) and atom.kind is EventKind.INVOKE:
@@ -77,7 +75,7 @@ def _spelled_out(trace):
         and isinstance(atom.args[1], ArithExp)
     }
     counts = None if malformed else {args: n for args, n in open_calls.items() if n}
-    return chained, is_concrete_trace(trace), counts, params
+    return is_concrete_trace(trace), counts, params
 
 
 def _reached(monkeypatch, name: str, run) -> set:
@@ -260,3 +258,43 @@ def test_ext_state_hashes_grow_linearly(monkeypatch):
 
     small, large = straight_line(100), straight_line(400)
     assert large <= 5 * small, (small, large)
+
+
+def _cells_and_steps(monkeypatch, successors: str, run) -> tuple:
+    """How many trace cells ``run()`` asks for (found or built), and how many steps it expands."""
+    cells, steps = [0], [0]
+    expand = getattr(compose, successors)
+
+    def counting_cell(cls, *fields):
+        cells[0] += 1
+        return syntax.Node.__new__(cls, *fields)
+
+    def counting_step(*args):
+        steps[0] += 1
+        return expand(*args)
+
+    monkeypatch.setattr(Cell, "__new__", counting_cell)
+    monkeypatch.setattr(compose, successors, counting_step)
+    run()
+    monkeypatch.undo()
+    return cells[0], steps[0]
+
+
+def test_cells_per_step_do_not_grow_with_the_trace(monkeypatch):
+    # a step appends its atoms to the cell of the trace it extends; copying
+    # the trace instead would make the cells per step grow with its length
+    def countdown(n):
+        stmt = parse_program(f"x := {n} ;; while x >= 1 do x := x - 1 od").main
+        run = lambda: compose.traces_wl(stmt, initial_state(["x"]))
+        return _cells_and_steps(monkeypatch, "successors_wl", run)
+
+    def straight_line(n):
+        body = " ;; ".join(["x := x + 1"] * n)
+        program = parse_program(f"program {{ main {{ {body} ;; y := 1 }} }}")
+        run = lambda: compose.traces_ext(program, initial_state(["x", "y"]))
+        return _cells_and_steps(monkeypatch, "successors_ext", run)
+
+    for family in (countdown, straight_line):
+        (small, small_steps), (large, large_steps) = family(100), family(400)
+        assert large_steps >= 4 * small_steps - 10
+        assert large / large_steps <= 1.05 * small / small_steps, (small, large)

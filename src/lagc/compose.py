@@ -73,7 +73,7 @@ reaching each node, each held as a rope of cells and a short tuple
 (``_rope``), so equal traces meet in a set and an edge costs what it
 appends; each returned trace is spelled out as a tuple once.
 
-Four caches keep the ext engine from computing the same thing twice in
+Five caches keep the ext engine from computing the same thing twice in
 one command.  A local step is memoized per ``(marker, state, fresh_bound,
 conc_numeral)``: ``valuate``, the minimal mapping of each local trace and
 the consistency check run once per key, and only gluing the kept local
@@ -81,7 +81,8 @@ traces onto a configuration's trace is done per configuration.  A state
 keeps, once asked, whether it is concrete and which names it maps to
 ``*`` (see ``lagc.state``).  Concretizing is memoized per ``(rho,
 atom)`` and per ``(rho, cell)``, shared by the steps that concretize a
-whole trace and by the replay of their edges.  The step and
+whole trace and by the replay of their edges.  A reaction renames its
+method's body once per ``(method, fresh name)``.  The step, body and
 concretization tables live as long as the outermost ``memoizing`` block;
 ``lagc.cli.main`` opens one per command, and an exploration or
 ``trace_equivalent`` called outside any opens its own.  No table
@@ -462,10 +463,10 @@ def traces_wl(
 class _Memo:
     """The tables one command shares; see ``memoizing``."""
 
-    __slots__ = ("steps", "atoms", "cells")
+    __slots__ = ("steps", "atoms", "cells", "bodies")
 
     def __init__(self):
-        self.steps, self.atoms, self.cells = {}, {}, {}
+        self.steps, self.atoms, self.cells, self.bodies = {}, {}, {}, {}
 
 
 # the tables of the outermost ``memoizing`` block, or None outside every block
@@ -474,7 +475,7 @@ _memo = None
 
 @contextmanager
 def memoizing():
-    """Share one step table and the concretization tables across the block.
+    """Share the step, renamed body and concretization tables across the block.
 
     A block inside another uses the outer block's tables, and the
     outermost block drops them when it ends; see the module docstring.
@@ -659,6 +660,7 @@ def successors2(table, config: ExtConfig, fresh_bound: int = DEFAULT_FRESH_BOUND
     if len(params) > 1:
         params = sorted(params, key=canon_key)
     base, tail = _to_step_from(config)
+    bodies = {} if _memo is None else _memo.bodies
     out = []
     for method in table:
         for value in params:
@@ -670,9 +672,11 @@ def successors2(table, config: ExtConfig, fresh_bound: int = DEFAULT_FRESH_BOUND
             if fresh.startswith(BOUND_EXCEEDED_PREFIX):
                 raise FreshBoundExceededError(fresh)
             bound_state = update(sigma, fresh, StoredExp(value.arith))
-            body = substitute(method.body, method.formal, fresh)
+            body = bodies.get((method, fresh))
+            if body is None:
+                body = bodies[method, fresh] = Pending(substitute(method.body, method.formal, fresh))
             added = (event, after, StateAtom(bound_state))
-            markers = config.markers + (Pending(body),)
+            markers = config.markers + (body,)
             out.append(_ext(base, tail + added, added, markers, prefix.extend(reaction), None))
     return ordered(out)
 

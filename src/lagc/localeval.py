@@ -16,12 +16,16 @@ statements gives the same marker.  ``valuate`` runs only the head and
 builds whatever the head leaves over directly in front of the rest, which
 it shares: a step costs the same anywhere in a long sequence, and no
 marker nests deeper than the statements it holds.
+
+A ``ContTrace(cond, marker)`` and its ``CondTrace`` are named tuples, so
+they are built, hashed and compared in C.  An ``if`` or ``while`` step
+evaluates its test once.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from typing import Union
+from functools import partial, reduce
+from typing import NamedTuple, Union
 
 from .errors import FreshBoundExceededError, ModeError
 from .evaluate import eval_arith, eval_bool
@@ -29,28 +33,31 @@ from .state import BOUND_EXCEEDED_PREFIX, State, update, vargen
 from .syntax import (
     ArithExp,
     Assign,
+    BoolLit,
     Call,
+    FALSE,
     Guard,
     If,
     Input,
     LocMem,
     LocPar,
     MethodRef,
+    Neg,
     Node,
     Num,
-    Record,
     STAR,
     Seq,
     Skip,
     Stmt,
     StoredExp,
+    TRUE,
     Var,
     While,
     check_mode,
     seq_spine,
     substitute,
 )
-from .trace import CondTrace, EventKind, StateAtom, gen_event, singleton
+from .trace import CondTrace, EventKind, StateAtom, cond_trace, gen_event, singleton
 
 DEFAULT_FRESH_BOUND = 100
 
@@ -85,7 +92,7 @@ class Pending(Node):
             return rest
         if isinstance(stmt, LocPar):
             stmt = Par(cls(stmt.left), cls(stmt.right))
-        return Node.__new__(cls, stmt, rest)
+        return cls._new(cls, stmt, rest)
 
     @property
     def stmt(self) -> Stmt:
@@ -110,14 +117,15 @@ class Par(Node):
 Marker = Union[Pending, Done]
 
 
-class ContTrace(Record):
-    __slots__ = _fields = ("cond", "marker")
+class ContTrace(NamedTuple):
+    """A local trace and the marker left after it; a tuple, built by ``_cont``."""
+
     cond: CondTrace
     marker: Marker
 
-    def __init__(self, cond: CondTrace, marker: Marker):
-        object.__setattr__(self, "cond", cond)
-        object.__setattr__(self, "marker", marker)
+
+# a ContTrace from the pair (cond, marker)
+_cont = partial(tuple.__new__, ContTrace)
 
 
 def _heads(marker: Marker) -> list:
@@ -159,9 +167,24 @@ def _fresh(sigma: State, base: str, suffix: str, bound: int) -> str:
     return name
 
 
-def _branch(cond, sigma: State, marker: Marker) -> ContTrace:
-    """Continue with ``marker`` under the path condition ``cond``, adding no atom."""
-    return ContTrace(CondTrace(frozenset({eval_bool(cond, sigma)}), singleton(sigma)), marker)
+def _test(cond, sigma: State, then: Marker, rest: Marker):
+    """The steps of a test: on to ``then`` where ``cond`` holds in ``sigma``, else on to ``rest``.
+
+    The test is evaluated once.  The failing branch's condition is the
+    opposite literal or the negation of the evaluated test, which is
+    exactly what evaluating ``Neg(cond)`` gives.  Neither step adds an
+    atom, and their path conditions differ.
+    """
+    test = eval_bool(cond, sigma)
+    if isinstance(test, BoolLit):
+        failed = FALSE if test.value else TRUE
+    else:
+        failed = Neg(test)
+    trace = singleton(sigma)
+    return {
+        _cont((cond_trace((frozenset((test,)), trace)), then)): None,
+        _cont((cond_trace((frozenset((failed,)), trace)), rest)): None,
+    }.keys()
 
 
 def ordered(items):
@@ -191,20 +214,11 @@ def valuate(
 def _step(marker: Pending, sigma: State, mode: str, fresh_bound: int):
     """``valuate`` of a marker: run its head and build the leftovers in front of its rest."""
     stmt, rest = marker.head, marker.rest
-    if isinstance(stmt, If):
-        return ordered(
-            (
-                _branch(stmt.cond, sigma, Pending(stmt.body, rest)),
-                _branch(stmt.negated, sigma, rest),
-            )
-        )
     if isinstance(stmt, While):
-        return ordered(
-            (
-                _branch(stmt.cond, sigma, Pending(stmt.body, Pending(stmt, rest))),
-                _branch(stmt.negated, sigma, rest),
-            )
-        )
+        # the loop is no Seq or LocPar, so its cell is built directly
+        return _test(stmt.cond, sigma, Pending(stmt.body, Pending._new(Pending, stmt, rest)), rest)
+    if isinstance(stmt, If):
+        return _test(stmt.cond, sigma, Pending(stmt.body, rest), rest)
     # the statements below leave nothing over but ``rest``, or return early
     if isinstance(stmt, Skip):
         trace = singleton(sigma)
@@ -217,9 +231,9 @@ def _step(marker: Pending, sigma: State, mode: str, fresh_bound: int):
     elif isinstance(stmt, Par):
         left, right = stmt.left, stmt.right
         conts = _step(left, sigma, mode, fresh_bound)
-        out = [ContTrace(c.cond, parallel(c.marker, right, rest)) for c in conts]
+        out = [_cont((cond, parallel(after, right, rest))) for cond, after in conts]
         conts = _step(right, sigma, mode, fresh_bound)
-        out += [ContTrace(c.cond, parallel(left, c.marker, rest)) for c in conts]
+        out += [_cont((cond, parallel(left, after, rest))) for cond, after in conts]
         return ordered(out)
     elif isinstance(stmt, LocMem):
         if not stmt.decls:
@@ -228,9 +242,10 @@ def _step(marker: Pending, sigma: State, mode: str, fresh_bound: int):
         fresh = _fresh(sigma, declared, "::Scope", fresh_bound)
         trace = singleton(sigma) + (StateAtom(update(sigma, fresh, StoredExp(Num(0)))),)
         marker = Pending(substitute(LocMem(later, stmt.body), declared, fresh), rest)
-        return {ContTrace(CondTrace(frozenset(), trace), marker): None}.keys()
+        return {_cont((cond_trace((frozenset(), trace)), marker)): None}.keys()
     elif isinstance(stmt, Guard):
-        return {_branch(stmt.cond, sigma, Pending(stmt.body, rest)): None}.keys()
+        pc = frozenset((eval_bool(stmt.cond, sigma),))
+        return {_cont((cond_trace((pc, singleton(sigma))), Pending(stmt.body, rest))): None}.keys()
     elif isinstance(stmt, Input):
         fresh = _fresh(sigma, stmt.target, "::Input", fresh_bound)
         rerouted = update(update(sigma, fresh, STAR), stmt.target, StoredExp(Var(fresh)))
@@ -239,4 +254,4 @@ def _step(marker: Pending, sigma: State, mode: str, fresh_bound: int):
         trace = gen_event(EventKind.INVOKE, sigma, (MethodRef(stmt.method), ArithExp(stmt.arg)))
     else:
         raise ModeError(f"valuate: unsupported statement {type(stmt).__name__}")
-    return {ContTrace(CondTrace(frozenset(), trace), rest): None}.keys()
+    return {_cont((cond_trace((frozenset(), trace)), rest)): None}.keys()

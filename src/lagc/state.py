@@ -33,7 +33,7 @@ class State(Node):
 
     def __new__(cls, entries: tuple = ()):
         mapping = dict(entries)
-        state = Node.__new__(cls, tuple(sorted(mapping.items())))
+        state = cls._new(cls, tuple(sorted(mapping.items())))
         if state._map is None:
             # a new state; one found in the table has its map already
             _set(state, "_map", mapping)

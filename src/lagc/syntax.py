@@ -88,6 +88,13 @@ class Node(Record):
     The constructor takes the fields positionally.  Every other slot, such
     as the memoized ``_key``, starts out as ``None`` in a new node, so a
     memo is read without catching an ``AttributeError``.
+
+    Each class gets a constructor for its number of fields, 0 to 3, as
+    ``_new`` and, unless the class defines its own ``__new__`` (which then
+    calls ``_new``), as ``__new__``.  It takes the fields as positional
+    parameters, builds one key tuple, looks it up once and calls the slot
+    setters directly, so no ``*args`` tuple, arity check or loop over the
+    fields runs per node.
     """
 
     __slots__ = ("_key", "__weakref__")
@@ -97,35 +104,76 @@ class Node(Record):
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         # each field's slot setter, which goes round the raising ``__setattr__``
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+        setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
         # the setters of the slots that are not fields, each set to None
-        cls._memo_setters = tuple(
+        memo = tuple(
             getattr(cls, name).__set__
             for klass in cls.__mro__
             for name in vars(klass).get("__slots__", ())
             if name not in cls._fields and name != "__weakref__"
         )
+        cls._new = _constructor(cls.__name__, setters, memo)
+        if "__new__" not in vars(cls):
+            cls.__new__ = cls._new
 
-    def __new__(cls, *args):
-        key = (cls, *args)
-        ref = _interned.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
-        setters = cls._setters
-        if len(args) != len(setters):
-            raise TypeError(f"{cls.__name__} takes {len(setters)} fields, got {len(args)}")
-        node = object.__new__(cls)
-        for setter, value in zip(setters, args):
-            setter(node, value)
-        for setter in cls._memo_setters:
+    def __new__(cls, *fields):
+        """``cls``'s own constructor, for a caller that names this one."""
+        return cls._new(cls, *fields)
+
+
+def _constructor(name: str, setters: tuple, memo: tuple):
+    """The constructor of a node class with these field and memo slot setters."""
+    if len(setters) > 3:
+        raise TypeError(f"{name} has {len(setters)} fields; a node has at most 3")
+    get = _interned.get
+    set_a, set_b, set_c = setters + (None,) * (3 - len(setters))
+
+    def fresh(key):
+        """A new node of the class ``key[0]`` entered under ``key``; the caller sets its fields."""
+        node = object.__new__(key[0])
+        for setter in memo:
             setter(node, None)
         ref = _interned[key] = _Ref(node, _forget)
         ref.key = key
         if _held is not None:
             _held.append(node)
         return node
+
+    def new0(cls):
+        key = (cls,)
+        ref = get(key)
+        if ref is None or (node := ref()) is None:
+            node = fresh(key)
+        return node
+
+    def new1(cls, a):
+        key = (cls, a)
+        ref = get(key)
+        if ref is None or (node := ref()) is None:
+            node = fresh(key)
+            set_a(node, a)
+        return node
+
+    def new2(cls, a, b):
+        key = (cls, a, b)
+        ref = get(key)
+        if ref is None or (node := ref()) is None:
+            node = fresh(key)
+            set_a(node, a)
+            set_b(node, b)
+        return node
+
+    def new3(cls, a, b, c):
+        key = (cls, a, b, c)
+        ref = get(key)
+        if ref is None or (node := ref()) is None:
+            node = fresh(key)
+            set_a(node, a)
+            set_b(node, b)
+            set_c(node, c)
+        return node
+
+    return (new0, new1, new2, new3)[len(setters)]
 
 
 # the nodes built inside the innermost ``holding_nodes`` block, or None
@@ -287,30 +335,13 @@ class Assign(Node):
     value: AExp
 
 
-class _Branch(Node):
-    """A statement left when its condition fails: an ``If`` or a ``While``."""
-
-    __slots__ = ("_neg",)
-
-    @property
-    def negated(self) -> Neg:
-        """``Neg(cond)``, built on first use and kept with the statement.
-
-        Each step of a loop asks for it, and the statement keeps the
-        negation alive, so it is not built again every step.
-        """
-        if self._neg is None:
-            _set(self, "_neg", Neg(self.cond))
-        return self._neg
-
-
-class If(_Branch):
+class If(Node):
     __slots__ = _fields = ("cond", "body")
     cond: BExp
     body: Stmt
 
 
-class While(_Branch):
+class While(Node):
     __slots__ = _fields = ("cond", "body")
     cond: BExp
     body: Stmt

@@ -4,7 +4,8 @@ The paper's operations take a trace as a plain tuple of atoms, and so do
 the functions here that define them (``semantic_chop``, ``summarize``,
 ``harvest_params`` and the rest), which the frozen reference engine in the
 tests calls as they are.  Atoms, like states, are hash-consed syntax
-nodes, so comparing two tuples costs one identity check per atom.
+nodes, so comparing two tuples costs one identity check per atom.  A
+``CondTrace``, a trace under a path condition, is a named tuple.
 
 The composition engine holds a trace as a ``Cell`` instead: a hash-consed
 cons cell of the trace before the last atom (``parent``) and that atom,
@@ -25,12 +26,13 @@ their domain instead of guessing.
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from typing import NamedTuple, Optional, Tuple, Union
 
 from .errors import UndefinedTraceOpError
 from .evaluate import eval_exp_list, is_concrete
 from .state import State, is_concrete_state, is_wellformed_state, symbolic_vars
-from .syntax import ArithExp, BoolLit, MethodRef, Node, Record, free_vars
+from .syntax import ArithExp, MethodRef, Node, TRUE, free_vars
 
 _set = object.__setattr__
 
@@ -59,16 +61,15 @@ TraceAtom = Union[StateAtom, EventAtom]
 Trace = Tuple[TraceAtom, ...]
 
 
-class CondTrace(Record):
-    """A symbolic trace guarded by a path condition."""
+class CondTrace(NamedTuple):
+    """A symbolic trace guarded by a path condition; a tuple, built by ``cond_trace``."""
 
-    __slots__ = _fields = ("pc", "trace")
     pc: frozenset
     trace: Trace
 
-    def __init__(self, pc: frozenset, trace: Trace):
-        object.__setattr__(self, "pc", pc)
-        object.__setattr__(self, "trace", trace)
+
+# a CondTrace from the pair (pc, trace)
+cond_trace = partial(tuple.__new__, CondTrace)
 
 
 def singleton(sigma: State) -> Trace:
@@ -123,9 +124,13 @@ def trace_symbolic_vars(trace: Trace) -> frozenset:
     return out
 
 
-def is_consistent(pc) -> bool:
+# literals are hash-consed, so TRUE is the one Boolean literal that is not false
+_ONLY_TRUE = frozenset({TRUE})
+
+
+def is_consistent(pc: frozenset) -> bool:
     """All members are Boolean literals and none of them is false."""
-    return all(isinstance(b, BoolLit) and b.value for b in pc)
+    return pc <= _ONLY_TRUE
 
 
 def is_wellformed_cond_trace(cond: CondTrace) -> bool:

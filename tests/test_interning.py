@@ -19,7 +19,7 @@ import pytest
 from lagc import cli, syntax
 from lagc.compose import ComposePolicy
 from lagc.concretize import apply_conc_state
-from lagc.localeval import Pending
+from lagc.localeval import Pending, valuate
 from lagc.parser import parse_program
 from lagc.state import initial_state, make_state, update
 from lagc.syntax import (
@@ -64,7 +64,10 @@ def test_equal_nodes_built_separately_are_one_object():
     assert substitute(parsed, "x", "z") is parse_program(SOURCE.replace("x", "z"))
     assert substitute(substitute(parsed, "x", "z"), "z", "x") is parsed
     loop = parsed.main.second
-    assert loop.negated is Neg(loop.cond) is loop.negated
+    held, failed = valuate(loop, make_state({"x": STAR}), "wl")
+    assert held.cond.pc == {loop.cond}
+    (negated,) = failed.cond.pc
+    assert negated is Neg(loop.cond)
 
 
 def test_random_statements_built_twice_are_one_object():

@@ -6,6 +6,7 @@ import pytest
 import reference_engine as ref
 from lagc.compose import initial_state_for, traces_ext
 from lagc.errors import FreshBoundExceededError, ModeError
+from lagc.evaluate import eval_bool
 from lagc.localeval import DONE, ContTrace, Pending, cont_append, parallel, valuate
 from lagc.parser import parse_program
 from lagc.state import initial_state, update
@@ -17,21 +18,24 @@ from lagc.syntax import (
     BoolLit,
     Call,
     Guard,
+    If,
     Input,
     LocMem,
     LocPar,
     MethodRef,
+    Neg,
     Num,
     STAR,
     Seq,
     Skip,
     StoredExp,
     Var,
+    While,
 )
 from lagc.trace import CondTrace, EventAtom, EventKind, StateAtom, singleton
 from lagc.syntax import free_vars
 
-from gens import rand_concrete_state, rand_state, rand_wl_stmt
+from gens import rand_bexp, rand_concrete_state, rand_state, rand_wl_stmt
 from samples import SIGMA1, SIGMA2, WL_FACTORIAL, WL_SWAP
 
 
@@ -83,6 +87,23 @@ def test_valuate_if_branches():
             ),
         }
     )
+
+
+def test_a_test_is_evaluated_once_and_negated_after():
+    # the failing branch's condition comes from the evaluated test, and must
+    # be what evaluating the negated test gives; the holding branch comes first
+    rng = random.Random(23)
+    for _ in range(400):
+        sigma = rand_state(rng) if rng.random() < 0.5 else rand_concrete_state(rng)
+        cond, body = rand_bexp(rng), rand_wl_stmt(rng, 2)
+        rest = rng.choice([DONE, Pending(rand_wl_stmt(rng, 2))])
+        loop = While(cond, body)
+        held = CondTrace(frozenset({eval_bool(cond, sigma)}), singleton(sigma))
+        failed = CondTrace(frozenset({eval_bool(Neg(cond), sigma)}), singleton(sigma))
+        for head, then in (If(cond, body), Pending(body, rest)), (loop, Pending(body, Pending(loop, rest))):
+            conts = list(valuate(Pending(head, rest), sigma, "wl"))
+            assert conts == [ContTrace(held, then), ContTrace(failed, rest)]
+            assert all(type(c) is ContTrace and type(c.cond) is CondTrace for c in conts)
 
 
 def test_valuate_while_unfolds():

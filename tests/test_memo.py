@@ -100,6 +100,25 @@ def test_equiv_shares_the_local_steps_of_both_sides(monkeypatch, tmp_path, capsy
     assert both == len(alone) + 1
 
 
+def test_a_reaction_renames_each_method_body_once(monkeypatch, tmp_path, capsys):
+    # many configurations react with the same method under the same fresh
+    # name; the renamed body is built once per command and shared
+    counts = _count(monkeypatch, compose, "substitute", lambda item, old, new: (item, old, new))
+    program = parse_program(CALLS)
+    assert traces_ext(program, initial_state_for(program))
+    assert counts and max(counts.values()) == 1
+    counts.clear()
+    # every reaction that survives draws a fresh name for its parameter
+    reactions = _count(monkeypatch, compose, "vargen", lambda sigma, n, bound, name: name)
+    left, right = tmp_path / "a.prog", tmp_path / "b.prog"
+    left.write_text(CALLS, encoding="utf-8")
+    right.write_text(CALLS.replace("main { ", "main { skip ;; "), encoding="utf-8")
+    assert cli.main(["equiv", str(left), str(right)]) == 0
+    assert capsys.readouterr().out == "equivalent\n"
+    assert counts and max(counts.values()) == 1
+    assert sum(reactions.values()) > len(counts)
+
+
 def test_the_co_associativity_case_concretizes_each_state_once(monkeypatch):
     a, b, c = TRIPLE
     left = parse_program(f"co co {a} || {b} oc || {c} oc").main

@@ -16,19 +16,25 @@ ran in, which is the last atom of the global trace, so gluing appends the
 rest of the local trace.  A ``WlConfig`` holds its trace as a
 ``trace.Cell``, a hash-consed cons cell of the trace before the last atom
 and that atom, so a wl step builds one cell per atom it appends, and a
-configuration hashes and compares its cell and marker in O(1).  An
-``ExtConfig`` holds a cell and a tuple of at most ``_LOOSE`` further
-atoms, which a step extends; only a configuration expanded with a longer
-tuple turns those atoms into cells.  Building a cell costs about as much
-as copying a tuple of several hundred atoms, and ext traces are mostly
-short, so a short trace builds no cell, and a long one builds its cells
-once and shares them.  An
-``ExtConfig`` also carries ``prefix``, a ``trace.Summary`` of its trace
-without the last state (concreteness, the unanswered invocations and the
-harvested call arguments), which a step extends by the atoms it adds, so
-neither deciding concreteness nor spawning reactions walks the trace.
-Only a step that concretizes the whole trace leaves its summary to be
-folded afresh, from cells that keep their folds.
+configuration hashes and compares its cell and marker in O(1).  The ext
+engine holds every trace as a *rope* (Boehm, Atkinson and Plass, "Ropes:
+an Alternative to Strings", 1995): a cell of a multiple of ``_LOOSE``
+atoms and a tuple of the last 1 to ``_LOOSE`` atoms.  ``_rope`` is the
+one split rule, and it depends only on the trace's length, so equal
+traces are equal ropes.  ``_extend`` is the one step rule, shared by the
+successor functions and by the replay of the paths: it concretizes the
+rope's trace before its last state when the step did, appends the atoms
+the step adds and splits again.  A step thus copies at most ``_LOOSE``
+atoms plus those it adds and builds about one cell per atom it adds, a
+long trace is held as cells shared with every trace that extends it, and
+a short one builds no cell at all; building a cell costs about as much as
+copying a tuple of several hundred atoms.  An ``ExtConfig`` also carries
+``prefix``, a ``trace.Summary`` of its trace without the last state
+(concreteness, the unanswered invocations and the harvested call
+arguments), which a step extends by the atoms it adds, so neither
+deciding concreteness nor spawning reactions walks the trace.  Only a
+step that concretizes the whole trace leaves its summary to be folded
+afresh, from cells that keep their folds.
 
 Bounded composition explores at most a given number of steps; the
 fixpoint search has the budget ``B = (max_rounds - 1) * increment`` and
@@ -68,10 +74,10 @@ least error of the shallowest failing layer is raised, which is the
 error the trace tree meets first.  The fixpoint search diverges iff a
 node first appears after ``B + 1`` steps or, once the graph is closed, a
 cycle is reachable or the longest path is longer than ``B``.  The traces
-come from replaying the paths layer by layer over the distinct traces
-reaching each node, each held as a rope of cells and a short tuple
-(``_rope``), so equal traces meet in a set and an edge costs what it
-appends; each returned trace is spelled out as a tuple once.
+come from replaying the paths layer by layer over the distinct ropes
+reaching each node, each edge extended with ``_extend`` as its step was,
+so equal traces meet in a set and an edge costs what it appends; each
+returned trace is spelled out as a tuple once.
 
 Five caches keep the ext engine from computing the same thing twice in
 one command.  A local step is memoized per ``(marker, state, fresh_bound,
@@ -148,6 +154,13 @@ class WlConfig(tuple):
     running Python code of its own.  ``trace`` spells the trace out as a
     tuple and ``prefix`` folds the summary of ``trace[:-1]``; the engine
     uses neither.
+
+    The wl engine keeps the cell where the ext engine keeps a rope
+    (``_rope``): from a concrete start a wl step has one successor and
+    appends the few atoms of one local trace, so a cell per atom is cheap,
+    while a rope would copy and hash up to ``_LOOSE`` atoms per step.  Holding the wl trace as a rope
+    read the wl-sequential benchmark's ``cmds_per_s`` 1.1% lower (median
+    of 6 alternating pairs, 220.7 against 218.2, lower in 5 of them).
     """
 
     __slots__ = ()
@@ -174,123 +187,111 @@ class WlConfig(tuple):
 _wl = partial(tuple.__new__, WlConfig)
 
 
-# the most atoms an ext trace keeps in a tuple after its cell, in a configuration or a replay
+# the most atoms an ext trace keeps in the tuple after its cell; see ``_rope``
 _LOOSE = 32
+
+
+def _rope(cell: Cell, loose: Trace) -> tuple:
+    """The trace ``cell`` + ``loose`` as a rope: ``loose`` keeps its last 1 to ``_LOOSE`` atoms.
+
+    The cell takes the others, a multiple of ``_LOOSE`` atoms, so the
+    split depends only on the trace's length, and equal traces are equal
+    ropes.  The empty trace is ``(None, ())``.
+    """
+    if len(loose) <= _LOOSE:
+        return cell, loose
+    cut = _LOOSE * ((len(loose) - 1) // _LOOSE)
+    return grow(cell, loose[:cut]), loose[cut:]
+
+
+def _extend(rope: tuple, rho, added: Trace) -> tuple:
+    """The rope of a step's glued trace: the trace of ``rope`` followed by ``added``.
+
+    When ``rho`` is not ``None`` the step concretized the whole glued
+    trace, so ``added`` follows ``concretize_trace(rho, trace[:-1])``
+    instead, which maps each cell once per (ρ, cell) and command.  A step
+    copies at most ``_LOOSE + len(added)`` atoms, whatever the length of
+    the trace.
+    """
+    cell, loose = rope
+    if rho is not None:
+        cell, loose = _concretize_cell(rho, cell), _concretize(rho, loose[:-1])
+    loose += added
+    return (cell, loose) if len(loose) <= _LOOSE else _rope(cell, loose)
 
 
 class ExtConfig(Record):
     """Composed global trace plus a multiset of pending process markers.
 
-    The trace is the cell ``base`` followed by the atoms of the tuple
-    ``tail``.  A step appends the atoms it adds, ``added``, to its
-    parent's tail, and extends the parent's ``prefix``, the summary of
-    ``trace[:-1]``, by them, so it copies no more than a short tail and
-    builds no cell.  Only a configuration that is expanded with more
-    than ``_LOOSE`` atoms in its tail turns them into cells first, so a
-    long trace is held as cells, shared with every configuration that
-    extends it, and a short one costs no cell at all: building a cell
-    costs about as much as copying a tuple of several hundred atoms.
-    ``cell``, the
-    whole trace as one cell, is built when first asked for.  A
-    configuration built from a trace tuple folds its ``prefix`` when
-    first asked.
+    The trace is the rope ``rope`` (``_rope``), which a step builds from
+    its parent's with ``_extend``: a long trace is held as cells shared
+    with every configuration that extends it, and a short one builds no
+    cell at all, since building a cell costs about as much as copying a
+    tuple of several hundred atoms.  A step also extends its parent's
+    ``prefix``, the summary of ``trace[:-1]``, by the atoms it adds,
+    ``added``.  A configuration built from a trace tuple, or by a step
+    that concretized the whole trace, folds its ``prefix`` when first
+    asked.
 
     ``markers`` keeps the order the configuration was built in, which is
     the order its successors come out in.  ``bag`` holds the same markers
     sorted by ``id``: markers are hash-consed, so equal multisets are
-    equal bags.  A configuration hashes its last atom and its bag and
-    compares bags and cells, so hashing builds no cell.  ``rho`` is the
-    mapping the step that built the configuration concretized the whole
-    glued trace under, or ``None`` when it kept the glued trace as it
-    is; ``added`` then follows ``concretize_trace(rho, trace[:-1])`` of
-    the configuration it stepped from, or that whole trace.  Only
-    ``trace`` and ``markers`` take part in equality.
+    equal bags.  A configuration hashes and compares ``(rope, bag)``;
+    equal traces are equal ropes, so its hash agrees with its equality.
+    ``rho`` is the mapping the step that built the configuration
+    concretized the whole glued trace under, or ``None`` when it kept the
+    glued trace as it is; see ``_extend``.
     """
 
-    __slots__ = ("base", "tail", "added", "markers", "bag", "rho", "_prefix", "_cell")
-    _fields = ("trace", "markers")
-    base: Cell
-    tail: Trace
+    __slots__ = ("rope", "added", "markers", "bag", "rho", "_prefix")
+    _fields = ("rope", "bag")
+    rope: tuple
     added: Trace
     markers: tuple
     bag: tuple
     rho: State
 
     def __init__(self, trace: Trace, markers):
-        _fill(self, None, tuple(trace), (), tuple(markers), None, None)
-
-    @property
-    def cell(self) -> Cell:
-        cell = self._cell
-        if cell is None:
-            cell = grow(self.base, self.tail)
-            _set(self, "_cell", cell)
-        return cell
+        _fill(self, _rope(None, tuple(trace)), (), tuple(markers), None, None)
 
     @property
     def trace(self) -> Trace:
-        return trace_of(self.base) + self.tail
+        cell, loose = self.rope
+        return trace_of(cell) + loose
 
     @property
     def last(self):
         """The last atom of the trace, ``None`` for the empty trace."""
-        if self.tail:
-            return self.tail[-1]
-        return None if self.base is None else self.base.atom
+        loose = self.rope[1]
+        return loose[-1] if loose else None
 
     @property
     def prefix(self) -> Summary:
         prefix = self._prefix
         if prefix is None:
-            base, tail = _before_last(self.base, self.tail)
-            prefix = summary_of(base).extend(tail)
+            cell, loose = self.rope
+            prefix = summary_of(cell).extend(loose[:-1])
             _set(self, "_prefix", prefix)
         return prefix
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not ExtConfig:
-            return NotImplemented
-        return self.bag == other.bag and self.last is other.last and self.cell is other.cell
-
-    def __hash__(self) -> int:
-        return hash((self.last, self.bag))
+    def __repr__(self) -> str:
+        return f"ExtConfig(trace={self.trace!r}, markers={self.markers!r})"
 
 
-def _fill(config: ExtConfig, base, tail: tuple, added: tuple, markers: tuple, prefix, rho):
-    _set(config, "base", base)
-    _set(config, "tail", tail)
+def _fill(config: ExtConfig, rope: tuple, added: tuple, markers: tuple, prefix, rho):
+    _set(config, "rope", rope)
     _set(config, "added", added)
     _set(config, "markers", markers)
     _set(config, "bag", markers if len(markers) < 2 else tuple(sorted(markers, key=id)))
     _set(config, "rho", rho)
     _set(config, "_prefix", prefix)
-    _set(config, "_cell", None)
 
 
-def _ext(base: Cell, tail: tuple, added: tuple, markers: tuple, prefix, rho) -> ExtConfig:
+def _ext(rope: tuple, added: tuple, markers: tuple, prefix, rho) -> ExtConfig:
     """A configuration a step built; see ``ExtConfig``."""
     config = object.__new__(ExtConfig)
-    _fill(config, base, tail, added, markers, prefix, rho)
+    _fill(config, rope, added, markers, prefix, rho)
     return config
-
-
-def _before_last(base: Cell, tail: Trace) -> tuple:
-    """``(base, tail)`` of the trace ``base`` + ``tail`` without its last atom."""
-    if tail:
-        return base, tail[:-1]
-    return (None if base is None else base.parent), ()
-
-
-def _to_step_from(config: ExtConfig) -> tuple:
-    """``(base, tail)`` of ``config``'s trace for its successors to extend.
-
-    A tail longer than ``_LOOSE`` atoms becomes cells once, when the
-    configuration is expanded, so no step copies more than ``_LOOSE``
-    atoms.
-    """
-    if len(config.tail) <= _LOOSE:
-        return config.base, config.tail
-    return config.cell, ()
 
 
 def _final_state(atom) -> State:
@@ -544,25 +545,23 @@ def _concretize_cell(rho: State, cell: Cell) -> Cell:
 
 
 def _glue(
-    base: Cell,
-    tail: Trace,
+    rope: tuple,
     prefix: Summary,
     sigma: State,
     marker: Pending,
     fresh_bound: int,
     conc_numeral: int,
 ) -> list:
-    """The steps of ``marker`` in ``sigma``, glued onto the trace ``base`` + ``tail``.
+    """The steps of ``marker`` in ``sigma``, to glue onto the trace of ``rope``.
 
     ``sigma`` is the last state of that trace and ``prefix`` the summary
-    of the trace without it.  Each step is ``(base, tail, added, next
-    marker, summary of the glued trace without its last state or None,
-    rho)``, the fields of an ``ExtConfig`` but its markers.  Path
-    conditions are judged after simplification under the minimal mapping
-    of the local trace; surviving glued traces are concretized under
-    their own minimal mapping.  The surviving local steps come from
-    ``_local_steps``; gluing them onto the trace is done per
-    configuration.
+    of the trace without it.  Each step is ``(added, next marker, summary
+    of the glued trace without its last state or None, rho)``; the glued
+    trace is ``_extend(rope, rho, added)``.  Path conditions are judged
+    after simplification under the minimal mapping of the local trace;
+    surviving glued traces are concretized under their own minimal
+    mapping.  The surviving local steps come from ``_local_steps``; gluing
+    them onto the trace is done per configuration.
 
     A local trace starts with ``sigma``, so the glued trace is the trace
     followed by the rest of the local trace, ``added``.  Concretizing is
@@ -571,29 +570,25 @@ def _glue(
     without walking the global trace.  The glued trace is then concrete,
     its minimal mapping (like the local trace's) is empty, and
     concretizing under the empty mapping rebuilds every atom equal to
-    itself, so the step keeps ``base`` and appends ``added`` to ``tail``.
-    A non-empty mapping adds its keys (a fresh ``$x::Input``, say) to
-    every earlier state, so then the glued trace is concretized (the
-    cells of ``base`` once per mapping and command), its summary is left
-    to be folded afresh, and the mapping is kept as the step's ``rho``.
-    When the global trace before its last state is concrete, it maps no
-    name to ``*``, so that mapping is the local trace's.
+    itself, so ``rho`` is ``None``.  A non-empty mapping adds its keys (a
+    fresh ``$x::Input``, say) to every earlier state, so then the glued
+    trace is concretized under it, ``added`` is the concretized local
+    trace, and the summary is left to be folded afresh.  When the global
+    trace before its last state is concrete, it maps no name to ``*``, so
+    that mapping is the local trace's; otherwise it is computed from the
+    whole glued trace.
     """
     out = []
     for local, after, local_map in _local_steps(marker, sigma, fresh_bound, conc_numeral):
         extended = prefix.extend(local[:-1])
         if extended.concrete and is_concrete_atom(local[-1]):
-            added = local[1:]
-            out.append((base, tail + added, added, after, extended, None))
+            out.append((local[1:], after, extended, None))
             continue
-        before, loose = _before_last(base, tail)
-        if prefix.concrete:
-            rho = local_map
-        else:
-            rho = min_conc_map_trace(trace_of(before) + loose + local, conc_numeral)
-        added = _concretize(rho, local)
-        glued = _concretize(rho, loose) + added
-        out.append((_concretize_cell(rho, before), glued, added, after, None, rho))
+        rho = local_map
+        if not prefix.concrete:
+            cell, loose = rope
+            rho = min_conc_map_trace(trace_of(cell) + loose[:-1] + local, conc_numeral)
+        out.append((_concretize(rho, local), after, None, rho))
     return out
 
 
@@ -605,8 +600,11 @@ def basic_successors(
     """One step of a single process, with composition-time concretization; see ``_glue``."""
     cell, marker = config
     sigma = _pending(cell, marker)
-    steps = _glue(cell, (), config.prefix, sigma, marker, fresh_bound, conc_numeral)
-    return frozenset(_wl((grow(base, tail), after)) for base, tail, _, after, _, _ in steps)
+    rope = cell.parent, (cell.atom,)
+    steps = _glue(rope, config.prefix, sigma, marker, fresh_bound, conc_numeral)
+    return frozenset(
+        _wl((grow(*_extend(rope, rho, added)), after)) for added, after, _, rho in steps
+    )
 
 
 def successors1(
@@ -622,19 +620,18 @@ def successors1(
     configuration lists its markers.
     """
     sigma = _final_state(config.last)
-    base, tail = _to_step_from(config)
-    prefix, markers = config.prefix, config.markers
+    rope, prefix, markers = config.rope, config.prefix, config.markers
     pending = [m for m in dict.fromkeys(markers) if isinstance(m, Pending)]
 
     def step(marker: Pending) -> list:
-        return _glue(base, tail, prefix, sigma, marker, fresh_bound, conc_numeral)
+        return _glue(rope, prefix, sigma, marker, fresh_bound, conc_numeral)
 
     out = []
     for marker, steps in _expand_all(pending, step):
         i = markers.index(marker)
         rest = markers[:i] + markers[i + 1 :]
-        for glued_base, glued, added, after, summary, rho in steps:
-            out.append(_ext(glued_base, glued, added, rest + (after,), summary, rho))
+        for added, after, summary, rho in steps:
+            out.append(_ext(_extend(rope, rho, added), added, rest + (after,), summary, rho))
     return ordered(out)
 
 
@@ -659,7 +656,6 @@ def successors2(table, config: ExtConfig, fresh_bound: int = DEFAULT_FRESH_BOUND
     params = prefix.params
     if len(params) > 1:
         params = sorted(params, key=canon_key)
-    base, tail = _to_step_from(config)
     bodies = {} if _memo is None else _memo.bodies
     out = []
     for method in table:
@@ -677,7 +673,8 @@ def successors2(table, config: ExtConfig, fresh_bound: int = DEFAULT_FRESH_BOUND
                 body = bodies[method, fresh] = Pending(substitute(method.body, method.formal, fresh))
             added = (event, after, StateAtom(bound_state))
             markers = config.markers + (body,)
-            out.append(_ext(base, tail + added, added, markers, prefix.extend(reaction), None))
+            rope = _extend(config.rope, None, added)
+            out.append(_ext(rope, added, markers, prefix.extend(reaction), None))
     return ordered(out)
 
 
@@ -717,10 +714,9 @@ def _future_key(config: ExtConfig):
 class _Node:
     """The first configuration that reached a node and, once expanded, its edges.
 
-    An edge is ``(target, rho, tail)``: the step takes a trace ``t`` of
-    this node to ``t + tail``, or to ``concretize_trace(rho, t[:-1]) +
-    tail`` when ``rho`` is not ``None``.  ``edges`` stays ``None`` for a
-    node that was not expanded.
+    An edge is ``(target, rho, added)``: the step takes a trace of this
+    node, as a rope, to ``_extend(rope, rho, added)``.  ``edges`` stays
+    ``None`` for a node that was not expanded.
     """
 
     __slots__ = ("rep", "edges")
@@ -786,52 +782,35 @@ def _longest_path(nodes: list) -> float:
     return max(length.values()) if done == len(nodes) else math.inf
 
 
-def _rope(cell: Cell, loose: Trace) -> tuple:
-    """The trace ``cell`` + ``loose`` as a rope: ``loose`` keeps its last 1 to ``_LOOSE`` atoms.
-
-    The cell takes the others, a multiple of ``_LOOSE`` atoms, so the
-    split depends only on the trace's length, and equal traces are equal
-    ropes.
-    """
-    if len(loose) <= _LOOSE:
-        return cell, loose
-    cut = _LOOSE * ((len(loose) - 1) // _LOOSE)
-    return grow(cell, loose[:cut]), loose[cut:]
-
-
 def _paths(root: _Node, steps: int) -> list:
     """The ends of the paths from ``root`` of at most ``steps`` steps, as ``(node, trace)``.
 
     A path ends at a terminal or unexpanded node, or after ``steps``
-    steps.  A layer maps each node to the distinct traces that reach it,
-    each held as a rope (``_rope``), so an edge copies, hashes and
-    compares at most ``_LOOSE + len(added)`` atoms, whatever the length of
-    the trace; a trace of at most ``_LOOSE`` atoms is a plain tuple.  A ρ
-    edge concretizes the cells once per (ρ, cell) and command.
+    steps.  A layer maps each node to the distinct ropes of the traces
+    that reach it, and an edge extends each of them with ``_extend``, as
+    the step it replays did, so an edge costs what it appends, whatever
+    the length of the trace.
     """
-    layer = {root: {_rope(None, root.rep.trace)}}
+    layer = {root: {root.rep.rope}}
     ends = []
     for _ in range(steps):
         step = {}
-        for node, traces in layer.items():
+        for node, ropes in layer.items():
             if not node.edges:
-                ends += ((node, trace) for trace in traces)
+                ends += ((node, rope) for rope in ropes)
                 continue
             for target, rho, added in node.edges:
                 bucket = step.get(target)
                 if bucket is None:
                     bucket = step[target] = set()
-                for cell, loose in traces:
-                    if rho is not None:
-                        cell, loose = _concretize_cell(rho, cell), _concretize(rho, loose[:-1])
-                    loose += added
-                    bucket.add((cell, loose) if len(loose) <= _LOOSE else _rope(cell, loose))
+                for rope in ropes:
+                    bucket.add(_extend(rope, rho, added))
         layer = step
         if not layer:
             break
-    for node, traces in layer.items():
-        ends += ((node, trace) for trace in traces)
-    return [(node, loose if cell is None else trace_of(cell) + loose) for node, (cell, loose) in ends]
+    for node, ropes in layer.items():
+        ends += ((node, rope) for rope in ropes)
+    return [(node, trace_of(cell) + loose) for node, (cell, loose) in ends]
 
 
 def _bounded_ends(

@@ -311,13 +311,23 @@ def test_1200_statement_program_runs(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text",
     [
-        " ;; ".join(f"x := x + {i}" for i in range(40)) + " ;; input y ;; y := y + x",
+        *(
+            " ;; ".join(f"x := x + {i}" for i in range(n)) + " ;; input y ;; y := y + x"
+            for n in (31, 32, 40, 63)
+        ),
         "co " + " ;; ".join(f"x := {i}" for i in range(34)) + " ;; input y || input z oc",
         "program { method m(v){ input w ;; w := w + v } main { "
         + " ;; ".join(f"x := {i}" for i in range(35))
         + " ;; call m(2) ;; input y } }",
     ],
-    ids=["input-after-40", "inputs-in-a-long-co", "input-in-a-late-reaction"],
+    ids=[
+        "input-after-31",
+        "input-after-32",
+        "input-after-40",
+        "input-after-63",
+        "inputs-in-a-long-co",
+        "input-in-a-late-reaction",
+    ],
 )
 def test_inputs_at_the_end_of_long_traces_match_reference(text):
     # an input concretizes every earlier state, including those a long

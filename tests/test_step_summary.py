@@ -195,6 +195,38 @@ def test_markers_form_an_order_free_multiset():
     assert config(left, right) != config(left)
 
 
+def test_expanded_configurations_hash_apart_when_unequal(monkeypatch):
+    # a hash weaker than equality lets unequal configurations collide, and a
+    # count of distinct hashes then undercounts the distinct configurations
+    methods = "method f(p) { r1 := (p + 4) } method g(q) { r2 := (q * 2) }"
+    left = parse_program(f"program {{ {methods} main {{ co call f(9) || call g(36) oc }} }}")
+    right = parse_program(f"program {{ {methods} main {{ co call g(36) || call f(9) oc }} }}")
+    expanded = []
+    original = compose.successors_ext
+
+    def recording(table, config, *rest):
+        expanded.append(config)
+        return original(table, config, *rest)
+
+    monkeypatch.setattr(compose, "successors_ext", recording)
+    assert compose.trace_equivalent(left, right, compose.initial_state_for(left, right))
+    assert len(set(expanded)) == len({hash(config) for config in expanded})
+
+
+def test_a_stepped_configuration_equals_the_one_built_from_its_trace():
+    # on both sides of a multiple of 32 atoms, before and after an input
+    # concretizes the whole trace
+    stmt = reduce(Seq, [Assign("x", Num(i)) for i in range(64)] + [Input("y")])
+    config = compose.ExtConfig(singleton(initial_state(["x", "y"])), (Pending(stmt),))
+    lengths = []
+    while config.markers != (DONE,):
+        (config,) = compose.successors_ext((), config)
+        lengths.append(len(config.trace))
+        built = compose.ExtConfig(config.trace, config.markers)
+        assert built == config and hash(built) == hash(config), len(config.trace)
+    assert {31, 32, 33, 64, 65} <= set(lengths) and lengths[-1] > 65
+
+
 def test_error_does_not_depend_on_the_order_of_the_markers():
     first = Pending(Assign("x", Var("a")))
     second = Pending(Assign("x", Var("b")))

@@ -31,10 +31,11 @@ a short one builds no cell at all; building a cell costs about as much as
 copying a tuple of several hundred atoms.  An ``ExtConfig`` also carries
 ``prefix``, a ``trace.Summary`` of its trace without the last state
 (concreteness, the unanswered invocations and the harvested call
-arguments), which a step extends by the atoms it adds, so neither
-deciding concreteness nor spawning reactions walks the trace.  Only a
-step that concretizes the whole trace leaves its summary to be folded
-afresh, from cells that keep their folds.
+arguments), which the step that builds it computes by extending its
+parent's by the atoms it adds, so neither deciding concreteness nor
+spawning reactions walks the trace.  That holds for a step that
+concretizes the whole trace too: concretizing a concrete prefix changes
+none of its summary.
 
 Bounded composition explores at most a given number of steps; the
 fixpoint search has the budget ``B = (max_rounds - 1) * increment`` and
@@ -81,9 +82,10 @@ returned trace is spelled out as a tuple once.
 
 Five caches keep the ext engine from computing the same thing twice in
 one command.  A local step is memoized per ``(marker, state, fresh_bound,
-conc_numeral)``: ``valuate``, the minimal mapping of each local trace and
-the consistency check run once per key, and only gluing the kept local
-traces onto a configuration's trace is done per configuration.  A state
+conc_numeral)``: ``valuate``, the minimal mapping of each local trace,
+the consistency check and the choice between keeping a local trace and
+concretizing it run once per key, and only gluing the kept local traces
+onto a configuration's trace is done per configuration.  A state
 keeps, once asked, whether it is concrete and which names it maps to
 ``*`` (see ``lagc.state``).  Concretizing is memoized per ``(rho,
 atom)`` and per ``(rho, cell)``, shared by the steps that concretize a
@@ -135,10 +137,10 @@ from .trace import (
     cell_of,
     gen_event,
     grow,
-    is_concrete_atom,
+    is_concrete_trace,
     is_consistent,
     singleton,
-    summary_of,
+    summarize,
     trace_of,
 )
 
@@ -152,8 +154,8 @@ class WlConfig(tuple):
     ``trace.Cell`` and the marker, both hash-consed, so a configuration
     hashes and compares in O(1) and a step builds one (``_wl``) without
     running Python code of its own.  ``trace`` spells the trace out as a
-    tuple and ``prefix`` folds the summary of ``trace[:-1]``; the engine
-    uses neither.
+    tuple, for ``basic_successors``, and ``prefix`` summarizes
+    ``trace[:-1]``, for the tests; the wl engine uses neither.
 
     The wl engine keeps the cell where the ext engine keeps a rope
     (``_rope``): from a concrete start a wl step has one successor and
@@ -176,8 +178,7 @@ class WlConfig(tuple):
 
     @property
     def prefix(self) -> Summary:
-        cell = self[0]
-        return summary_of(None if cell is None else cell.parent)
+        return summarize(self.trace[:-1])
 
     def __repr__(self) -> str:
         return f"WlConfig(trace={self.trace!r}, marker={self.marker!r})"
@@ -227,11 +228,10 @@ class ExtConfig(Record):
     its parent's with ``_extend``: a long trace is held as cells shared
     with every configuration that extends it, and a short one builds no
     cell at all, since building a cell costs about as much as copying a
-    tuple of several hundred atoms.  A step also extends its parent's
-    ``prefix``, the summary of ``trace[:-1]``, by the atoms it adds,
-    ``added``.  A configuration built from a trace tuple, or by a step
-    that concretized the whole trace, folds its ``prefix`` when first
-    asked.
+    tuple of several hundred atoms.  ``prefix`` is the summary of
+    ``trace[:-1]``: a step sets it from its parent's and the atoms it
+    adds, ``added`` (see ``_glue``), and a configuration built from a
+    trace tuple folds it from the tuple.
 
     ``markers`` keeps the order the configuration was built in, which is
     the order its successors come out in.  ``bag`` holds the same markers
@@ -243,16 +243,18 @@ class ExtConfig(Record):
     glued trace as it is; see ``_extend``.
     """
 
-    __slots__ = ("rope", "added", "markers", "bag", "rho", "_prefix")
+    __slots__ = ("rope", "added", "markers", "bag", "prefix", "rho")
     _fields = ("rope", "bag")
     rope: tuple
     added: Trace
     markers: tuple
     bag: tuple
+    prefix: Summary
     rho: State
 
     def __init__(self, trace: Trace, markers):
-        _fill(self, _rope(None, tuple(trace)), (), tuple(markers), None, None)
+        trace = tuple(trace)
+        _fill(self, _rope(None, trace), (), tuple(markers), summarize(trace[:-1]), None)
 
     @property
     def trace(self) -> Trace:
@@ -265,15 +267,6 @@ class ExtConfig(Record):
         loose = self.rope[1]
         return loose[-1] if loose else None
 
-    @property
-    def prefix(self) -> Summary:
-        prefix = self._prefix
-        if prefix is None:
-            cell, loose = self.rope
-            prefix = summary_of(cell).extend(loose[:-1])
-            _set(self, "_prefix", prefix)
-        return prefix
-
     def __repr__(self) -> str:
         return f"ExtConfig(trace={self.trace!r}, markers={self.markers!r})"
 
@@ -283,8 +276,8 @@ def _fill(config: ExtConfig, rope: tuple, added: tuple, markers: tuple, prefix, 
     _set(config, "added", added)
     _set(config, "markers", markers)
     _set(config, "bag", markers if len(markers) < 2 else tuple(sorted(markers, key=id)))
+    _set(config, "prefix", prefix)
     _set(config, "rho", rho)
-    _set(config, "_prefix", prefix)
 
 
 def _ext(rope: tuple, added: tuple, markers: tuple, prefix, rho) -> ExtConfig:
@@ -495,9 +488,14 @@ def memoizing():
 def _local_steps(marker: Pending, sigma: State, fresh_bound: int, conc_numeral: int) -> tuple:
     """The local steps of ``marker`` in ``sigma`` whose path condition is consistent.
 
-    Each is ``(local trace, next marker, minimal mapping of the local
-    trace)``, in the order ``valuate`` lists them.  The path condition is
-    judged after simplification under that mapping.  The result is
+    Each is ``(local, next marker, added, rho)``, in the order ``valuate``
+    lists them.  The path condition is judged after simplification under
+    the local trace's minimal mapping.  A concrete local trace is kept as
+    it is: ``added`` is ``local[1:]`` and ``rho`` is ``None``.  Any other
+    is concretized under that mapping, ``rho``, and ``added`` is the whole
+    concretized local trace, which replaces the last state it ran in.  So
+    whether a step concretizes is decided here, once per key, for every
+    configuration whose prefix is concrete; see ``_glue``.  The result is
     memoized per ``(marker, sigma, fresh_bound, conc_numeral)`` in the
     command's table; an error is not, so it is raised again on every call.
     """
@@ -509,8 +507,12 @@ def _local_steps(marker: Pending, sigma: State, fresh_bound: int, conc_numeral: 
         for cont in valuate(marker, sigma, "ext", fresh_bound):
             local = cont.cond.trace
             local_map = min_conc_map_trace(local, conc_numeral)
-            if is_consistent(eval_bexp_set(cont.cond.pc, local_map)):
-                steps.append((local, cont.marker, local_map))
+            if not is_consistent(eval_bexp_set(cont.cond.pc, local_map)):
+                continue
+            if is_concrete_trace(local):
+                steps.append((local, cont.marker, local[1:], None))
+            else:
+                steps.append((local, cont.marker, _concretize(local_map, local), local_map))
         steps = table[key] = tuple(steps)
     return steps
 
@@ -556,39 +558,28 @@ def _glue(
 
     ``sigma`` is the last state of that trace and ``prefix`` the summary
     of the trace without it.  Each step is ``(added, next marker, summary
-    of the glued trace without its last state or None, rho)``; the glued
-    trace is ``_extend(rope, rho, added)``.  Path conditions are judged
-    after simplification under the minimal mapping of the local trace;
-    surviving glued traces are concretized under their own minimal
-    mapping.  The surviving local steps come from ``_local_steps``; gluing
-    them onto the trace is done per configuration.
+    of the glued trace without its last state, rho)``; the glued trace is
+    ``_extend(rope, rho, added)``.
 
-    A local trace starts with ``sigma``, so the glued trace is the trace
-    followed by the rest of the local trace, ``added``.  Concretizing is
-    skipped when the trace before its last state and the local trace are
-    both concrete, which ``prefix`` extended by the local trace tells
-    without walking the global trace.  The glued trace is then concrete,
-    its minimal mapping (like the local trace's) is empty, and
-    concretizing under the empty mapping rebuilds every atom equal to
-    itself, so ``rho`` is ``None``.  A non-empty mapping adds its keys (a
-    fresh ``$x::Input``, say) to every earlier state, so then the glued
-    trace is concretized under it, ``added`` is the concretized local
-    trace, and the summary is left to be folded afresh.  When the global
-    trace before its last state is concrete, it maps no name to ``*``, so
-    that mapping is the local trace's; otherwise it is computed from the
-    whole glued trace.
+    A concrete prefix maps no name to ``*``, so the glued trace's minimal
+    mapping is the local trace's, and ``_local_steps`` has already decided
+    whether to concretize.  Concretizing a concrete prefix only adds
+    ρ's names to its states and changes no event argument, so the summary
+    is ``prefix`` extended by ``added`` before its last state.  Only a
+    configuration built by hand from a trace can have a symbolic prefix;
+    then ρ is computed from the whole glued trace, which may concretize
+    earlier event arguments, so the summary is folded afresh.
     """
+    steps = _local_steps(marker, sigma, fresh_bound, conc_numeral)
+    if prefix.concrete:
+        return [(added, after, prefix.extend(added[:-1]), rho) for _, after, added, rho in steps]
+    cell, loose = rope
+    before = trace_of(cell) + loose[:-1]
     out = []
-    for local, after, local_map in _local_steps(marker, sigma, fresh_bound, conc_numeral):
-        extended = prefix.extend(local[:-1])
-        if extended.concrete and is_concrete_atom(local[-1]):
-            out.append((local[1:], after, extended, None))
-            continue
-        rho = local_map
-        if not prefix.concrete:
-            cell, loose = rope
-            rho = min_conc_map_trace(trace_of(cell) + loose[:-1] + local, conc_numeral)
-        out.append((_concretize(rho, local), after, None, rho))
+    for local, after, _, _ in steps:
+        rho = min_conc_map_trace(before + local, conc_numeral)
+        added = _concretize(rho, local)
+        out.append((added, after, summarize(_concretize(rho, before) + added[:-1]), rho))
     return out
 
 
@@ -597,14 +588,14 @@ def basic_successors(
     fresh_bound: int = DEFAULT_FRESH_BOUND,
     conc_numeral: int = 0,
 ) -> frozenset:
-    """One step of a single process, with composition-time concretization; see ``_glue``."""
-    cell, marker = config
-    sigma = _pending(cell, marker)
-    rope = cell.parent, (cell.atom,)
-    steps = _glue(rope, config.prefix, sigma, marker, fresh_bound, conc_numeral)
-    return frozenset(
-        _wl((grow(*_extend(rope, rho, added)), after)) for added, after, _, rho in steps
-    )
+    """One step of a single process, with composition-time concretization.
+
+    That is ``successors1`` of the configuration with ``config``'s marker
+    as its only one; see ``_glue``.
+    """
+    _pending(*config)
+    succs = successors1(ExtConfig(config.trace, (config.marker,)), fresh_bound, conc_numeral)
+    return frozenset(WlConfig(succ.trace, succ.markers[0]) for succ in succs)
 
 
 def successors1(

@@ -13,8 +13,9 @@ a persistent list whose tails are shared (Okasaki, *Purely Functional
 Data Structures*, 1998).  Equal traces are one cell, so a trace hashes
 and compares in O(1), and a step that appends k atoms to a trace builds
 k cells, however long the trace is.  ``grow`` appends atoms to a cell,
-``cell_of`` and ``trace_of`` convert from and to tuples, and
-``summary_of`` folds a cell's ``Summary`` at most once per cell.
+and ``cell_of`` and ``trace_of`` convert from and to tuples.  A cell
+keeps nothing else: the ext engine carries a trace's ``Summary`` in the
+configuration that holds it, and each step extends it by what it adds.
 
 ``Summary`` folds what composition needs to know about a trace
 (concreteness, unanswered invocations, harvested call arguments) so that
@@ -33,8 +34,6 @@ from .errors import UndefinedTraceOpError
 from .evaluate import eval_exp_list, is_concrete
 from .state import State, is_concrete_state, is_wellformed_state, symbolic_vars
 from .syntax import ArithExp, MethodRef, Node, TRUE, free_vars
-
-_set = object.__setattr__
 
 
 class EventKind(Enum):
@@ -289,12 +288,10 @@ def harvest_params(trace: Trace) -> frozenset:
 class Cell(Node):
     """The trace ``parent`` followed by ``atom``; ``parent`` is ``None`` for one atom.
 
-    The empty trace is ``None``.  ``_summary`` keeps the ``Summary`` of
-    the whole trace once ``summary_of`` has folded it.
+    The empty trace is ``None``.
     """
 
-    __slots__ = ("parent", "atom", "_summary")
-    _fields = ("parent", "atom")
+    __slots__ = _fields = ("parent", "atom")
     parent: Optional["Cell"]
     atom: TraceAtom
 
@@ -321,20 +318,3 @@ def trace_of(cell: Optional[Cell]) -> Trace:
         cell = cell.parent
     atoms.reverse()
     return tuple(atoms)
-
-
-def summary_of(cell: Optional[Cell]) -> Summary:
-    """``summarize(trace_of(cell))``, folded at most once per cell.
-
-    The fold walks up to the nearest cell that already holds its summary
-    and extends that one down again, keeping every summary on the way.
-    """
-    unfolded = []
-    while cell is not None and cell._summary is None:
-        unfolded.append(cell)
-        cell = cell.parent
-    summary = EMPTY_SUMMARY if cell is None else cell._summary
-    for cell in reversed(unfolded):
-        summary = summary.extend((cell.atom,))
-        _set(cell, "_summary", summary)
-    return summary

@@ -40,6 +40,7 @@ from lagc.trace import (
     EventAtom,
     EventKind,
     StateAtom,
+    Summary,
     harvest_params,
     is_concrete_trace,
     singleton,
@@ -224,6 +225,7 @@ def test_a_stepped_configuration_equals_the_one_built_from_its_trace():
         lengths.append(len(config.trace))
         built = compose.ExtConfig(config.trace, config.markers)
         assert built == config and hash(built) == hash(config), len(config.trace)
+        assert built.prefix == config.prefix, len(config.trace)
     assert {31, 32, 33, 64, 65} <= set(lengths) and lengths[-1] > 65
 
 
@@ -330,3 +332,48 @@ def test_cells_per_step_do_not_grow_with_the_trace(monkeypatch):
         (small, small_steps), (large, large_steps) = family(100), family(400)
         assert large_steps >= 4 * small_steps - 10
         assert large / large_steps <= 1.05 * small / small_steps, (small, large)
+
+
+def test_summary_work_per_step_does_not_grow_with_the_trace(monkeypatch):
+    # an input concretizes the whole trace; its summary still comes from
+    # the step, so folding it must not walk the atoms before the input
+    def atoms_summarized(n):
+        stmts = [Assign("x", Num(i)) for i in range(n)] + [Input("y"), Input("z"), Input("w")]
+        program = Program((), reduce(Seq, stmts))
+        atoms = [0]
+        extend = Summary.extend
+
+        def counting(self, added):
+            added = tuple(added)
+            atoms[0] += len(added)
+            return extend(self, added)
+
+        monkeypatch.setattr(Summary, "extend", counting)
+        (trace,) = compose.traces_ext(program, initial_state(["x", "y", "z", "w"]))
+        monkeypatch.undo()
+        assert len(trace) == n + 10
+        return atoms[0]
+
+    assert atoms_summarized(64) == atoms_summarized(256)
+
+
+def test_a_symbolic_prefix_steps_to_a_folded_summary():
+    # only a configuration built from a trace has a symbolic prefix; its
+    # step concretizes the whole trace under a mapping of the whole trace,
+    # which can make the prefix concrete, so extending the old summary by
+    # the added atoms would be wrong
+    rng = random.Random(9)
+    seen = Counter()
+    for _ in range(600):
+        prefix = rand_trace(rng, max_len=6)
+        trace = prefix + (StateAtom(rand_state(rng)),)
+        config = compose.ExtConfig(trace, (Pending(rand_ext_stmt(rng, rng.randint(1, 5))),))
+        try:
+            succs = compose.successors1(config)
+        except LagcError:
+            continue
+        for succ in succs:
+            assert succ.prefix == summarize(succ.trace[:-1])
+            seen[config.prefix.concrete, succ.prefix.concrete] += 1
+    # the sample reaches the symbolic-prefix branch
+    assert seen[False, True] + seen[False, False] > 300, seen

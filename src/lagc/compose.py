@@ -104,6 +104,7 @@ from collections import Counter
 from contextlib import contextmanager
 from functools import partial
 from operator import itemgetter
+from typing import NamedTuple
 
 from .concretize import concretize_atom, min_conc_map_trace
 from .errors import (
@@ -120,7 +121,6 @@ from .state import BOUND_EXCEEDED_PREFIX, State, initial_state, update, vargen
 from .syntax import (
     MethodRef,
     Program,
-    Record,
     Stmt,
     StoredExp,
     canon_key,
@@ -143,8 +143,6 @@ from .trace import (
     summarize,
     trace_of,
 )
-
-_set = object.__setattr__
 
 
 class WlConfig(tuple):
@@ -221,7 +219,16 @@ def _extend(rope: tuple, rho, added: Trace) -> tuple:
     return (cell, loose) if len(loose) <= _LOOSE else _rope(cell, loose)
 
 
-class ExtConfig(Record):
+class _ExtFields(NamedTuple):
+    rope: tuple
+    bag: tuple
+    markers: tuple
+    added: Trace
+    prefix: Summary
+    rho: State
+
+
+class ExtConfig(_ExtFields):
     """Composed global trace plus a multiset of pending process markers.
 
     The trace is the rope ``rope`` (``_rope``), which a step builds from
@@ -236,25 +243,32 @@ class ExtConfig(Record):
     ``markers`` keeps the order the configuration was built in, which is
     the order its successors come out in.  ``bag`` holds the same markers
     sorted by ``id``: markers are hash-consed, so equal multisets are
-    equal bags.  A configuration hashes and compares ``(rope, bag)``;
-    equal traces are equal ropes, so its hash agrees with its equality.
+    equal bags.  A configuration is a named tuple that hashes and
+    compares ``(rope, bag)`` only; equal traces are equal ropes, so its
+    hash agrees with its equality.  Configurations are not ordered.
     ``rho`` is the mapping the step that built the configuration
     concretized the whole glued trace under, or ``None`` when it kept the
     glued trace as it is; see ``_extend``.
     """
 
-    __slots__ = ("rope", "added", "markers", "bag", "prefix", "rho")
-    _fields = ("rope", "bag")
-    rope: tuple
-    added: Trace
-    markers: tuple
-    bag: tuple
-    prefix: Summary
-    rho: State
+    __slots__ = ()
 
-    def __init__(self, trace: Trace, markers):
+    def __new__(cls, trace: Trace, markers):
         trace = tuple(trace)
-        _fill(self, _rope(None, trace), (), tuple(markers), summarize(trace[:-1]), None)
+        return _ext(_rope(None, trace), (), tuple(markers), summarize(trace[:-1]), None)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ExtConfig:
+            return NotImplemented
+        return self[0] == other[0] and self[1] == other[1]
+
+    # object's comparisons: ``!=`` negates ``__eq__``, where tuple's would
+    # compare every field, and ordering raises ``TypeError``
+    __ne__ = object.__ne__
+    __lt__, __le__, __gt__, __ge__ = object.__lt__, object.__le__, object.__gt__, object.__ge__
+
+    def __hash__(self) -> int:
+        return hash((self[0], self[1]))
 
     @property
     def trace(self) -> Trace:
@@ -271,20 +285,14 @@ class ExtConfig(Record):
         return f"ExtConfig(trace={self.trace!r}, markers={self.markers!r})"
 
 
-def _fill(config: ExtConfig, rope: tuple, added: tuple, markers: tuple, prefix, rho):
-    _set(config, "rope", rope)
-    _set(config, "added", added)
-    _set(config, "markers", markers)
-    _set(config, "bag", markers if len(markers) < 2 else tuple(sorted(markers, key=id)))
-    _set(config, "prefix", prefix)
-    _set(config, "rho", rho)
+# an ExtConfig from its six fields, in ``_ExtFields`` order
+_ext_config = partial(tuple.__new__, ExtConfig)
 
 
 def _ext(rope: tuple, added: tuple, markers: tuple, prefix, rho) -> ExtConfig:
     """A configuration a step built; see ``ExtConfig``."""
-    config = object.__new__(ExtConfig)
-    _fill(config, rope, added, markers, prefix, rho)
-    return config
+    bag = markers if len(markers) < 2 else tuple(sorted(markers, key=id))
+    return _ext_config((rope, bag, markers, added, prefix, rho))
 
 
 def _final_state(atom) -> State:
@@ -294,15 +302,20 @@ def _final_state(atom) -> State:
     raise UndefinedTraceOpError("trace does not end with a state")
 
 
-class ComposePolicy(Record):
-    __slots__ = _fields = ("increment", "max_rounds", "fresh_bound", "conc_numeral")
+class _PolicyFields(NamedTuple):
     increment: int
     max_rounds: int
     fresh_bound: int
     conc_numeral: int
 
-    def __init__(
-        self,
+
+class ComposePolicy(_PolicyFields):
+    """The exploration's budget and fresh-name settings, a named tuple checked when built."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
         increment: int = 100,
         max_rounds: int = 100,
         fresh_bound: int = DEFAULT_FRESH_BOUND,
@@ -314,10 +327,7 @@ class ComposePolicy(Record):
             raise PolicyError("max_rounds must be at least 1")
         if fresh_bound < 0:
             raise PolicyError("fresh_bound must be at least 0")
-        object.__setattr__(self, "increment", increment)
-        object.__setattr__(self, "max_rounds", max_rounds)
-        object.__setattr__(self, "fresh_bound", fresh_bound)
-        object.__setattr__(self, "conc_numeral", conc_numeral)
+        return tuple.__new__(cls, (increment, max_rounds, fresh_bound, conc_numeral))
 
 
 DEFAULT_POLICY = ComposePolicy()

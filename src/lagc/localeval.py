@@ -215,8 +215,8 @@ def _step(marker: Pending, sigma: State, mode: str, fresh_bound: int):
     """``valuate`` of a marker: run its head and build the leftovers in front of its rest."""
     stmt, rest = marker.head, marker.rest
     if isinstance(stmt, While):
-        # the loop is no Seq or LocPar, so its cell is built directly
-        return _test(stmt.cond, sigma, Pending(stmt.body, Pending._new(Pending, stmt, rest)), rest)
+        # after the body the loop runs again, which is the hash-consed ``marker`` itself
+        return _test(stmt.cond, sigma, Pending(stmt.body, marker), rest)
     if isinstance(stmt, If):
         return _test(stmt.cond, sigma, Pending(stmt.body, rest), rest)
     # the statements below leave nothing over but ``rest``, or return early

@@ -195,11 +195,16 @@ class _Parser:
             left = self.aexp()
             op = self.relop()
             return Rel(left, op, self.aexp())
-        except ParseError:
-            self.index = saved
-        self.expect("sym", "(")
-        inner = self.bexp()
-        self.expect("sym", ")")
+        except ParseError as error:
+            relation = error
+        self.index = saved
+        try:
+            self.expect("sym", "(")
+            inner = self.bexp()
+            self.expect("sym", ")")
+        except ParseError as bracket:
+            # the attempt that got further, the bracketed one on a tie
+            raise max(bracket, relation, key=_reach) from None
         return inner
 
     def relop(self) -> RelOp:
@@ -331,6 +336,11 @@ def parse_program(source: str, mode: str = "ext") -> Program:
     return program
 
 
+def _reach(error: ParseError) -> tuple:
+    """How far a failed parse got: the ``(line, column)`` it failed at."""
+    return error.line, error.column
+
+
 def parse_expression(source: str):
     """Parse an arithmetic or Boolean expression, trying arithmetic first.
 
@@ -348,4 +358,4 @@ def parse_expression(source: str):
             parser.fail("end of input")
         except ParseError as exc:
             failures.append(exc)
-    raise max(failures, key=lambda exc: (exc.line, exc.column))
+    raise max(failures, key=_reach)

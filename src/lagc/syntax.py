@@ -14,8 +14,7 @@ a node nothing else holds leaves it.  Nodes are immutable.
 ``canon_key`` gives a total order over every syntax value, so that sets
 and multisets built from them can be canonicalized deterministically; a
 node computes its key once and keeps it.  States, trace atoms and
-continuation markers are nodes too.  ``Record`` is the immutable value
-with structural equality that configurations build on.
+continuation markers are nodes too.
 """
 
 from __future__ import annotations
@@ -23,47 +22,11 @@ from __future__ import annotations
 import weakref
 from contextlib import contextmanager
 from enum import Enum
-from operator import attrgetter
 from typing import Union
 
 from .errors import ModeError
 
 _set = object.__setattr__
-
-
-class Record:
-    """An immutable value that compares and hashes by its ``_fields``.
-
-    A subclass names its fields in ``__slots__`` and ``_fields`` and sets
-    them in ``__init__`` through ``object.__setattr__``.
-    """
-
-    __slots__ = ()
-    _fields = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        fields = cls._fields
-        # the field values: one value for one field, a tuple for more
-        cls._values = attrgetter(*fields) if fields else staticmethod(lambda record: ())
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values(self) == self._values(other)
-
-    def __hash__(self) -> int:
-        return hash(self._values(self))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
 
 
 # (class, *fields) -> weak reference to the one node with them
@@ -82,12 +45,14 @@ def _forget(ref: _Ref, table: dict = _interned) -> None:
         del table[ref.key]
 
 
-class Node(Record):
+class Node:
     """A syntax node, hash-consed at construction; see the module docstring.
 
-    The constructor takes the fields positionally.  Every other slot, such
-    as the memoized ``_key``, starts out as ``None`` in a new node, so a
-    memo is read without catching an ``AttributeError``.
+    A node is immutable and, being hash-consed, compares and hashes by
+    identity, as ``object`` does.  The constructor takes the fields
+    positionally.  Every other slot, such as the memoized ``_key``, starts
+    out as ``None`` in a new node, so a memo is read without catching an
+    ``AttributeError``.
 
     Each class gets a constructor for its number of fields, 0 to 3, as
     ``_new`` and, unless the class defines its own ``__new__`` (which then
@@ -98,8 +63,7 @@ class Node(Record):
     """
 
     __slots__ = ("_key", "__weakref__")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
+    _fields = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -119,6 +83,16 @@ class Node(Record):
     def __new__(cls, *fields):
         """``cls``'s own constructor, for a caller that names this one."""
         return cls._new(cls, *fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 def _constructor(name: str, setters: tuple, memo: tuple):
@@ -431,10 +405,11 @@ _KIND_NODE = 5
 def canon_key(value):
     """Map any syntax-level value onto a totally ordered key.
 
-    Nodes and records order by constructor name first, then by their
-    fields; containers order element-wise.  The induced order is arbitrary
-    but fixed, which is all that deterministic canonicalization needs.  A
-    node's key is computed once and kept in the node.
+    Nodes order by constructor name first, then by their fields;
+    containers, named tuples among them, order element-wise.  The induced
+    order is arbitrary but fixed, which is all that deterministic
+    canonicalization needs.  A node's key is computed once and kept in the
+    node.
     """
     if isinstance(value, Node):
         key = value._key
@@ -454,8 +429,6 @@ def canon_key(value):
         return (_KIND_FROZENSET, tuple(sorted(canon_key(v) for v in value)))
     if isinstance(value, Enum):
         return (_KIND_ENUM, type(value).__name__, value.name)
-    if isinstance(value, Record):
-        return _fields_key(value, value._fields)
     if hasattr(value, "__dataclass_fields__"):
         # a dataclass defined outside lagc; its class loaded the module
         import dataclasses

@@ -163,11 +163,24 @@ def test_exit_code_divergence(write, capsys):
     assert capsys.readouterr().err
 
 
-def test_exit_code_fresh_bound(write, capsys):
-    path = write("inp.ext", "input x")
-    code = main(["traces", path, "--state", "$x::Input=0", "--fresh-bound", "1"])
+@pytest.mark.parametrize(
+    "text, state, name",
+    [
+        ("input x", "$x::Input=0", "$x::Input"),
+        ("scope(y){ y := 1 }", "$y::Scope=0", "$y::Scope"),
+        (
+            "program { method m(v) { x := v } main { call m(1) } }",
+            "$m::Param=0,x=0",
+            "$m::Param",
+        ),
+    ],
+    ids=["input", "scope", "method-parameter"],
+)
+def test_exit_code_fresh_bound(write, capsys, text, state, name):
+    path = write("fresh.ext", text)
+    code = main(["traces", path, "--state", state, "--fresh-bound", "1"])
     assert code == 4
-    assert capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: $BOUND_EXCEEDED::{name}\n"
 
 
 def test_exit_code_unbound_variable(write, capsys):
@@ -203,6 +216,7 @@ def test_invalid_round_flags_are_usage_errors(write, capsys, argv, message):
 
 LONG_BODY = " ;; ".join(["x := x + 1"] * 1200)
 DEEP_PARENS = "(" * 2000 + "1" + ")" * 2000
+LONG_SUM = " + ".join(["1"] * 1200)
 
 
 @pytest.mark.parametrize(
@@ -210,11 +224,13 @@ DEEP_PARENS = "(" * 2000 + "1" + ")" * 2000
     [
         f"scope(y){{ x := {DEEP_PARENS} }}",
         f"program {{ method foo(p){{ x := {DEEP_PARENS} }} main {{ call foo(1) }} }}",
+        f"x := {LONG_SUM}",
     ],
-    ids=["scope-body", "method-body"],
+    ids=["scope-body", "method-body", "long-sum"],
 )
 def test_recursion_limit_is_exit_5(write, capsys, text):
-    # the parser descends once per parenthesis
+    # the parser descends once per parenthesis; free variables and evaluation
+    # descend once per operator of the left-nested chain a long sum parses to
     path = write("deep.ext", text)
     assert main(["traces", path]) == 5
     captured = capsys.readouterr()

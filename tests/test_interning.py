@@ -33,7 +33,6 @@ from lagc.syntax import (
     Node,
     Num,
     Program,
-    Record,
     Rel,
     RelOp,
     STAR,
@@ -188,11 +187,11 @@ def test_canon_key_matches_the_recursive_definition():
     assert sorted(values, key=canon_key) == sorted(values, key=_reference_key)
     node = values[0]
     assert canon_key(node) is canon_key(node)
-    # markers are nodes too; a policy is a plain record
+    # markers are nodes too; a policy is a plain named tuple
     assert isinstance(node, Node) and isinstance(values[1], Node)
     policy = ComposePolicy(increment=7)
     assert canon_key(policy) == _reference_key(policy)
-    assert isinstance(policy, Record) and not isinstance(policy, Node)
+    assert isinstance(policy, tuple) and not isinstance(policy, Node)
 
 
 def test_importing_the_cli_does_not_load_dataclasses():

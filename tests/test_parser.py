@@ -103,6 +103,19 @@ def test_parse_error_positions():
         parse_program("x := 1 }")  # trailing token
 
 
+def test_a_malformed_condition_reports_the_relation_when_it_got_further():
+    # a condition is tried as a relation, then as ``( bexp )``
+    cases = [
+        ("if x <= then skip fi", 9, "an arithmetic expression", "then"),
+        ("if x then skip fi", 6, "a relational operator", "then"),
+    ]
+    for source, column, expected, found in cases:
+        with pytest.raises(ParseError) as caught:
+            parse_program(source)
+        error = caught.value
+        assert (error.line, error.column, error.expected, error.found) == (1, column, expected, found)
+
+
 def test_mode_errors():
     with pytest.raises(ModeError):
         parse_program("input x", "wl")
@@ -131,6 +144,7 @@ def test_parse_expression():
         ("1 2", 3, "end of input", "2"),
         ("x == 1 &&", 10, "(", "end of input"),
         ("x == 1 )", 8, "end of input", ")"),
+        ("x <= ", 6, "an arithmetic expression", "end of input"),
     ],
 )
 def test_parse_expression_reports_the_failure_that_got_furthest(source, column, expected, found):

@@ -225,6 +225,8 @@ def test_a_stepped_configuration_equals_the_one_built_from_its_trace():
         lengths.append(len(config.trace))
         built = compose.ExtConfig(config.trace, config.markers)
         assert built == config and hash(built) == hash(config), len(config.trace)
+        # ``!=`` too compares the trace and the markers only, not every field
+        assert not built != config, len(config.trace)
         assert built.prefix == config.prefix, len(config.trace)
     assert {31, 32, 33, 64, 65} <= set(lengths) and lengths[-1] > 65
 

@@ -23,6 +23,7 @@ from .compose import (
     ComposePolicy,
     initial_state_for,
     memoizing,
+    trace_equivalent,
     traces_ext,
     traces_wl,
 )
@@ -119,16 +120,13 @@ def _initial(args, *items) -> State:
     return initial_state_for(*items)
 
 
-def _traces(args, program: Program, sigma: State) -> frozenset:
-    """The trace set of ``program`` in the selected language, bounded if asked."""
-    if args.lang == "wl":
-        return traces_wl(program.main, sigma, _policy(args), args.bound)
-    return traces_ext(program, sigma, _policy(args), args.bound)
-
-
 def _cmd_traces(args) -> int:
     program = _load(args.file, args.lang)
-    traces = _traces(args, program, _initial(args, program))
+    sigma = _initial(args, program)
+    if args.lang == "wl":
+        traces = traces_wl(program.main, sigma, _policy(args), args.bound)
+    else:
+        traces = traces_ext(program, sigma, _policy(args), args.bound)
     sys.stdout.write(render_traces(traces, args.format))
     return 0
 
@@ -137,7 +135,9 @@ def _cmd_equiv(args) -> int:
     left = _load(args.file, args.lang)
     right = _load(args.file2, args.lang)
     sigma = _initial(args, left, right)
-    same = _traces(args, left, sigma) == _traces(args, right, sigma)
+    if args.lang == "wl":
+        left, right = left.main, right.main
+    same = trace_equivalent(left, right, sigma, _policy(args), args.lang)
     sys.stdout.write("equivalent\n" if same else "not equivalent\n")
     return 0
 

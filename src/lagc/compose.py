@@ -80,6 +80,18 @@ reaching each node, each edge extended with ``_extend`` as its step was,
 so equal traces meet in a set and an edge costs what it appends; each
 returned trace is spelled out as a tuple once.
 
+``trace_equivalent`` builds the two sides of an ext comparison into one
+node table when both programs have the same methods: the left side as
+``traces_ext`` would, then the right side, which walks the nodes the
+left one expanded instead of expanding them again but keeps its own
+minimum depths, budget check and errors.  Without a mapping on any
+reachable edge, a step appends ``added`` to whatever trace it extends,
+and both sides start from the same trace, so the trace sets are equal
+iff the two roots append the same set of words along their maximal
+paths, which ``_same_words`` decides on the graph (Hopcroft and Karp,
+1971).  Only when an edge carries a mapping are both trace sets
+replayed and compared.
+
 Five caches keep the ext engine from computing the same thing twice in
 one command.  A local step is memoized per ``(marker, state, fresh_bound,
 conc_numeral)``: ``valuate``, the minimal mapping of each local trace,
@@ -102,7 +114,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from contextlib import contextmanager
-from functools import partial
+from functools import cache, partial
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -713,54 +725,77 @@ def _future_key(config: ExtConfig):
 
 
 class _Node:
-    """The first configuration that reached a node and, once expanded, its edges.
+    """The first configuration that reached a node, its edges once expanded, and its last walk.
 
     An edge is ``(target, rho, added)``: the step takes a trace of this
     node, as a rope, to ``_extend(rope, rho, added)``.  ``edges`` stays
-    ``None`` for a node that was not expanded.
+    ``None`` for a node that was not expanded.  ``walk`` is the token of
+    the last ``_graph`` call that reached the node.
     """
 
-    __slots__ = ("rep", "edges")
+    __slots__ = ("rep", "edges", "walk")
 
-    def __init__(self, rep: ExtConfig):
-        self.rep, self.edges = rep, None
+    def __init__(self, rep: ExtConfig, walk):
+        self.rep, self.edges, self.walk = rep, None, walk
 
 
-def _graph(start: ExtConfig, table, fresh_bound: int, conc_numeral: int, depth: int) -> tuple:
+def _graph(
+    start: ExtConfig, table, fresh_bound: int, conc_numeral: int, depth: int, nodes=None
+) -> tuple:
     """Expand, layer by layer, every node first reached within fewer than ``depth`` steps.
 
-    Returns every node, in order of minimum depth with the root first, and
-    the nodes first reached after exactly ``depth`` steps, which are left
-    unexpanded.  A layer is expanded in the order its nodes were first
-    reached, and a node's successors in the order ``successors_ext``
-    lists them, so which configuration represents a node does not depend
-    on identity hashes.  The least error of the shallowest failing layer
-    is raised.
+    Returns the nodes reached, in order of minimum depth with the root
+    first, and the nodes first reached after exactly ``depth`` steps,
+    which are left unexpanded.  A layer is expanded in the order its nodes
+    were first reached, and a node's successors in the order
+    ``successors_ext`` lists them, so which configuration represents a
+    node does not depend on identity hashes.  The least error of the
+    shallowest failing layer is raised.
+
+    ``nodes`` is a node table, by future key, that an earlier call with
+    the same methods and settings filled.  A node's successors depend only
+    on its key, so a node that call expanded is walked, not expanded
+    again; the minimum depths are this call's own, so its layers, result
+    and errors are those of a call on an empty table.
     """
     if depth < 0:
         raise PolicyError("bound must be at least 0")
 
     def expand(node: _Node):
+        if node.edges is not None:
+            return None
         return successors_ext(table, node.rep, fresh_bound, conc_numeral)
 
-    root = _Node(start)
-    nodes = {_future_key(start): root}
-    layer = [root]
+    walk = object()
+    nodes = {} if nodes is None else nodes
+    root = nodes.setdefault(_future_key(start), _Node(start, walk))
+    root.walk = walk
+    reached, layer = [root], [root]
     for _ in range(depth):
         if not layer:
             break
         step = []
         for node, succs in _expand_all(layer, expand):
+            if succs is None:
+                for target, _, _ in node.edges:
+                    if target.walk is not walk:
+                        target.walk = walk
+                        step.append(target)
+                continue
             node.edges = edges = []
             for succ in succs:
                 key = _future_key(succ)
                 target = nodes.get(key)
                 if target is None:
-                    target = nodes[key] = _Node(succ)
+                    target = nodes[key] = _Node(succ, walk)
+                    step.append(target)
+                elif target.walk is not walk:
+                    target.walk = walk
                     step.append(target)
                 edges.append((target, succ.rho, succ.added))
+        reached += step
         layer = step
-    return list(nodes.values()), layer
+    return reached, layer
 
 
 def _longest_path(nodes: list) -> float:
@@ -783,16 +818,17 @@ def _longest_path(nodes: list) -> float:
     return max(length.values()) if done == len(nodes) else math.inf
 
 
-def _paths(root: _Node, steps: int) -> list:
+def _paths(root: _Node, rope: tuple, steps: int) -> list:
     """The ends of the paths from ``root`` of at most ``steps`` steps, as ``(node, trace)``.
 
+    The paths start with the trace ``rope`` of the start configuration.
     A path ends at a terminal or unexpanded node, or after ``steps``
     steps.  A layer maps each node to the distinct ropes of the traces
     that reach it, and an edge extends each of them with ``_extend``, as
     the step it replays did, so an edge costs what it appends, whatever
     the length of the trace.
     """
-    layer = {root: {root.rep.rope}}
+    layer = {root: {rope}}
     ends = []
     for _ in range(steps):
         step = {}
@@ -819,17 +855,25 @@ def _bounded_ends(
 ) -> list:
     with memoizing():
         nodes, _ = _graph(config, table, fresh_bound, conc_numeral, bound)
-        return _paths(nodes[0], bound)
+        return _paths(nodes[0], config.rope, bound)
+
+
+def _fixpoint_graph(policy: ComposePolicy, table, config: ExtConfig, nodes=None) -> tuple:
+    """The nodes ``config`` reaches and the steps of its longest path, if within the budget."""
+    budget = (policy.max_rounds - 1) * policy.increment
+    reached, beyond = _graph(
+        config, table, policy.fresh_bound, policy.conc_numeral, budget + 1, nodes
+    )
+    longest = math.inf if beyond else _longest_path(reached)
+    if longest > budget:
+        raise _divergence(policy)
+    return reached, longest
 
 
 def _fixpoint_ends(policy: ComposePolicy, table, config: ExtConfig) -> list:
-    budget = (policy.max_rounds - 1) * policy.increment
     with memoizing():
-        nodes, beyond = _graph(config, table, policy.fresh_bound, policy.conc_numeral, budget + 1)
-        longest = math.inf if beyond else _longest_path(nodes)
-        if longest > budget:
-            raise _divergence(policy)
-        return _paths(nodes[0], longest)
+        reached, longest = _fixpoint_graph(policy, table, config)
+        return _paths(reached[0], config.rope, longest)
 
 
 def compose_bounded_ext(
@@ -850,6 +894,10 @@ def compose_ext(policy: ComposePolicy, table, config: ExtConfig) -> frozenset:
     return frozenset(ExtConfig(trace, node.rep.markers) for node, trace in ends)
 
 
+def _start(program: Program, sigma: State) -> ExtConfig:
+    return ExtConfig(singleton(sigma), (Pending(program.main),))
+
+
 def traces_ext(
     program: Program,
     sigma: State,
@@ -861,7 +909,7 @@ def traces_ext(
     The traces come straight from the path ends; no configuration is built for them.
     """
     table = method_table(program.methods)
-    start = ExtConfig(singleton(sigma), (Pending(program.main),))
+    start = _start(program, sigma)
     if bound is None:
         ends = _fixpoint_ends(policy, table, start)
     else:
@@ -873,6 +921,92 @@ def traces_ext(
 # Trace equivalence
 
 
+def _same_words(left: _Node, right: _Node) -> bool:
+    """Whether the maximal paths from ``left`` and from ``right`` append the same words.
+
+    Hopcroft and Karp's check on the subset automaton, built as it is
+    needed.  A position is a node without edges, which accepts, or
+    ``(added, i, target)``, an edge with the index of the next atom it
+    appends; a state is the frozen set of positions a word leads to,
+    closed under the edges that append nothing.  A union-find merges the
+    states found equal, and a pair of states is pushed only when it joins
+    two classes, so fewer pairs are pushed than there are states.
+    """
+
+    @cache
+    def closure(node: _Node) -> frozenset:
+        found, todo, seen = set(), [node], {node}
+        while todo:
+            item = todo.pop()
+            if not item.edges:
+                found.add(item)
+            for target, _, added in item.edges:
+                if added:
+                    found.add((added, 0, target))
+                elif target not in seen:
+                    seen.add(target)
+                    todo.append(target)
+        return frozenset(found)
+
+    def moves(state: frozenset) -> tuple:
+        """Whether ``state`` accepts, and the state each atom leads to."""
+        accepts, out = False, {}
+        for position in state:
+            if position.__class__ is _Node:
+                accepts = True
+                continue
+            added, i, target = position
+            after = out.setdefault(added[i], set())
+            if i + 1 < len(added):
+                after.add((added, i + 1, target))
+            else:
+                after |= closure(target)
+        return accepts, {atom: frozenset(after) for atom, after in out.items()}
+
+    parent, todo = {}, []
+
+    def find(state: frozenset) -> frozenset:
+        while state in parent:
+            up = parent[state]
+            parent[state] = state = parent.get(up, up)
+        return state
+
+    def join(a: frozenset, b: frozenset):
+        root_a, root_b = find(a), find(b)
+        if root_a != root_b:
+            parent[root_a] = root_b
+            todo.append((a, b))
+
+    join(closure(left), closure(right))
+    empty = frozenset()
+    while todo:
+        (accepts_a, moves_a), (accepts_b, moves_b) = map(moves, todo.pop())
+        if accepts_a != accepts_b:
+            return False
+        for atom in moves_a.keys() | moves_b.keys():
+            join(moves_a.get(atom, empty), moves_b.get(atom, empty))
+    return True
+
+
+def _programs_equivalent(left: Program, right: Program, sigma: State, policy) -> bool:
+    """Whether both programs have the same fixpoint trace set; see the module docstring."""
+    nodes, sides = {}, []
+    methods = set(left.methods)
+    for program in (left, right):
+        table, start = method_table(program.methods), _start(program, sigma)
+        shared = nodes if set(table) == methods else None
+        reached, longest = _fixpoint_graph(policy, table, start, shared)
+        sides.append((reached, start.rope, longest))
+    edges = [edge for reached, _, _ in sides for node in reached for edge in node.edges]
+    if any(rho is not None for _, rho, _ in edges):
+        left_traces, right_traces = (
+            frozenset(trace for _, trace in _paths(reached[0], rope, longest))
+            for reached, rope, longest in sides
+        )
+        return left_traces == right_traces
+    return _same_words(sides[0][0][0], sides[1][0][0])
+
+
 def trace_equivalent(
     left,
     right,
@@ -882,17 +1016,16 @@ def trace_equivalent(
 ) -> bool:
     """Whether both operands generate the same global trace set from ``sigma``.
 
-    Both sides share one set of ``memoizing`` tables.
+    Both sides share one set of ``memoizing`` tables and, for ext, one
+    node table; see the module docstring.
     """
     with memoizing():
         if isinstance(left, Program) and isinstance(right, Program):
-            return traces_ext(left, sigma, policy) == traces_ext(right, sigma, policy)
+            return _programs_equivalent(left, right, sigma, policy)
         if isinstance(left, Program) or isinstance(right, Program):
             raise ModeError("cannot compare a program against a bare statement")
         if mode == "ext":
-            return traces_ext(Program((), left), sigma, policy) == traces_ext(
-                Program((), right), sigma, policy
-            )
+            return _programs_equivalent(Program((), left), Program((), right), sigma, policy)
         return traces_wl(left, sigma, policy) == traces_wl(right, sigma, policy)
 
 

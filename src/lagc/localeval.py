@@ -61,6 +61,8 @@ from .trace import CondTrace, EventKind, StateAtom, cond_trace, gen_event, singl
 
 DEFAULT_FRESH_BOUND = 100
 
+_set = object.__setattr__
+
 
 class Done(Node):
     """The empty continuation: the process has finished."""
@@ -79,9 +81,16 @@ class Pending(Node):
     statement, and turns a ``LocPar`` into a ``Par`` head, so no head is a
     ``Seq`` or a ``LocPar`` and every nesting of the same sequence gives
     the same marker.
+
+    ``_body`` memoizes, for a marker whose head is an ``if`` or a
+    ``while``, the marker that runs the head's body: the body followed by
+    ``rest``, or for a loop by the marker itself.  So a body's ``Seq``
+    spine is flattened once per marker, not on every step.  A loop marker
+    and its body's marker hold each other; the cyclic collector frees them.
     """
 
-    __slots__ = _fields = ("head", "rest")
+    __slots__ = ("head", "rest", "_body")
+    _fields = ("head", "rest")
     head: Stmt
     rest: Marker
 
@@ -214,11 +223,13 @@ def valuate(
 def _step(marker: Pending, sigma: State, mode: str, fresh_bound: int):
     """``valuate`` of a marker: run its head and build the leftovers in front of its rest."""
     stmt, rest = marker.head, marker.rest
-    if isinstance(stmt, While):
-        # after the body the loop runs again, which is the hash-consed ``marker`` itself
-        return _test(stmt.cond, sigma, Pending(stmt.body, marker), rest)
-    if isinstance(stmt, If):
-        return _test(stmt.cond, sigma, Pending(stmt.body, rest), rest)
+    if isinstance(stmt, (While, If)):
+        body = marker._body
+        if body is None:
+            # after a loop's body the loop runs again, which is the hash-consed ``marker`` itself
+            body = Pending(stmt.body, marker if isinstance(stmt, While) else rest)
+            _set(marker, "_body", body)
+        return _test(stmt.cond, sigma, body, rest)
     # the statements below leave nothing over but ``rest``, or return early
     if isinstance(stmt, Skip):
         trace = singleton(sigma)

@@ -4,7 +4,8 @@ from functools import reduce
 import pytest
 
 import reference_engine as ref
-from lagc.compose import initial_state_for, traces_ext
+from lagc import localeval
+from lagc.compose import initial_state_for, traces_ext, traces_wl
 from lagc.errors import FreshBoundExceededError, ModeError
 from lagc.evaluate import eval_bool
 from lagc.localeval import DONE, ContTrace, Pending, cont_append, parallel, valuate
@@ -31,6 +32,7 @@ from lagc.syntax import (
     StoredExp,
     Var,
     While,
+    holding_nodes,
 )
 from lagc.trace import CondTrace, EventAtom, EventKind, StateAtom, singleton
 from lagc.syntax import free_vars
@@ -238,6 +240,28 @@ def test_a_step_continues_with_the_rest_of_the_marker_itself():
         sigma, marker = cont.cond.trace[-1].state, marker.rest
         steps += 1
     assert steps == 1000
+
+
+def test_a_test_marker_flattens_its_body_once(monkeypatch):
+    # each ``if`` and ``while`` marker keeps the marker of its body, so each
+    # body's ``Seq`` spine is flattened once, not on every step
+    spines, original = [], localeval.seq_spine
+
+    def counting(stmt):
+        spines.append(stmt)
+        return original(stmt)
+
+    monkeypatch.setattr(localeval, "seq_spine", counting)
+    stmt = parse_program(
+        "while c <= 20 do d := 0 ;; while d <= 5 do d := d + 1 ;;"
+        " if d >= 3 then x := x + d ;; y := y + 1 fi od ;; c := c + 1 od",
+        "wl",
+    ).main
+    with holding_nodes():
+        (trace,) = traces_wl(stmt, initial_state(["c", "d", "x", "y"]))
+    assert trace[-1].state.lookup("y") == StoredExp(Num(84))
+    # the body of the outer loop, of the inner loop and of the ``if``
+    assert len(spines) == len(set(map(id, spines))) == 3
 
 
 CO_NESTS = [

@@ -239,6 +239,16 @@ def test_recursion_limit_is_exit_5(write, capsys, text):
     assert "Traceback" not in captured.err
 
 
+def test_a_condition_in_400_parentheses_runs(write, capsys):
+    # two frames per parenthesis: the parser reads either sort inside one
+    # without a second attempt, so 400 levels stay below the recursion limit
+    path = write("deep_cond.wl", "if " + "(" * 400 + "x <= 1" + ")" * 400 + " then x := 1 fi")
+    assert main(["traces", path, "--lang", "wl"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "1 trace"
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -1,7 +1,8 @@
 """Seeded fuzzing of the command line's exit-code contract.
 
-Arbitrary bytes, soups of surface tokens and random well-formed programs
-go through ``lagc traces`` in process, twice each, under a small budget.
+Arbitrary bytes, soups of surface tokens, random well-formed programs,
+deeply nested expressions and long ``;;`` chains go through ``lagc traces``
+in process, twice each, under a small budget.
 Every run must end in a documented exit code (0-5) without an exception
 escaping, and both runs of one input must agree on the exit code and on
 stdout.  ``derandomize`` fixes the examples, so the suite is reproducible.
@@ -10,6 +11,7 @@ stdout.  ``derandomize`` fixes the examples, so the suite is reproducible.
 import contextlib
 import io
 import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -32,7 +34,7 @@ TOKENS = (
 FUZZ = settings(derandomize=True, database=None, deadline=None)
 
 
-def _run_twice(data: bytes) -> None:
+def _run_twice(data: bytes) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.ext"
         path.write_bytes(data)
@@ -44,6 +46,7 @@ def _run_twice(data: bytes) -> None:
             assert code in range(6), (data, code, err.getvalue())
             outcomes.append((code, out.getvalue()))
     assert outcomes[0] == outcomes[1], data
+    return outcomes[0][0]
 
 
 token_soup = st.lists(st.sampled_from(TOKENS), max_size=30).map(lambda t: " ".join(t).encode())
@@ -62,3 +65,54 @@ def test_random_programs_get_a_documented_exit_code(seed):
     method = Method("m0", "v", rand_ext_stmt(rng, rng.randint(1, 4)))
     program = Program((method,), rand_ext_stmt(rng, rng.randint(1, 6)))
     _run_twice(pretty_program(program).encode())
+
+
+DEFAULT_RECURSION_LIMIT = 1000
+
+# Each wraps a condition or an arithmetic expression in one more level.
+CONDITION_LAYERS = ("({})", "!{}", "{} && y == 0", "x + 1 <= 2 && ({})", "(x) == 1 || ({})")
+ARITH_LAYERS = ("({})", "1 + ({})", "({}) * 2", "{} - 1")
+
+
+@st.composite
+def deep_sources(draw):
+    depth = draw(st.integers(min_value=0, max_value=600))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    if draw(st.booleans()):
+        cond = "x <= 1"
+        for _ in range(depth):
+            cond = rng.choice(CONDITION_LAYERS).format(cond)
+        return f"x := 0 ;; if {cond} then y := 1 fi".encode()
+    value = "x"
+    for _ in range(depth):
+        value = rng.choice(ARITH_LAYERS).format(value)
+    return f"x := 0 ;; y := {value}".encode()
+
+
+def test_deep_expressions_get_a_documented_exit_code():
+    # shallow ones run, the deepest exhaust the recursion limit; Hypothesis
+    # raises that limit while it runs, so each input gets the interpreter's
+    # default, as the console script does
+    codes = set()
+
+    @settings(FUZZ, max_examples=40)
+    @given(deep_sources())
+    def run(data):
+        raised = sys.getrecursionlimit()
+        sys.setrecursionlimit(DEFAULT_RECURSION_LIMIT)
+        try:
+            codes.add(_run_twice(data))
+        finally:
+            sys.setrecursionlimit(raised)
+
+    run()
+    assert {0, 5} <= codes, codes
+
+
+@settings(FUZZ, max_examples=20)
+@given(
+    st.integers(min_value=0, max_value=3000),
+    st.sampled_from(["x := x + 1", "skip", "co skip || x := 1 oc"]),
+)
+def test_long_sequences_get_a_documented_exit_code(length, statement):
+    _run_twice(" ;; ".join(["x := 0", *[statement] * length]).encode())

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from lagc import parser
 from lagc.errors import ModeError, ParseError
 from lagc.parser import parse_expression, parse_program
 from lagc.render import pretty_program
@@ -114,6 +115,24 @@ def test_a_malformed_condition_reports_the_relation_when_it_got_further():
             parse_program(source)
         error = caught.value
         assert (error.line, error.column, error.expected, error.found) == (1, column, expected, found)
+
+
+@pytest.mark.parametrize("depth", [1, 10, 100, 400])
+def test_a_valid_nested_condition_builds_no_error(monkeypatch, depth):
+    # a condition is read once, so no failed attempt builds a ``ParseError``
+    built, error = [], parser._error
+
+    def counting(*args):
+        built.append(args)
+        return error(*args)
+
+    source = "if " + "(" * depth + "!x <= 1 && (y) == 2" + ")" * depth + " then skip fi"
+    monkeypatch.setattr(parser, "_error", counting)
+    program = parse_program(source)
+    assert program.main.cond == BBin(
+        Neg(Rel(Var("x"), RelOp.LEQ, Num(1))), BoolOp.CONJ, Rel(Var("y"), RelOp.EQ, Num(2))
+    )
+    assert built == []
 
 
 def test_mode_errors():

@@ -44,11 +44,15 @@ into rounds does not change the result, only the error text.  When
 configurations of one step fail, the least error by type and message is
 raised, whatever order they are iterated in.
 
-The wl search walks the configurations breadth first, one frontier per
-step, and for a fixpoint requires every configuration on the last
-frontier to be terminal.  From a concrete start a wl run has one
-configuration per step, so merging configurations would save nothing
-there and only add bookkeeping.
+A wl step has at most one successor: a local step yields one trace, or
+the two branches of a test under complementary conditions, and at most
+one of those is consistent.  So a wl run is one path, which the wl engine
+walks one configuration at a time.  It ends finished, once the marker is
+``Done``; stuck, once every local trace is inconsistent (a test on
+``*``, say); or at the budget.  A stuck wl run reaches nothing and is
+dropped, while a stuck ext configuration is a deadlock and is kept.  For
+a fixpoint, a run still pending at the budget is expanded once more, so
+that an error there wins, and then diverges.
 
 The ext search explores a graph instead of the trace tree.  The
 successors of a configuration whose prefix is concrete depend on nothing
@@ -168,11 +172,12 @@ class WlConfig(tuple):
     ``trace[:-1]``, for the tests; the wl engine uses neither.
 
     The wl engine keeps the cell where the ext engine keeps a rope
-    (``_rope``): from a concrete start a wl step has one successor and
-    appends the few atoms of one local trace, so a cell per atom is cheap,
-    while a rope would copy and hash up to ``_LOOSE`` atoms per step.  Holding the wl trace as a rope
-    read the wl-sequential benchmark's ``cmds_per_s`` 1.1% lower (median
-    of 6 alternating pairs, 220.7 against 218.2, lower in 5 of them).
+    (``_rope``): a wl step has at most one successor and appends the few
+    atoms of one local trace, so a cell per atom is cheap, while a rope
+    would copy and hash up to ``_LOOSE`` atoms per step.  Holding the wl
+    trace as a rope read the wl-sequential benchmark's ``cmds_per_s`` 1.1%
+    lower (median of 6 alternating pairs, 220.7 against 218.2, lower in 5
+    of them).
     """
 
     __slots__ = ()
@@ -362,7 +367,7 @@ def _pending(cell: Cell, marker: Marker) -> State:
 
 
 def _expand_all(items, expand) -> list:
-    """``(item, expand(item))`` for every configuration or marker, in order.
+    """``(item, expand(item))`` for every item, a graph node or a marker, in order.
 
     Every item is expanded even after one of them fails; then the least
     error by type name and message is raised, so which error a run reports
@@ -377,31 +382,6 @@ def _expand_all(items, expand) -> list:
     if errors:
         raise min(errors, key=lambda exc: (type(exc).__name__, str(exc)))
     return results
-
-
-def _explore(start, expand, bound: int) -> tuple:
-    """Breadth-first exploration of the wl configurations for at most ``bound`` steps.
-
-    ``expand`` maps a configuration to its successors, or to ``None``
-    when the configuration is terminal.  Returns the terminal
-    configurations reached and the frontier left after the last step,
-    each as a dict keeping the order configurations were first reached in.
-    """
-    if bound < 0:
-        raise PolicyError("bound must be at least 0")
-    finished, frontier = {}, {start: None}
-    for _ in range(bound):
-        if not frontier:
-            break
-        step = {}
-        for config, succ in _expand_all(frontier, expand):
-            if succ is None:
-                finished[config] = None
-            else:
-                for reached in succ:
-                    step[reached] = None
-        frontier = step
-    return finished, frontier
 
 
 def _divergence(policy: ComposePolicy) -> DivergenceLimitError:
@@ -432,27 +412,43 @@ def successors_wl(config: WlConfig):
     return ordered(out)
 
 
-def _expand_wl(config: WlConfig):
-    return None if isinstance(config[1], Done) else successors_wl(config)
+def _walk(config: WlConfig, steps: int):
+    """The configuration a wl run from ``config`` reaches in at most ``steps`` steps.
+
+    The run stops once its marker is ``Done``, and reaches nothing,
+    ``None``, once it gets stuck: a step without a successor, because
+    every local trace is inconsistent.  A step has no second successor
+    (see the module docstring); unpacking fails loudly if one ever does.
+    """
+    if steps < 0:
+        raise PolicyError("bound must be at least 0")
+    for _ in range(steps):
+        if isinstance(config[1], Done):
+            break
+        succ = successors_wl(config)
+        if not succ:
+            return None
+        (config,) = succ
+    return config
 
 
 def compose_bounded_wl(bound: int, config: WlConfig) -> frozenset:
-    """Terminal configurations reachable within the bound, plus the frontier."""
-    finished, frontier = _explore(config, _expand_wl, bound)
-    return frozenset(finished.keys() | frontier.keys())
+    """The configuration a run reaches within the bound, finished or not; none if it gets stuck."""
+    end = _walk(config, bound)
+    return frozenset(() if end is None else (end,))
 
 
 def compose_wl(policy: ComposePolicy, config: WlConfig) -> frozenset:
-    """Every configuration reached, provided all are finished within the policy's budget.
+    """The configuration a run finishes in, none if it gets stuck, within the policy's budget.
 
-    Every configuration on the last frontier is expanded, so an error any
-    of them raises surfaces before the divergence.
+    A run still pending at the budget is expanded once more, so an error
+    there surfaces before the divergence.
     """
-    budget = (policy.max_rounds - 1) * policy.increment
-    finished, frontier = _explore(config, _expand_wl, budget)
-    if all(succ is None for _, succ in _expand_all(frontier, _expand_wl)):
-        return frozenset(finished.keys() | frontier.keys())
-    raise _divergence(policy)
+    end = _walk(config, (policy.max_rounds - 1) * policy.increment)
+    if end is not None and isinstance(end[1], Pending):
+        successors_wl(end)
+        raise _divergence(policy)
+    return frozenset(() if end is None else (end,))
 
 
 def traces_wl(
@@ -850,14 +846,6 @@ def _paths(root: _Node, rope: tuple, steps: int) -> list:
     return [(node, trace_of(cell) + loose) for node, (cell, loose) in ends]
 
 
-def _bounded_ends(
-    bound: int, table, config: ExtConfig, fresh_bound: int, conc_numeral: int
-) -> list:
-    with memoizing():
-        nodes, _ = _graph(config, table, fresh_bound, conc_numeral, bound)
-        return _paths(nodes[0], config.rope, bound)
-
-
 def _fixpoint_graph(policy: ComposePolicy, table, config: ExtConfig, nodes=None) -> tuple:
     """The nodes ``config`` reaches and the steps of its longest path, if within the budget."""
     budget = (policy.max_rounds - 1) * policy.increment
@@ -870,10 +858,18 @@ def _fixpoint_graph(policy: ComposePolicy, table, config: ExtConfig, nodes=None)
     return reached, longest
 
 
-def _fixpoint_ends(policy: ComposePolicy, table, config: ExtConfig) -> list:
+def _ends(table, config: ExtConfig, fresh_bound: int, conc_numeral: int, bound, policy=None):
+    """The ends of the paths from ``config``, as ``_paths`` lists them.
+
+    The paths are cut after ``bound`` steps, or, when ``bound`` is
+    ``None``, are those of the fixpoint within ``policy``'s budget.
+    """
     with memoizing():
-        reached, longest = _fixpoint_graph(policy, table, config)
-        return _paths(reached[0], config.rope, longest)
+        if bound is None:
+            reached, bound = _fixpoint_graph(policy, table, config)
+        else:
+            reached, _ = _graph(config, table, fresh_bound, conc_numeral, bound)
+        return _paths(reached[0], config.rope, bound)
 
 
 def compose_bounded_ext(
@@ -883,14 +879,18 @@ def compose_bounded_ext(
     fresh_bound: int = DEFAULT_FRESH_BOUND,
     conc_numeral: int = 0,
 ) -> frozenset:
-    """Like the wl variant, but a configuration is terminal iff it has no successors."""
-    ends = _bounded_ends(bound, table, config, fresh_bound, conc_numeral)
+    """The configurations at the ends of the paths of at most ``bound`` steps.
+
+    Unlike a stuck wl run, which reaches nothing, a configuration without
+    successors here (a deadlock) is kept as an end.
+    """
+    ends = _ends(table, config, fresh_bound, conc_numeral, bound)
     return frozenset(ExtConfig(trace, node.rep.markers) for node, trace in ends)
 
 
 def compose_ext(policy: ComposePolicy, table, config: ExtConfig) -> frozenset:
     """Every configuration reached, provided no path is longer than the policy's budget."""
-    ends = _fixpoint_ends(policy, table, config)
+    ends = _ends(table, config, policy.fresh_bound, policy.conc_numeral, None, policy)
     return frozenset(ExtConfig(trace, node.rep.markers) for node, trace in ends)
 
 
@@ -910,10 +910,7 @@ def traces_ext(
     """
     table = method_table(program.methods)
     start = _start(program, sigma)
-    if bound is None:
-        ends = _fixpoint_ends(policy, table, start)
-    else:
-        ends = _bounded_ends(bound, table, start, policy.fresh_bound, policy.conc_numeral)
+    ends = _ends(table, start, policy.fresh_bound, policy.conc_numeral, bound, policy)
     return frozenset(trace for _, trace in ends)
 
 

@@ -54,6 +54,15 @@ def test_traces_ext_scope(write, capsys):
     assert "$x::Scope=1" in out and "$x::Scope=2" in out
 
 
+def test_nested_scope_of_the_same_name_gets_a_doubled_fresh_name(write, capsys):
+    # the outer scope's renaming reaches the inner binder; see README
+    path = write("nested.ext", "scope(x){ x := 1 ;; scope(x){ x := 2 } }")
+    assert main(["traces", path]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("1 trace\n")
+    assert out.rstrip().endswith("{$$x::Scope::Scope=2, $x::Scope=1}")
+
+
 def test_traces_json(write, capsys):
     path = write("inp.ext", "input x ;; x := x + 1")
     assert main(["traces", path, "--format", "json"]) == 0

@@ -2,7 +2,8 @@
 
 Arbitrary bytes, soups of surface tokens, random well-formed programs,
 deeply nested expressions and long ``;;`` chains go through ``lagc traces``
-in process, twice each, under a small budget.
+in process, twice each, under a small budget and at the interpreter's
+default recursion limit, which is what the console script gets.
 Every run must end in a documented exit code (0-5) without an exception
 escaping, and both runs of one input must agree on the exit code and on
 stdout.  ``derandomize`` fixes the examples, so the suite is reproducible.
@@ -34,8 +35,26 @@ TOKENS = (
 FUZZ = settings(derandomize=True, database=None, deadline=None)
 
 
+DEFAULT_RECURSION_LIMIT = 1000
+
+
+@contextlib.contextmanager
+def _default_recursion_limit():
+    """Run at the interpreter's default limit, as the console script does.
+
+    Hypothesis raises the limit while a ``@given`` test runs; the limit it
+    set is restored afterwards.
+    """
+    raised = sys.getrecursionlimit()
+    sys.setrecursionlimit(DEFAULT_RECURSION_LIMIT)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(raised)
+
+
 def _run_twice(data: bytes) -> int:
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, _default_recursion_limit():
         path = Path(tmp) / "fuzz.ext"
         path.write_bytes(data)
         outcomes = []
@@ -67,8 +86,6 @@ def test_random_programs_get_a_documented_exit_code(seed):
     _run_twice(pretty_program(program).encode())
 
 
-DEFAULT_RECURSION_LIMIT = 1000
-
 # Each wraps a condition or an arithmetic expression in one more level.
 CONDITION_LAYERS = ("({})", "!{}", "{} && y == 0", "x + 1 <= 2 && ({})", "(x) == 1 || ({})")
 ARITH_LAYERS = ("({})", "1 + ({})", "({}) * 2", "{} - 1")
@@ -90,20 +107,13 @@ def deep_sources(draw):
 
 
 def test_deep_expressions_get_a_documented_exit_code():
-    # shallow ones run, the deepest exhaust the recursion limit; Hypothesis
-    # raises that limit while it runs, so each input gets the interpreter's
-    # default, as the console script does
+    # shallow ones run, the deepest exhaust the recursion limit
     codes = set()
 
     @settings(FUZZ, max_examples=40)
     @given(deep_sources())
     def run(data):
-        raised = sys.getrecursionlimit()
-        sys.setrecursionlimit(DEFAULT_RECURSION_LIMIT)
-        try:
-            codes.add(_run_twice(data))
-        finally:
-            sys.setrecursionlimit(raised)
+        codes.add(_run_twice(data))
 
     run()
     assert {0, 5} <= codes, codes

@@ -11,10 +11,10 @@ import reference_engine as ref
 from lagc import compose
 from lagc.cli import main
 from lagc.compose import ComposePolicy, ExtConfig, WlConfig
-from lagc.errors import DivergenceLimitError, LagcError
+from lagc.errors import DivergenceLimitError, LagcError, UnboundVariableError
 from lagc.localeval import DONE, Par, Pending, parallel, valuate
 from lagc.parser import parse_program
-from lagc.state import EMPTY_STATE
+from lagc.state import EMPTY_STATE, initial_state
 from lagc.syntax import (
     Assign,
     BoolLit,
@@ -32,7 +32,7 @@ from lagc.syntax import (
 from lagc.trace import singleton
 
 from bigstep import execute
-from gens import rand_aexp, rand_concrete_state, rand_ext_stmt
+from gens import rand_aexp, rand_concrete_state, rand_ext_stmt, rand_state, rand_wl_stmt
 
 LOOP = While(BoolLit(True), Skip())
 SCHEDULE = "no fixpoint after 3 rounds (bound 21)"
@@ -137,6 +137,51 @@ def test_rounds_continue_the_wl_exploration(monkeypatch):
     with pytest.raises(DivergenceLimitError):
         compose.compose_wl(ComposePolicy(max_rounds=10, increment=5), start)
     assert len(calls) <= 50
+
+
+def test_a_wl_step_has_at_most_one_successor():
+    # the wl engine walks one path; follow seeded runs from concrete and
+    # from symbolic states, and count how they end so that neither kind of
+    # end goes untested
+    rng = random.Random(7)
+    ends = {"finished": 0, "stuck": 0, "cut": 0}
+    for run in range(300):
+        stmt = rand_wl_stmt(rng, rng.randint(1, 10))
+        names = sorted(free_vars(stmt))
+        sigma = (rand_concrete_state if run % 2 else rand_state)(rng, names)
+        config, end = WlConfig(singleton(sigma), Pending(stmt)), "cut"
+        for _ in range(60):
+            if config.marker is DONE:
+                end = "finished"
+                break
+            succ = compose.successors_wl(config)
+            assert len(succ) <= 1, (stmt, sigma)
+            if not succ:
+                end = "stuck"
+                break
+            (config,) = succ
+        ends[end] += 1
+    assert ends["finished"] >= 100 and ends["stuck"] >= 20, ends
+
+
+@pytest.mark.parametrize(
+    "max_rounds, increment, error, message",
+    [
+        (3, 1, UnboundVariableError, "unbound variable: 'y'"),
+        (2, 2, UnboundVariableError, "unbound variable: 'y'"),
+        (2, 1, DivergenceLimitError, "no fixpoint after 2 rounds (bound 2)"),
+    ],
+)
+def test_wl_run_pending_at_the_budget_is_expanded_before_it_diverges(
+    max_rounds, increment, error, message
+):
+    # at a budget of 2 steps the run waits at ``x := y`` with ``y`` unbound;
+    # that step is taken once more, so its error wins over the divergence
+    stmt = parse_program("skip ;; skip ;; x := y", "wl").main
+    policy = ComposePolicy(increment=increment, max_rounds=max_rounds)
+    with pytest.raises(error) as caught:
+        compose.traces_wl(stmt, initial_state(["x"]), policy)
+    assert str(caught.value) == message
 
 
 def test_rounds_continue_the_ext_exploration(monkeypatch):

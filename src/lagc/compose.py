@@ -12,30 +12,29 @@ harvested call arguments, checked against the invocations still
 unanswered.
 
 No step copies the global trace.  A local trace starts with the state it
-ran in, which is the last atom of the global trace, so gluing appends the
-rest of the local trace.  A ``WlConfig`` holds its trace as a
-``trace.Cell``, a hash-consed cons cell of the trace before the last atom
-and that atom, so a wl step builds one cell per atom it appends, and a
-configuration hashes and compares its cell and marker in O(1).  The ext
-engine holds every trace as a *rope* (Boehm, Atkinson and Plass, "Ropes:
-an Alternative to Strings", 1995): a cell of a multiple of ``_LOOSE``
-atoms and a tuple of the last 1 to ``_LOOSE`` atoms.  ``_rope`` is the
-one split rule, and it depends only on the trace's length, so equal
-traces are equal ropes.  ``_extend`` is the one step rule, shared by the
-successor functions and by the replay of the paths: it concretizes the
-rope's trace before its last state when the step did, appends the atoms
-the step adds and splits again.  A step thus copies at most ``_LOOSE``
-atoms plus those it adds and builds about one cell per atom it adds, a
-long trace is held as cells shared with every trace that extends it, and
-a short one builds no cell at all; building a cell costs about as much as
-copying a tuple of several hundred atoms.  An ``ExtConfig`` also carries
-``prefix``, a ``trace.Summary`` of its trace without the last state
-(concreteness, the unanswered invocations and the harvested call
-arguments), which the step that builds it computes by extending its
-parent's by the atoms it adds, so neither deciding concreteness nor
-spawning reactions walks the trace.  That holds for a step that
-concretizes the whole trace too: concretizing a concrete prefix changes
-none of its summary.
+ran in, which is the last atom of the global trace, so gluing appends
+the rest of the local trace.  A wl run keeps its trace in one list, and
+since a wl step reads only the last state and the marker, it is handed a
+configuration of that one state (see ``_walk``).  The ext engine, which
+hashes its configurations, holds every trace as a *rope* (Boehm,
+Atkinson and Plass, "Ropes: an Alternative to Strings", 1995): a cell of
+a multiple of ``_LOOSE`` atoms and a tuple of the last 1 to ``_LOOSE``
+atoms.  ``_rope`` is the one split rule, and it depends only on the
+trace's length, so equal traces are equal ropes.  ``_extend`` is the one
+step rule, shared by the successor functions and by the replay of the
+paths: it concretizes the rope's trace before its last state when the
+step did, appends the atoms the step adds and splits again.  A step thus
+copies at most ``_LOOSE`` atoms plus those it adds and builds about one
+cell per atom it adds, a long trace is held as cells shared with every
+trace that extends it, and a short one builds no cell at all; building a
+cell costs about as much as copying a tuple of several hundred atoms.
+An ``ExtConfig`` also carries ``prefix``, a ``trace.Summary`` of its
+trace without the last state (concreteness, the unanswered invocations
+and the harvested call arguments), which the step that builds it
+computes by extending its parent's by the atoms it adds, so neither
+deciding concreteness nor spawning reactions walks the trace.  That
+holds for a step that concretizes the whole trace too: concretizing a
+concrete prefix changes none of its summary.
 
 Bounded composition explores at most a given number of steps; the
 fixpoint search has the budget ``B = (max_rounds - 1) * increment`` and
@@ -119,7 +118,6 @@ import math
 from collections import Counter
 from contextlib import contextmanager
 from functools import cache, partial
-from operator import itemgetter
 from typing import NamedTuple
 
 from .concretize import concretize_atom, min_conc_map_trace
@@ -150,56 +148,33 @@ from .trace import (
     StateAtom,
     Summary,
     Trace,
-    cell_of,
     gen_event,
     grow,
     is_concrete_trace,
     is_consistent,
+    last_state,
     singleton,
     summarize,
     trace_of,
 )
 
 
-class WlConfig(tuple):
-    """Composed global trace plus the one statement left to run.
+class WlConfig(NamedTuple):
+    """Composed global trace plus the one statement left to run; a tuple, built by ``_wl``.
 
-    Underneath it is the pair ``(cell, marker)`` of the trace as a
-    ``trace.Cell`` and the marker, both hash-consed, so a configuration
-    hashes and compares in O(1) and a step builds one (``_wl``) without
-    running Python code of its own.  ``trace`` spells the trace out as a
-    tuple, for ``basic_successors``, and ``prefix`` summarizes
-    ``trace[:-1]``, for the tests; the wl engine uses neither.
-
-    The wl engine keeps the cell where the ext engine keeps a rope
-    (``_rope``): a wl step has at most one successor and appends the few
-    atoms of one local trace, so a cell per atom is cheap, while a rope
-    would copy and hash up to ``_LOOSE`` atoms per step.  Holding the wl
-    trace as a rope read the wl-sequential benchmark's ``cmds_per_s`` 1.1%
-    lower (median of 6 alternating pairs, 220.7 against 218.2, lower in 5
-    of them).
+    ``prefix`` summarizes ``trace[:-1]``, for the tests; the wl engine
+    does not use it.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, trace: Trace, marker: Marker):
-        return tuple.__new__(cls, (cell_of(trace), marker))
-
-    marker = property(itemgetter(1))
-
-    @property
-    def trace(self) -> Trace:
-        return trace_of(self[0])
+    trace: Trace
+    marker: Marker
 
     @property
     def prefix(self) -> Summary:
         return summarize(self.trace[:-1])
 
-    def __repr__(self) -> str:
-        return f"WlConfig(trace={self.trace!r}, marker={self.marker!r})"
 
-
-# a WlConfig from the pair (cell, marker)
+# a WlConfig from the pair (trace, marker)
 _wl = partial(tuple.__new__, WlConfig)
 
 
@@ -359,11 +334,11 @@ def method_table(methods) -> tuple:
 _NO_SUCCESSORS = {}.keys()
 
 
-def _pending(cell: Cell, marker: Marker) -> State:
+def _pending(trace: Trace, marker: Marker) -> State:
     """The final state of a configuration whose marker is pending."""
     if not isinstance(marker, Pending):
         raise UndefinedTraceOpError("no successors for a finished configuration")
-    return _final_state(None if cell is None else cell.atom)
+    return last_state(trace)
 
 
 def _expand_all(items, expand) -> list:
@@ -399,37 +374,46 @@ def successors_wl(config: WlConfig):
     """One evaluation step: glue each consistent local trace onto the global one.
 
     A local trace starts with the state it ran in, the last atom of the
-    global trace, so gluing appends the rest of it to the configuration's
-    cell.  The successors come out in the order ``valuate`` lists the
-    local traces.
+    global trace, so gluing puts it in place of that atom.  ``_walk``
+    passes a configuration of that one state, whose successors' traces
+    are then the local traces themselves.  The successors come out in the
+    order ``valuate`` lists the local traces.
     """
-    cell, marker = config
-    sigma = _pending(cell, marker)
+    trace, marker = config
+    sigma = _pending(trace, marker)
     out = []
     for cont in valuate(marker, sigma, "wl"):
         if is_consistent(cont.cond.pc):
-            out.append(_wl((grow(cell, cont.cond.trace[1:]), cont.marker)))
+            out.append(_wl((trace[:-1] + cont.cond.trace, cont.marker)))
     return ordered(out)
 
 
 def _walk(config: WlConfig, steps: int):
     """The configuration a wl run from ``config`` reaches in at most ``steps`` steps.
 
-    The run stops once its marker is ``Done``, and reaches nothing,
-    ``None``, once it gets stuck: a step without a successor, because
-    every local trace is inconsistent.  A step has no second successor
-    (see the module docstring); unpacking fails loudly if one ever does.
+    The run keeps its atoms in one list.  A step reads only the last state
+    and the marker, so ``successors_wl`` gets the configuration of that
+    one state, and the local trace it returns is appended after its first
+    atom, which is that state.  The run stops once its marker is ``Done``,
+    and reaches nothing, ``None``, once it gets stuck: a step without a
+    successor, because every local trace is inconsistent.  A step has no
+    second successor (see the module docstring); unpacking fails loudly if
+    one ever does.
     """
     if steps < 0:
         raise PolicyError("bound must be at least 0")
+    trace, marker = config
+    atoms, last = list(trace), trace[-1:]
     for _ in range(steps):
-        if isinstance(config[1], Done):
+        if isinstance(marker, Done):
             break
-        succ = successors_wl(config)
+        succ = successors_wl(_wl((last, marker)))
         if not succ:
             return None
-        (config,) = succ
-    return config
+        ((local, marker),) = succ
+        atoms += local[1:]
+        last = local[-1:]
+    return _wl((tuple(atoms), marker))
 
 
 def compose_bounded_wl(bound: int, config: WlConfig) -> frozenset:
@@ -445,8 +429,8 @@ def compose_wl(policy: ComposePolicy, config: WlConfig) -> frozenset:
     there surfaces before the divergence.
     """
     end = _walk(config, (policy.max_rounds - 1) * policy.increment)
-    if end is not None and isinstance(end[1], Pending):
-        successors_wl(end)
+    if end is not None and isinstance(end.marker, Pending):
+        successors_wl(_wl((end.trace[-1:], end.marker)))
         raise _divergence(policy)
     return frozenset(() if end is None else (end,))
 
@@ -460,12 +444,12 @@ def traces_wl(
     """The fixpoint trace set of ``stmt``, or the bounded one when ``bound`` is given."""
     if not language_check(stmt, "wl"):
         raise ModeError("statement uses constructs outside the wl subset")
-    start = _wl((cell_of(singleton(sigma)), Pending(stmt)))
+    start = _wl((singleton(sigma), Pending(stmt)))
     if bound is None:
         reached = compose_wl(policy, start)
     else:
         reached = compose_bounded_wl(bound, start)
-    return frozenset(trace_of(cell) for cell, _ in reached)
+    return frozenset(trace for trace, _ in reached)
 
 
 # ---------------------------------------------------------------------------

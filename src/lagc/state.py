@@ -56,10 +56,19 @@ EMPTY_STATE = State()
 
 
 def make_state(entries: Entries) -> State:
-    """Build a state from a mapping or (name, value) pairs; later pairs win."""
+    """Build a state from a mapping or (name, value) pairs; later pairs win.
+
+    Every value must be a ``StoredExp`` or ``*``.  The engine's own
+    ``State(...)`` and ``update`` build states from values it made, and
+    check nothing.
+    """
     if isinstance(entries, Mapping):
         entries = entries.items()
-    return State(tuple(entries))
+    entries = tuple(entries)
+    for name, value in entries:
+        if not isinstance(value, (StoredExp, Star)):
+            raise TypeError(f"make_state: unsupported {type(value).__name__} for {name!r}")
+    return State(entries)
 
 
 def domain(sigma: State) -> frozenset:

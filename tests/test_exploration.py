@@ -11,7 +11,12 @@ import reference_engine as ref
 from lagc import compose
 from lagc.cli import main
 from lagc.compose import ComposePolicy, ExtConfig, WlConfig
-from lagc.errors import DivergenceLimitError, LagcError, UnboundVariableError
+from lagc.errors import (
+    DivergenceLimitError,
+    LagcError,
+    UnboundVariableError,
+    UndefinedTraceOpError,
+)
 from lagc.localeval import DONE, Par, Pending, parallel, valuate
 from lagc.parser import parse_program
 from lagc.state import EMPTY_STATE, initial_state
@@ -25,6 +30,7 @@ from lagc.syntax import (
     Program,
     Seq,
     Skip,
+    StoredExp,
     Var,
     While,
     free_vars,
@@ -32,7 +38,14 @@ from lagc.syntax import (
 from lagc.trace import singleton
 
 from bigstep import execute
-from gens import rand_aexp, rand_concrete_state, rand_ext_stmt, rand_state, rand_wl_stmt
+from gens import (
+    rand_aexp,
+    rand_concrete_state,
+    rand_ext_stmt,
+    rand_state,
+    rand_trace,
+    rand_wl_stmt,
+)
 
 LOOP = While(BoolLit(True), Skip())
 SCHEDULE = "no fixpoint after 3 rounds (bound 21)"
@@ -182,6 +195,35 @@ def test_wl_run_pending_at_the_budget_is_expanded_before_it_diverges(
     with pytest.raises(error) as caught:
         compose.traces_wl(stmt, initial_state(["x"]), policy)
     assert str(caught.value) == message
+
+
+def test_a_wl_run_keeps_the_history_of_its_start():
+    # the walk hands each step only the last state; the atoms before it
+    # must still begin the trace the run reaches
+    rng = random.Random(11)
+    stmt = parse_program("x := 1 ;; x := 2", "wl").main
+    for _ in range(20):
+        start = rand_trace(rng, max_len=6)
+        (bounded,) = compose.compose_bounded_wl(2, WlConfig(start, Pending(stmt)))
+        assert bounded.marker is DONE and len(bounded.trace) == len(start) + 2
+        assert bounded.trace[: len(start)] == start
+        assert [atom.state.lookup("x") for atom in bounded.trace[-2:]] == [
+            StoredExp(Num(1)),
+            StoredExp(Num(2)),
+        ]
+        assert compose.compose_wl(ComposePolicy(), WlConfig(start, Pending(stmt))) == {bounded}
+
+
+def test_a_wl_run_from_an_empty_or_finished_start():
+    empty = WlConfig((), Pending(Skip()))
+    assert compose.compose_bounded_wl(0, empty) == {empty}
+    for bound in (1, 3):
+        with pytest.raises(UndefinedTraceOpError) as caught:
+            compose.compose_bounded_wl(bound, empty)
+        assert str(caught.value) == "trace does not end with a state"
+    finished = WlConfig(rand_trace(random.Random(3)), DONE)
+    assert compose.compose_bounded_wl(5, finished) == {finished}
+    assert compose.compose_wl(ComposePolicy(), finished) == {finished}
 
 
 def test_rounds_continue_the_ext_exploration(monkeypatch):

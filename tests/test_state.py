@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from lagc.state import (
     EMPTY_STATE,
     domain,
@@ -32,6 +34,21 @@ def test_update():
     )
     twice = update(update(EMPTY_STATE, "x", StoredExp(Num(1))), "x", StoredExp(Num(9)))
     assert twice == make_state({"x": StoredExp(Num(9))})
+
+
+def test_make_state_takes_only_stored_expressions_and_star():
+    # a bare int or arithmetic node would be taken now and fail later,
+    # when a step reads the value as a stored expression
+    one = StoredExp(Num(1))
+    for entries, name, kind in (
+        ({"x": 0, "y": 0}, "x", "int"),
+        ([("x", one), ("y", Num(1))], "y", "Num"),
+        ({"x": STAR, "z": None}, "z", "NoneType"),
+    ):
+        with pytest.raises(TypeError) as caught:
+            make_state(entries)
+        assert str(caught.value) == f"make_state: unsupported {kind} for {name!r}"
+    assert make_state({"x": one, "y": STAR}).as_dict() == {"x": one, "y": STAR}
 
 
 def test_equality_ignores_insertion_order():

@@ -317,23 +317,52 @@ def _cells_and_steps(monkeypatch, successors: str, run) -> tuple:
 
 
 def test_cells_per_step_do_not_grow_with_the_trace(monkeypatch):
-    # a step appends its atoms to the cell of the trace it extends; copying
-    # the trace instead would make the cells per step grow with its length
-    def countdown(n):
-        stmt = parse_program(f"x := {n} ;; while x >= 1 do x := x - 1 od").main
-        run = lambda: compose.traces_wl(stmt, initial_state(["x"]))
-        return _cells_and_steps(monkeypatch, "successors_wl", run)
-
+    # an ext step appends its atoms to the rope of the trace it extends;
+    # copying the trace instead would make the cells per step grow with its
+    # length
     def straight_line(n):
         body = " ;; ".join(["x := x + 1"] * n)
         program = parse_program(f"program {{ main {{ {body} ;; y := 1 }} }}")
         run = lambda: compose.traces_ext(program, initial_state(["x", "y"]))
         return _cells_and_steps(monkeypatch, "successors_ext", run)
 
-    for family in (countdown, straight_line):
-        (small, small_steps), (large, large_steps) = family(100), family(400)
-        assert large_steps >= 4 * small_steps - 10
-        assert large / large_steps <= 1.05 * small / small_steps, (small, large)
+    (small, small_steps), (large, large_steps) = straight_line(100), straight_line(400)
+    assert large_steps >= 4 * small_steps - 10
+    assert large / large_steps <= 1.05 * small / small_steps, (small, large)
+
+
+def _countdown(n: int):
+    return parse_program(f"x := {n} ;; while x >= 1 do x := x - 1 od").main
+
+
+def test_a_wl_run_builds_no_cell(monkeypatch):
+    run = lambda: compose.traces_wl(_countdown(100), initial_state(["x"]))
+    cells, steps = _cells_and_steps(monkeypatch, "successors_wl", run)
+    assert cells == 0 and steps == 202, (cells, steps)
+
+
+def test_a_wl_step_is_handed_one_state_whatever_the_trace_length(monkeypatch):
+    # a wl step reads only the last state and the marker; a run that handed
+    # each step its whole trace, or a copy of it, would hand it more atoms
+    # the longer the trace grows
+    expand = compose.successors_wl
+
+    def handed_atoms(n):
+        atoms, steps = [0], [0]
+
+        def counting(config):
+            atoms[0] += len(config.trace)
+            steps[0] += 1
+            return expand(config)
+
+        monkeypatch.setattr(compose, "successors_wl", counting)
+        compose.traces_wl(_countdown(n), initial_state(["x"]))
+        monkeypatch.undo()
+        return atoms[0], steps[0]
+
+    for n in (100, 400):
+        atoms, steps = handed_atoms(n)
+        assert steps == 2 * n + 2 and atoms <= steps + 2, (n, atoms, steps)
 
 
 def test_summary_work_per_step_does_not_grow_with_the_trace(monkeypatch):

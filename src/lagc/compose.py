@@ -13,21 +13,23 @@ unanswered.
 
 No step copies the global trace.  A local trace starts with the state it
 ran in, which is the last atom of the global trace, so gluing appends
-the rest of the local trace.  A wl run keeps its trace in one list, and
-since a wl step reads only the last state and the marker, it is handed a
-configuration of that one state (see ``_walk``).  The ext engine, which
-hashes its configurations, holds every trace as a *rope* (Boehm,
-Atkinson and Plass, "Ropes: an Alternative to Strings", 1995): a cell of
-a multiple of ``_LOOSE`` atoms and a tuple of the last 1 to ``_LOOSE``
-atoms.  ``_rope`` is the one split rule, and it depends only on the
-trace's length, so equal traces are equal ropes.  ``_extend`` is the one
-step rule, shared by the successor functions and by the replay of the
-paths: it concretizes the rope's trace before its last state when the
-step did, appends the atoms the step adds and splits again.  A step thus
-copies at most ``_LOOSE`` atoms plus those it adds and builds about one
-cell per atom it adds, a long trace is held as cells shared with every
-trace that extends it, and a short one builds no cell at all; building a
-cell costs about as much as copying a tuple of several hundred atoms.
+the rest of the local trace.  Both engines consume ``localeval.step``'s
+``(pc, trace, next marker)`` triples directly.  A wl run keeps its trace
+in one list, and since a wl step reads only the last state and the
+marker, ``_walk`` calls ``step`` on those and builds no configuration
+until the run ends.  The ext engine, which hashes its configurations,
+holds every trace as a *rope* (Boehm, Atkinson and Plass, "Ropes: an
+Alternative to Strings", 1995): a cell of a multiple of ``_LOOSE`` atoms
+and a tuple of the last 1 to ``_LOOSE`` atoms.  ``_rope`` is the one
+split rule, and it depends only on the trace's length, so equal traces
+are equal ropes.  ``_extend`` is the one step rule, shared by the
+successor functions and by the replay of the paths: it concretizes the
+rope's trace before its last state when the step did, appends the atoms
+the step adds and splits again.  A step thus copies at most ``_LOOSE``
+atoms plus those it adds and builds about one cell per atom it adds, a
+long trace is held as cells shared with every trace that extends it, and
+a short one builds no cell at all; building a cell costs about as much
+as copying a tuple of several hundred atoms.
 An ``ExtConfig`` also carries ``prefix``, a ``trace.Summary`` of its
 trace without the last state (concreteness, the unanswered invocations
 and the harvested call arguments), which the step that builds it
@@ -46,7 +48,7 @@ raised, whatever order they are iterated in.
 A wl step has at most one successor: a local step yields one trace, or
 the two branches of a test under complementary conditions, and at most
 one of those is consistent.  So a wl run is one path, which the wl engine
-walks one configuration at a time.  It ends finished, once the marker is
+walks one step at a time.  It ends finished, once the marker is
 ``Done``; stuck, once every local trace is inconsistent (a test on
 ``*``, say); or at the budget.  A stuck wl run reaches nothing and is
 dropped, while a stuck ext configuration is a deadlock and is kept.  For
@@ -69,8 +71,8 @@ start configuration can have a concrete prefix and a symbolic last state,
 and no step returns to it, so no node with a future key reaches a node
 without one along more than one trace.
 
-Successors, like ``valuate``'s local traces, come out as set-like views
-that list them in the order they were generated, and a layer of the
+Successors come out as set-like views that list them in the order they
+were generated, as ``step`` lists its local traces, and a layer of the
 graph is expanded in the order its nodes were first reached, so which
 configuration represents a node does not depend on identity hashes.
 Nodes are expanded layer by layer in order of minimum depth, and the
@@ -97,7 +99,7 @@ replayed and compared.
 
 Five caches keep the ext engine from computing the same thing twice in
 one command.  A local step is memoized per ``(marker, state, fresh_bound,
-conc_numeral)``: ``valuate``, the minimal mapping of each local trace,
+conc_numeral)``: ``step``, the minimal mapping of each local trace,
 the consistency check and the choice between keeping a local trace and
 concretizing it run once per key, and only gluing the kept local traces
 onto a configuration's trace is done per configuration.  A state
@@ -130,7 +132,7 @@ from .errors import (
     UndefinedTraceOpError,
 )
 from .evaluate import eval_bexp_set
-from .localeval import DEFAULT_FRESH_BOUND, Done, Marker, Pending, ordered, valuate
+from .localeval import DEFAULT_FRESH_BOUND, Done, Marker, Pending, ordered, step
 from .state import BOUND_EXCEEDED_PREFIX, State, initial_state, update, vargen
 from .syntax import (
     MethodRef,
@@ -371,48 +373,52 @@ def _divergence(policy: ComposePolicy) -> DivergenceLimitError:
 
 
 def successors_wl(config: WlConfig):
-    """One evaluation step: glue each consistent local trace onto the global one.
+    """One evaluation step of a configuration: glue each consistent local trace onto its trace.
 
     A local trace starts with the state it ran in, the last atom of the
-    global trace, so gluing puts it in place of that atom.  ``_walk``
-    passes a configuration of that one state, whose successors' traces
-    are then the local traces themselves.  The successors come out in the
-    order ``valuate`` lists the local traces.
+    global trace, so gluing puts it in place of that atom.  The
+    successors come out in the order ``step`` lists the local traces.
+    ``_walk`` takes the same steps without building configurations; this
+    is the step as a function of a whole configuration, for a run's last
+    check at the budget and for the library and its tests.
     """
     trace, marker = config
     sigma = _pending(trace, marker)
-    out = []
-    for cont in valuate(marker, sigma, "wl"):
-        if is_consistent(cont.cond.pc):
-            out.append(_wl((trace[:-1] + cont.cond.trace, cont.marker)))
-    return ordered(out)
+    return ordered(
+        _wl((trace[:-1] + local, after))
+        for pc, local, after in step(marker, sigma, "wl", DEFAULT_FRESH_BOUND)
+        if is_consistent(pc)
+    )
 
 
 def _walk(config: WlConfig, steps: int):
     """The configuration a wl run from ``config`` reaches in at most ``steps`` steps.
 
     The run keeps its atoms in one list.  A step reads only the last state
-    and the marker, so ``successors_wl`` gets the configuration of that
-    one state, and the local trace it returns is appended after its first
-    atom, which is that state.  The run stops once its marker is ``Done``,
-    and reaches nothing, ``None``, once it gets stuck: a step without a
-    successor, because every local trace is inconsistent.  A step has no
-    second successor (see the module docstring); unpacking fails loudly if
-    one ever does.
+    and the marker, so each one calls ``step`` on them and appends the
+    consistent local trace after its first atom, which is that state; no
+    configuration is built until the run ends.  The run stops once its
+    marker is ``Done``, and reaches nothing, ``None``, once it gets stuck:
+    a step without a consistent local trace.  A step has no second one
+    (see the module docstring); the walk fails loudly if one ever does.
     """
     if steps < 0:
         raise PolicyError("bound must be at least 0")
     trace, marker = config
-    atoms, last = list(trace), trace[-1:]
+    atoms = list(trace)
     for _ in range(steps):
         if isinstance(marker, Done):
             break
-        succ = successors_wl(_wl((last, marker)))
-        if not succ:
+        kept = None
+        for pc, local, after in step(marker, last_state(atoms), "wl", DEFAULT_FRESH_BOUND):
+            if is_consistent(pc):
+                if kept is not None:
+                    raise AssertionError("a wl step with two consistent local traces")
+                kept = local, after
+        if kept is None:
             return None
-        ((local, marker),) = succ
+        local, marker = kept
         atoms += local[1:]
-        last = local[-1:]
     return _wl((tuple(atoms), marker))
 
 
@@ -490,14 +496,15 @@ def memoizing():
 def _local_steps(marker: Pending, sigma: State, fresh_bound: int, conc_numeral: int) -> tuple:
     """The local steps of ``marker`` in ``sigma`` whose path condition is consistent.
 
-    Each is ``(local, next marker, added, rho)``, in the order ``valuate``
-    lists them.  The path condition is judged after simplification under
-    the local trace's minimal mapping.  A concrete local trace is kept as
-    it is: ``added`` is ``local[1:]`` and ``rho`` is ``None``.  Any other
-    is concretized under that mapping, ``rho``, and ``added`` is the whole
-    concretized local trace, which replaces the last state it ran in.  So
-    whether a step concretizes is decided here, once per key, for every
-    configuration whose prefix is concrete; see ``_glue``.  The result is
+    Each is ``(local, next marker, added, rho)``, made from a triple of
+    ``step``, in the order ``step`` lists them.  The path condition is
+    judged after simplification under the local trace's minimal mapping.
+    A concrete local trace is kept as it is: ``added`` is ``local[1:]``
+    and ``rho`` is ``None``.  Any other is concretized under that
+    mapping, ``rho``, and ``added`` is the whole concretized local trace,
+    which replaces the last state it ran in.  So whether a step
+    concretizes is decided here, once per key, for every configuration
+    whose prefix is concrete; see ``_glue``.  The result is
     memoized per ``(marker, sigma, fresh_bound, conc_numeral)`` in the
     command's table; an error is not, so it is raised again on every call.
     """
@@ -506,15 +513,14 @@ def _local_steps(marker: Pending, sigma: State, fresh_bound: int, conc_numeral: 
     steps = table.get(key)
     if steps is None:
         steps = []
-        for cont in valuate(marker, sigma, "ext", fresh_bound):
-            local = cont.cond.trace
+        for pc, local, after in step(marker, sigma, "ext", fresh_bound):
             local_map = min_conc_map_trace(local, conc_numeral)
-            if not is_consistent(eval_bexp_set(cont.cond.pc, local_map)):
+            if not is_consistent(eval_bexp_set(pc, local_map)):
                 continue
             if is_concrete_trace(local):
-                steps.append((local, cont.marker, local[1:], None))
+                steps.append((local, after, local[1:], None))
             else:
-                steps.append((local, cont.marker, _concretize(local_map, local), local_map))
+                steps.append((local, after, _concretize(local_map, local), local_map))
         steps = table[key] = tuple(steps)
     return steps
 
@@ -616,11 +622,11 @@ def successors1(
     rope, prefix, markers = config.rope, config.prefix, config.markers
     pending = [m for m in dict.fromkeys(markers) if isinstance(m, Pending)]
 
-    def step(marker: Pending) -> list:
+    def glue(marker: Pending) -> list:
         return _glue(rope, prefix, sigma, marker, fresh_bound, conc_numeral)
 
     out = []
-    for marker, steps in _expand_all(pending, step):
+    for marker, steps in _expand_all(pending, glue):
         i = markers.index(marker)
         rest = markers[:i] + markers[i + 1 :]
         for added, after, summary, rho in steps:
@@ -754,13 +760,13 @@ def _graph(
     for _ in range(depth):
         if not layer:
             break
-        step = []
+        found = []
         for node, succs in _expand_all(layer, expand):
             if succs is None:
                 for target, _, _ in node.edges:
                     if target.walk is not walk:
                         target.walk = walk
-                        step.append(target)
+                        found.append(target)
                 continue
             node.edges = edges = []
             for succ in succs:
@@ -768,13 +774,13 @@ def _graph(
                 target = nodes.get(key)
                 if target is None:
                     target = nodes[key] = _Node(succ, walk)
-                    step.append(target)
+                    found.append(target)
                 elif target.walk is not walk:
                     target.walk = walk
-                    step.append(target)
+                    found.append(target)
                 edges.append((target, succ.rho, succ.added))
-        reached += step
-        layer = step
+        reached += found
+        layer = found
     return reached, layer
 
 
@@ -811,18 +817,18 @@ def _paths(root: _Node, rope: tuple, steps: int) -> list:
     layer = {root: {rope}}
     ends = []
     for _ in range(steps):
-        step = {}
+        ahead = {}
         for node, ropes in layer.items():
             if not node.edges:
                 ends += ((node, rope) for rope in ropes)
                 continue
             for target, rho, added in node.edges:
-                bucket = step.get(target)
+                bucket = ahead.get(target)
                 if bucket is None:
-                    bucket = step[target] = set()
+                    bucket = ahead[target] = set()
                 for rope in ropes:
                     bucket.add(_extend(rope, rho, added))
-        layer = step
+        layer = ahead
         if not layer:
             break
     for node, ropes in layer.items():

@@ -1,7 +1,7 @@
 """Local valuation: one statement evaluated up to the next scheduling point.
 
-The result of ``valuate`` is the finite set of continuation traces a
-statement can produce in a given state: each carries a path condition, the
+A local step of a statement in a given state yields the finite set of
+continuation traces it can produce: each carries a path condition, the
 symbolic trace built so far, and the statements remaining after the
 scheduling point.
 
@@ -12,14 +12,17 @@ nodes like the syntax they hold, so equal markers are one object and a
 marker hashes and compares in O(1).  Building a marker flattens a ``Seq``
 spine into one cell per statement and turns a ``co`` into a ``Par`` head
 holding the markers of its two branches, so every nesting of the same
-statements gives the same marker.  ``valuate`` runs only the head and
+statements gives the same marker.  ``step`` runs only the head and
 builds whatever the head leaves over directly in front of the rest, which
 it shares: a step costs the same anywhere in a long sequence, and no
 marker nests deeper than the statements it holds.
 
-A ``ContTrace(cond, marker)`` and its ``CondTrace`` are named tuples, so
-they are built, hashed and compared in C.  An ``if`` or ``while`` step
-evaluates its test once.
+``step`` yields each continuation trace as a plain triple ``(pc, trace,
+next marker)``, which is what both composition engines consume.  Only
+``valuate``, the library's view of a step, wraps the triples as
+``ContTrace(cond, marker)``s around ``CondTrace``s, named tuples that are
+built, hashed and compared in C.  An ``if`` or ``while`` step evaluates
+its test once.
 """
 
 from __future__ import annotations
@@ -136,6 +139,9 @@ class ContTrace(NamedTuple):
 # a ContTrace from the pair (cond, marker)
 _cont = partial(tuple.__new__, ContTrace)
 
+# the path condition of a step that tests nothing
+_NO_PC = frozenset()
+
 
 def _heads(marker: Marker) -> list:
     """The heads of ``marker``'s cells, in order."""
@@ -176,7 +182,7 @@ def _fresh(sigma: State, base: str, suffix: str, bound: int) -> str:
     return name
 
 
-def _test(cond, sigma: State, then: Marker, rest: Marker):
+def _test(cond, sigma: State, then: Marker, rest: Marker) -> tuple:
     """The steps of a test: on to ``then`` where ``cond`` holds in ``sigma``, else on to ``rest``.
 
     The test is evaluated once.  The failing branch's condition is the
@@ -190,10 +196,7 @@ def _test(cond, sigma: State, then: Marker, rest: Marker):
     else:
         failed = Neg(test)
     trace = singleton(sigma)
-    return {
-        _cont((cond_trace((frozenset((test,)), trace)), then)): None,
-        _cont((cond_trace((frozenset((failed,)), trace)), rest)): None,
-    }.keys()
+    return (frozenset((test,)), trace, then), (frozenset((failed,)), trace, rest)
 
 
 def ordered(items):
@@ -211,17 +214,27 @@ def valuate(
 
     ``stmt`` may also be a ``Pending`` marker: its head runs, and the rest of
     the marker waits behind whatever the head leaves over.  The result is
-    a set-like view (``dict.keys()``) that lists the traces in the order
-    they were built: the true branch of a test before the false one, a
-    ``co``'s left branch before its right.  That order does not depend on
-    identity hashes, so neither does the order composition explores in.
+    a set-like view (``dict.keys()``) of ``ContTrace``s, one per triple of
+    ``step``, in ``step``'s order.
     """
     check_mode(mode)
-    return _step(stmt if isinstance(stmt, Pending) else Pending(stmt), sigma, mode, fresh_bound)
+    marker = stmt if isinstance(stmt, Pending) else Pending(stmt)
+    return ordered(
+        _cont((cond_trace((pc, trace)), after))
+        for pc, trace, after in step(marker, sigma, mode, fresh_bound)
+    )
 
 
-def _step(marker: Pending, sigma: State, mode: str, fresh_bound: int):
-    """``valuate`` of a marker: run its head and build the leftovers in front of its rest."""
+def step(marker: Pending, sigma: State, mode: str, fresh_bound: int) -> tuple:
+    """The local steps of a marker: run its head and build the leftovers in front of its rest.
+
+    Each step is a triple ``(pc, trace, next marker)``, without repeats,
+    in the order they were built: the true branch of a test before the
+    false one, a ``co``'s left branch before its right.  That order does
+    not depend on identity hashes, so neither does the order composition
+    explores in.  ``mode`` is not checked; a statement outside the wl
+    subset raises ``ModeError`` unless it is ``"ext"``.
+    """
     stmt, rest = marker.head, marker.rest
     if isinstance(stmt, (While, If)):
         body = marker._body
@@ -235,28 +248,28 @@ def _step(marker: Pending, sigma: State, mode: str, fresh_bound: int):
         trace = singleton(sigma)
     elif isinstance(stmt, Assign):
         value = StoredExp(eval_arith(stmt.value, sigma))
-        trace = singleton(sigma) + (StateAtom(update(sigma, stmt.target, value)),)
+        trace = StateAtom(sigma), StateAtom(update(sigma, stmt.target, value))
     elif mode != "ext":
         name = "LocPar" if isinstance(stmt, Par) else type(stmt).__name__
         raise ModeError(f"{name} is not available in wl mode")
     elif isinstance(stmt, Par):
         left, right = stmt.left, stmt.right
-        conts = _step(left, sigma, mode, fresh_bound)
-        out = [_cont((cond, parallel(after, right, rest))) for cond, after in conts]
-        conts = _step(right, sigma, mode, fresh_bound)
-        out += [_cont((cond, parallel(left, after, rest))) for cond, after in conts]
-        return ordered(out)
+        steps = step(left, sigma, mode, fresh_bound)
+        out = [(pc, trace, parallel(after, right, rest)) for pc, trace, after in steps]
+        steps = step(right, sigma, mode, fresh_bound)
+        out += [(pc, trace, parallel(left, after, rest)) for pc, trace, after in steps]
+        return tuple(dict.fromkeys(out))
     elif isinstance(stmt, LocMem):
         if not stmt.decls:
-            return _step(Pending(stmt.body, rest), sigma, mode, fresh_bound)
+            return step(Pending(stmt.body, rest), sigma, mode, fresh_bound)
         declared, later = stmt.decls[0], stmt.decls[1:]
         fresh = _fresh(sigma, declared, "::Scope", fresh_bound)
         trace = singleton(sigma) + (StateAtom(update(sigma, fresh, StoredExp(Num(0)))),)
         marker = Pending(substitute(LocMem(later, stmt.body), declared, fresh), rest)
-        return {_cont((cond_trace((frozenset(), trace)), marker)): None}.keys()
+        return ((_NO_PC, trace, marker),)
     elif isinstance(stmt, Guard):
         pc = frozenset((eval_bool(stmt.cond, sigma),))
-        return {_cont((cond_trace((pc, singleton(sigma))), Pending(stmt.body, rest))): None}.keys()
+        return ((pc, singleton(sigma), Pending(stmt.body, rest)),)
     elif isinstance(stmt, Input):
         fresh = _fresh(sigma, stmt.target, "::Input", fresh_bound)
         rerouted = update(update(sigma, fresh, STAR), stmt.target, StoredExp(Var(fresh)))
@@ -265,4 +278,4 @@ def _step(marker: Pending, sigma: State, mode: str, fresh_bound: int):
         trace = gen_event(EventKind.INVOKE, sigma, (MethodRef(stmt.method), ArithExp(stmt.arg)))
     else:
         raise ModeError(f"valuate: unsupported statement {type(stmt).__name__}")
-    return {_cont((cond_trace((frozenset(), trace)), rest)): None}.keys()
+    return ((_NO_PC, trace, rest),)

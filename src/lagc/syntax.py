@@ -455,45 +455,49 @@ def occurrences(item) -> list:
 
     Scope declarations and method formals bind, so their occurrences in the
     respective bodies are left out.  Works on any syntax value, state values
-    and event arguments included.
+    and event arguments included.  The walk keeps its own stack, each item
+    with the names bound around it, so a long program or expression does
+    not recurse.
     """
-    if isinstance(item, (Num, BoolLit, MethodRef, Star, Skip)):
-        return []
-    if isinstance(item, Var):
-        return [item.name]
-    if isinstance(item, (ABin, Rel, BBin)):
-        return occurrences(item.left) + occurrences(item.right)
-    if isinstance(item, Neg):
-        return occurrences(item.operand)
-    if isinstance(item, (ArithExp, StoredExp)):
-        return occurrences(item.arith)
-    if isinstance(item, BoolExp):
-        return occurrences(item.boolexp)
-    if isinstance(item, tuple):
-        return list(item)
-    if isinstance(item, Assign):
-        return [item.target] + occurrences(item.value)
-    if isinstance(item, (If, While, Guard)):
-        return occurrences(item.cond) + occurrences(item.body)
-    if isinstance(item, Seq):
-        return [v for part in seq_spine(item) for v in occurrences(part)]
-    if isinstance(item, LocPar):
-        return occurrences(item.left) + occurrences(item.right)
-    if isinstance(item, LocMem):
-        declared = set(item.decls)
-        return [v for v in occurrences(item.body) if v not in declared]
-    if isinstance(item, Input):
-        return [item.target]
-    if isinstance(item, Call):
-        return occurrences(item.arg)
-    if isinstance(item, Method):
-        return [v for v in occurrences(item.body) if v != item.formal]
-    if isinstance(item, Program):
-        out = []
-        for method in item.methods:
-            out.extend(occurrences(method))
-        return out + occurrences(item.main)
-    raise TypeError(f"occurrences: unsupported {type(item).__name__}")
+    out, todo = [], [(item, frozenset())]
+    while todo:
+        item, bound = todo.pop()
+        names, parts = (), ()
+        if isinstance(item, (Num, BoolLit, MethodRef, Star, Skip)):
+            pass
+        elif isinstance(item, Var):
+            names = (item.name,)
+        elif isinstance(item, (ABin, Rel, BBin, LocPar)):
+            parts = item.left, item.right
+        elif isinstance(item, Neg):
+            parts = (item.operand,)
+        elif isinstance(item, (ArithExp, StoredExp)):
+            parts = (item.arith,)
+        elif isinstance(item, BoolExp):
+            parts = (item.boolexp,)
+        elif isinstance(item, tuple):
+            names = item
+        elif isinstance(item, Assign):
+            names, parts = (item.target,), (item.value,)
+        elif isinstance(item, (If, While, Guard)):
+            parts = item.cond, item.body
+        elif isinstance(item, Seq):
+            parts = seq_spine(item)
+        elif isinstance(item, LocMem):
+            bound, parts = bound.union(item.decls), (item.body,)
+        elif isinstance(item, Input):
+            names = (item.target,)
+        elif isinstance(item, Call):
+            parts = (item.arg,)
+        elif isinstance(item, Method):
+            bound, parts = bound | {item.formal}, (item.body,)
+        elif isinstance(item, Program):
+            parts = (*item.methods, item.main)
+        else:
+            raise TypeError(f"occurrences: unsupported {type(item).__name__}")
+        out += [name for name in names if name not in bound]
+        todo += [(part, bound) for part in reversed(parts)]
+    return out
 
 
 def free_vars(item) -> frozenset:

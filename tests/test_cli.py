@@ -238,8 +238,9 @@ LONG_SUM = " + ".join(["1"] * 1200)
     ids=["scope-body", "method-body", "long-sum"],
 )
 def test_recursion_limit_is_exit_5(write, capsys, text):
-    # the parser descends once per parenthesis; free variables and evaluation
-    # descend once per operator of the left-nested chain a long sum parses to
+    # the parser descends once per parenthesis; evaluation descends once per
+    # operator of the left-nested chain a long sum parses to (free variables
+    # are collected with a loop, so the sum gets as far as its evaluation)
     path = write("deep.ext", text)
     assert main(["traces", path]) == 5
     captured = capsys.readouterr()

@@ -1,7 +1,7 @@
 """The per-command tables of the ext engine: each local step, state fact and
 concretized atom is computed once per command, and nothing outlives it.
 
-Counts, not wall-clock times: a wrapped ``valuate`` or ``apply_conc_state``
+Counts, not wall-clock times: a wrapped local ``step`` or ``apply_conc_state``
 records the pair it is called on.  The cached results are checked against
 copies of the definitions they replace, kept here.
 """
@@ -72,12 +72,12 @@ def _count(monkeypatch, module, name, key):
     return counts
 
 
-def _count_valuate(monkeypatch):
-    return _count(monkeypatch, compose, "valuate", lambda marker, sigma, *rest: (marker, sigma))
+def _count_steps(monkeypatch):
+    return _count(monkeypatch, compose, "step", lambda marker, sigma, *rest: (marker, sigma))
 
 
 def test_traces_ext_valuates_each_marker_and_state_once(monkeypatch):
-    counts = _count_valuate(monkeypatch)
+    counts = _count_steps(monkeypatch)
     program = parse_program(CALLS)
     traces = traces_ext(program, initial_state_for(program))
     assert traces and counts
@@ -88,14 +88,14 @@ def test_equiv_shares_the_local_steps_of_both_sides(monkeypatch, tmp_path, capsy
     left, right = tmp_path / "a.prog", tmp_path / "b.prog"
     left.write_text(CALLS, encoding="utf-8")
     right.write_text(CALLS.replace("main { ", "main { skip ;; "), encoding="utf-8")
-    counts = _count_valuate(monkeypatch)
+    counts = _count_steps(monkeypatch)
     assert cli.main(["equiv", str(left), str(right)]) == 0
     assert capsys.readouterr().out == "equivalent\n"
     assert max(counts.values()) == 1
     # the right side adds one step, the skip; every other step is the left side's
     both = len(counts)
     program = parse_program(CALLS)
-    alone = _count_valuate(monkeypatch)
+    alone = _count_steps(monkeypatch)
     traces_ext(program, initial_state_for(program))
     assert both == len(alone) + 1
 

@@ -8,7 +8,10 @@ the number of ``StateAtom`` hashes a run makes is checked to
 grow about linearly with the length of the program.
 """
 
+import gc
 import random
+import statistics
+import tracemalloc
 from collections import Counter
 from functools import reduce
 
@@ -123,15 +126,25 @@ def test_carried_summaries_equal_a_fold_from_scratch(monkeypatch):
     assert min(seen.values()) > 100, seen
 
 
-def test_carried_wl_summaries_equal_a_fold_from_scratch(monkeypatch):
+def test_carried_wl_summaries_equal_a_fold_from_scratch():
+    # the wl engine builds no configuration per step, so follow each run
+    # with ``successors_wl``, which glues every step onto the whole trace
     rng = random.Random(703)
     seen = Counter()
     for _ in range(200):
         stmt = rand_wl_stmt(rng, rng.randint(1, 8))
         sigma = rand_state(rng, tuple(sorted(free_vars(stmt) | {"x"})))
-        start = compose.WlConfig(singleton(sigma), Pending(stmt))
-        run = lambda: compose.compose_bounded_wl(8, start)
-        for config in _reached(monkeypatch, "successors_wl", run):
+        config = compose.WlConfig(singleton(sigma), Pending(stmt))
+        for _ in range(8):
+            if config.marker is DONE:
+                break
+            try:
+                succ = compose.successors_wl(config)
+            except LagcError:
+                break
+            if not succ:
+                break
+            (config,) = succ
             _check_summary(config, compose.WlConfig(config.trace, config.marker))
             seen[config.prefix.concrete] += 1
     # symbolic start states keep some prefixes symbolic
@@ -337,32 +350,61 @@ def _countdown(n: int):
 
 def test_a_wl_run_builds_no_cell(monkeypatch):
     run = lambda: compose.traces_wl(_countdown(100), initial_state(["x"]))
-    cells, steps = _cells_and_steps(monkeypatch, "successors_wl", run)
+    cells, steps = _cells_and_steps(monkeypatch, "step", run)
     assert cells == 0 and steps == 202, (cells, steps)
 
 
 def test_a_wl_step_is_handed_one_state_whatever_the_trace_length(monkeypatch):
-    # a wl step reads only the last state and the marker; a run that handed
-    # each step its whole trace, or a copy of it, would hand it more atoms
-    # the longer the trace grows
-    expand = compose.successors_wl
+    # a wl step is handed only the last state and the marker, and the run
+    # appends to one list.  A run that copied its trace on every step would
+    # hold the old and the new copy at once, so the memory allocated between
+    # two steps above what is still held would grow with the trace; the
+    # median leaves out the node table's rare resizes
+    expand = compose.step
 
-    def handed_atoms(n):
-        atoms, steps = [0], [0]
+    def excess_and_steps(n):
+        excess = []
 
-        def counting(config):
-            atoms[0] += len(config.trace)
-            steps[0] += 1
-            return expand(config)
+        def counting(*args):
+            current, peak = tracemalloc.get_traced_memory()
+            excess.append(peak - current)
+            tracemalloc.reset_peak()
+            return expand(*args)
 
-        monkeypatch.setattr(compose, "successors_wl", counting)
-        compose.traces_wl(_countdown(n), initial_state(["x"]))
-        monkeypatch.undo()
-        return atoms[0], steps[0]
+        monkeypatch.setattr(compose, "step", counting)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            compose.traces_wl(_countdown(n), initial_state(["x"]))
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+            monkeypatch.undo()
+        return statistics.median(excess), len(excess)
 
-    for n in (100, 400):
-        atoms, steps = handed_atoms(n)
-        assert steps == 2 * n + 2 and atoms <= steps + 2, (n, atoms, steps)
+    (small, small_steps), (large, large_steps) = excess_and_steps(100), excess_and_steps(400)
+    assert small_steps == 202 and large_steps == 802, (small_steps, large_steps)
+    # copying the trace on every step reads about 1200 bytes more at 400
+    assert large <= small + 256, (small, large)
+
+
+def test_the_engines_build_no_cont_trace(monkeypatch):
+    # both engines consume the local step's triples; only ``valuate``, the
+    # library's view of a step, wraps them as ``ContTrace``s
+    made = [0]
+    cont = localeval._cont
+
+    def counting(fields):
+        made[0] += 1
+        return cont(fields)
+
+    monkeypatch.setattr(localeval, "_cont", counting)
+    compose.traces_wl(_countdown(100), initial_state(["x"]))
+    nest = parse_program("co x := 1 ;; y := 2 || co y := 3 || x := 4 ;; x := 5 oc oc")
+    assert len(compose.traces_ext(nest, initial_state(["x", "y"]))) == 30
+    assert made[0] == 0
+    assert len(localeval.valuate(Pending(Assign("x", Num(1))), initial_state(["x"]), "wl")) == 1
+    assert made[0] == 1
 
 
 def test_summary_work_per_step_does_not_grow_with_the_trace(monkeypatch):

@@ -1,31 +1,42 @@
 import random
+from functools import reduce
 
+from lagc.compose import initial_state_for
+from lagc.parser import parse_program
+from lagc.state import initial_state
 from lagc.syntax import (
     STAR,
     ABin,
     ArithExp,
     ArithOp,
     Assign,
+    BBin,
     BoolExp,
     BoolLit,
     Call,
+    Guard,
+    If,
     Input,
     LocMem,
     LocPar,
     Method,
     MethodRef,
+    Neg,
     Num,
     Program,
     Rel,
     RelOp,
     Seq,
     Skip,
+    Star,
     StoredExp,
     Var,
+    While,
     canon_key,
     free_vars,
     language_check,
     occurrences,
+    seq_spine,
     substitute,
 )
 
@@ -143,3 +154,80 @@ def test_free_vars_is_the_set_of_occurrences():
     rng = random.Random(11)
     for item in _free_vars_items(rng):
         assert free_vars(item) == frozenset(occurrences(item))
+
+
+def _recursive_occurrences(item) -> list:
+    """``occurrences`` as it was defined by recursion on the syntax, kept as an oracle."""
+    if isinstance(item, (Num, BoolLit, MethodRef, Star, Skip)):
+        return []
+    if isinstance(item, Var):
+        return [item.name]
+    if isinstance(item, (ABin, Rel, BBin)):
+        return _recursive_occurrences(item.left) + _recursive_occurrences(item.right)
+    if isinstance(item, Neg):
+        return _recursive_occurrences(item.operand)
+    if isinstance(item, (ArithExp, StoredExp)):
+        return _recursive_occurrences(item.arith)
+    if isinstance(item, BoolExp):
+        return _recursive_occurrences(item.boolexp)
+    if isinstance(item, tuple):
+        return list(item)
+    if isinstance(item, Assign):
+        return [item.target] + _recursive_occurrences(item.value)
+    if isinstance(item, (If, While, Guard)):
+        return _recursive_occurrences(item.cond) + _recursive_occurrences(item.body)
+    if isinstance(item, Seq):
+        return [v for part in seq_spine(item) for v in _recursive_occurrences(part)]
+    if isinstance(item, LocPar):
+        return _recursive_occurrences(item.left) + _recursive_occurrences(item.right)
+    if isinstance(item, LocMem):
+        declared = set(item.decls)
+        return [v for v in _recursive_occurrences(item.body) if v not in declared]
+    if isinstance(item, Input):
+        return [item.target]
+    if isinstance(item, Call):
+        return _recursive_occurrences(item.arg)
+    if isinstance(item, Method):
+        return [v for v in _recursive_occurrences(item.body) if v != item.formal]
+    if isinstance(item, Program):
+        out = []
+        for method in item.methods:
+            out.extend(_recursive_occurrences(method))
+        return out + _recursive_occurrences(item.main)
+    raise TypeError(f"occurrences: unsupported {type(item).__name__}")
+
+
+def test_occurrences_match_the_recursive_definition():
+    # same names in the same order, duplicates included, on seeded wl and
+    # ext statements, programs whose methods bind names their bodies use,
+    # scopes declaring several names, and state values and event arguments
+    rng = random.Random(2501)
+    items = []
+    for _ in range(1000):
+        items.append(rand_wl_stmt(rng, rng.randint(1, 12)))
+        items.append(rand_ext_stmt(rng, rng.randint(1, 12)))
+    for _ in range(300):
+        methods = tuple(
+            Method(f"m{i}", rng.choice("xyz"), rand_ext_stmt(rng, rng.randint(1, 6)))
+            for i in range(rng.randint(0, 3))
+        )
+        items.append(Program(methods, rand_ext_stmt(rng, rng.randint(1, 8))))
+        items.append(LocMem(("x", "y"), rand_ext_stmt(rng, rng.randint(1, 6))))
+    items.extend(_free_vars_items(rng))
+    for item in items:
+        assert occurrences(item) == _recursive_occurrences(item), item
+    # the sample repeats names, and its binders hide some of them
+    assert sum(len(occurrences(item)) > len(free_vars(item)) for item in items) > 500
+    binders = [item for item in items if isinstance(item, (LocMem, Method))]
+    assert sum(len(occurrences(item)) < len(occurrences(item.body)) for item in binders) > 100
+
+
+def test_occurrences_of_a_long_sum_do_not_recurse():
+    # a left-nested chain of 5000 additions is far deeper than the
+    # recursion limit; the walk keeps its own stack
+    terms = [f"v{i % 7}" for i in range(5000)]
+    program = parse_program("x := " + " + ".join(terms))
+    assert occurrences(program) == ["x"] + terms
+    assert initial_state_for(program) == initial_state(["x"] + terms[:7])
+    total = reduce(lambda left, i: ABin(left, ArithOp.ADD, Num(i)), range(5000), Var("y"))
+    assert occurrences(LocMem(("y",), Assign("x", total))) == ["x"]

@@ -188,6 +188,11 @@ _MESSAGES = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # wl integers are unbounded: lift Python's cap on the digits of an int
+    # read or printed (3.10.7 and later) for the command
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
     try:
         with holding_nodes(), memoizing():
             return _COMMANDS[args.command](args)
@@ -195,6 +200,9 @@ def main(argv=None) -> int:
         kind = next(kind for kind in _EXIT_CODES if isinstance(exc, kind))
         print(f"error: {_MESSAGES.get(kind, exc)}", file=sys.stderr)
         return _EXIT_CODES[kind]
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

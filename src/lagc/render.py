@@ -126,9 +126,17 @@ def pretty_program(p: Program) -> str:
 # Trace rendering
 
 
+# The {stored value: text} memo of the ``render_traces`` call under way, or
+# None: ``render_state`` and ``_atom_json`` share it, so a call formats each
+# distinct value once.
+_texts = None
+
+
 def render_state(sigma: State) -> str:
-    inner = ", ".join(f"{name}={pretty_sexp(value)}" for name, value in sigma.entries)
-    return "{" + inner + "}"
+    texts = {} if _texts is None else _texts
+    parts = [f"{name}={texts.get(v) or texts.setdefault(v, pretty_sexp(v))}"
+             for name, v in sigma.entries]
+    return "{" + ", ".join(parts) + "}"
 
 
 def render_atom(atom) -> str:
@@ -217,23 +225,30 @@ def _atom_json(atom) -> str:
     entries = atom.state.entries
     if not entries:
         return '{\n        "state": {}\n      }'
-    dumps = json.dumps
-    inner = ",\n          ".join(
-        [dumps(name) + ": " + dumps(pretty_sexp(value)) for name, value in entries]
-    )
+    dumps, texts = json.dumps, {} if _texts is None else _texts
+    parts = [dumps(name) + ": " + dumps(texts.get(v) or texts.setdefault(v, pretty_sexp(v)))
+             for name, v in entries]
+    inner = ",\n          ".join(parts)
     return '{\n        "state": {\n          ' + inner + "\n        }\n      }"
 
 
 def render_traces(traces, fmt: str = "text") -> str:
     """Render a trace set; the output is byte-deterministic.
 
-    Each distinct atom is formatted once and every row is joined from
-    those pieces.  The JSON is what ``json.dumps(indent=2, sort_keys=True)``
+    Each distinct atom is formatted once, each distinct stored value once
+    for all the states that hold it, and every row is joined from those
+    pieces.  The JSON is what ``json.dumps(indent=2, sort_keys=True)``
     makes of ``{"traces": [[fragment, ...], ...]}``.
     """
+    global _texts
     traces, atoms = _ordered(traces)
+    form = _atom_json if fmt == "json" else render_atom
+    _texts = {}
+    try:
+        piece = {atom: form(atom) for atom in atoms}
+    finally:
+        _texts = None
     if fmt == "json":
-        piece = {atom: _atom_json(atom) for atom in atoms}
         rows = [
             "[" + _DEPTH3 + ("," + _DEPTH3).join(map(piece.__getitem__, trace)) + "\n    ]"
             if trace else "[]"
@@ -242,7 +257,6 @@ def render_traces(traces, fmt: str = "text") -> str:
         if not rows:
             return '{\n  "traces": []\n}\n'
         return '{\n  "traces": [\n    ' + ",\n    ".join(rows) + "\n  ]\n}\n"
-    piece = {atom: render_atom(atom) for atom in atoms}
     rows = [" ~> ".join(map(piece.__getitem__, trace)) for trace in traces]
     count = len(rows)
     header = f"{count} trace" + ("" if count == 1 else "s") + "\n"

@@ -450,53 +450,67 @@ def tuple_key(element_keys) -> tuple:
 # Free variables
 
 
+# Every class ``occurrences`` walks; a subclass walks as its base among them.
+_WALKED = frozenset({
+    Num, BoolLit, MethodRef, Star, Skip, Var, ABin, Rel, BBin, LocPar, Neg, ArithExp, StoredExp,
+    BoolExp, tuple, Assign, If, While, Guard, Seq, LocMem, Input, Call, Method, Program,
+})
+
+
 def occurrences(item) -> list:
     """Left-to-right list of free variable occurrences, duplicates kept.
 
     Scope declarations and method formals bind, so their occurrences in the
     respective bodies are left out.  Works on any syntax value, state values
-    and event arguments included.  The walk keeps its own stack, each item
-    with the names bound around it, so a long program or expression does
-    not recurse.
+    and event arguments included; a tuple stands for the names it holds.
+    The walk keeps its own stack, each item with the names bound around
+    it, so a long program or expression does not recurse.  It tells the
+    classes apart by identity, the most frequent first, and pushes a
+    node's parts directly; a subclass walks as the class it derives from.
     """
     out, todo = [], [(item, frozenset())]
+    append, push = out.append, todo.append
     while todo:
         item, bound = todo.pop()
-        names, parts = (), ()
-        if isinstance(item, (Num, BoolLit, MethodRef, Star, Skip)):
+        cls = item.__class__
+        if cls not in _WALKED:
+            cls = next((base for base in cls.__mro__ if base in _WALKED), None)
+            if cls is None:
+                raise TypeError(f"occurrences: unsupported {type(item).__name__}")
+        if cls is Var:
+            if item.name not in bound:
+                append(item.name)
+        elif cls is Num or cls is BoolLit or cls is MethodRef or cls is Star or cls is Skip:
             pass
-        elif isinstance(item, Var):
-            names = (item.name,)
-        elif isinstance(item, (ABin, Rel, BBin, LocPar)):
-            parts = item.left, item.right
-        elif isinstance(item, Neg):
-            parts = (item.operand,)
-        elif isinstance(item, (ArithExp, StoredExp)):
-            parts = (item.arith,)
-        elif isinstance(item, BoolExp):
-            parts = (item.boolexp,)
-        elif isinstance(item, tuple):
-            names = item
-        elif isinstance(item, Assign):
-            names, parts = (item.target,), (item.value,)
-        elif isinstance(item, (If, While, Guard)):
-            parts = item.cond, item.body
-        elif isinstance(item, Seq):
-            parts = seq_spine(item)
-        elif isinstance(item, LocMem):
-            bound, parts = bound.union(item.decls), (item.body,)
-        elif isinstance(item, Input):
-            names = (item.target,)
-        elif isinstance(item, Call):
-            parts = (item.arg,)
-        elif isinstance(item, Method):
-            bound, parts = bound | {item.formal}, (item.body,)
-        elif isinstance(item, Program):
-            parts = (*item.methods, item.main)
-        else:
-            raise TypeError(f"occurrences: unsupported {type(item).__name__}")
-        out += [name for name in names if name not in bound]
-        todo += [(part, bound) for part in reversed(parts)]
+        elif cls is ABin or cls is Rel or cls is BBin or cls is LocPar:
+            todo += (item.right, bound), (item.left, bound)
+        elif cls is Assign:
+            if item.target not in bound:
+                append(item.target)
+            push((item.value, bound))
+        elif cls is Seq:
+            todo += (item.second, bound), (item.first, bound)
+        elif cls is If or cls is While or cls is Guard:
+            todo += (item.body, bound), (item.cond, bound)
+        elif cls is Neg:
+            push((item.operand, bound))
+        elif cls is ArithExp or cls is StoredExp:
+            push((item.arith, bound))
+        elif cls is BoolExp:
+            push((item.boolexp, bound))
+        elif cls is tuple:
+            out += [name for name in item if name not in bound]
+        elif cls is LocMem:
+            push((item.body, bound.union(item.decls)))
+        elif cls is Input:
+            if item.target not in bound:
+                append(item.target)
+        elif cls is Call:
+            push((item.arg, bound))
+        elif cls is Method:
+            push((item.body, bound | {item.formal}))
+        else:  # Program, the last class left
+            todo += [(part, bound) for part in reversed((*item.methods, item.main))]
     return out
 
 
@@ -584,14 +598,21 @@ def check_mode(mode: str) -> str:
 
 
 def language_check(stmt: Stmt, mode: str) -> bool:
-    """True iff ``stmt`` stays within the selected language subset."""
+    """True iff ``stmt`` stays within the selected language subset.
+
+    The walk keeps its own stack, so deep nesting does not recurse.
+    """
     check_mode(mode)
     if mode == "ext":
         return True
-    if isinstance(stmt, EXT_ONLY):
-        return False
-    if isinstance(stmt, (If, While)):
-        return language_check(stmt.body, mode)
-    if isinstance(stmt, Seq):
-        return all(language_check(part, mode) for part in seq_spine(stmt))
+    todo = [stmt]
+    while todo:
+        stmt = todo.pop()
+        # identity first: most statements met here are sequences
+        if stmt.__class__ is Seq or isinstance(stmt, Seq):
+            todo += stmt.second, stmt.first
+        elif isinstance(stmt, (If, While)):
+            todo.append(stmt.body)
+        elif isinstance(stmt, EXT_ONLY):
+            return False
     return True

@@ -424,3 +424,73 @@ def test_unmapped_error_propagates(write, monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, "traces", failing)
     with pytest.raises(ValueError, match="not a lagc error"):
         main(["traces", write("skip.ext", "skip")])
+
+
+
+# 5001 digits, past Python's default cap of 4300 on int/str conversion
+HUGE = "1234567890" * 500 + "1"
+SQUARING = "x := 2 ;; i := 0 ;; while i <= 13 do x := x * x ;; i := i + 1 od"
+
+
+def _uncapped_str(value: int) -> str:
+    """``str(value)`` at any length, whatever this Python's cap on int digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_huge_numeral_prints_back_exactly(write, capsys, fmt):
+    path = write("huge.wl", f"x := {HUGE}")
+    assert main(["traces", path, "--lang", "wl", "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if fmt == "json":
+        (trace,) = json.loads(captured.out)["traces"]
+        assert trace[-1] == {"state": {"x": HUGE}}
+    else:
+        assert captured.out.endswith(f" ~> {{x={HUGE}}}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_value_of_4933_digits_prints_exactly(write, capsys, fmt):
+    # fourteen squarings of 2 make 2**16384, whose 4933 digits the
+    # renderer prints whole
+    path = write("squares.wl", SQUARING)
+    assert main(["traces", path, "--lang", "wl", "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if fmt == "json":
+        (trace,) = json.loads(captured.out)["traces"]
+        last = trace[-1]["state"]["x"]
+    else:
+        last = captured.out.rsplit("{i=14, x=", 1)[1].rstrip("}\n")
+    assert len(last) == 4933
+    assert last == _uncapped_str(2**16384)
+
+
+def test_eval_reads_huge_numerals_and_states(write, capsys):
+    path = write("ctx.wl", "y := y")
+    assert main(["eval", path, "--expr", HUGE]) == 0
+    assert capsys.readouterr().out == HUGE + "\n"
+    assert main(["eval", path, "--state", f"y={HUGE}", "--expr", "y + 1"]) == 0
+    assert capsys.readouterr().out == HUGE[:-1] + "2\n"
+    assert main(["eval", path, "--state", f"y={HUGE}", "--expr", "y == 0", "--format", "json"]) == 0
+    assert capsys.readouterr().out == '{"result": "false"}\n'
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no cap on int digits"
+)
+def test_main_restores_the_cap_on_int_digits(write, capsys):
+    cap = sys.get_int_max_str_digits()
+    assert main(["traces", write("huge.wl", f"x := {HUGE}"), "--lang", "wl"]) == 0
+    assert sys.get_int_max_str_digits() == cap
+    assert main(["traces", write("bad.wl", "x := @")]) == 1
+    assert sys.get_int_max_str_digits() == cap
+    capsys.readouterr()

@@ -202,3 +202,76 @@ def test_malformed_sources_raise_parse_errors_only():
 
 def test_round_trip_methods():
     assert parse_program(pretty_program(EXT_CALL)) == EXT_CALL
+
+
+SCAN_PIECES = (
+    # identifiers, generated names, keywords
+    "x", "y1", "_t", "$x::Scope", "a::b", "a:::b", "x::", "if", "then", "fi", "while", "do",
+    "od", "co", "oc", "scope", "input", "guard", "end", "call", "program", "method", "main",
+    "true", "false", "skip",
+    # numerals, two with a digit of another script
+    "0", "42", "007", "٣", "1٣",
+    # symbols
+    ":=", ";;", "||", "&&", "<=", ">=", "==", "!", "+", "-", "*", "(", ")", ";", "{", "}",
+)
+BAD_CHARACTERS = (":", "|", "&", "=", "<", "@", "²")
+# besides spaces, tabs and newlines, three other characters that both the
+# token pattern's ``\s`` and ``str.rstrip`` take for whitespace
+SEPARATORS = ("", " ", " ", "\n", "\t", "  \n ", "\u00a0", "\x1c", "\u2003 ")
+
+
+def _scan_sources(rng):
+    yield from ("", " ", "\n\t ", "x", "x  \n", "a::b", "x::", "٣", "x := ٣ ;; y := 1  ", "x ²")
+    yield from ("x\u00a0", "x := 1\x1c\u2003", "x\u200b", "\u200b")
+    for _ in range(3000):
+        pieces = rng.choices(SCAN_PIECES, k=rng.randint(0, 10))
+        if rng.random() < 0.3:
+            pieces.insert(rng.randint(0, len(pieces)), rng.choice(BAD_CHARACTERS))
+        # a piece glued to the next may scan as another token, as "<" "=" does
+        yield "".join(piece + rng.choice(SEPARATORS) for piece in pieces)
+    for _ in range(200):
+        stmt = rand_wl_stmt if rng.random() < 0.5 else rand_ext_stmt
+        yield pretty_program(Program((), stmt(rng, rng.randint(1, 6)))) + rng.choice(SEPARATORS)
+
+
+def _scanned(scan, source):
+    try:
+        return "tokens", scan(source)
+    except ParseError as error:
+        return "error", (error.line, error.column, error.expected, error.found, str(error))
+
+
+def _parsed(parse, source):
+    try:
+        return "tree", parse(source)
+    except ParseError as error:
+        return "error", (error.line, error.column, error.expected, error.found, str(error))
+
+
+def test_scan_matches_tokenize():
+    # the one-findall scan gives tokenize's (kind, text) list, or the same
+    # error at the same place; the parse built on it reports every error as
+    # the frozen parser, which reads tokenize's offsets, does
+    import reference_parser
+
+    def offsets_dropped(source):
+        return [(kind, text) for kind, text, _ in parser.tokenize(source)]
+
+    seen, outcomes, bad = set(), [], set()
+    for source in _scan_sources(random.Random(26)):
+        got = _scanned(parser._scan, source)
+        assert got == _scanned(offsets_dropped, source), source
+        if got[0] == "error":
+            bad.add(got[1][3])
+            continue
+        seen.update(kind for kind, _ in got[1])
+        for parse, oracle in (
+            (parse_program, reference_parser.parse_program),
+            (parse_expression, reference_parser.parse_expression),
+        ):
+            outcome = _parsed(parse, source)
+            assert outcome == _parsed(oracle, source), source
+            outcomes.append(outcome[0])
+    assert seen == {"ident", "kw", "num", "sym", "eof"}
+    assert bad == {*BAD_CHARACTERS, "\u200b"}
+    assert outcomes.count("tree") > 250 and outcomes.count("error") > 3000

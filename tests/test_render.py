@@ -156,6 +156,33 @@ def test_render_traces_formats_each_distinct_atom_once(monkeypatch):
             assert formatted == Counter(distinct)
 
 
+
+def test_render_traces_formats_each_distinct_stored_value_once(monkeypatch):
+    # the states of one call share a memo of value texts, in text and JSON
+    printed = Counter()
+    pretty_sexp = render.pretty_sexp
+
+    def counting(value):
+        printed[value] += 1
+        return pretty_sexp(value)
+
+    monkeypatch.setattr(render, "pretty_sexp", counting)
+    shared = 0
+    for traces in _trace_sets(random.Random(62)):
+        entries = [
+            value
+            for atom in {atom for trace in traces for atom in trace}
+            if isinstance(atom, StateAtom)
+            for _, value in atom.state.entries
+        ]
+        shared += len(entries) > len(set(entries))
+        for fmt in ("text", "json"):
+            printed.clear()
+            render_traces(traces, fmt)
+            assert printed == Counter(set(entries))
+    # most sets hold one value in several states
+    assert shared > 30
+
 def test_sorted_traces_gives_atoms_with_equal_keys_equal_ranks(monkeypatch):
     # the coarse key ties the values of one class, and every two events
     def coarse_key(value):

@@ -1,10 +1,13 @@
 import random
 from functools import reduce
 
+import pytest
+
 from lagc.compose import initial_state_for
 from lagc.parser import parse_program
 from lagc.state import initial_state
 from lagc.syntax import (
+    EXT_ONLY,
     STAR,
     ABin,
     ArithExp,
@@ -221,6 +224,51 @@ def test_occurrences_match_the_recursive_definition():
     binders = [item for item in items if isinstance(item, (LocMem, Method))]
     assert sum(len(occurrences(item)) < len(occurrences(item.body)) for item in binders) > 100
 
+
+
+def _recursive_language_check(stmt, mode) -> bool:
+    """``language_check`` as it was defined by recursion on the syntax, kept as an oracle."""
+    if mode == "ext":
+        return True
+    if isinstance(stmt, EXT_ONLY):
+        return False
+    if isinstance(stmt, (If, While)):
+        return _recursive_language_check(stmt.body, mode)
+    if isinstance(stmt, Seq):
+        return all(_recursive_language_check(part, mode) for part in seq_spine(stmt))
+    return True
+
+
+def test_language_check_matches_the_recursive_definition():
+    # the seeded wl and ext statements, programs, scopes and values of the
+    # occurrences oracle, in both modes
+    rng = random.Random(2502)
+    items = []
+    for _ in range(1000):
+        items.append(rand_wl_stmt(rng, rng.randint(1, 12)))
+        items.append(rand_ext_stmt(rng, rng.randint(1, 12)))
+    for _ in range(300):
+        items.append(If(rand_bexp(rng), rand_ext_stmt(rng, rng.randint(1, 6))))
+        items.append(LocMem(("x", "y"), rand_wl_stmt(rng, rng.randint(1, 6))))
+    items.extend(_free_vars_items(rng))
+    for item in items:
+        for mode in ("wl", "ext"):
+            assert language_check(item, mode) == _recursive_language_check(item, mode), item
+    verdicts = [language_check(item, "wl") for item in items]
+    assert verdicts.count(True) > 1000 and verdicts.count(False) > 1000
+
+
+def test_language_check_of_a_deep_if_nest_does_not_recurse():
+    # 3000 nested ifs, built without the parser, are far deeper than the
+    # recursion limit; the walk keeps its own stack
+    def nest(body):
+        return reduce(lambda inner, i: If(Rel(Var("x"), RelOp.LEQ, Num(i)), inner), range(3000), body)
+
+    assert language_check(nest(Assign("x", Num(1))), "wl")
+    assert not language_check(nest(Seq(Skip(), Input("x"))), "wl")
+    assert language_check(nest(Input("x")), "ext")
+    with pytest.raises(RecursionError):
+        _recursive_language_check(nest(Skip()), "wl")
 
 def test_occurrences_of_a_long_sum_do_not_recurse():
     # a left-nested chain of 5000 additions is far deeper than the

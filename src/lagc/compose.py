@@ -17,26 +17,24 @@ the rest of the local trace.  Both engines consume ``localeval.step``'s
 ``(pc, trace, next marker)`` triples directly.  A wl run keeps its trace
 in one list, and since a wl step reads only the last state and the
 marker, ``_walk`` calls ``step`` on those and builds no configuration
-until the run ends.  The ext engine, which hashes its configurations,
-holds every trace as a *rope* (Boehm, Atkinson and Plass, "Ropes: an
-Alternative to Strings", 1995): a cell of a multiple of ``_LOOSE`` atoms
-and a tuple of the last 1 to ``_LOOSE`` atoms.  ``_rope`` is the one
-split rule, and it depends only on the trace's length, so equal traces
-are equal ropes.  ``_extend`` is the one step rule, shared by the
-successor functions and by the replay of the paths: it concretizes the
-rope's trace before its last state when the step did, appends the atoms
-the step adds and splits again.  A step thus copies at most ``_LOOSE``
-atoms plus those it adds and builds about one cell per atom it adds, a
-long trace is held as cells shared with every trace that extends it, and
-a short one builds no cell at all; building a cell costs about as much
-as copying a tuple of several hundred atoms.
-An ``ExtConfig`` also carries ``prefix``, a ``trace.Summary`` of its
-trace without the last state (concreteness, the unanswered invocations
-and the harvested call arguments), which the step that builds it
-computes by extending its parent's by the atoms it adds, so neither
+until the run ends.
+
+An ext step is a *record* ``(added, markers, summary, rho)``: the atoms
+it appends, the markers after it, the ``trace.Summary`` of the glued
+trace without its last state (concreteness, the unanswered invocations
+and the harvested call arguments), and, when the step concretized the
+whole glued trace, the mapping ``rho`` it used, else ``None``.  The
+step takes a trace ``t`` to ``_glued(t, rho, added)``: ``t`` followed by
+``added``, or ``concretize_trace(rho, t[:-1])`` followed by it.  A step
+computes the summary from its parent's and the atoms it adds, so neither
 deciding concreteness nor spawning reactions walks the trace.  That
 holds for a step that concretizes the whole trace too: concretizing a
-concrete prefix changes none of its summary.
+concrete prefix changes none of its summary.  ``_scheduled`` and
+``_reactions`` produce the records, and ``_records`` is both.  The
+exploration consumes them directly and builds no configuration and no
+trace; the library's ``successors1``, ``successors2`` and
+``successors_ext`` glue them onto a tuple trace and return
+``ExtConfig``s, ``(trace, markers)`` named tuples.
 
 Bounded composition explores at most a given number of steps; the
 fixpoint search has the budget ``B = (max_rounds - 1) * increment`` and
@@ -59,31 +57,47 @@ The ext search explores a graph instead of the trace tree.  The
 successors of a configuration whose prefix is concrete depend on nothing
 of its trace but the last state and the prefix's open invocations and
 harvested arguments, so its node is that *future key* together with the
-marker multiset; any other configuration is its own node.  A node keeps
-the first configuration that reached it and expands it once.  Each edge
-keeps the atoms its step appends and, for a step that concretized the
-whole trace, the mapping ``rho`` it used.  For a concrete prefix that
-mapping comes from the local trace alone, and concretization works atom
-by atom, so the step takes every trace ``t`` of the node to ``t``
-followed by those atoms, or to ``concretize_trace(rho, t[:-1])``
-followed by them, exactly as expanding ``t`` itself would.  Only the
-start configuration can have a concrete prefix and a symbolic last state,
-and no step returns to it, so no node with a future key reaches a node
-without one along more than one trace.
+marker multiset.  A node keeps the last atom, the markers and the
+summary of the first step that reached it, and expands them once.  A
+configuration with a symbolic prefix is its own node and keeps its
+whole trace: only a start built by hand from a trace has one, and so do
+the reactions from it, which concretize nothing, while a scheduled step
+concretizes the whole trace.  Each edge keeps the ``rho`` and ``added``
+of its record.  For a concrete prefix that mapping comes from the local
+trace alone, and concretization works atom by atom, so the step takes
+every trace ``t`` of the node to ``_glued(t, rho, added)``, exactly as
+expanding ``t`` itself would.  A node with a symbolic prefix is reached
+only from the start or from another such node, each of which keeps its
+whole trace: a scheduled step ends in a concrete state, and so does a
+reaction from one, so only the start can have a concrete prefix and a
+symbolic last state, and only a reaction from it, or from a node with a
+symbolic prefix, keeps the prefix symbolic.
 
-Successors come out as set-like views that list them in the order they
-were generated, as ``step`` lists its local traces, and a layer of the
-graph is expanded in the order its nodes were first reached, so which
-configuration represents a node does not depend on identity hashes.
-Nodes are expanded layer by layer in order of minimum depth, and the
-least error of the shallowest failing layer is raised, which is the
-error the trace tree meets first.  The fixpoint search diverges iff a
-node first appears after ``B + 1`` steps or, once the graph is closed, a
-cycle is reachable or the longest path is longer than ``B``.  The traces
-come from replaying the paths layer by layer over the distinct ropes
-reaching each node, each edge extended with ``_extend`` as its step was,
-so equal traces meet in a set and an edge costs what it appends; each
-returned trace is spelled out as a tuple once.
+Records come out in the order they were generated, as ``step`` lists
+its local traces, the scheduled steps before the reactions, and a layer
+of the graph is expanded in the order its nodes were first reached, so
+which step represents a node does not depend on identity hashes.  Nodes
+are expanded layer by layer in order of minimum depth, and the least
+error of the shallowest failing layer is raised, which is the error the
+trace tree meets first.  The fixpoint search diverges iff a node first
+appears after ``B + 1`` steps or, once the graph is closed, a cycle is
+reachable or the longest path is longer than ``B``.
+
+The traces come from replaying the paths layer by layer over the
+distinct traces reaching each node, and only the replay holds traces.
+It holds each as a *rope* (Boehm, Atkinson and Plass, "Ropes: an
+Alternative to Strings", 1995): a cell of a multiple of ``_LOOSE`` atoms
+and a tuple of the last 1 to ``_LOOSE`` atoms.  ``_rope`` is the one
+split rule, and it depends only on the trace's length, so equal traces
+are equal ropes and meet in a set.  ``_extend`` replays an edge on a
+rope as ``_glued`` does on a tuple: it concretizes the trace before its
+last state when the step did, appends the atoms the step adds and splits
+again.  An edge thus copies at most ``_LOOSE`` atoms plus those it adds
+and builds about one cell per atom it adds, a long trace is held as
+cells shared with every trace that extends it, and a short one builds no
+cell at all; building a cell costs about as much as copying a tuple of
+several hundred atoms.  Each returned trace is spelled out as a tuple
+once.
 
 ``trace_equivalent`` builds the two sides of an ext comparison into one
 node table when both programs have the same methods: the left side as
@@ -101,8 +115,8 @@ Five caches keep the ext engine from computing the same thing twice in
 one command.  A local step is memoized per ``(marker, state, fresh_bound,
 conc_numeral)``: ``step``, the minimal mapping of each local trace,
 the consistency check and the choice between keeping a local trace and
-concretizing it run once per key, and only gluing the kept local traces
-onto a configuration's trace is done per configuration.  A state
+concretizing it run once per key, and only making the records of the
+kept local traces is done per node.  A state
 keeps, once asked, whether it is concrete and which names it maps to
 ``*`` (see ``lagc.state``).  Concretizing is memoized per ``(rho,
 atom)`` and per ``(rho, cell)``, shared by the steps that concretize a
@@ -125,15 +139,14 @@ from typing import NamedTuple
 from .concretize import concretize_atom, min_conc_map_trace
 from .errors import (
     DivergenceLimitError,
-    FreshBoundExceededError,
     LagcError,
     ModeError,
     PolicyError,
     UndefinedTraceOpError,
 )
 from .evaluate import eval_bexp_set
-from .localeval import DEFAULT_FRESH_BOUND, Done, Marker, Pending, ordered, step
-from .state import BOUND_EXCEEDED_PREFIX, State, initial_state, update, vargen
+from .localeval import DEFAULT_FRESH_BOUND, Done, Marker, Pending, fresh_name, ordered, step
+from .state import State, initial_state, update
 from .syntax import (
     MethodRef,
     Program,
@@ -180,7 +193,44 @@ class WlConfig(NamedTuple):
 _wl = partial(tuple.__new__, WlConfig)
 
 
-# the most atoms an ext trace keeps in the tuple after its cell; see ``_rope``
+def _bag(markers: tuple) -> tuple:
+    """``markers`` sorted by ``id``; markers are hash-consed, so equal multisets are equal bags."""
+    return markers if len(markers) < 2 else tuple(sorted(markers, key=id))
+
+
+class ExtConfig(NamedTuple):
+    """Composed global trace plus a multiset of pending process markers; a tuple.
+
+    ``markers`` keeps the order the configuration was built in, which is
+    the order its successors come out in.  A configuration hashes and
+    compares its trace and its markers as a bag (``_bag``), and is not
+    ordered.  ``prefix`` summarizes ``trace[:-1]``.  The library's
+    successor functions take and return configurations; the exploration
+    builds none (see ``_graph``).
+    """
+
+    trace: Trace
+    markers: tuple
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ExtConfig:
+            return NotImplemented
+        return self.trace == other.trace and _bag(self.markers) == _bag(other.markers)
+
+    # object's comparisons: ``!=`` negates ``__eq__``, where tuple's would
+    # compare the markers in order, and ordering raises ``TypeError``
+    __ne__ = object.__ne__
+    __lt__, __le__, __gt__, __ge__ = object.__lt__, object.__le__, object.__gt__, object.__ge__
+
+    def __hash__(self) -> int:
+        return hash((self.trace, _bag(self.markers)))
+
+    @property
+    def prefix(self) -> Summary:
+        return summarize(self.trace[:-1])
+
+
+# the most atoms a replayed trace keeps in the tuple after its cell; see ``_rope``
 _LOOSE = 32
 
 
@@ -198,13 +248,13 @@ def _rope(cell: Cell, loose: Trace) -> tuple:
 
 
 def _extend(rope: tuple, rho, added: Trace) -> tuple:
-    """The rope of a step's glued trace: the trace of ``rope`` followed by ``added``.
+    """``_glued`` on a rope: the rope of the trace of ``rope`` followed by ``added``.
 
     When ``rho`` is not ``None`` the step concretized the whole glued
     trace, so ``added`` follows ``concretize_trace(rho, trace[:-1])``
-    instead, which maps each cell once per (ρ, cell) and command.  A step
-    copies at most ``_LOOSE + len(added)`` atoms, whatever the length of
-    the trace.
+    instead, which maps each cell once per (ρ, cell) and command.  An edge
+    replayed so copies at most ``_LOOSE + len(added)`` atoms, whatever the
+    length of the trace.
     """
     cell, loose = rope
     if rho is not None:
@@ -213,87 +263,13 @@ def _extend(rope: tuple, rho, added: Trace) -> tuple:
     return (cell, loose) if len(loose) <= _LOOSE else _rope(cell, loose)
 
 
-class _ExtFields(NamedTuple):
-    rope: tuple
-    bag: tuple
-    markers: tuple
-    added: Trace
-    prefix: Summary
-    rho: State
+def _glued(trace: Trace, rho, added: Trace) -> Trace:
+    """The trace a step record takes ``trace`` to: ``trace`` followed by ``added``.
 
-
-class ExtConfig(_ExtFields):
-    """Composed global trace plus a multiset of pending process markers.
-
-    The trace is the rope ``rope`` (``_rope``), which a step builds from
-    its parent's with ``_extend``: a long trace is held as cells shared
-    with every configuration that extends it, and a short one builds no
-    cell at all, since building a cell costs about as much as copying a
-    tuple of several hundred atoms.  ``prefix`` is the summary of
-    ``trace[:-1]``: a step sets it from its parent's and the atoms it
-    adds, ``added`` (see ``_glue``), and a configuration built from a
-    trace tuple folds it from the tuple.
-
-    ``markers`` keeps the order the configuration was built in, which is
-    the order its successors come out in.  ``bag`` holds the same markers
-    sorted by ``id``: markers are hash-consed, so equal multisets are
-    equal bags.  A configuration is a named tuple that hashes and
-    compares ``(rope, bag)`` only; equal traces are equal ropes, so its
-    hash agrees with its equality.  Configurations are not ordered.
-    ``rho`` is the mapping the step that built the configuration
-    concretized the whole glued trace under, or ``None`` when it kept the
-    glued trace as it is; see ``_extend``.
+    When ``rho`` is not ``None`` the step concretized the whole glued
+    trace, so ``added`` follows ``concretize_trace(rho, trace[:-1])``.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, trace: Trace, markers):
-        trace = tuple(trace)
-        return _ext(_rope(None, trace), (), tuple(markers), summarize(trace[:-1]), None)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not ExtConfig:
-            return NotImplemented
-        return self[0] == other[0] and self[1] == other[1]
-
-    # object's comparisons: ``!=`` negates ``__eq__``, where tuple's would
-    # compare every field, and ordering raises ``TypeError``
-    __ne__ = object.__ne__
-    __lt__, __le__, __gt__, __ge__ = object.__lt__, object.__le__, object.__gt__, object.__ge__
-
-    def __hash__(self) -> int:
-        return hash((self[0], self[1]))
-
-    @property
-    def trace(self) -> Trace:
-        cell, loose = self.rope
-        return trace_of(cell) + loose
-
-    @property
-    def last(self):
-        """The last atom of the trace, ``None`` for the empty trace."""
-        loose = self.rope[1]
-        return loose[-1] if loose else None
-
-    def __repr__(self) -> str:
-        return f"ExtConfig(trace={self.trace!r}, markers={self.markers!r})"
-
-
-# an ExtConfig from its six fields, in ``_ExtFields`` order
-_ext_config = partial(tuple.__new__, ExtConfig)
-
-
-def _ext(rope: tuple, added: tuple, markers: tuple, prefix, rho) -> ExtConfig:
-    """A configuration a step built; see ``ExtConfig``."""
-    bag = markers if len(markers) < 2 else tuple(sorted(markers, key=id))
-    return _ext_config((rope, bag, markers, added, prefix, rho))
-
-
-def _final_state(atom) -> State:
-    """The state of a trace's last atom, which must be a state."""
-    if isinstance(atom, StateAtom):
-        return atom.state
-    raise UndefinedTraceOpError("trace does not end with a state")
+    return trace + added if rho is None else _concretize(rho, trace[:-1]) + added
 
 
 class _PolicyFields(NamedTuple):
@@ -330,10 +306,6 @@ DEFAULT_POLICY = ComposePolicy()
 def method_table(methods) -> tuple:
     """Deduplicate a method list, keeping first occurrences."""
     return tuple(dict.fromkeys(methods))
-
-
-# the successors of a configuration that has none
-_NO_SUCCESSORS = {}.keys()
 
 
 def _pending(trace: Trace, marker: Marker) -> State:
@@ -555,40 +527,126 @@ def _concretize_cell(rho: State, cell: Cell) -> Cell:
 
 
 def _glue(
-    rope: tuple,
+    trace: Trace,
     prefix: Summary,
     sigma: State,
     marker: Pending,
+    rest: tuple,
     fresh_bound: int,
     conc_numeral: int,
 ) -> list:
-    """The steps of ``marker`` in ``sigma``, to glue onto the trace of ``rope``.
+    """The step records of ``marker`` in ``sigma``, to glue onto ``trace``.
 
-    ``sigma`` is the last state of that trace and ``prefix`` the summary
-    of the trace without it.  Each step is ``(added, next marker, summary
-    of the glued trace without its last state, rho)``; the glued trace is
-    ``_extend(rope, rho, added)``.
+    ``sigma`` is the last state of ``trace``, ``prefix`` the summary of
+    the trace without it and ``rest`` the other markers.  A record is
+    ``(added, markers, summary of the glued trace without its last state,
+    rho)``; the glued trace is ``_glued(trace, rho, added)``.
 
     A concrete prefix maps no name to ``*``, so the glued trace's minimal
     mapping is the local trace's, and ``_local_steps`` has already decided
     whether to concretize.  Concretizing a concrete prefix only adds
     ρ's names to its states and changes no event argument, so the summary
-    is ``prefix`` extended by ``added`` before its last state.  Only a
-    configuration built by hand from a trace can have a symbolic prefix;
-    then ρ is computed from the whole glued trace, which may concretize
-    earlier event arguments, so the summary is folded afresh.
+    is ``prefix`` extended by ``added`` before its last state, and nothing
+    of ``trace`` is read but its last state.  Only a configuration built
+    by hand from a trace can have a symbolic prefix; then ρ is computed
+    from the whole glued trace, which may concretize earlier event
+    arguments, so the summary is folded afresh from the concretized
+    trace, which is concrete.
     """
     steps = _local_steps(marker, sigma, fresh_bound, conc_numeral)
     if prefix.concrete:
-        return [(added, after, prefix.extend(added[:-1]), rho) for _, after, added, rho in steps]
-    cell, loose = rope
-    before = trace_of(cell) + loose[:-1]
+        return [
+            (added, rest + (after,), prefix.extend(added[:-1]), rho)
+            for _, after, added, rho in steps
+        ]
+    before = trace[:-1]
     out = []
     for local, after, _, _ in steps:
         rho = min_conc_map_trace(before + local, conc_numeral)
         added = _concretize(rho, local)
-        out.append((added, after, summarize(_concretize(rho, before) + added[:-1]), rho))
+        out.append((added, rest + (after,), summarize(_concretize(rho, before) + added[:-1]), rho))
     return out
+
+
+def _scheduled(rep: tuple, fresh_bound: int, conc_numeral: int) -> list:
+    """The records of scheduling one marker of ``rep``, a ``(trace, markers, prefix)``.
+
+    The scheduled marker's continuation takes its place at the end of the
+    markers.  Every distinct pending marker is stepped, in the order of
+    the markers, even after one of them fails; then the least error is
+    raised, so the error does not depend on the order in which they are
+    listed.
+    """
+    trace, markers, prefix = rep
+    sigma = last_state(trace)
+
+    def glue(marker: Pending) -> list:
+        i = markers.index(marker)
+        rest = markers[:i] + markers[i + 1 :]
+        return _glue(trace, prefix, sigma, marker, rest, fresh_bound, conc_numeral)
+
+    pending = [m for m in dict.fromkeys(markers) if isinstance(m, Pending)]
+    return [record for _, records in _expand_all(pending, glue) for record in records]
+
+
+def _reactions(table, rep: tuple, fresh_bound: int) -> list:
+    """The records of spawning a process that reacts to a pending invocation in ``rep``.
+
+    Candidate reactions pair every known method with every harvested call
+    argument; a reaction survives only if appending it keeps the invocation
+    bookkeeping wellformed, that is, if an invocation with the reaction's
+    arguments is still unanswered.  The counts and the arguments come
+    from ``rep``'s prefix summary.  Arguments are tried in ``canon_key``
+    order, so the reactions come out in an order that does not depend on
+    identity hashes.
+    """
+    if not table:
+        return []
+    trace, markers, prefix = rep
+    sigma = last_state(trace)
+    open_calls = prefix.open_calls
+    if not open_calls:
+        return []
+    params = prefix.params
+    if len(params) > 1:
+        params = sorted(params, key=canon_key)
+    bodies = {} if _memo is None else _memo.bodies
+    out = []
+    for method in table:
+        for value in params:
+            reaction = gen_event(EventKind.REACT, sigma, (MethodRef(method.name), value))
+            _, event, after = reaction
+            if event.args not in open_calls:
+                continue
+            fresh = fresh_name(sigma, method.name, "::Param", fresh_bound)
+            bound_state = update(sigma, fresh, StoredExp(value.arith))
+            body = bodies.get((method, fresh))
+            if body is None:
+                body = bodies[method, fresh] = Pending(substitute(method.body, method.formal, fresh))
+            added = (event, after, StateAtom(bound_state))
+            out.append((added, markers + (body,), prefix.extend(reaction), None))
+    return out
+
+
+def _records(table, rep: tuple, fresh_bound: int, conc_numeral: int) -> list:
+    """The step records of ``rep``: the scheduled steps, then the reactions.
+
+    This is the one expansion of a graph node, and ``successors_ext`` on
+    a configuration.
+    """
+    return _scheduled(rep, fresh_bound, conc_numeral) + _reactions(table, rep, fresh_bound)
+
+
+def _rep(config: ExtConfig) -> tuple:
+    """``config`` as a node holds it: ``(trace, markers, prefix)``, with the whole trace."""
+    return config.trace, config.markers, config.prefix
+
+
+def _configs(trace: Trace, records: list):
+    """The configurations ``records`` take ``trace`` to, in order, as a set-like view."""
+    return ordered(
+        ExtConfig(_glued(trace, rho, added), markers) for added, markers, _, rho in records
+    )
 
 
 def basic_successors(
@@ -611,70 +669,13 @@ def successors1(
     fresh_bound: int = DEFAULT_FRESH_BOUND,
     conc_numeral: int = 0,
 ):
-    """Schedule one marker out of the multiset and reinsert its continuation.
-
-    Every distinct pending marker is stepped, in the order of
-    ``config.markers``, even after one of them fails; then the least error
-    is raised, so the error does not depend on the order in which the
-    configuration lists its markers.
-    """
-    sigma = _final_state(config.last)
-    rope, prefix, markers = config.rope, config.prefix, config.markers
-    pending = [m for m in dict.fromkeys(markers) if isinstance(m, Pending)]
-
-    def glue(marker: Pending) -> list:
-        return _glue(rope, prefix, sigma, marker, fresh_bound, conc_numeral)
-
-    out = []
-    for marker, steps in _expand_all(pending, glue):
-        i = markers.index(marker)
-        rest = markers[:i] + markers[i + 1 :]
-        for added, after, summary, rho in steps:
-            out.append(_ext(_extend(rope, rho, added), added, rest + (after,), summary, rho))
-    return ordered(out)
+    """Schedule one marker out of the multiset and reinsert its continuation; see ``_scheduled``."""
+    return _configs(config.trace, _scheduled(_rep(config), fresh_bound, conc_numeral))
 
 
 def successors2(table, config: ExtConfig, fresh_bound: int = DEFAULT_FRESH_BOUND):
-    """Spawn processes reacting to pending method invocations.
-
-    Candidate reactions pair every known method with every harvested call
-    argument; a reaction survives only if appending it keeps the invocation
-    bookkeeping wellformed, that is, if an invocation with the reaction's
-    arguments is still unanswered.  The counts and the arguments travel
-    with the configuration in its prefix summary.  Arguments are tried in
-    ``canon_key`` order, so the reactions come out in an order that does
-    not depend on identity hashes.
-    """
-    if not table:
-        return _NO_SUCCESSORS
-    sigma = _final_state(config.last)
-    prefix = config.prefix
-    open_calls = prefix.open_calls
-    if not open_calls:
-        return _NO_SUCCESSORS
-    params = prefix.params
-    if len(params) > 1:
-        params = sorted(params, key=canon_key)
-    bodies = {} if _memo is None else _memo.bodies
-    out = []
-    for method in table:
-        for value in params:
-            reaction = gen_event(EventKind.REACT, sigma, (MethodRef(method.name), value))
-            _, event, after = reaction
-            if event.args not in open_calls:
-                continue
-            fresh = vargen(sigma, 0, fresh_bound, "$" + method.name + "::Param")
-            if fresh.startswith(BOUND_EXCEEDED_PREFIX):
-                raise FreshBoundExceededError(fresh)
-            bound_state = update(sigma, fresh, StoredExp(value.arith))
-            body = bodies.get((method, fresh))
-            if body is None:
-                body = bodies[method, fresh] = Pending(substitute(method.body, method.formal, fresh))
-            added = (event, after, StateAtom(bound_state))
-            markers = config.markers + (body,)
-            rope = _extend(config.rope, None, added)
-            out.append(_ext(rope, added, markers, prefix.extend(reaction), None))
-    return ordered(out)
+    """Spawn processes reacting to pending method invocations; see ``_reactions``."""
+    return _configs(config.trace, _reactions(table, _rep(config), fresh_bound))
 
 
 def successors_ext(
@@ -684,44 +685,44 @@ def successors_ext(
     conc_numeral: int = 0,
 ):
     """The scheduled steps of ``successors1``, then the reactions of ``successors2``."""
-    scheduled = successors1(config, fresh_bound, conc_numeral)
-    reactions = successors2(table, config, fresh_bound)
-    if not reactions:
-        return scheduled
-    return ordered([*scheduled, *reactions])
+    return _configs(config.trace, _records(table, _rep(config), fresh_bound, conc_numeral))
 
 
-def _future_key(config: ExtConfig):
-    """The graph node of ``config``; see the module docstring.
+def _future_key(trace: Trace, markers: tuple, prefix: Summary) -> tuple:
+    """The graph node of a configuration; see the module docstring.
 
-    For a concrete prefix that is the last atom, the marker multiset and
-    the prefix's open invocations and harvested arguments; otherwise it is
-    the configuration itself.
+    For a concrete prefix ``prefix`` that is the last atom of ``trace``,
+    the marker multiset and the prefix's open invocations and harvested
+    arguments; otherwise it is the whole trace and the marker multiset.
     """
-    prefix = config.prefix
     if not prefix.concrete:
-        return config
+        return trace, _bag(markers)
     open_calls = prefix.open_calls
     return (
-        config.last,
-        config.bag,
+        trace[-1:],
+        _bag(markers),
         None if open_calls is None else frozenset(open_calls.items()),
         prefix.params,
     )
 
 
 class _Node:
-    """The first configuration that reached a node, its edges once expanded, and its last walk.
+    """A node's representative, its edges once expanded, and its last walk.
 
-    An edge is ``(target, rho, added)``: the step takes a trace of this
-    node, as a rope, to ``_extend(rope, rho, added)``.  ``edges`` stays
-    ``None`` for a node that was not expanded.  ``walk`` is the token of
-    the last ``_graph`` call that reached the node.
+    ``rep`` is ``(trace, markers, prefix)`` of the first configuration
+    that reached the node: of the trace only the last atom, as a 1-tuple,
+    which is all that a node with a concrete prefix reads; the markers in
+    the order that step built them; and the summary of the trace without
+    its last state.  The start, and a node with a symbolic prefix, keep
+    their whole trace.  An edge is ``(target, rho, added)``: the step
+    takes a trace ``t`` of this node to ``_glued(t, rho, added)``.
+    ``edges`` stays ``None`` for a node that was not expanded.  ``walk``
+    is the token of the last ``_graph`` call that reached the node.
     """
 
     __slots__ = ("rep", "edges", "walk")
 
-    def __init__(self, rep: ExtConfig, walk):
+    def __init__(self, rep: tuple, walk):
         self.rep, self.edges, self.walk = rep, None, walk
 
 
@@ -733,10 +734,10 @@ def _graph(
     Returns the nodes reached, in order of minimum depth with the root
     first, and the nodes first reached after exactly ``depth`` steps,
     which are left unexpanded.  A layer is expanded in the order its nodes
-    were first reached, and a node's successors in the order
-    ``successors_ext`` lists them, so which configuration represents a
-    node does not depend on identity hashes.  The least error of the
-    shallowest failing layer is raised.
+    were first reached, and a node's records in the order ``_records``
+    lists them, so which step represents a node does not depend on
+    identity hashes.  The least error of the shallowest failing layer is
+    raised.
 
     ``nodes`` is a node table, by future key, that an earlier call with
     the same methods and settings filled.  A node's successors depend only
@@ -750,35 +751,41 @@ def _graph(
     def expand(node: _Node):
         if node.edges is not None:
             return None
-        return successors_ext(table, node.rep, fresh_bound, conc_numeral)
+        return _records(table, node.rep, fresh_bound, conc_numeral)
 
     walk = object()
     nodes = {} if nodes is None else nodes
-    root = nodes.setdefault(_future_key(start), _Node(start, walk))
+    rep = _rep(start)
+    root = nodes.setdefault(_future_key(*rep), _Node(rep, walk))
     root.walk = walk
     reached, layer = [root], [root]
     for _ in range(depth):
         if not layer:
             break
         found = []
-        for node, succs in _expand_all(layer, expand):
-            if succs is None:
+        for node, records in _expand_all(layer, expand):
+            if records is None:
                 for target, _, _ in node.edges:
                     if target.walk is not walk:
                         target.walk = walk
                         found.append(target)
                 continue
             node.edges = edges = []
-            for succ in succs:
-                key = _future_key(succ)
+            trace = node.rep[0]
+            for added, markers, summary, rho in records:
+                if summary.concrete:
+                    after = added[-1:] or trace[-1:]
+                else:
+                    after = _glued(trace, rho, added)
+                key = _future_key(after, markers, summary)
                 target = nodes.get(key)
                 if target is None:
-                    target = nodes[key] = _Node(succ, walk)
+                    target = nodes[key] = _Node((after, markers, summary), walk)
                     found.append(target)
                 elif target.walk is not walk:
                     target.walk = walk
                     found.append(target)
-                edges.append((target, succ.rho, succ.added))
+                edges.append((target, rho, added))
         reached += found
         layer = found
     return reached, layer
@@ -804,17 +811,17 @@ def _longest_path(nodes: list) -> float:
     return max(length.values()) if done == len(nodes) else math.inf
 
 
-def _paths(root: _Node, rope: tuple, steps: int) -> list:
+def _paths(root: _Node, trace: Trace, steps: int) -> list:
     """The ends of the paths from ``root`` of at most ``steps`` steps, as ``(node, trace)``.
 
-    The paths start with the trace ``rope`` of the start configuration.
-    A path ends at a terminal or unexpanded node, or after ``steps``
-    steps.  A layer maps each node to the distinct ropes of the traces
-    that reach it, and an edge extends each of them with ``_extend``, as
-    the step it replays did, so an edge costs what it appends, whatever
-    the length of the trace.
+    The paths start with ``trace``, the start configuration's.  A path
+    ends at a terminal or unexpanded node, or after ``steps`` steps.  A
+    layer maps each node to the distinct ropes of the traces that reach
+    it, and an edge extends each of them with ``_extend``, as ``_glued``
+    would, so an edge costs what it appends, whatever the length of the
+    trace.
     """
-    layer = {root: {rope}}
+    layer = {root: {_rope(None, trace)}}
     ends = []
     for _ in range(steps):
         ahead = {}
@@ -859,7 +866,7 @@ def _ends(table, config: ExtConfig, fresh_bound: int, conc_numeral: int, bound, 
             reached, bound = _fixpoint_graph(policy, table, config)
         else:
             reached, _ = _graph(config, table, fresh_bound, conc_numeral, bound)
-        return _paths(reached[0], config.rope, bound)
+        return _paths(reached[0], config.trace, bound)
 
 
 def compose_bounded_ext(
@@ -875,13 +882,13 @@ def compose_bounded_ext(
     successors here (a deadlock) is kept as an end.
     """
     ends = _ends(table, config, fresh_bound, conc_numeral, bound)
-    return frozenset(ExtConfig(trace, node.rep.markers) for node, trace in ends)
+    return frozenset(ExtConfig(trace, node.rep[1]) for node, trace in ends)
 
 
 def compose_ext(policy: ComposePolicy, table, config: ExtConfig) -> frozenset:
     """Every configuration reached, provided no path is longer than the policy's budget."""
     ends = _ends(table, config, policy.fresh_bound, policy.conc_numeral, None, policy)
-    return frozenset(ExtConfig(trace, node.rep.markers) for node, trace in ends)
+    return frozenset(ExtConfig(trace, node.rep[1]) for node, trace in ends)
 
 
 def _start(program: Program, sigma: State) -> ExtConfig:
@@ -983,12 +990,12 @@ def _programs_equivalent(left: Program, right: Program, sigma: State, policy) ->
         table, start = method_table(program.methods), _start(program, sigma)
         shared = nodes if set(table) == methods else None
         reached, longest = _fixpoint_graph(policy, table, start, shared)
-        sides.append((reached, start.rope, longest))
+        sides.append((reached, start.trace, longest))
     edges = [edge for reached, _, _ in sides for node in reached for edge in node.edges]
     if any(rho is not None for _, rho, _ in edges):
         left_traces, right_traces = (
-            frozenset(trace for _, trace in _paths(reached[0], rope, longest))
-            for reached, rope, longest in sides
+            frozenset(trace for _, trace in _paths(reached[0], trace, longest))
+            for reached, trace, longest in sides
         )
         return left_traces == right_traces
     return _same_words(sides[0][0][0], sides[1][0][0])

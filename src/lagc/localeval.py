@@ -175,7 +175,12 @@ def parallel(left: Marker, right: Marker, rest: Marker = DONE) -> Marker:
     return Pending(Par(left, right), rest)
 
 
-def _fresh(sigma: State, base: str, suffix: str, bound: int) -> str:
+def fresh_name(sigma: State, base: str, suffix: str, bound: int) -> str:
+    """The first name ``$base + suffix`` with ``c`` prefixes that ``sigma`` lacks, within ``bound``.
+
+    Scope variables, input variables and method parameters draw their
+    fresh names here; past the bound it raises ``FreshBoundExceededError``.
+    """
     name = vargen(sigma, 0, bound, "$" + base + suffix)
     if name.startswith(BOUND_EXCEEDED_PREFIX):
         raise FreshBoundExceededError(name)
@@ -263,7 +268,7 @@ def step(marker: Pending, sigma: State, mode: str, fresh_bound: int) -> tuple:
         if not stmt.decls:
             return step(Pending(stmt.body, rest), sigma, mode, fresh_bound)
         declared, later = stmt.decls[0], stmt.decls[1:]
-        fresh = _fresh(sigma, declared, "::Scope", fresh_bound)
+        fresh = fresh_name(sigma, declared, "::Scope", fresh_bound)
         trace = singleton(sigma) + (StateAtom(update(sigma, fresh, StoredExp(Num(0)))),)
         marker = Pending(substitute(LocMem(later, stmt.body), declared, fresh), rest)
         return ((_NO_PC, trace, marker),)
@@ -271,7 +276,7 @@ def step(marker: Pending, sigma: State, mode: str, fresh_bound: int) -> tuple:
         pc = frozenset((eval_bool(stmt.cond, sigma),))
         return ((pc, singleton(sigma), Pending(stmt.body, rest)),)
     elif isinstance(stmt, Input):
-        fresh = _fresh(sigma, stmt.target, "::Input", fresh_bound)
+        fresh = fresh_name(sigma, stmt.target, "::Input", fresh_bound)
         rerouted = update(update(sigma, fresh, STAR), stmt.target, StoredExp(Var(fresh)))
         trace = singleton(sigma) + gen_event(EventKind.INPUT, rerouted, (ArithExp(Var(fresh)),))
     elif isinstance(stmt, Call):

@@ -114,8 +114,8 @@ def is_concrete_state(sigma: State) -> bool:
 def vargen(sigma: State, n: int, bound: int, variable: str) -> str:
     """Deterministic fresh-name search: prepend 'c' until outside the domain.
 
-    When the bound runs out the standardized failure name is returned; callers
-    in the composition engine turn that into a hard error.
+    When the bound runs out the standardized failure name is returned;
+    ``localeval.fresh_name`` turns that into a hard error.
     """
     while bound > 0:
         candidate = "c" * n + variable

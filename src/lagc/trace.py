@@ -7,17 +7,18 @@ tests calls as they are.  Atoms, like states, are hash-consed syntax
 nodes, so comparing two tuples costs one identity check per atom.  A
 ``CondTrace``, a trace under a path condition, is a named tuple.
 
-The ext composition engine holds the older part of a long trace as a
-``Cell`` instead, inside a rope (see ``lagc.compose``): a hash-consed
-cons cell of the trace before the last atom (``parent``) and that atom,
-a persistent list whose tails are shared (Okasaki, *Purely Functional
-Data Structures*, 1998).  Equal traces are one cell, so a trace hashes
-and compares in O(1), and appending k atoms to a trace builds k cells,
-however long the trace is.  ``grow`` appends atoms to a cell, and
-``trace_of`` spells a cell out as a tuple.  A cell keeps nothing else:
-the ext engine carries a trace's ``Summary`` in the configuration that
-holds it, and each step extends it by what it adds.  The wl engine
-builds no cell; it keeps a run's trace in a list.
+The replay of the ext exploration's paths holds the older part of a
+long trace as a ``Cell`` instead, inside a rope (see ``lagc.compose``):
+a hash-consed cons cell of the trace before the last atom (``parent``)
+and that atom, a persistent list whose tails are shared (Okasaki,
+*Purely Functional Data Structures*, 1998).  Equal traces are one cell,
+so a trace hashes and compares in O(1), and appending k atoms to a trace
+builds k cells, however long the trace is.  ``grow`` appends atoms to a
+cell, and ``trace_of`` spells a cell out as a tuple.  A cell keeps
+nothing else.  The exploration itself holds no trace: a graph node keeps
+only the last atom, the markers and the ``Summary`` of the trace before
+it, which each step extends by what it adds.  The wl engine builds no
+cell; it keeps a run's trace in a list.
 
 ``Summary`` folds what composition needs to know about a trace
 (concreteness, unanswered invocations, harvested call arguments) so that

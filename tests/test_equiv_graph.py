@@ -5,7 +5,8 @@ table and, when no edge carries a mapping, compares the words the two
 roots append instead of spelling out the traces.  The verdict is checked
 against frozenset equality of the two ``traces_ext`` sets and, on small
 cases, against the frozen oracle ``tests/reference_engine.py``; the
-sharing is checked by counting ``successors_ext`` calls, and the budget
+sharing is checked by counting node expansions (``compose._records``
+calls), and the budget
 and errors of each side against ``lagc traces`` of that side alone.
 """
 
@@ -136,14 +137,15 @@ def test_same_words_compares_the_words_along_maximal_paths(left, right, same):
 
 
 def _count_expansions(monkeypatch) -> list:
+    """Record the node each graph expansion is handed."""
     expanded = []
-    original = compose.successors_ext
+    original = compose._records
 
-    def counting(table, config, *rest):
-        expanded.append(config)
-        return original(table, config, *rest)
+    def counting(table, rep, *rest):
+        expanded.append(rep)
+        return original(table, rep, *rest)
 
-    monkeypatch.setattr(compose, "successors_ext", counting)
+    monkeypatch.setattr(compose, "_records", counting)
     return expanded
 
 
@@ -168,6 +170,7 @@ def test_methods_in_another_order_share_the_node_table(monkeypatch):
     expanded = _count_expansions(monkeypatch)
     traces_ext(program, sigma)
     alone = len(expanded)
+    assert alone
     expanded.clear()
     assert trace_equivalent(program, swapped, sigma)
     assert len(expanded) == alone + 1
@@ -183,6 +186,7 @@ def test_other_methods_get_a_table_of_their_own(monkeypatch):
         expanded.clear()
         traces_ext(side, sigma)
         alone.append(len(expanded))
+    assert all(alone)
     expanded.clear()
     assert not trace_equivalent(program, other, sigma)
     assert len(expanded) == sum(alone)

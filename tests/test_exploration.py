@@ -228,20 +228,21 @@ def test_a_wl_run_from_an_empty_or_finished_start():
 
 def test_rounds_continue_the_ext_exploration(monkeypatch):
     # one pass over the 45-step budget, then one check of the last frontier
-    calls = _counting(monkeypatch, "successors_ext")
+    calls = _counting(monkeypatch, "_records")
     start = ExtConfig(singleton(EMPTY_STATE), (Pending(LOOP),))
     with pytest.raises(DivergenceLimitError):
         compose.compose_ext(ComposePolicy(max_rounds=10, increment=5), (), start)
-    assert len(calls) <= 50
+    assert calls and len(calls) <= 50
 
 
 def test_terminating_run_expands_each_configuration_once(monkeypatch):
-    calls = _counting(monkeypatch, "successors_ext")
+    calls = _counting(monkeypatch, "_records")
     program = parse_program("x := 3 ;; while x >= 1 do x := x - 1 od", "ext")
     policy = ComposePolicy(increment=2)
     traces = compose.traces_ext(program, compose.initial_state_for(program), policy)
     assert len(traces) == 1
-    expanded = [args[1] for args in calls]
+    assert calls
+    expanded = [compose._future_key(*args[1]) for args in calls]
     assert len(expanded) == len(set(expanded))
 
 
@@ -264,42 +265,43 @@ CALL_THEN_ASSIGNMENTS = (
 def test_ext_expands_each_future_key_once(monkeypatch, text, count, most):
     # one expansion per future key; one per distinct trace prefix would be
     # 7365 and 10404
-    calls = _counting(monkeypatch, "successors_ext")
+    calls = _counting(monkeypatch, "_records")
     program = parse_program(text, "ext")
     traces = compose.traces_ext(program, compose.initial_state_for(program))
     assert len(traces) == count
-    assert len(calls) <= most
+    assert calls and len(calls) <= most
 
 
 def test_ext_divergence_needs_no_walk_through_the_budget(monkeypatch):
     # the loop's graph closes on a cycle after a few keys; walking the
     # 10^11-step budget would not end, so the wrapper stops it at 100 calls
-    calls = _counting(monkeypatch, "successors_ext", limit=100)
+    calls = _counting(monkeypatch, "_records", limit=100)
     with pytest.raises(DivergenceLimitError) as caught:
         compose.traces_ext(Program((), LOOP), EMPTY_STATE, ComposePolicy(max_rounds=10**9))
     assert str(caught.value) == "no fixpoint after 1000000000 rounds (bound 100000000000)"
-    assert len(calls) <= 10
+    assert calls and len(calls) <= 10
 
 
 def _expansions(monkeypatch, program, sigma) -> list:
-    """The configurations ``successors_ext`` expands while composing, in order, as text.
+    """The nodes the graph expands while composing, in order, as text.
 
     Text keeps no node of the run alive, so a second run builds its
     states, atoms and markers afresh, at other addresses.
     """
     seen = []
-    original = compose.successors_ext
+    original = compose._records
 
-    def recording(table, config, *rest):
-        seen.append(f"{config.trace!r} {config.markers!r}")
-        return original(table, config, *rest)
+    def recording(table, rep, *rest):
+        trace, markers, _ = rep
+        seen.append(f"{trace!r} {markers!r}")
+        return original(table, rep, *rest)
 
-    monkeypatch.setattr(compose, "successors_ext", recording)
+    monkeypatch.setattr(compose, "_records", recording)
     try:
         compose.traces_ext(program, sigma)
     except LagcError:
         pass
-    monkeypatch.setattr(compose, "successors_ext", original)
+    monkeypatch.setattr(compose, "_records", original)
     return seen
 
 
@@ -318,6 +320,7 @@ def test_ext_expands_the_same_representatives_in_the_same_order(monkeypatch):
         names = tuple(sorted(free_vars(program) | {"x", "y"}))
         sigma = rand_concrete_state(rng, names)
         first = _expansions(monkeypatch, program, sigma)
+        assert first
         # move later allocations to other addresses
         ballast = [[Pending(Assign("x", Num(i)))] for i in range(rng.randint(1, 3000))]
         del ballast[::2]

@@ -257,3 +257,31 @@ def test_unanswered_invocations_decide_reactions():
     assert compose.successors2(TABLE, config) == frozenset()
     config = compose.ExtConfig(_events_trace(rng, hand_built[2]), (DONE,))
     assert len(compose.successors2(TABLE, config)) == 1
+
+
+def test_reactions_from_a_symbolic_start_match_reference():
+    # a reaction concretizes nothing, so from a start with a symbolic prefix
+    # it keeps that prefix; the exploration must keep such a node's whole
+    # trace, since its scheduled steps concretize all of it
+    rng = random.Random(506)
+    table = compose.method_table(TABLE)
+    symbolic = 0
+    for _ in range(150):
+        events = [_invoke(rng.choice(ARGS[:4])) for _ in range(rng.randint(1, 3))]
+        atoms = [StateAtom(rand_state(rng))]
+        for event in events:
+            atoms += [event, atoms[-1]]
+        trace = (*atoms, StateAtom(rand_state(rng)))
+        stmt = rand_ext_stmt(rng, rng.randint(1, 3))
+        start = compose.ExtConfig(trace, (Pending(stmt),))
+        ref_start = ref.ExtConfig(trace, (ref.Pending(stmt),))
+        symbolic += not start.prefix.concrete
+        for bound in range(4):
+            reached = _outcome(
+                lambda: frozenset(c.trace for c in compose.compose_bounded_ext(bound, table, start))
+            )
+            expected = _outcome(
+                lambda: frozenset(c.trace for c in ref.compose_bounded_ext(bound, table, ref_start))
+            )
+            assert reached == expected
+    assert symbolic > 50

@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from lagc import cli, compose, concretize
+from lagc import cli, compose, concretize, localeval
 from lagc.compose import (
     ComposePolicy,
     WlConfig,
@@ -109,7 +109,7 @@ def test_a_reaction_renames_each_method_body_once(monkeypatch, tmp_path, capsys)
     assert counts and max(counts.values()) == 1
     counts.clear()
     # every reaction that survives draws a fresh name for its parameter
-    reactions = _count(monkeypatch, compose, "vargen", lambda sigma, n, bound, name: name)
+    reactions = _count(monkeypatch, localeval, "vargen", lambda sigma, n, bound, name: name)
     left, right = tmp_path / "a.prog", tmp_path / "b.prog"
     left.write_text(CALLS, encoding="utf-8")
     right.write_text(CALLS.replace("main { ", "main { skip ;; "), encoding="utf-8")

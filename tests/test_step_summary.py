@@ -1,11 +1,13 @@
 """Constant-time step bookkeeping: prefix summaries, marker multisets, scaling.
 
-A configuration carries a summary of ``trace[:-1]`` that every step
-extends by the atoms it adds.  Here the carried summaries are held against
-a fold from scratch and against the definitions spelled out atom by atom,
-markers that share their head and length are checked to stay apart, and
-the number of ``StateAtom`` hashes a run makes is checked to
-grow about linearly with the length of the program.
+A step record carries a summary of its glued trace without the last
+state, which it extends from its parent's by the atoms it adds, and a
+graph node keeps the summary of the step that first reached it.  Here
+the carried summaries are held against a fold from scratch and against
+the definitions spelled out atom by atom, markers that share their head
+and length are checked to stay apart, and the number of ``StateAtom``
+hashes a run makes is checked to grow about linearly with the length of
+the program.
 """
 
 import gc
@@ -19,7 +21,7 @@ import pytest
 
 from lagc import compose, localeval, syntax
 from lagc.errors import LagcError, UnboundVariableError
-from lagc.localeval import DONE, Pending
+from lagc.localeval import DEFAULT_FRESH_BOUND, DONE, Pending
 from lagc.parser import parse_program
 from lagc.state import initial_state
 from lagc.syntax import (
@@ -82,32 +84,15 @@ def _spelled_out(trace):
     return is_concrete_trace(trace), counts, params
 
 
-def _reached(monkeypatch, name: str, run) -> set:
-    """Every configuration the engine builds as a successor while ``run()`` composes."""
-    reached = set()
-    successors = getattr(compose, name)
-
-    def recording(*args):
-        succ = successors(*args)
-        reached.update(succ)
-        return succ
-
-    monkeypatch.setattr(compose, name, recording)
-    try:
-        run()
-    except LagcError:
-        pass
-    monkeypatch.setattr(compose, name, successors)
-    return reached
-
-
 def _check_summary(config, fresh) -> None:
     assert config.prefix == summarize(config.trace[:-1]) == fresh.prefix
     assert tuple(config.prefix) == _spelled_out(config.trace[:-1])
     assert config == fresh and hash(config) == hash(fresh)
 
 
-def test_carried_summaries_equal_a_fold_from_scratch(monkeypatch):
+def test_carried_summaries_equal_a_fold_from_scratch():
+    # a graph node keeps the summary its first step carried; every trace
+    # that reaches the node must fold to it
     rng = random.Random(701)
     seen = Counter()
     for i in range(200):
@@ -116,12 +101,18 @@ def test_carried_summaries_equal_a_fold_from_scratch(monkeypatch):
         sigma = rand_concrete_state(rng, names) if i % 3 else rand_state(rng, names)
         table = compose.method_table(program.methods)
         start = compose.ExtConfig(singleton(sigma), (Pending(program.main),))
-        run = lambda: compose.compose_bounded_ext(6, table, start)
-        for config in _reached(monkeypatch, "successors_ext", run):
-            _check_summary(config, compose.ExtConfig(config.trace, config.markers))
-            seen["config"] += 1
-            seen["open call"] += bool(config.prefix.open_calls)
-            seen["argument"] += bool(config.prefix.params)
+        for bound in range(7):
+            try:
+                ends = compose._ends(table, start, DEFAULT_FRESH_BOUND, 0, bound)
+            except LagcError:
+                break
+            for node, trace in ends:
+                _, _, summary = node.rep
+                assert summary == summarize(trace[:-1])
+                assert tuple(summary) == _spelled_out(trace[:-1])
+                seen["end"] += 1
+                seen["open call"] += bool(summary.open_calls)
+                seen["argument"] += bool(summary.params)
     # the sample reaches unanswered calls and harvested arguments
     assert min(seen.values()) > 100, seen
 
@@ -216,15 +207,20 @@ def test_expanded_configurations_hash_apart_when_unequal(monkeypatch):
     left = parse_program(f"program {{ {methods} main {{ co call f(9) || call g(36) oc }} }}")
     right = parse_program(f"program {{ {methods} main {{ co call g(36) || call f(9) oc }} }}")
     expanded = []
-    original = compose.successors_ext
+    original = compose._records
 
-    def recording(table, config, *rest):
-        expanded.append(config)
-        return original(table, config, *rest)
+    def recording(table, rep, *rest):
+        expanded.append(rep)
+        return original(table, rep, *rest)
 
-    monkeypatch.setattr(compose, "successors_ext", recording)
+    monkeypatch.setattr(compose, "_records", recording)
     assert compose.trace_equivalent(left, right, compose.initial_state_for(left, right))
-    assert len(set(expanded)) == len({hash(config) for config in expanded})
+    assert expanded
+    # the node table hashes future keys; the library hashes configurations
+    keys = [compose._future_key(*rep) for rep in expanded]
+    configs = [compose.ExtConfig(trace, markers) for trace, markers, _ in expanded]
+    for items in (keys, configs):
+        assert len(set(items)) == len({hash(item) for item in items})
 
 
 def test_a_stepped_configuration_equals_the_one_built_from_its_trace():
@@ -330,14 +326,14 @@ def _cells_and_steps(monkeypatch, successors: str, run) -> tuple:
 
 
 def test_cells_per_step_do_not_grow_with_the_trace(monkeypatch):
-    # an ext step appends its atoms to the rope of the trace it extends;
-    # copying the trace instead would make the cells per step grow with its
-    # length
+    # the replay extends the rope of each trace by the atoms its edge
+    # appends; copying the trace instead would make the cells per step grow
+    # with its length
     def straight_line(n):
         body = " ;; ".join(["x := x + 1"] * n)
         program = parse_program(f"program {{ main {{ {body} ;; y := 1 }} }}")
         run = lambda: compose.traces_ext(program, initial_state(["x", "y"]))
-        return _cells_and_steps(monkeypatch, "successors_ext", run)
+        return _cells_and_steps(monkeypatch, "_records", run)
 
     (small, small_steps), (large, large_steps) = straight_line(100), straight_line(400)
     assert large_steps >= 4 * small_steps - 10
@@ -440,13 +436,17 @@ def test_a_symbolic_prefix_steps_to_a_folded_summary():
     for _ in range(600):
         prefix = rand_trace(rng, max_len=6)
         trace = prefix + (StateAtom(rand_state(rng)),)
-        config = compose.ExtConfig(trace, (Pending(rand_ext_stmt(rng, rng.randint(1, 5))),))
+        marker = Pending(rand_ext_stmt(rng, rng.randint(1, 5)))
+        rep = (trace, (marker,), summarize(prefix))
         try:
-            succs = compose.successors1(config)
+            records = compose._scheduled(rep, DEFAULT_FRESH_BOUND, 0)
         except LagcError:
             continue
-        for succ in succs:
-            assert succ.prefix == summarize(succ.trace[:-1])
-            seen[config.prefix.concrete, succ.prefix.concrete] += 1
-    # the sample reaches the symbolic-prefix branch
-    assert seen[False, True] + seen[False, False] > 300, seen
+        for added, _, summary, rho in records:
+            assert summary == summarize(compose._glued(trace, rho, added)[:-1])
+            seen[rep[2].concrete, summary.concrete] += 1
+    # the sample reaches the symbolic-prefix branch, and every scheduled
+    # step from it folds a concrete summary, so that only a start (or a
+    # reaction, which concretizes nothing) keeps a symbolic prefix
+    assert seen[False, True] > 300, seen
+    assert seen[False, False] == 0, seen

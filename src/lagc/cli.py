@@ -37,7 +37,7 @@ from .errors import (
     UndefinedTraceOpError,
 )
 from .evaluate import eval_arith, eval_bool
-from .parser import IDENT_RE, parse_expression, parse_program
+from .parser import IDENT_RE, numeral_value, parse_expression, parse_program
 from .render import pretty_aexp, pretty_bexp, render_traces
 from .state import State, make_state
 from .syntax import ABin, Num, Program, StoredExp, Var, holding_nodes
@@ -96,7 +96,7 @@ def parse_state_spec(spec: str) -> State:
         if not IDENT_RE.fullmatch(name):
             raise ParseError(1, 1, "a variable name", name)
         try:
-            entries.append((name, StoredExp(Num(int(value)))))
+            entries.append((name, StoredExp(Num(numeral_value(value)))))
         except ValueError:
             raise ParseError(1, 1, "an integer value", value) from None
     return make_state(entries)
@@ -188,21 +188,15 @@ _MESSAGES = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # wl integers are unbounded: lift Python's cap on the digits of an int
-    # read or printed (3.10.7 and later) for the command
-    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if cap is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        with holding_nodes(), memoizing():
+    # the error is reported inside the block, so its traceback, which holds
+    # the failed run's frames, is gone before the block drops their nodes
+    with holding_nodes(), memoizing():
+        try:
             return _COMMANDS[args.command](args)
-    except tuple(_EXIT_CODES) as exc:
-        kind = next(kind for kind in _EXIT_CODES if isinstance(exc, kind))
-        print(f"error: {_MESSAGES.get(kind, exc)}", file=sys.stderr)
-        return _EXIT_CODES[kind]
-    finally:
-        if cap is not None:
-            sys.set_int_max_str_digits(cap)
+        except tuple(_EXIT_CODES) as exc:
+            kind = next(kind for kind in _EXIT_CODES if isinstance(exc, kind))
+            print(f"error: {_MESSAGES.get(kind, exc)}", file=sys.stderr)
+            return _EXIT_CODES[kind]
 
 
 if __name__ == "__main__":

@@ -144,7 +144,7 @@ from .errors import (
     PolicyError,
     UndefinedTraceOpError,
 )
-from .evaluate import eval_bexp_set
+from .evaluate import eval_bexp_set, eval_exp
 from .localeval import DEFAULT_FRESH_BOUND, Done, Marker, Pending, fresh_name, ordered, step
 from .state import State, initial_state, update
 from .syntax import (
@@ -159,11 +159,11 @@ from .syntax import (
 )
 from .trace import (
     Cell,
+    EventAtom,
     EventKind,
     StateAtom,
     Summary,
     Trace,
-    gen_event,
     grow,
     is_concrete_trace,
     is_consistent,
@@ -598,7 +598,8 @@ def _reactions(table, rep: tuple, fresh_bound: int) -> list:
     arguments is still unanswered.  The counts and the arguments come
     from ``rep``'s prefix summary.  Arguments are tried in ``canon_key``
     order, so the reactions come out in an order that does not depend on
-    identity hashes.
+    identity hashes.  Each argument is evaluated once, and a reaction's
+    atoms are built only when it survives.
     """
     if not table:
         return []
@@ -610,21 +611,24 @@ def _reactions(table, rep: tuple, fresh_bound: int) -> list:
     params = prefix.params
     if len(params) > 1:
         params = sorted(params, key=canon_key)
+    # each argument as the reaction event would carry it, evaluated once
+    evaluated = [eval_exp(value, sigma) for value in params]
     bodies = {} if _memo is None else _memo.bodies
     out = []
     for method in table:
-        for value in params:
-            reaction = gen_event(EventKind.REACT, sigma, (MethodRef(method.name), value))
-            _, event, after = reaction
-            if event.args not in open_calls:
+        name = MethodRef(method.name)
+        for value, arg in zip(params, evaluated):
+            args = (name, arg)
+            if args not in open_calls:
                 continue
+            atom, event = StateAtom(sigma), EventAtom(EventKind.REACT, args)
             fresh = fresh_name(sigma, method.name, "::Param", fresh_bound)
             bound_state = update(sigma, fresh, StoredExp(value.arith))
             body = bodies.get((method, fresh))
             if body is None:
                 body = bodies[method, fresh] = Pending(substitute(method.body, method.formal, fresh))
-            added = (event, after, StateAtom(bound_state))
-            out.append((added, markers + (body,), prefix.extend(reaction), None))
+            added = (event, atom, StateAtom(bound_state))
+            out.append((added, markers + (body,), prefix.extend((atom, event, atom)), None))
     return out
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from functools import partial, reduce
 from typing import NamedTuple, Union
+from weakref import ref
 
 from .errors import FreshBoundExceededError, ModeError
 from .evaluate import eval_arith, eval_bool
@@ -36,7 +37,6 @@ from .state import BOUND_EXCEEDED_PREFIX, State, update, vargen
 from .syntax import (
     ArithExp,
     Assign,
-    BoolLit,
     Call,
     FALSE,
     Guard,
@@ -88,8 +88,10 @@ class Pending(Node):
     ``_body`` memoizes, for a marker whose head is an ``if`` or a
     ``while``, the marker that runs the head's body: the body followed by
     ``rest``, or for a loop by the marker itself.  So a body's ``Seq``
-    spine is flattened once per marker, not on every step.  A loop marker
-    and its body's marker hold each other; the cyclic collector frees them.
+    spine is flattened once per marker while the body's marker lives, not
+    on every step.  The memo is a weak reference: a loop's body marker ends
+    in the loop marker, and so does the key the node table keeps for it,
+    so a body marker the loop marker held would keep both alive for good.
     """
 
     __slots__ = ("head", "rest", "_body")
@@ -139,8 +141,10 @@ class ContTrace(NamedTuple):
 # a ContTrace from the pair (cond, marker)
 _cont = partial(tuple.__new__, ContTrace)
 
-# the path condition of a step that tests nothing
+# the path condition of a step that tests nothing, and of a literal test's two steps
 _NO_PC = frozenset()
+_PC_TRUE = frozenset((TRUE,))
+_PC_FALSE = frozenset((FALSE,))
 
 
 def _heads(marker: Marker) -> list:
@@ -196,12 +200,12 @@ def _test(cond, sigma: State, then: Marker, rest: Marker) -> tuple:
     atom, and their path conditions differ.
     """
     test = eval_bool(cond, sigma)
-    if isinstance(test, BoolLit):
-        failed = FALSE if test.value else TRUE
-    else:
-        failed = Neg(test)
     trace = singleton(sigma)
-    return (frozenset((test,)), trace, then), (frozenset((failed,)), trace, rest)
+    if test is TRUE:
+        return (_PC_TRUE, trace, then), (_PC_FALSE, trace, rest)
+    if test is FALSE:
+        return (_PC_FALSE, trace, then), (_PC_TRUE, trace, rest)
+    return (frozenset((test,)), trace, then), (frozenset((Neg(test),)), trace, rest)
 
 
 def ordered(items):
@@ -242,11 +246,11 @@ def step(marker: Pending, sigma: State, mode: str, fresh_bound: int) -> tuple:
     """
     stmt, rest = marker.head, marker.rest
     if isinstance(stmt, (While, If)):
-        body = marker._body
-        if body is None:
+        memo = marker._body
+        if memo is None or (body := memo()) is None:
             # after a loop's body the loop runs again, which is the hash-consed ``marker`` itself
             body = Pending(stmt.body, marker if isinstance(stmt, While) else rest)
-            _set(marker, "_body", body)
+            _set(marker, "_body", ref(body))
         return _test(stmt.cond, sigma, body, rest)
     # the statements below leave nothing over but ``rest``, or return early
     if isinstance(stmt, Skip):

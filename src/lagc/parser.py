@@ -56,6 +56,7 @@ from .syntax import (
     While,
     check_mode,
     language_check,
+    uncapped,
 )
 
 KEYWORDS = {
@@ -161,6 +162,14 @@ def _scan(source: str) -> list:
         raise
 
 
+def numeral_value(text: str) -> int:
+    """``int(text)``, however many digits ``text`` has."""
+    try:
+        return int(text)
+    except ValueError:
+        return uncapped(int, text)
+
+
 class _Parser:
     def __init__(self, source: str):
         self.source = source
@@ -223,13 +232,13 @@ class _Parser:
         kind, text = self.peek()
         if kind == "num":
             self.advance()
-            return Num(int(text))
+            return Num(numeral_value(text))
         if kind == "ident":
             self.advance()
             return Var(text)
         if text == "-":
             self.advance()
-            return Num(-int(self.expect("num")[1]))
+            return Num(-numeral_value(self.expect("num")[1]))
         if text == "(":
             # where a condition is due the content may be of either sort, and
             # arithmetic content that does not close here lacks its relation

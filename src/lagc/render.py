@@ -35,6 +35,7 @@ from .syntax import (
     Var,
     While,
     canon_key,
+    uncapped,
 )
 from .trace import StateAtom, Trace
 
@@ -51,7 +52,10 @@ _STMT = 2
 
 def pretty_aexp(a, min_prec: int = _ADDSUB) -> str:
     if isinstance(a, Num):
-        return str(a.value)
+        try:
+            return str(a.value)
+        except ValueError:
+            return uncapped(str, a.value)
     if isinstance(a, Var):
         return a.name
     prec = _MUL if a.op is ArithOp.MUL else _ADDSUB

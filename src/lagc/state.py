@@ -76,7 +76,19 @@ def domain(sigma: State) -> frozenset:
 
 
 def update(sigma: State, variable: str, value: SExp) -> State:
-    return State(sigma.entries + ((variable, value),))
+    """``sigma`` with ``variable`` mapped to ``value``.
+
+    Assigning a name the state has keeps the entries' order, so the new
+    entries are not sorted again, and their dict becomes the new state's map.
+    """
+    if variable not in sigma._map:
+        return State(sigma.entries + ((variable, value),))
+    mapping = dict(sigma.entries)
+    mapping[variable] = value
+    state = State._new(State, tuple(mapping.items()))
+    if state._map is None:
+        _set(state, "_map", mapping)
+    return state
 
 
 def star_names(sigma: State) -> tuple:

@@ -8,8 +8,15 @@ Syntax nodes are hash-consed (Filliâtre and Conchon, "Type-safe modular
 hash-consing", 2006).  Constructing a node looks its class and fields up
 in a table of the nodes alive and returns the node found there, so equal
 nodes are one object: equality is identity and the hash is the object's,
-both O(1) however deep the node.  The table refers to its nodes weakly, so
-a node nothing else holds leaves it.  Nodes are immutable.
+both O(1) however deep the node.  Nodes are immutable.
+
+Outside every ``holding_nodes`` block the table refers to its nodes
+weakly, so a node nothing else holds leaves it.  Inside, a new node
+enters the block's arena instead, a plain table that holds it until the
+outermost block ends (region-based allocation; Tofte and Talpin,
+"Region-based memory management", 1997), so it costs no weak reference;
+nested blocks share one arena.  When the block ends, the nodes still held
+move to the weak table and the rest are dropped.
 
 ``canon_key`` gives a total order over every syntax value, so that sets
 and multisets built from them can be canonicalized deterministically; a
@@ -19,6 +26,7 @@ continuation markers are nodes too.
 
 from __future__ import annotations
 
+import sys
 import weakref
 from contextlib import contextmanager
 from enum import Enum
@@ -29,7 +37,8 @@ from .errors import ModeError
 _set = object.__setattr__
 
 
-# (class, *fields) -> weak reference to the one node with them
+# (class, *fields) -> weak reference to the one node with them, for each
+# node built outside every ``holding_nodes`` block or kept after one
 _interned: dict = {}
 
 
@@ -45,6 +54,12 @@ def _forget(ref: _Ref, table: dict = _interned) -> None:
         del table[ref.key]
 
 
+def _enter(key: tuple, node) -> None:
+    """Enter ``node`` in the weak table under ``key``, until it dies."""
+    ref = _interned[key] = _Ref(node, _forget)
+    ref.key = key
+
+
 class Node:
     """A syntax node, hash-consed at construction; see the module docstring.
 
@@ -57,9 +72,10 @@ class Node:
     Each class gets a constructor for its number of fields, 0 to 3, as
     ``_new`` and, unless the class defines its own ``__new__`` (which then
     calls ``_new``), as ``__new__``.  It takes the fields as positional
-    parameters, builds one key tuple, looks it up once and calls the slot
-    setters directly, so no ``*args`` tuple, arity check or loop over the
-    fields runs per node.
+    parameters, builds one key tuple, looks it up in the arena, if one is
+    open, and then in the weak table, and calls the slot setters directly,
+    so no ``*args`` tuple, arity check or loop over the fields runs per
+    node.
     """
 
     __slots__ = ("_key", "__weakref__")
@@ -102,56 +118,66 @@ def _constructor(name: str, setters: tuple, memo: tuple):
     get = _interned.get
     set_a, set_b, set_c = setters + (None,) * (3 - len(setters))
 
-    def fresh(key):
+    def fresh(key, arena):
         """A new node of the class ``key[0]`` entered under ``key``; the caller sets its fields."""
         node = object.__new__(key[0])
         for setter in memo:
             setter(node, None)
-        ref = _interned[key] = _Ref(node, _forget)
-        ref.key = key
-        if _held is not None:
-            _held.append(node)
+        if arena is None:
+            _enter(key, node)
+        else:
+            arena[key] = node
         return node
 
     def new0(cls):
         key = (cls,)
-        ref = get(key)
-        if ref is None or (node := ref()) is None:
-            node = fresh(key)
+        arena = _arena
+        if arena is None or (node := arena.get(key)) is None:
+            ref = get(key)
+            if ref is None or (node := ref()) is None:
+                node = fresh(key, arena)
         return node
 
     def new1(cls, a):
         key = (cls, a)
-        ref = get(key)
-        if ref is None or (node := ref()) is None:
-            node = fresh(key)
-            set_a(node, a)
+        arena = _arena
+        if arena is None or (node := arena.get(key)) is None:
+            ref = get(key)
+            if ref is None or (node := ref()) is None:
+                node = fresh(key, arena)
+                set_a(node, a)
         return node
 
     def new2(cls, a, b):
         key = (cls, a, b)
-        ref = get(key)
-        if ref is None or (node := ref()) is None:
-            node = fresh(key)
-            set_a(node, a)
-            set_b(node, b)
+        arena = _arena
+        if arena is None or (node := arena.get(key)) is None:
+            ref = get(key)
+            if ref is None or (node := ref()) is None:
+                node = fresh(key, arena)
+                set_a(node, a)
+                set_b(node, b)
         return node
 
     def new3(cls, a, b, c):
         key = (cls, a, b, c)
-        ref = get(key)
-        if ref is None or (node := ref()) is None:
-            node = fresh(key)
-            set_a(node, a)
-            set_b(node, b)
-            set_c(node, c)
+        arena = _arena
+        if arena is None or (node := arena.get(key)) is None:
+            ref = get(key)
+            if ref is None or (node := ref()) is None:
+                node = fresh(key, arena)
+                set_a(node, a)
+                set_b(node, b)
+                set_c(node, c)
         return node
 
     return (new0, new1, new2, new3)[len(setters)]
 
 
-# the nodes built inside the innermost ``holding_nodes`` block, or None
-_held = None
+# (class, *fields) -> the node with them, for each node built inside the
+# outermost ``holding_nodes`` block, in the order they were built; None
+# outside every block
+_arena = None
 
 
 @contextmanager
@@ -161,17 +187,71 @@ def holding_nodes():
     Nodes here include states and trace atoms.  A run builds many
     short-lived nodes again and again, such as the numerals a loop test
     compares, the statements a step leaves pending and the states of
-    traces it drops.  Held, each is built once and found in the table
-    from then on, and a node's identity, and so its hash, stays the same
-    for the whole block, so hashes taken at different times of a run
-    compare like the values.
+    traces it drops.  Held, each is built once and found from then on,
+    and a node's identity, and so its hash, stays the same for the whole
+    block, so hashes taken at different times of a run compare like the
+    values.
+
+    The outermost block opens an arena, a plain table from key to node
+    that a new node enters instead of the weak table, so a node built in
+    the block costs no weak reference; a block inside another uses the
+    outer block's arena.  When the outermost block ends, ``_sweep`` empties
+    the arena and moves each node that something still holds into the
+    weak table.
     """
-    global _held
-    outer, _held = _held, []
+    global _arena
+    if _arena is not None:
+        yield
+        return
+    _arena = {}
     try:
         yield
     finally:
-        _held = outer
+        arena, _arena = _arena, None
+        _sweep(arena)
+
+
+def _sweep(arena: dict) -> None:
+    """Empty ``arena``, newest node first, keeping the nodes still held findable.
+
+    A node's fields are older than the node, so by the time a node is
+    checked every newer node of the arena that held it has been dropped;
+    what holds it now lies outside the arena, or is a newer node that was
+    itself still held, and so kept.  Such a node enters the weak table,
+    under the same key, and leaves it when it dies.  A memo slot may point
+    at a newer node; that node is kept then, which is safe.
+
+    A node is still held when its reference count exceeds that of an
+    object only a local variable holds, measured here, since what a local
+    adds to the count differs between Python versions.
+    """
+    count, pop = sys.getrefcount, arena.popitem
+    probe = object()
+    # the references of a node that only this function's local holds
+    alone = count(probe)
+    while arena:
+        key, node = pop()
+        if count(node) > alone:
+            _enter(key, node)
+
+
+def uncapped(convert, value):
+    """``convert(value)`` with Python's cap on the digits of an int lifted for the call.
+
+    ``convert`` is ``int`` or ``str``.  Python 3.10.7 and later refuse to
+    convert an int of more than 4300 digits either way, but wl integers
+    are unbounded.  A caller converts as usual and comes here only when
+    that fails, so the usual conversion costs nothing more.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        # before 3.10.7 there is no cap, so the conversion failed for another reason
+        return convert(value)
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return convert(value)
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 class ArithOp(Enum):

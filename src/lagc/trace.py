@@ -38,6 +38,8 @@ from .evaluate import eval_exp_list, is_concrete
 from .state import State, is_concrete_state, is_wellformed_state, symbolic_vars
 from .syntax import ArithExp, MethodRef, Node, TRUE, free_vars
 
+_set = object.__setattr__
+
 
 class EventKind(Enum):
     INPUT = "inpEv"
@@ -54,7 +56,10 @@ class StateAtom(Node):
 
 
 class EventAtom(Node):
-    __slots__ = _fields = ("kind", "args")
+    """An event and its arguments; ``_concrete`` memoizes ``is_concrete_atom``."""
+
+    __slots__ = ("kind", "args", "_concrete")
+    _fields = ("kind", "args")
     kind: EventKind
     args: tuple
 
@@ -178,7 +183,11 @@ def is_wellformed_cond_trace(cond: CondTrace) -> bool:
 def is_concrete_atom(atom: TraceAtom) -> bool:
     if isinstance(atom, StateAtom):
         return is_concrete_state(atom.state)
-    return is_concrete(atom.args)
+    concrete = atom._concrete
+    if concrete is None:
+        concrete = is_concrete(atom.args)
+        _set(atom, "_concrete", concrete)
+    return concrete
 
 
 def is_concrete_trace(trace: Trace) -> bool:

@@ -7,7 +7,13 @@ import pytest
 
 from lagc import cli
 from lagc.cli import main, parse_state_spec
-from lagc.compose import ExtConfig, compose_bounded_ext, initial_state_for, method_table
+from lagc.compose import (
+    ExtConfig,
+    compose_bounded_ext,
+    initial_state_for,
+    method_table,
+    traces_wl,
+)
 from lagc.errors import (
     DivergenceLimitError,
     FreshBoundExceededError,
@@ -432,14 +438,14 @@ HUGE = "1234567890" * 500 + "1"
 SQUARING = "x := 2 ;; i := 0 ;; while i <= 13 do x := x * x ;; i := i + 1 od"
 
 
-def _uncapped_str(value: int) -> str:
-    """``str(value)`` at any length, whatever this Python's cap on int digits."""
+def _uncapped(convert, value):
+    """``convert(value)``, ``int`` or ``str``, at any length, whatever the cap on int digits."""
     if not hasattr(sys, "set_int_max_str_digits"):
-        return str(value)
+        return convert(value)
     cap = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return str(value)
+        return convert(value)
     finally:
         sys.set_int_max_str_digits(cap)
 
@@ -471,7 +477,7 @@ def test_a_value_of_4933_digits_prints_exactly(write, capsys, fmt):
     else:
         last = captured.out.rsplit("{i=14, x=", 1)[1].rstrip("}\n")
     assert len(last) == 4933
-    assert last == _uncapped_str(2**16384)
+    assert last == _uncapped(str, 2**16384)
 
 
 def test_eval_reads_huge_numerals_and_states(write, capsys):
@@ -482,6 +488,27 @@ def test_eval_reads_huge_numerals_and_states(write, capsys):
     assert capsys.readouterr().out == HUGE[:-1] + "2\n"
     assert main(["eval", path, "--state", f"y={HUGE}", "--expr", "y == 0", "--format", "json"]) == 0
     assert capsys.readouterr().out == '{"result": "false"}\n'
+
+
+def _cap():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+def test_the_library_reads_a_huge_numeral_outside_main():
+    cap = _cap()
+    program = parse_program(f"x := {HUGE} ;; y := -{HUGE}", "wl")
+    assert program.main.first.value is Num(_uncapped(int, HUGE))
+    assert program.main.second.value is Num(-_uncapped(int, HUGE))
+    assert _cap() == cap
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_the_library_renders_a_value_of_4933_digits_outside_main(fmt):
+    cap = _cap()
+    program = parse_program(SQUARING, "wl")
+    out = render_traces(traces_wl(program.main, initial_state_for(program)), fmt)
+    assert _uncapped(str, 2**16384) in out
+    assert _cap() == cap
 
 
 @pytest.mark.skipif(

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from lagc import compose
 from lagc.compose import (
     ComposePolicy,
     ExtConfig,
@@ -199,6 +200,41 @@ def test_successors2_respects_reaction_budget():
     )
     config = ExtConfig(matched, (DONE,))
     assert successors2(table, config) == frozenset()
+
+
+def test_successors2_builds_atoms_only_for_kept_reactions(monkeypatch):
+    methods = tuple(Method(f"m{i}", "v", Assign("x", Var("v"))) for i in range(4))
+    sigma = make_state({"x": ZERO})
+    state = StateAtom(sigma)
+
+    def call(kind, method, arg):
+        return EventAtom(kind, (MethodRef(method), ArithExp(Num(arg))))
+
+    # five arguments harvested; m1(1) and m3(4) are still open
+    trace = (state,)
+    for method, arg in (("m0", 0), ("m1", 1), ("m2", 2), ("m3", 3), ("m3", 4)):
+        trace += (call(EventKind.INVOKE, method, arg), state)
+    for method, arg in (("m0", 0), ("m2", 2), ("m3", 3)):
+        trace += (call(EventKind.REACT, method, arg), state)
+    config = ExtConfig(trace, (DONE,))
+    built = {"StateAtom": 0, "EventAtom": 0}
+
+    def counting(cls):
+        def build(*fields):
+            built[cls.__name__] += 1
+            return cls(*fields)
+
+        return build
+
+    monkeypatch.setattr(compose, "StateAtom", counting(StateAtom))
+    monkeypatch.setattr(compose, "EventAtom", counting(EventAtom))
+    successors = successors2(method_table(methods), config)
+    monkeypatch.undo()
+    reacted = {succ.trace[len(trace)] for succ in successors}
+    assert reacted == {call(EventKind.REACT, "m1", 1), call(EventKind.REACT, "m3", 4)}
+    # of 4 x 5 candidates, each of the two kept builds its event, the state
+    # around it and the state with the bound parameter
+    assert built == {"StateAtom": 4, "EventAtom": 2}
 
 
 def test_successors2_matches_direct_construction():

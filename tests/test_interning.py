@@ -3,7 +3,9 @@
 Equal nodes are the same object however they were built, so equality is
 identity; states and trace atoms are nodes too.  The table of nodes holds
 them weakly, so a node nobody refers to leaves it and repeated runs do not
-grow it.  ``canon_key``, memoized
+grow it.  Inside a ``holding_nodes`` block new nodes go to the block's
+arena instead, with no weak reference, and the ones still held when the
+block ends move to the weak table.  ``canon_key``, memoized
 per node, gives the keys of the recursive definition it replaced.
 """
 
@@ -19,7 +21,7 @@ import pytest
 from lagc import cli, syntax
 from lagc.compose import ComposePolicy
 from lagc.concretize import apply_conc_state
-from lagc.localeval import Pending, valuate
+from lagc.localeval import Pending, step, valuate
 from lagc.parser import parse_program
 from lagc.state import initial_state, make_state, update
 from lagc.syntax import (
@@ -41,6 +43,7 @@ from lagc.syntax import (
     Var,
     While,
     canon_key,
+    holding_nodes,
     substitute,
 )
 from lagc.trace import EventAtom, EventKind, StateAtom, gen_event
@@ -138,19 +141,134 @@ def test_nodes_are_immutable():
 
 
 def test_repeated_commands_leave_the_table_the_same_size(tmp_path, capsys):
-    path = tmp_path / "calls.lagc"
-    path.write_text(
+    calls = tmp_path / "calls.lagc"
+    calls.write_text(
         "program { method m(v){ scope(t){ t := v ;; x := x + t } } "
         "main { co call m(1) || input y oc ;; while x <= 3 do x := x + 1 od } }",
         encoding="utf-8",
     )
-    sizes = []
-    for _ in range(5):
-        assert cli.main(["traces", str(path)]) == 0
-        gc.collect()
-        sizes.append(len(syntax._interned))
-    assert len(set(sizes)) == 1, sizes
-    assert capsys.readouterr().out.count("traces\n") == 5
+    # a command that fails: the loop runs out of rounds (exit 3), and the
+    # error's traceback holds the frames of the walk while it is reported
+    diverges = tmp_path / "diverges.wl"
+    diverges.write_text("x := 0 ;; while x >= 0 do x := x + 1 od", encoding="utf-8")
+    inputs = [
+        (["traces", str(calls)], 0),
+        (["traces", str(diverges), "--lang", "wl", "--max-rounds", "5", "--increment", "20"], 3),
+    ]
+    for argv, code in inputs:
+        sizes = []
+        for _ in range(5):
+            assert cli.main(argv) == code
+            gc.collect()
+            sizes.append(len(syntax._interned))
+        assert len(set(sizes)) == 1, (argv, sizes)
+    captured = capsys.readouterr()
+    assert captured.out.count("traces\n") == 5
+    assert captured.err.count("error: no fixpoint after 5 rounds") == 5
+
+
+@pytest.fixture
+def weak_refs(monkeypatch) -> list:
+    """Each weak reference the table builds from now on, counted as it is built."""
+    built = []
+
+    class Counting(syntax._Ref):
+        __slots__ = ()
+
+        def __init__(self, node, callback):
+            super().__init__(node, callback)
+            built.append(self)
+
+    monkeypatch.setattr(syntax, "_Ref", Counting)
+    return built
+
+
+def test_a_command_builds_its_nodes_without_weak_references(tmp_path, capsys, weak_refs):
+    countdown = tmp_path / "countdown.wl"
+    countdown.write_text("x := 3000 ;; while x >= 1 do x := x - 1 od", encoding="utf-8")
+    calls = tmp_path / "calls.ext"
+    calls.write_text(
+        "program { method m(v){ x := v } main { call m(1) ;; "
+        + " ;; ".join(f"y := {i}" for i in range(30))
+        + " } }",
+        encoding="utf-8",
+    )
+    diverges = tmp_path / "diverges.wl"
+    diverges.write_text("x := 0 ;; while x >= 0 do x := x + 1 od", encoding="utf-8")
+    inputs = [
+        (["traces", str(countdown), "--lang", "wl"], 0),
+        (["traces", str(calls)], 0),
+        # the error is reported before the arena is swept, so the nodes its
+        # traceback held are dropped, not moved to the weak table
+        (["traces", str(diverges), "--lang", "wl", "--max-rounds", "5", "--increment", "400"], 3),
+    ]
+    for argv, code in inputs:
+        weak_refs.clear()
+        assert cli.main(argv) == code
+        # only the few nodes the command leaves behind in caches get one
+        assert len(weak_refs) < 20, argv
+    assert capsys.readouterr().out.startswith("1 trace\n")
+    # outside every block a new node still enters the weak table
+    weak_refs.clear()
+    Num(7_000_001)
+    assert len(weak_refs) == 1
+
+
+def test_a_node_kept_after_a_block_is_found_again(weak_refs):
+    with holding_nodes():
+        kept = Var("kept after the block")
+        # only ``escaped`` holds its two fields when the block ends, and it is newer
+        escaped = ABin(Num(7_000_002), ArithOp.ADD, Var("held only by a newer node"))
+        dropped = Var("dropped at the end of the block")
+        gone = weakref.ref(dropped)
+        assert not weak_refs
+        del dropped
+    assert gone() is None
+    assert Var("kept after the block") is kept
+    assert Num(7_000_002) is escaped.left
+    assert Var("held only by a newer node") is escaped.right
+    assert ABin(Num(7_000_002), ArithOp.ADD, Var("held only by a newer node")) is escaped
+    # the nodes still held moved to the weak table and leave it when they die
+    assert {ref() for ref in weak_refs} >= {kept, escaped, escaped.left, escaped.right}
+    # a counted reference knows its key, and so holds the key's fields
+    weak_refs.clear()
+    gc.collect()
+    before = len(syntax._interned)
+    del kept, escaped
+    gc.collect()
+    assert len(syntax._interned) == before - 4
+
+
+def test_a_loop_marker_and_its_body_marker_are_freed():
+    gc.collect()
+    before = len(syntax._interned)
+    with holding_nodes():
+        increment = Assign("w", ABin(Var("w"), ArithOp.ADD, Num(1)))
+        loop = While(Rel(Var("w"), RelOp.LEQ, Num(7_000_003)), increment)
+        marker = Pending(loop)
+        step(marker, make_state({"w": StoredExp(Num(0))}), "wl", 100)
+        body = marker._body()
+        assert body.rest is marker
+        refs = weakref.ref(marker), weakref.ref(body)
+        del increment, loop, marker, body
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert len(syntax._interned) == before
+
+
+def test_nested_blocks_share_one_arena():
+    assert syntax._arena is None
+    with holding_nodes():
+        arena = syntax._arena
+        with holding_nodes():
+            assert syntax._arena is arena
+            inner = Num(7_000_004)
+        # the inner block's end dropped nothing: its node is still in the arena
+        assert syntax._arena is arena
+        assert arena[Num, 7_000_004] is inner
+        assert Num(7_000_004) is inner
+    assert syntax._arena is None
+    assert Num(7_000_004) is inner
 
 
 def _reference_key(value):

@@ -1,4 +1,5 @@
 import random
+from contextlib import nullcontext
 
 import pytest
 
@@ -14,7 +15,7 @@ from lagc.state import (
     update,
     vargen,
 )
-from lagc.syntax import ABin, ArithOp, Num, STAR, StoredExp, Var, occurrences
+from lagc.syntax import ABin, ArithOp, Num, STAR, StoredExp, Var, holding_nodes, occurrences
 
 from gens import rand_concrete_state, rand_state
 from samples import SIGMA1, SIGMA2, WL_SWAP
@@ -34,6 +35,27 @@ def test_update():
     )
     twice = update(update(EMPTY_STATE, "x", StoredExp(Num(1))), "x", StoredExp(Num(9)))
     assert twice == make_state({"x": StoredExp(Num(9))})
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["weak", "held"])
+def test_update_is_make_state_of_the_merged_entries(held):
+    rng = random.Random(29)
+    with holding_nodes() if held else nullcontext():
+        for _ in range(300):
+            names = rng.sample(("a", "b", "x", "y", "z", "w"), rng.randint(0, 6))
+            sigma = rand_state(rng, names)
+            # a name the state has, or a new one, which may sort anywhere
+            variable = rng.choice(names + ["c", "v", "zz"])
+            value = rng.choice([STAR, StoredExp(Num(rng.randint(-9, 9)))])
+            merged = dict(sigma.entries)
+            merged[variable] = value
+            updated = update(sigma, variable, value)
+            assert updated is make_state(merged)
+            assert updated.entries == tuple(sorted(merged.items()))
+            for name in set(merged) | {"absent"}:
+                assert updated.lookup(name) is merged.get(name)
+                assert (name in updated) == (name in merged)
+            assert update(updated, variable, value) is updated
 
 
 def test_make_state_takes_only_stored_expressions_and_star():

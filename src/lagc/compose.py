@@ -161,7 +161,6 @@ from .trace import (
     Cell,
     EventAtom,
     EventKind,
-    StateAtom,
     Summary,
     Trace,
     grow,
@@ -621,14 +620,14 @@ def _reactions(table, rep: tuple, fresh_bound: int) -> list:
             args = (name, arg)
             if args not in open_calls:
                 continue
-            atom, event = StateAtom(sigma), EventAtom(EventKind.REACT, args)
+            event = EventAtom(EventKind.REACT, args)
             fresh = fresh_name(sigma, method.name, "::Param", fresh_bound)
             bound_state = update(sigma, fresh, StoredExp(value.arith))
             body = bodies.get((method, fresh))
             if body is None:
                 body = bodies[method, fresh] = Pending(substitute(method.body, method.formal, fresh))
-            added = (event, atom, StateAtom(bound_state))
-            out.append((added, markers + (body,), prefix.extend((atom, event, atom)), None))
+            added = (event, sigma, bound_state)
+            out.append((added, markers + (body,), prefix.extend((sigma, event, sigma)), None))
     return out
 
 

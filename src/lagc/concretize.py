@@ -19,7 +19,7 @@ from __future__ import annotations
 from .evaluate import eval_bexp_set, eval_exp_list, eval_sexp
 from .state import EMPTY_STATE, State, domain, is_concrete_state, star_names, symbolic_vars
 from .syntax import Num, StoredExp
-from .trace import CondTrace, EventAtom, StateAtom, Trace
+from .trace import CondTrace, EventAtom, Trace
 
 
 def is_conc_map_state(rho: State, sigma: State) -> bool:
@@ -42,9 +42,9 @@ def is_conc_map_trace(rho: State, trace: Trace) -> bool:
     if not is_concrete_state(rho):
         return False
     return all(
-        is_conc_map_state(rho, atom.state)
+        is_conc_map_state(rho, atom)
         for atom in trace
-        if isinstance(atom, StateAtom)
+        if isinstance(atom, State)
     )
 
 
@@ -57,8 +57,8 @@ def min_conc_map_trace(trace: Trace, numeral: int) -> State:
     """
     names = set()
     for atom in trace:
-        if isinstance(atom, StateAtom):
-            names.update(star_names(atom.state))
+        if isinstance(atom, State):
+            names.update(star_names(atom))
     if not names:
         return EMPTY_STATE
     value = StoredExp(Num(numeral))
@@ -66,8 +66,8 @@ def min_conc_map_trace(trace: Trace, numeral: int) -> State:
 
 
 def concretize_atom(rho: State, atom):
-    if isinstance(atom, StateAtom):
-        return StateAtom(apply_conc_state(rho, atom.state))
+    if isinstance(atom, State):
+        return apply_conc_state(rho, atom)
     return EventAtom(atom.kind, eval_exp_list(atom.args, rho))
 
 

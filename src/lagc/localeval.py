@@ -60,7 +60,7 @@ from .syntax import (
     seq_spine,
     substitute,
 )
-from .trace import CondTrace, EventKind, StateAtom, cond_trace, gen_event, singleton
+from .trace import CondTrace, EventKind, cond_trace, gen_event, singleton
 
 DEFAULT_FRESH_BOUND = 100
 
@@ -257,7 +257,7 @@ def step(marker: Pending, sigma: State, mode: str, fresh_bound: int) -> tuple:
         trace = singleton(sigma)
     elif isinstance(stmt, Assign):
         value = StoredExp(eval_arith(stmt.value, sigma))
-        trace = StateAtom(sigma), StateAtom(update(sigma, stmt.target, value))
+        trace = sigma, update(sigma, stmt.target, value)
     elif mode != "ext":
         name = "LocPar" if isinstance(stmt, Par) else type(stmt).__name__
         raise ModeError(f"{name} is not available in wl mode")
@@ -273,7 +273,7 @@ def step(marker: Pending, sigma: State, mode: str, fresh_bound: int) -> tuple:
             return step(Pending(stmt.body, rest), sigma, mode, fresh_bound)
         declared, later = stmt.decls[0], stmt.decls[1:]
         fresh = fresh_name(sigma, declared, "::Scope", fresh_bound)
-        trace = singleton(sigma) + (StateAtom(update(sigma, fresh, StoredExp(Num(0)))),)
+        trace = sigma, update(sigma, fresh, StoredExp(Num(0)))
         marker = Pending(substitute(LocMem(later, stmt.body), declared, fresh), rest)
         return ((_NO_PC, trace, marker),)
     elif isinstance(stmt, Guard):

@@ -37,7 +37,7 @@ from .syntax import (
     canon_key,
     uncapped,
 )
-from .trace import StateAtom, Trace
+from .trace import Trace
 
 _ADDSUB = 1
 _MUL = 2
@@ -144,8 +144,8 @@ def render_state(sigma: State) -> str:
 
 
 def render_atom(atom) -> str:
-    if isinstance(atom, StateAtom):
-        return render_state(atom.state)
+    if isinstance(atom, State):
+        return render_state(atom)
     args = ", ".join(pretty_exp(arg) for arg in atom.args)
     return f"Event({atom.kind.value}, [{args}])"
 
@@ -167,23 +167,24 @@ def _dense_ranks(items, key, start: int = 0) -> dict:
 def _atom_ranks(atoms) -> dict:
     """Each atom's rank in ``canon_key`` order; equal keys share a rank.
 
-    Keys order nodes by class name first, so every event ranks before
-    every state, and events are ranked by their keys.  A state's key
-    compares its entries in name order, each by name and then by the key
-    of its value, and a state whose entries begin another's sorts first.
-    So only the distinct values are ranked by ``canon_key``, and a state
-    is ranked by the tuple of ``(name, value rank)`` over its entries,
-    which orders states as their keys do while comparing small integers.
+    A state is its own atom.  Keys order nodes by class name first, and
+    ``"EventAtom" < "State"``, so every event ranks before every state,
+    and events are ranked by their keys.  A state's key compares its
+    entries in name order, each by name and then by the key of its value,
+    and a state whose entries begin another's sorts first.  So only the
+    distinct values are ranked by ``canon_key``, and a state is ranked by
+    the tuple of ``(name, value rank)`` over its entries, which orders
+    states as their keys do while comparing small integers.
     """
     states, events = [], []
     for atom in atoms:
-        (states if atom.__class__ is StateAtom else events).append(atom)
+        (states if atom.__class__ is State else events).append(atom)
     value_rank = _dense_ranks(
-        {value for atom in states for _, value in atom.state.entries}, canon_key
+        {value for sigma in states for _, value in sigma.entries}, canon_key
     )
 
-    def state_key(atom) -> tuple:
-        return tuple([(name, value_rank[value]) for name, value in atom.state.entries])
+    def state_key(sigma) -> tuple:
+        return tuple([(name, value_rank[value]) for name, value in sigma.entries])
 
     ranks = _dense_ranks(events, canon_key)
     ranks.update(_dense_ranks(states, state_key, len(events)))
@@ -221,12 +222,12 @@ def _atom_json(atom) -> str:
     A state's entries are already in name order, so its fragment is laid
     out directly and only its strings go through ``json.dumps``.
     """
-    if atom.__class__ is not StateAtom:
+    if atom.__class__ is not State:
         fragment = {
             "event": {"kind": atom.kind.value, "args": [pretty_exp(arg) for arg in atom.args]}
         }
         return json.dumps(fragment, indent=2, sort_keys=True).replace("\n", _DEPTH3)
-    entries = atom.state.entries
+    entries = atom.entries
     if not entries:
         return '{\n        "state": {}\n      }'
     dumps, texts = json.dumps, {} if _texts is None else _texts

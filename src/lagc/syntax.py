@@ -20,8 +20,9 @@ move to the weak table and the rest are dropped.
 
 ``canon_key`` gives a total order over every syntax value, so that sets
 and multisets built from them can be canonicalized deterministically; a
-node computes its key once and keeps it.  States, trace atoms and
-continuation markers are nodes too.
+node computes its key once and keeps it.  States, events and
+continuation markers are nodes too; a state is its own trace atom, and
+an event's atom is an ``EventAtom``.
 """
 
 from __future__ import annotations
@@ -107,8 +108,16 @@ class Node:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={_field_repr(getattr(self, name))}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
+
+
+def _field_repr(value) -> str:
+    """``repr(value)``, retried through ``uncapped`` when an int is past the cap on digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        return uncapped(repr, value)
 
 
 def _constructor(name: str, setters: tuple, memo: tuple):
@@ -184,7 +193,7 @@ _arena = None
 def holding_nodes():
     """Keep every node built inside the block alive until the block ends.
 
-    Nodes here include states and trace atoms.  A run builds many
+    Nodes here include states and events.  A run builds many
     short-lived nodes again and again, such as the numerals a loop test
     compares, the statements a step leaves pending and the states of
     traces it drops.  Held, each is built once and found from then on,
@@ -238,7 +247,7 @@ def _sweep(arena: dict) -> None:
 def uncapped(convert, value):
     """``convert(value)`` with Python's cap on the digits of an int lifted for the call.
 
-    ``convert`` is ``int`` or ``str``.  Python 3.10.7 and later refuse to
+    ``convert`` is ``int``, ``str`` or ``repr``.  Python 3.10.7 and later refuse to
     convert an int of more than 4300 digits either way, but wl integers
     are unbounded.  A caller converts as usual and comes here only when
     that fails, so the usual conversion costs nothing more.

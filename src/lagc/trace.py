@@ -3,7 +3,9 @@
 The paper's operations take a trace as a plain tuple of atoms, and so do
 the functions here that define them (``semantic_chop``, ``summarize``,
 ``harvest_params`` and the rest), which the frozen reference engine in the
-tests calls as they are.  Atoms, like states, are hash-consed syntax
+tests calls as they are.  As in the paper, a trace is a sequence of
+states and events: an atom is a ``State`` itself or an ``EventAtom``,
+with nothing wrapped around the state.  Both are hash-consed syntax
 nodes, so comparing two tuples costs one identity check per atom.  A
 ``CondTrace``, a trace under a path condition, is a named tuple.
 
@@ -50,11 +52,6 @@ class EventKind(Enum):
     __hash__ = object.__hash__
 
 
-class StateAtom(Node):
-    __slots__ = _fields = ("state",)
-    state: State
-
-
 class EventAtom(Node):
     """An event and its arguments; ``_concrete`` memoizes ``is_concrete_atom``."""
 
@@ -64,7 +61,8 @@ class EventAtom(Node):
     args: tuple
 
 
-TraceAtom = Union[StateAtom, EventAtom]
+# a trace atom: a state is its own atom, an event is wrapped with its arguments
+TraceAtom = Union[State, EventAtom]
 Trace = Tuple[TraceAtom, ...]
 
 
@@ -80,7 +78,7 @@ cond_trace = partial(tuple.__new__, CondTrace)
 
 
 def singleton(sigma: State) -> Trace:
-    return (StateAtom(sigma),)
+    return (sigma,)
 
 
 def concat(left: Trace, right: Trace) -> Trace:
@@ -88,14 +86,14 @@ def concat(left: Trace, right: Trace) -> Trace:
 
 
 def first_state(trace: Trace) -> State:
-    if trace and isinstance(trace[0], StateAtom):
-        return trace[0].state
+    if trace and isinstance(trace[0], State):
+        return trace[0]
     raise UndefinedTraceOpError("trace does not start with a state")
 
 
 def last_state(trace: Trace) -> State:
-    if trace and isinstance(trace[-1], StateAtom):
-        return trace[-1].state
+    if trace and isinstance(trace[-1], State):
+        return trace[-1]
     raise UndefinedTraceOpError("trace does not end with a state")
 
 
@@ -105,7 +103,7 @@ def semantic_chop(left: Trace, right: Trace) -> Trace:
     Only the shape of ``left`` is checked; whether the boundary states agree
     is the caller's responsibility.
     """
-    if left and isinstance(left[-1], StateAtom):
+    if left and isinstance(left[-1], State):
         return left[:-1] + right
     raise UndefinedTraceOpError("semantic chop needs a final state on the left")
 
@@ -116,18 +114,14 @@ def semantic_chop_cond(left: CondTrace, right: CondTrace) -> CondTrace:
 
 def gen_event(kind: EventKind, sigma: State, args) -> Trace:
     """Surround an event with the given state, simplifying its arguments."""
-    return (
-        StateAtom(sigma),
-        EventAtom(kind, eval_exp_list(args, sigma)),
-        StateAtom(sigma),
-    )
+    return sigma, EventAtom(kind, eval_exp_list(args, sigma)), sigma
 
 
 def trace_symbolic_vars(trace: Trace) -> frozenset:
     out = frozenset()
     for atom in trace:
-        if isinstance(atom, StateAtom):
-            out |= symbolic_vars(atom.state)
+        if isinstance(atom, State):
+            out |= symbolic_vars(atom)
     return out
 
 
@@ -153,12 +147,11 @@ def is_wellformed_cond_trace(cond: CondTrace) -> bool:
     trace = cond.trace
     symbolic = trace_symbolic_vars(trace)
     for atom in trace:
-        if isinstance(atom, StateAtom):
-            sigma = atom.state
-            non_symbolic = frozenset(n for n, _ in sigma.entries) - symbolic_vars(sigma)
+        if isinstance(atom, State):
+            non_symbolic = frozenset(n for n, _ in atom.entries) - symbolic_vars(atom)
             if non_symbolic & symbolic:
                 return False
-            if not is_wellformed_state(sigma):
+            if not is_wellformed_state(atom):
                 return False
         else:
             if not all(free_vars(arg) <= symbolic for arg in atom.args):
@@ -166,23 +159,23 @@ def is_wellformed_cond_trace(cond: CondTrace) -> bool:
     for b in cond.pc:
         if not free_vars(b) <= symbolic:
             return False
-    if not trace or not isinstance(trace[0], StateAtom) or not isinstance(trace[-1], StateAtom):
+    if not trace or not isinstance(trace[0], State) or not isinstance(trace[-1], State):
         return False
     for i, atom in enumerate(trace):
         if isinstance(atom, EventAtom):
             if i == 0 or i == len(trace) - 1:
                 return False
             before, after = trace[i - 1], trace[i + 1]
-            if not (isinstance(before, StateAtom) and isinstance(after, StateAtom)):
+            if not (isinstance(before, State) and isinstance(after, State)):
                 return False
-            if before.state != after.state:
+            if before != after:
                 return False
     return True
 
 
 def is_concrete_atom(atom: TraceAtom) -> bool:
-    if isinstance(atom, StateAtom):
-        return is_concrete_state(atom.state)
+    if isinstance(atom, State):
+        return is_concrete_state(atom)
     concrete = atom._concrete
     if concrete is None:
         concrete = is_concrete(atom.args)
@@ -233,7 +226,7 @@ class Summary(NamedTuple):
         for atom in atoms:
             if concrete and not is_concrete_atom(atom):
                 concrete = False
-            if isinstance(atom, StateAtom) or atom.kind is EventKind.INPUT:
+            if isinstance(atom, State) or atom.kind is EventKind.INPUT:
                 continue
             args = atom.args
             if atom.kind is EventKind.INVOKE:

@@ -29,7 +29,7 @@ from lagc.syntax import (
     Var,
     While,
 )
-from lagc.trace import EventAtom, EventKind, StateAtom
+from lagc.trace import EventAtom, EventKind
 
 NAMES = ("x", "y", "z", "w")
 
@@ -146,24 +146,24 @@ def _rand_event(rng: random.Random):
 
 def rand_trace(rng: random.Random, names=NAMES, max_len: int = 5):
     """A trace ending with a state; events are surrounded by that state."""
-    atoms = [StateAtom(rand_state(rng, names))]
+    atoms = [rand_state(rng, names)]
     for _ in range(rng.randint(0, max_len)):
         if rng.random() < 0.3:
             last = atoms[-1]
             atoms.append(_rand_event(rng))
             atoms.append(last)
         else:
-            atoms.append(StateAtom(rand_state(rng, names)))
+            atoms.append(rand_state(rng, names))
     return tuple(atoms)
 
 
 def rand_concrete_trace(rng: random.Random, names=NAMES, max_len: int = 5):
-    atoms = [StateAtom(rand_concrete_state(rng, names))]
+    atoms = [rand_concrete_state(rng, names)]
     for _ in range(rng.randint(0, max_len)):
         if rng.random() < 0.3:
             last = atoms[-1]
             atoms.append(_rand_event(rng))
             atoms.append(last)
         else:
-            atoms.append(StateAtom(rand_concrete_state(rng, names)))
+            atoms.append(rand_concrete_state(rng, names))
     return tuple(atoms)

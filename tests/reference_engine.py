@@ -51,7 +51,6 @@ from lagc.syntax import (
 from lagc.trace import (
     CondTrace,
     EventKind,
-    StateAtom,
     Trace,
     gen_event,
     harvest_params,
@@ -118,7 +117,7 @@ def valuate(stmt: Stmt, sigma: State, mode: str, fresh_bound: int = DEFAULT_FRES
         return frozenset({ContTrace(CondTrace(frozenset(), singleton(sigma)), DONE)})
     if isinstance(stmt, Assign):
         value = StoredExp(eval_arith(stmt.value, sigma))
-        trace = singleton(sigma) + (StateAtom(update(sigma, stmt.target, value)),)
+        trace = singleton(sigma) + (update(sigma, stmt.target, value),)
         return frozenset({ContTrace(CondTrace(frozenset(), trace), DONE)})
     if isinstance(stmt, If):
         return frozenset(
@@ -168,7 +167,7 @@ def valuate(stmt: Stmt, sigma: State, mode: str, fresh_bound: int = DEFAULT_FRES
             return valuate(stmt.body, sigma, mode, fresh_bound)
         declared, rest = stmt.decls[0], stmt.decls[1:]
         fresh = _fresh(sigma, declared, "::Scope", fresh_bound)
-        trace = singleton(sigma) + (StateAtom(update(sigma, fresh, StoredExp(Num(0)))),)
+        trace = singleton(sigma) + (update(sigma, fresh, StoredExp(Num(0))),)
         marker = Pending(substitute(LocMem(rest, stmt.body), declared, fresh))
         return frozenset({ContTrace(CondTrace(frozenset(), trace), marker)})
     if isinstance(stmt, Input):
@@ -379,7 +378,7 @@ def successors2(table, config: ExtConfig, fresh_bound: int = DEFAULT_FRESH_BOUND
             body = substitute(method.body, method.formal, fresh)
             out.add(
                 ExtConfig(
-                    extended + (StateAtom(bound_state),),
+                    extended + (bound_state,),
                     config.markers + (Pending(body),),
                 )
             )

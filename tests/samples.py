@@ -27,7 +27,7 @@ from lagc.syntax import (
     Var,
     While,
 )
-from lagc.trace import CondTrace, EventAtom, EventKind, StateAtom
+from lagc.trace import CondTrace, EventAtom, EventKind
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 
@@ -41,16 +41,16 @@ SIGMA1 = make_state({"x": StoredExp(ABin(Y, ArithOp.MUL, Num(4))), "y": STAR})
 SIGMA2 = make_state({"x": StoredExp(Num(8)), "y": StoredExp(Num(2))})
 
 TAU1 = (
-    StateAtom(SIGMA1),
+    SIGMA1,
     EventAtom(EventKind.INPUT, ()),
-    StateAtom(SIGMA1),
+    SIGMA1,
 )
 TAU2 = (
-    StateAtom(SIGMA1),
+    SIGMA1,
     EventAtom(EventKind.REACT, (MethodRef("foo"), ArithExp(Num(2)))),
-    StateAtom(SIGMA2),
+    SIGMA2,
 )
-TAU3 = (StateAtom(SIGMA2), StateAtom(EMPTY_STATE))
+TAU3 = (SIGMA2, EMPTY_STATE)
 
 PI1 = CondTrace(frozenset(), TAU1)
 PI2 = CondTrace(frozenset({BoolLit(True)}), TAU2)

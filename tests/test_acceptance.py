@@ -11,7 +11,7 @@ from lagc.cli import main
 from lagc.compose import initial_state_for, trace_equivalent, traces_ext, traces_wl
 from lagc.concretize import apply_conc_state, min_conc_map_state
 from lagc.evaluate import eval_arith, eval_bool
-from lagc.state import EMPTY_STATE, is_concrete_state, is_wellformed_state, make_state
+from lagc.state import EMPTY_STATE, State, is_concrete_state, is_wellformed_state, make_state
 from lagc.syntax import (
     ABin,
     ArithExp,
@@ -36,7 +36,6 @@ from lagc.trace import (
     CondTrace,
     EventAtom,
     EventKind,
-    StateAtom,
     is_concrete_cond_trace,
     is_wellformed_cond_trace,
     semantic_chop_cond,
@@ -71,8 +70,8 @@ def criterion(number: int, title: str):
     print(f"PASS  criterion {number:2d}: {title}")
 
 
-def _state(**values) -> StateAtom:
-    return StateAtom(make_state({k: StoredExp(Num(v)) for k, v in values.items()}))
+def _state(**values) -> State:
+    return make_state({k: StoredExp(Num(v)) for k, v in values.items()})
 
 
 def test_criterion_1_factorial():
@@ -96,13 +95,13 @@ def test_criterion_3_scope_parallel():
     with criterion(3, "ext scope/parallel: both interleavings, 4 states each"):
         traces = traces_ext(EXT_SCOPE_PAR, initial_state_for(EXT_SCOPE_PAR))
         first = (
-            StateAtom(EMPTY_STATE),
+            EMPTY_STATE,
             _state(**{"$x::Scope": 0}),
             _state(**{"$x::Scope": 1}),
             _state(**{"$x::Scope": 2}),
         )
         second = (
-            StateAtom(EMPTY_STATE),
+            EMPTY_STATE,
             _state(**{"$x::Scope": 0}),
             _state(**{"$x::Scope": 2}),
             _state(**{"$x::Scope": 1}),
@@ -162,10 +161,10 @@ def test_criterion_6_evaluation():
         assert semantic_chop_cond(PI1, PI3) == CondTrace(
             frozenset({BoolLit(False)}),
             (
-                StateAtom(SIGMA1),
+                SIGMA1,
                 EventAtom(EventKind.INPUT, ()),
-                StateAtom(SIGMA2),
-                StateAtom(EMPTY_STATE),
+                SIGMA2,
+                EMPTY_STATE,
             ),
         )
 

@@ -24,7 +24,7 @@ from lagc.compose import (
 )
 from lagc.errors import DivergenceLimitError, PolicyError, UndefinedTraceOpError
 from lagc.localeval import DONE, Pending, cont_append
-from lagc.state import EMPTY_STATE, domain, initial_state, make_state, update
+from lagc.state import EMPTY_STATE, State, domain, initial_state, make_state, update
 from lagc.syntax import (
     ArithExp,
     Assign,
@@ -51,7 +51,6 @@ from lagc.syntax import (
 from lagc.trace import (
     EventAtom,
     EventKind,
-    StateAtom,
     harvest_params,
     invocation_wellformed,
     last_state,
@@ -73,7 +72,7 @@ def test_successors_wl_examples():
     assert successors_wl(skip) == {WlConfig(singleton(SIGMA2), DONE)}
 
     assign = WlConfig(singleton(SIGMA2), Pending(Assign("x", Num(3))))
-    stepped = singleton(SIGMA2) + (StateAtom(update(SIGMA2, "x", StoredExp(Num(3)))),)
+    stepped = singleton(SIGMA2) + (update(SIGMA2, "x", StoredExp(Num(3))),)
     assert successors_wl(assign) == {WlConfig(stepped, DONE)}
 
 
@@ -134,10 +133,10 @@ def test_basic_successors_input_concretizes():
     bound = make_state({"x": ZERO, "$x::Input": ZERO})
     assert succ.marker == DONE
     assert succ.trace == (
-        StateAtom(bound),
-        StateAtom(bound),
+        bound,
+        bound,
         EventAtom(EventKind.INPUT, (ArithExp(Num(0)),)),
-        StateAtom(bound),
+        bound,
     )
 
 
@@ -171,17 +170,17 @@ def test_successors2_spawns_reaction():
     table = method_table(EXT_CALL.methods)
     sigma = make_state({"x": ZERO})
     invoked = (
-        StateAtom(sigma),
+        sigma,
         EventAtom(EventKind.INVOKE, (MethodRef("foo"), ArithExp(Num(0)))),
-        StateAtom(sigma),
+        sigma,
     )
     config = ExtConfig(invoked, (Pending(Assign("x", Num(1))),))
     (succ,) = successors2(table, config)
     bound = update(sigma, "$foo::Param", ZERO)
     assert succ.trace == invoked + (
         EventAtom(EventKind.REACT, (MethodRef("foo"), ArithExp(Num(0)))),
-        StateAtom(sigma),
-        StateAtom(bound),
+        sigma,
+        bound,
     )
     assert Pending(Assign("$foo::Param", Num(2))) in succ.markers
     assert len(succ.markers) == 2
@@ -192,11 +191,11 @@ def test_successors2_respects_reaction_budget():
     sigma = make_state({"x": ZERO})
     args = (MethodRef("foo"), ArithExp(Num(0)))
     matched = (
-        StateAtom(sigma),
+        sigma,
         EventAtom(EventKind.INVOKE, args),
-        StateAtom(sigma),
+        sigma,
         EventAtom(EventKind.REACT, args),
-        StateAtom(sigma),
+        sigma,
     )
     config = ExtConfig(matched, (DONE,))
     assert successors2(table, config) == frozenset()
@@ -205,36 +204,36 @@ def test_successors2_respects_reaction_budget():
 def test_successors2_builds_atoms_only_for_kept_reactions(monkeypatch):
     methods = tuple(Method(f"m{i}", "v", Assign("x", Var("v"))) for i in range(4))
     sigma = make_state({"x": ZERO})
-    state = StateAtom(sigma)
 
     def call(kind, method, arg):
         return EventAtom(kind, (MethodRef(method), ArithExp(Num(arg))))
 
     # five arguments harvested; m1(1) and m3(4) are still open
-    trace = (state,)
+    trace = (sigma,)
     for method, arg in (("m0", 0), ("m1", 1), ("m2", 2), ("m3", 3), ("m3", 4)):
-        trace += (call(EventKind.INVOKE, method, arg), state)
+        trace += (call(EventKind.INVOKE, method, arg), sigma)
     for method, arg in (("m0", 0), ("m2", 2), ("m3", 3)):
-        trace += (call(EventKind.REACT, method, arg), state)
+        trace += (call(EventKind.REACT, method, arg), sigma)
     config = ExtConfig(trace, (DONE,))
-    built = {"StateAtom": 0, "EventAtom": 0}
+    built = {"State": 0, "EventAtom": 0}
 
-    def counting(cls):
-        def build(*fields):
-            built[cls.__name__] += 1
-            return cls(*fields)
+    def counting(build, name):
+        def counted(*fields):
+            built[name] += 1
+            return build(*fields)
 
-        return build
+        return counted
 
-    monkeypatch.setattr(compose, "StateAtom", counting(StateAtom))
-    monkeypatch.setattr(compose, "EventAtom", counting(EventAtom))
+    monkeypatch.setattr(compose, "update", counting(compose.update, "State"))
+    monkeypatch.setattr(compose, "EventAtom", counting(EventAtom, "EventAtom"))
     successors = successors2(method_table(methods), config)
     monkeypatch.undo()
     reacted = {succ.trace[len(trace)] for succ in successors}
     assert reacted == {call(EventKind.REACT, "m1", 1), call(EventKind.REACT, "m3", 4)}
-    # of 4 x 5 candidates, each of the two kept builds its event, the state
-    # around it and the state with the bound parameter
-    assert built == {"StateAtom": 4, "EventAtom": 2}
+    # of 4 x 5 candidates, each of the two kept builds its event and the
+    # state with the bound parameter; the state around the event is the
+    # last state of the trace, a trace atom as it is
+    assert built == {"State": 2, "EventAtom": 2}
 
 
 def test_successors2_matches_direct_construction():
@@ -252,9 +251,9 @@ def test_successors2_matches_direct_construction():
         for m in methods:
             for v in harvest_params(trace):
                 candidate = trace[:-1] + (
-                    StateAtom(sigma),
+                    sigma,
                     EventAtom(EventKind.REACT, (MethodRef(m.name), v)),
-                    StateAtom(sigma),
+                    sigma,
                 )
                 if not invocation_wellformed(candidate):
                     continue
@@ -263,7 +262,7 @@ def test_successors2_matches_direct_construction():
                     fresh = "c" + fresh
                 expected.add(
                     ExtConfig(
-                        candidate + (StateAtom(update(sigma, fresh, StoredExp(v.arith))),),
+                        candidate + (update(sigma, fresh, StoredExp(v.arith)),),
                         (DONE, Pending(substitute(m.body, "v", fresh))),
                     )
                 )
@@ -276,7 +275,7 @@ def test_basic_seq_successors_factor_through_first_statement():
         first = rand_wl_stmt(rng, rng.randint(1, 3))
         second = rand_wl_stmt(rng, rng.randint(1, 3))
         names = tuple(sorted(free_vars(first) | free_vars(second) | {"x"}))
-        trace = rand_concrete_trace(rng) + (StateAtom(rand_concrete_state(rng, names)),)
+        trace = rand_concrete_trace(rng) + (rand_concrete_state(rng, names),)
         direct = basic_successors(WlConfig(trace, Pending(Seq(first, second))))
         lifted = frozenset(
             WlConfig(c.trace, cont_append(c.marker, second))
@@ -306,9 +305,9 @@ def test_successors_ext_union():
     table = method_table(EXT_CALL.methods)
     sigma = make_state({"x": ZERO})
     invoked = (
-        StateAtom(sigma),
+        sigma,
         EventAtom(EventKind.INVOKE, (MethodRef("foo"), ArithExp(Num(0)))),
-        StateAtom(sigma),
+        sigma,
     )
     config = ExtConfig(invoked, (DONE,))
     assert successors_ext(table, config) != frozenset()
@@ -335,10 +334,10 @@ def test_traces_ext_scope_parallel():
 
     def ladder(first, second):
         return (
-            StateAtom(EMPTY_STATE),
-            StateAtom(make_state({scope: ZERO})),
-            StateAtom(make_state({scope: StoredExp(Num(first))})),
-            StateAtom(make_state({scope: StoredExp(Num(second))})),
+            EMPTY_STATE,
+            make_state({scope: ZERO}),
+            make_state({scope: StoredExp(Num(first))}),
+            make_state({scope: StoredExp(Num(second))}),
         )
 
     assert traces == {ladder(1, 2), ladder(2, 1)}
@@ -463,8 +462,8 @@ def test_engine_traces_bracketed_by_states():
         start = ExtConfig(singleton(initial_state_for(program)), (Pending(program.main),))
         reached = compose_bounded_ext(4, table, start)
         for config in reached:
-            assert isinstance(config.trace[0], StateAtom)
-            assert isinstance(config.trace[-1], StateAtom)
+            assert isinstance(config.trace[0], State)
+            assert isinstance(config.trace[-1], State)
 
 
 def test_negative_bound_is_a_policy_error():

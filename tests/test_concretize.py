@@ -15,7 +15,6 @@ from lagc.trace import (
     CondTrace,
     EventAtom,
     EventKind,
-    StateAtom,
     is_concrete_trace,
     trace_symbolic_vars,
 )
@@ -73,9 +72,9 @@ def test_is_conc_map_trace():
 def test_concretize_trace_examples():
     assert concretize_trace(RHO_Y2, ()) == ()
     expected = (
-        StateAtom(SIGMA2),
+        SIGMA2,
         EventAtom(EventKind.INPUT, ()),
-        StateAtom(SIGMA2),
+        SIGMA2,
     )
     assert concretize_cond_trace(RHO_Y2, PI1) == CondTrace(frozenset(), expected)
 

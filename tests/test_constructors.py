@@ -15,7 +15,7 @@ from lagc import localeval
 from lagc.localeval import DONE, ContTrace, Pending
 from lagc.state import State, make_state, update
 from lagc.syntax import Assign, Node, Num, STAR, Skip, StoredExp, Var, holding_nodes
-from lagc.trace import CondTrace, StateAtom, cond_trace, singleton
+from lagc.trace import CondTrace, cond_trace, singleton
 
 from gens import rand_concrete_state, rand_state
 
@@ -52,7 +52,7 @@ def _memo_slots(cls) -> list:
 
 def test_every_node_class_is_covered():
     names = {cls.__name__ for cls in _CLASSES}
-    assert {"Num", "ABin", "Rel", "If", "While", "Method", "StateAtom", "Cell", "Par"} <= names
+    assert {"Num", "ABin", "Rel", "If", "While", "Method", "EventAtom", "Cell", "Par"} <= names
     assert {"Star", "Skip", "Done"} <= names
     assert {len(cls._fields) for cls in _CLASSES} == {0, 1, 2, 3}
 
@@ -140,7 +140,7 @@ def test_cond_trace_is_a_pair():
     pc, steps = frozenset({Var("b")}), singleton(sigma)
     cond = CondTrace(pc, steps)
     assert cond.pc is pc and cond.trace is steps and tuple(cond) == (pc, steps)
-    same = cond_trace((frozenset({Var("b")}), (StateAtom(sigma),)))
+    same = cond_trace((frozenset({Var("b")}), (sigma,)))
     assert type(same) is CondTrace and same == cond and hash(same) == hash(cond)
     assert cond != CondTrace(frozenset(), steps)
     assert repr(cond) == f"CondTrace(pc={pc!r}, trace={steps!r})"

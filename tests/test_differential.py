@@ -91,7 +91,7 @@ def _rand_concurrent(rng, size: int, names: tuple, counters: list):
 def _stores(traces) -> frozenset:
     """Each trace as a tuple of states, each state as its sorted (name, integer) pairs."""
     return frozenset(
-        tuple(tuple((name, value.arith.value) for name, value in atom.state.entries) for atom in t)
+        tuple(tuple((name, value.arith.value) for name, value in atom.entries) for atom in t)
         for t in traces
     )
 

@@ -207,7 +207,7 @@ def test_a_wl_run_keeps_the_history_of_its_start():
         (bounded,) = compose.compose_bounded_wl(2, WlConfig(start, Pending(stmt)))
         assert bounded.marker is DONE and len(bounded.trace) == len(start) + 2
         assert bounded.trace[: len(start)] == start
-        assert [atom.state.lookup("x") for atom in bounded.trace[-2:]] == [
+        assert [atom.lookup("x") for atom in bounded.trace[-2:]] == [
             StoredExp(Num(1)),
             StoredExp(Num(2)),
         ]

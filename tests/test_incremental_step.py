@@ -32,7 +32,7 @@ from lagc.syntax import (
     seq_spine,
     substitute,
 )
-from lagc.trace import EventAtom, EventKind, StateAtom
+from lagc.trace import EventAtom, EventKind
 
 from gens import (
     NAMES,
@@ -120,7 +120,7 @@ def test_concrete_prefixes_share_their_states():
     rng = random.Random(501)
     shared = rebuilt = 0
     for stmt in _programs(rng, 300):
-        trace = _prefix(rng, symbolic=False) + (StateAtom(rand_concrete_state(rng)),)
+        trace = _prefix(rng, symbolic=False) + (rand_concrete_state(rng),)
         result = _compare(trace, stmt)
         if not isinstance(result, frozenset):
             continue
@@ -149,7 +149,7 @@ def test_symbolic_last_state_matches_reference():
         # a last state that is not concrete but has no symbolic variable
         # makes concretization raise, so it must not be skipped either
         last = _unwellformed_state(rng) if i % 3 == 0 else rand_state(rng)
-        trace = _prefix(rng, symbolic=False) + (StateAtom(last),)
+        trace = _prefix(rng, symbolic=False) + (last,)
         _compare(trace, stmt)
 
 
@@ -157,7 +157,7 @@ def test_symbolic_prefix_is_still_concretized():
     rng = random.Random(503)
     concretized = 0
     for stmt in _programs(rng, 300):
-        trace = _prefix(rng, symbolic=True) + (StateAtom(rand_concrete_state(rng)),)
+        trace = _prefix(rng, symbolic=True) + (rand_concrete_state(rng),)
         result = _compare(trace, stmt)
         if isinstance(result, frozenset):
             concretized += sum(succ.trace[: len(trace) - 1] != trace[:-1] for succ in result)
@@ -190,7 +190,7 @@ def _balanced(trace) -> bool:
 
 
 def _expected_reactions(table, config) -> frozenset:
-    trace, sigma = config.trace, config.trace[-1].state
+    trace, sigma = config.trace, config.trace[-1]
     params = {
         atom.args[1]
         for atom in trace
@@ -200,13 +200,13 @@ def _expected_reactions(table, config) -> frozenset:
     for method in table:
         for value in params:
             event = EventAtom(EventKind.REACT, (MethodRef(method.name), value))
-            candidate = trace[:-1] + (StateAtom(sigma), event, StateAtom(sigma))
+            candidate = trace[:-1] + (sigma, event, sigma)
             if not _balanced(candidate):
                 continue
             fresh = "$" + method.name + "::Param"
             while fresh in domain(sigma):
                 fresh = "c" + fresh
-            bound = StateAtom(update(sigma, fresh, StoredExp(value.arith)))
+            bound = update(sigma, fresh, StoredExp(value.arith))
             body = Pending(substitute(method.body, method.formal, fresh))
             out.add(compose.ExtConfig(candidate + (bound,), config.markers + (body,)))
     return frozenset(out)
@@ -214,7 +214,7 @@ def _expected_reactions(table, config) -> frozenset:
 
 def _events_trace(rng, events) -> tuple:
     """Concrete states with one event between each pair of equal neighbours."""
-    atoms = [StateAtom(rand_concrete_state(rng))]
+    atoms = [rand_concrete_state(rng)]
     for event in events:
         atoms += [event, atoms[-1]]
     return tuple(atoms)
@@ -268,10 +268,10 @@ def test_reactions_from_a_symbolic_start_match_reference():
     symbolic = 0
     for _ in range(150):
         events = [_invoke(rng.choice(ARGS[:4])) for _ in range(rng.randint(1, 3))]
-        atoms = [StateAtom(rand_state(rng))]
+        atoms = [rand_state(rng)]
         for event in events:
             atoms += [event, atoms[-1]]
-        trace = (*atoms, StateAtom(rand_state(rng)))
+        trace = (*atoms, rand_state(rng))
         stmt = rand_ext_stmt(rng, rng.randint(1, 3))
         start = compose.ExtConfig(trace, (Pending(stmt),))
         ref_start = ref.ExtConfig(trace, (ref.Pending(stmt),))

@@ -1,7 +1,8 @@
 """Hash-consed syntax nodes: one object per value, dropped when nothing holds it.
 
 Equal nodes are the same object however they were built, so equality is
-identity; states and trace atoms are nodes too.  The table of nodes holds
+identity; states and events are nodes too, and a state is its own trace
+atom.  The table of nodes holds
 them weakly, so a node nobody refers to leaves it and repeated runs do not
 grow it.  Inside a ``holding_nodes`` block new nodes go to the block's
 arena instead, with no weak reference, and the ones still held when the
@@ -23,7 +24,7 @@ from lagc.compose import ComposePolicy
 from lagc.concretize import apply_conc_state
 from lagc.localeval import Pending, step, valuate
 from lagc.parser import parse_program
-from lagc.state import initial_state, make_state, update
+from lagc.state import State, initial_state, make_state, update
 from lagc.syntax import (
     ABin,
     ArithExp,
@@ -46,7 +47,7 @@ from lagc.syntax import (
     holding_nodes,
     substitute,
 )
-from lagc.trace import EventAtom, EventKind, StateAtom, gen_event
+from lagc.trace import EventAtom, EventKind, gen_event, singleton
 
 from gens import rand_concrete_trace, rand_ext_stmt, rand_state, rand_trace, rand_wl_stmt
 
@@ -92,7 +93,7 @@ def test_equal_states_built_separately_are_one_object():
     zero = StoredExp(Num(0))
     assert initial_state(["y", "x", "y"]) is make_state({"x": zero, "y": zero})
     assert sigma.lookup("x") is one and "y" in sigma and len(sigma) == 2
-    assert StateAtom(sigma) is StateAtom(make_state({"y": STAR, "x": one}))
+    assert sigma is make_state({"y": STAR, "x": one})
 
 
 def test_equal_event_atoms_are_one_object():
@@ -102,7 +103,7 @@ def test_equal_event_atoms_are_one_object():
     second = gen_event(EventKind.INVOKE, make_state({"x": StoredExp(Num(3))}), args)
     assert all(a is b for a, b in zip(first, second))
     assert first[1] is EventAtom(EventKind.INVOKE, (MethodRef("m"), ArithExp(Num(3))))
-    assert first[0] is first[2] is StateAtom(sigma)
+    assert first[0] is first[2] is sigma
     assert gen_event(EventKind.REACT, sigma, args)[1] is not first[1]
 
 
@@ -122,10 +123,10 @@ def test_a_state_nothing_holds_leaves_the_table():
     gc.collect()
     before = len(syntax._interned)
     sigma = make_state({"only_here": STAR})
-    atom = StateAtom(sigma)
-    assert len(syntax._interned) == before + 2
+    # a state is its own trace atom, so it adds one entry and no wrapper
+    assert len(syntax._interned) == before + 1
     gone = weakref.ref(sigma)
-    del sigma, atom
+    del sigma
     gc.collect()
     assert gone() is None
     assert len(syntax._interned) == before
@@ -256,6 +257,45 @@ def test_a_loop_marker_and_its_body_marker_are_freed():
     assert len(syntax._interned) == before
 
 
+def test_a_wl_step_adds_only_the_nodes_of_its_new_value_and_state():
+    with holding_nodes():
+        arena = syntax._arena
+        increment = Assign("w", ABin(Var("w"), ArithOp.ADD, Num(1)))
+        loop = While(Rel(Var("w"), RelOp.LEQ, Num(7_000_005)), increment)
+        marker = Pending(loop)
+        # the body's marker, which the first test of the loop would build
+        Pending(increment, marker)
+        sigma = make_state({"w": StoredExp(Num(7_000_006))})
+        before = len(arena)
+        # a loop test builds nothing: each branch's trace is the state itself
+        steps = step(marker, sigma, "wl", 100)
+        assert [trace for _, trace, _ in steps] == [(sigma,), (sigma,)]
+        assert len(arena) == before
+        ((_, trace, _),) = step(steps[0][2], sigma, "wl", 100)
+        # an assignment of a fresh value builds the Num, its StoredExp
+        # and the new state, which is its own trace atom
+        assert len(arena) == before + 3
+        assert trace == (sigma, make_state({"w": StoredExp(Num(7_000_007))}))
+        assert trace[1] is list(arena.values())[-1]
+
+
+def test_a_singleton_trace_is_the_state_itself():
+    rng = random.Random(29)
+    for _ in range(50):
+        sigma = rand_state(rng)
+        assert singleton(sigma) == (sigma,)
+
+
+def test_canon_key_ranks_every_event_before_every_state():
+    # ``render._atom_ranks`` and the canonical order of traces rely on it
+    rng = random.Random(30)
+    atoms = {atom for _ in range(100) for atom in rand_trace(rng)}
+    events = [atom for atom in atoms if isinstance(atom, EventAtom)]
+    states = [atom for atom in atoms if isinstance(atom, State)]
+    assert events and states and len(events) + len(states) == len(atoms)
+    assert max(map(canon_key, events)) < min(map(canon_key, states))
+
+
 def test_nested_blocks_share_one_arena():
     assert syntax._arena is None
     with holding_nodes():
@@ -299,7 +339,7 @@ def test_canon_key_matches_the_recursive_definition():
         values.append(Program((Method("m0", "v", rand_ext_stmt(rng, 3)),), stmt))
         trace = rand_trace(rng)
         values += [rand_state(rng), trace, *trace, frozenset(rand_trace(rng))]
-        values += [rand_concrete_trace(rng), *gen_event(EventKind.INPUT, trace[-1].state, ())]
+        values += [rand_concrete_trace(rng), *gen_event(EventKind.INPUT, trace[-1], ())]
     for value in values:
         assert canon_key(value) == _reference_key(value), value
     assert sorted(values, key=canon_key) == sorted(values, key=_reference_key)

@@ -34,7 +34,7 @@ from lagc.syntax import (
     While,
     holding_nodes,
 )
-from lagc.trace import CondTrace, EventAtom, EventKind, StateAtom, singleton
+from lagc.trace import CondTrace, EventAtom, EventKind, singleton
 from lagc.syntax import free_vars
 
 from gens import rand_bexp, rand_concrete_state, rand_state, rand_wl_stmt
@@ -67,7 +67,7 @@ def test_valuate_assign():
     expected = ContTrace(
         CondTrace(
             frozenset(),
-            singleton(SIGMA1) + (StateAtom(update(SIGMA1, "x", StoredExp(Num(2)))),),
+            singleton(SIGMA1) + (update(SIGMA1, "x", StoredExp(Num(2))),),
         ),
         DONE,
     )
@@ -119,8 +119,8 @@ def test_valuate_while_unfolds():
 def test_valuate_locpar():
     stmt = LocPar(Assign("x", Num(1)), Seq(Assign("x", Num(2)), Skip()))
     conts = valuate(stmt, SIGMA1, "ext")
-    one = singleton(SIGMA1) + (StateAtom(update(SIGMA1, "x", StoredExp(Num(1)))),)
-    two = singleton(SIGMA1) + (StateAtom(update(SIGMA1, "x", StoredExp(Num(2)))),)
+    one = singleton(SIGMA1) + (update(SIGMA1, "x", StoredExp(Num(1))),)
+    two = singleton(SIGMA1) + (update(SIGMA1, "x", StoredExp(Num(2))),)
     assert conts == frozenset(
         {
             ContTrace(CondTrace(frozenset(), one), Pending(Seq(Assign("x", Num(2)), Skip()))),
@@ -137,7 +137,7 @@ def test_valuate_scope():
     cont = _single(valuate(stmt, SIGMA1, "ext"))
     fresh = "$x::Scope"
     assert cont.cond.trace == singleton(SIGMA1) + (
-        StateAtom(update(SIGMA1, fresh, StoredExp(Num(0)))),
+        update(SIGMA1, fresh, StoredExp(Num(0))),
     )
     assert cont.marker == Pending(LocMem((), Assign(fresh, Num(5))))
     assert cont.cond.pc == frozenset()
@@ -153,10 +153,10 @@ def test_valuate_input():
     fresh = "$x::Input"
     rerouted = update(update(SIGMA2, fresh, STAR), "x", StoredExp(Var(fresh)))
     assert cont.cond.trace == (
-        StateAtom(SIGMA2),
-        StateAtom(rerouted),
+        SIGMA2,
+        rerouted,
         EventAtom(EventKind.INPUT, (ArithExp(Var(fresh)),)),
-        StateAtom(rerouted),
+        rerouted,
     )
     assert cont.marker == DONE
     assert cont.cond.pc == frozenset()
@@ -172,9 +172,9 @@ def test_valuate_guard_has_no_false_branch():
 def test_valuate_call():
     cont = _single(valuate(Call("foo", Var("x")), SIGMA2, "ext"))
     assert cont.cond.trace == (
-        StateAtom(SIGMA2),
+        SIGMA2,
         EventAtom(EventKind.INVOKE, (MethodRef("foo"), ArithExp(Num(8)))),
-        StateAtom(SIGMA2),
+        SIGMA2,
     )
     assert cont.marker == DONE
 
@@ -213,7 +213,7 @@ def test_valuate_traces_start_at_sigma():
         conts = valuate(stmt, sigma, "wl")
         assert 0 < len(conts) <= 2
         for cont in conts:
-            assert cont.cond.trace[0] == StateAtom(sigma)
+            assert cont.cond.trace[0] == sigma
             assert not any(
                 isinstance(atom, EventAtom) for atom in cont.cond.trace
             )
@@ -237,7 +237,7 @@ def test_a_step_continues_with_the_rest_of_the_marker_itself():
     while marker is not DONE:
         (cont,) = valuate(marker, sigma, "ext")
         assert cont.marker is marker.rest
-        sigma, marker = cont.cond.trace[-1].state, marker.rest
+        sigma, marker = cont.cond.trace[-1], marker.rest
         steps += 1
     assert steps == 1000
 
@@ -259,7 +259,7 @@ def test_a_test_marker_flattens_its_body_once(monkeypatch):
     ).main
     with holding_nodes():
         (trace,) = traces_wl(stmt, initial_state(["c", "d", "x", "y"]))
-    assert trace[-1].state.lookup("y") == StoredExp(Num(84))
+    assert trace[-1].lookup("y") == StoredExp(Num(84))
     # the body of the outer loop, of the inner loop and of the ``if``
     assert len(spines) == len(set(map(id, spines))) == 3
 

@@ -31,7 +31,6 @@ from lagc.state import State, is_concrete_state, star_names, symbolic_vars
 from lagc.syntax import Num, Program, Star, StoredExp, holding_nodes
 from lagc.trace import (
     EventAtom,
-    StateAtom,
     is_concrete_trace,
     is_consistent,
     last_state,
@@ -177,8 +176,8 @@ def _min_conc_map_state(sigma, numeral):
 def _min_conc_map_trace(trace, numeral):
     merged = {}
     for atom in trace:
-        if isinstance(atom, StateAtom):
-            merged.update(_min_conc_map_state(atom.state, numeral).as_dict())
+        if isinstance(atom, State):
+            merged.update(_min_conc_map_state(atom, numeral).as_dict())
     return State(tuple(merged.items()))
 
 
@@ -190,8 +189,8 @@ def _apply_conc_state(rho, sigma):
 
 def _concretize_trace(rho, trace):
     return tuple(
-        StateAtom(_apply_conc_state(rho, atom.state))
-        if isinstance(atom, StateAtom)
+        _apply_conc_state(rho, atom)
+        if isinstance(atom, State)
         else EventAtom(atom.kind, eval_exp_list(atom.args, rho))
         for atom in trace
     )

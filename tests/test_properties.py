@@ -17,7 +17,7 @@ from lagc.compose import (
 from lagc.concretize import min_conc_map_trace
 from lagc.evaluate import eval_arith, eval_bool, eval_exp, eval_sexp, is_concrete
 from lagc.localeval import Pending, cont_append, parallel
-from lagc.state import domain, initial_state
+from lagc.state import State, domain, initial_state
 from lagc.syntax import (
     ArithExp,
     BoolExp,
@@ -34,7 +34,6 @@ from lagc.syntax import (
     occurrences,
 )
 from lagc.trace import (
-    StateAtom,
     concat,
     is_concrete_trace,
     trace_symbolic_vars,
@@ -107,7 +106,7 @@ def test_seq_successors_factor_through_first_statement():
         first = rand_wl_stmt(rng, rng.randint(1, 4))
         second = rand_wl_stmt(rng, rng.randint(1, 3))
         names = tuple(sorted(free_vars(first) | free_vars(second) | {"x"}))
-        trace = rand_trace(rng) + (StateAtom(rand_state(rng, names)),)
+        trace = rand_trace(rng) + (rand_state(rng, names),)
         config = WlConfig(trace, Pending(Seq(first, second)))
         direct = successors_wl(config)
         lifted = frozenset(
@@ -123,7 +122,7 @@ def test_locpar_successors_split_into_both_sides():
         left = rand_ext_stmt(rng, rng.randint(1, 3))
         right = rand_ext_stmt(rng, rng.randint(1, 3))
         names = tuple(sorted(free_vars(left) | free_vars(right) | {"x"}))
-        trace = rand_concrete_trace(rng) + (StateAtom(rand_concrete_state(rng, names)),)
+        trace = rand_concrete_trace(rng) + (rand_concrete_state(rng, names),)
         config = WlConfig(trace, Pending(LocPar(left, right)))
         direct = basic_successors(config)
         from_left = frozenset(
@@ -144,8 +143,8 @@ def test_composition_from_concrete_start_stays_concrete():
         program = Program(methods, rand_ext_stmt(rng, rng.randint(1, 4)))
         sigma = initial_state(occurrences(program))
         table = method_table(program.methods)
-        start = ExtConfig((StateAtom(sigma),), (Pending(program.main),))
+        start = ExtConfig((sigma,), (Pending(program.main),))
         for config in compose_bounded_ext(6, table, start):
             assert is_concrete_trace(config.trace)
-            assert isinstance(config.trace[0], StateAtom)
-            assert isinstance(config.trace[-1], StateAtom)
+            assert isinstance(config.trace[0], State)
+            assert isinstance(config.trace[-1], State)

@@ -11,9 +11,9 @@ from lagc.render import (
     render_traces,
     sorted_traces,
 )
-from lagc.state import make_state
+from lagc.state import State, make_state
 from lagc.syntax import ArithExp, MethodRef, Num, STAR, StoredExp, canon_key, tuple_key
-from lagc.trace import EventAtom, EventKind, StateAtom
+from lagc.trace import EventAtom, EventKind
 
 from gens import rand_aexp, rand_concrete_trace, rand_trace
 from samples import EXT_INPUT, SIGMA1, TAU1, WL_FACTORIAL
@@ -101,8 +101,8 @@ def _whole_payload_render(traces, fmt):
 
 
 def _atom_payload(atom):
-    if isinstance(atom, StateAtom):
-        return {"state": {name: render.pretty_sexp(value) for name, value in atom.state.entries}}
+    if isinstance(atom, State):
+        return {"state": {name: render.pretty_sexp(value) for name, value in atom.entries}}
     return {"event": {"kind": atom.kind.value, "args": [render.pretty_exp(a) for a in atom.args]}}
 
 
@@ -112,7 +112,7 @@ def _rebuilt(seed):
 
 
 def _trace_sets(rng):
-    empty_state = StateAtom(make_state({}))
+    empty_state = make_state({})
     no_args = EventAtom(EventKind.INPUT, ())
     yield frozenset()
     yield frozenset({rand_trace(rng)})
@@ -172,8 +172,8 @@ def test_render_traces_formats_each_distinct_stored_value_once(monkeypatch):
         entries = [
             value
             for atom in {atom for trace in traces for atom in trace}
-            if isinstance(atom, StateAtom)
-            for _, value in atom.state.entries
+            if isinstance(atom, State)
+            for _, value in atom.entries
         ]
         shared += len(entries) > len(set(entries))
         for fmt in ("text", "json"):
@@ -189,8 +189,8 @@ def test_sorted_traces_gives_atoms_with_equal_keys_equal_ranks(monkeypatch):
         return type(value).__name__
 
     def atom_key(atom):
-        if isinstance(atom, StateAtom):
-            return (1, tuple((name, coarse_key(value)) for name, value in atom.state.entries))
+        if isinstance(atom, State):
+            return (1, tuple((name, coarse_key(value)) for name, value in atom.entries))
         return (0, coarse_key(atom))
 
     monkeypatch.setattr(render, "canon_key", coarse_key)
@@ -225,14 +225,14 @@ def _rand_atom(rng):
         return EventAtom(kind, args)
     # names taken in order from a prefix, so entry lists are often prefixes of one another
     names = [name for name in "abcde"[: rng.randint(0, 5)] if rng.random() < 0.8]
-    return StateAtom(make_state({name: _rand_value(rng) for name in names}))
+    return make_state({name: _rand_value(rng) for name in names})
 
 
 def test_atom_ranks_order_atoms_as_canon_key_does():
     rng = random.Random(63)
     for _ in range(150):
         atoms = {_rand_atom(rng) for _ in range(rng.randint(1, 25))}
-        atoms.add(StateAtom(make_state({})))
+        atoms.add(make_state({}))
         ranks = render._atom_ranks(atoms)
         assert sorted(atoms, key=ranks.__getitem__) == sorted(atoms, key=canon_key)
         for a in atoms:

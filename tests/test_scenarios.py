@@ -4,7 +4,7 @@ from lagc.compose import initial_state_for, trace_equivalent, traces_ext, traces
 from lagc.parser import parse_program
 from lagc.state import make_state
 from lagc.syntax import If, Num, Rel, RelOp, STAR, Skip, StoredExp, Var
-from lagc.trace import EventAtom, EventKind, StateAtom, last_state
+from lagc.trace import EventAtom, EventKind, last_state
 
 
 def _run(source: str):
@@ -20,9 +20,9 @@ def test_guard_waits_for_the_other_process():
     traces = _run("co guard x == 1 then y := 2 end || x := 1 oc")
     assert traces == {
         (
-            StateAtom(_states(x=0, y=0)),
-            StateAtom(_states(x=1, y=0)),
-            StateAtom(_states(x=1, y=2)),
+            _states(x=0, y=0),
+            _states(x=1, y=0),
+            _states(x=1, y=2),
         )
     }
 

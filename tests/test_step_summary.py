@@ -5,7 +5,7 @@ state, which it extends from its parent's by the atoms it adds, and a
 graph node keeps the summary of the step that first reached it.  Here
 the carried summaries are held against a fold from scratch and against
 the definitions spelled out atom by atom, markers that share their head
-and length are checked to stay apart, and the number of ``StateAtom``
+and length are checked to stay apart, and the number of ``State``
 hashes a run makes is checked to grow about linearly with the length of
 the program.
 """
@@ -23,7 +23,7 @@ from lagc import compose, localeval, syntax
 from lagc.errors import LagcError, UnboundVariableError
 from lagc.localeval import DEFAULT_FRESH_BOUND, DONE, Pending
 from lagc.parser import parse_program
-from lagc.state import initial_state
+from lagc.state import State, initial_state
 from lagc.syntax import (
     ArithExp,
     Assign,
@@ -44,7 +44,6 @@ from lagc.trace import (
     Cell,
     EventAtom,
     EventKind,
-    StateAtom,
     Summary,
     harvest_params,
     is_concrete_trace,
@@ -159,7 +158,7 @@ def test_fold_matches_the_definitions_on_malformed_traces():
 
 def test_empty_summary_is_not_changed_by_extending_it():
     invoke = EventAtom(EventKind.INVOKE, (MethodRef("m"), ArithExp(Num(1))))
-    sigma = StateAtom(initial_state(["x"]))
+    sigma = initial_state(["x"])
     extended = EMPTY_SUMMARY.extend((sigma, invoke, sigma))
     assert extended.open_calls == {invoke.args: 1}
     assert EMPTY_SUMMARY.open_calls == {} and EMPTY_SUMMARY.params == frozenset()
@@ -267,24 +266,24 @@ def test_a_step_computes_no_canonical_key(monkeypatch):
     assert keys[0] == 0
 
 
-def _state_atom_hashes(monkeypatch, run) -> int:
+def _state_hashes(monkeypatch, run) -> int:
     calls = [0]
-    original = StateAtom.__hash__
+    original = State.__hash__
 
     def counting(self):
         calls[0] += 1
         return original(self)
 
-    monkeypatch.setattr(StateAtom, "__hash__", counting)
+    monkeypatch.setattr(State, "__hash__", counting)
     run()
-    monkeypatch.setattr(StateAtom, "__hash__", original)
+    monkeypatch.setattr(State, "__hash__", original)
     return calls[0]
 
 
 def test_wl_state_hashes_grow_linearly(monkeypatch):
     def countdown(n):
         stmt = parse_program(f"x := {n} ;; while x >= 1 do x := x - 1 od").main
-        return _state_atom_hashes(
+        return _state_hashes(
             monkeypatch, lambda: compose.traces_wl(stmt, initial_state(["x"]))
         )
 
@@ -299,7 +298,7 @@ def test_ext_state_hashes_grow_linearly(monkeypatch):
             f"program {{ method m(v){{ y := v }} main {{ {body} ;; call m(1) }} }}"
         )
         sigma = initial_state(occurrences(program))
-        return _state_atom_hashes(monkeypatch, lambda: compose.traces_ext(program, sigma))
+        return _state_hashes(monkeypatch, lambda: compose.traces_ext(program, sigma))
 
     small, large = straight_line(100), straight_line(400)
     assert large <= 5 * small, (small, large)
@@ -435,7 +434,7 @@ def test_a_symbolic_prefix_steps_to_a_folded_summary():
     seen = Counter()
     for _ in range(600):
         prefix = rand_trace(rng, max_len=6)
-        trace = prefix + (StateAtom(rand_state(rng)),)
+        trace = prefix + (rand_state(rng),)
         marker = Pending(rand_ext_stmt(rng, rng.randint(1, 5)))
         rep = (trace, (marker,), summarize(prefix))
         try:

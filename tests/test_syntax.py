@@ -1,11 +1,12 @@
 import random
+import sys
 from functools import reduce
 
 import pytest
 
 from lagc.compose import initial_state_for
 from lagc.parser import parse_program
-from lagc.state import initial_state
+from lagc.state import initial_state, make_state
 from lagc.syntax import (
     EXT_ONLY,
     STAR,
@@ -150,7 +151,7 @@ def _free_vars_items(rng):
             if isinstance(atom, EventAtom):
                 yield from atom.args
             else:
-                yield from (value for _, value in atom.state.entries)
+                yield from (value for _, value in atom.entries)
 
 
 def test_free_vars_is_the_set_of_occurrences():
@@ -279,3 +280,24 @@ def test_occurrences_of_a_long_sum_do_not_recurse():
     assert initial_state_for(program) == initial_state(["x"] + terms[:7])
     total = reduce(lambda left, i: ABin(left, ArithOp.ADD, Num(i)), range(5000), Var("y"))
     assert occurrences(LocMem(("y",), Assign("x", total))) == ["x"]
+
+
+# 5001 digits, past Python's default cap of 4300 on int/str conversion
+_HUGE_DIGITS = "1" + "0" * 5000
+
+
+def _cap():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+def test_repr_of_a_huge_numeral_prints_every_digit():
+    cap = _cap()
+    assert repr(Num(10**5000)) == f"Num(value={_HUGE_DIGITS})"
+    assert _cap() == cap
+
+
+def test_repr_of_a_state_holding_a_huge_numeral_prints_every_digit():
+    cap = _cap()
+    sigma = make_state({"x": StoredExp(Num(10**5000))})
+    assert repr(sigma) == f"State(entries=(('x', StoredExp(arith=Num(value={_HUGE_DIGITS}))),))"
+    assert _cap() == cap

@@ -3,13 +3,12 @@ import random
 import pytest
 
 from lagc.errors import UndefinedTraceOpError
-from lagc.state import EMPTY_STATE, is_wellformed_state
+from lagc.state import EMPTY_STATE, State, is_wellformed_state
 from lagc.syntax import ArithExp, BoolLit, MethodRef, Num, Rel, RelOp, Var
 from lagc.trace import (
     CondTrace,
     EventAtom,
     EventKind,
-    StateAtom,
     concat,
     count_atom,
     first_state,
@@ -35,8 +34,8 @@ def test_concat():
     assert concat(TAU1, ()) == TAU1
     assert concat((), TAU1) == TAU1
     assert concat(singleton(SIGMA1), singleton(SIGMA2)) == (
-        StateAtom(SIGMA1),
-        StateAtom(SIGMA2),
+        SIGMA1,
+        SIGMA2,
     )
 
 
@@ -55,7 +54,7 @@ def test_first_and_last_state():
     with pytest.raises(UndefinedTraceOpError):
         first_state(())
     with pytest.raises(UndefinedTraceOpError):
-        first_state((EventAtom(EventKind.INPUT, ()), StateAtom(SIGMA1)))
+        first_state((EventAtom(EventKind.INPUT, ()), SIGMA1))
 
 
 def test_semantic_chop():
@@ -66,10 +65,10 @@ def test_semantic_chop():
     assert combined == CondTrace(
         frozenset({BoolLit(False)}),
         (
-            StateAtom(SIGMA1),
+            SIGMA1,
             EventAtom(EventKind.INPUT, ()),
-            StateAtom(SIGMA2),
-            StateAtom(EMPTY_STATE),
+            SIGMA2,
+            EMPTY_STATE,
         ),
     )
 
@@ -78,24 +77,24 @@ def test_chop_after_state_is_concat():
     rng = random.Random(32)
     for _ in range(100):
         left, right = rand_trace(rng), rand_trace(rng)
-        assert semantic_chop(left + (StateAtom(SIGMA2),), right) == concat(left, right)
+        assert semantic_chop(left + (SIGMA2,), right) == concat(left, right)
 
 
 def test_gen_event():
     trace = gen_event(EventKind.INPUT, EMPTY_STATE, ())
     assert trace == (
-        StateAtom(EMPTY_STATE),
+        EMPTY_STATE,
         EventAtom(EventKind.INPUT, ()),
-        StateAtom(EMPTY_STATE),
+        EMPTY_STATE,
     )
     assert first_state(trace) == last_state(trace)
     invoked = gen_event(
         EventKind.INVOKE, SIGMA2, (MethodRef("foo"), ArithExp(Var("x")))
     )
     assert invoked == (
-        StateAtom(SIGMA2),
+        SIGMA2,
         EventAtom(EventKind.INVOKE, (MethodRef("foo"), ArithExp(Num(8)))),
-        StateAtom(SIGMA2),
+        SIGMA2,
     )
 
 
@@ -141,9 +140,9 @@ def test_concrete_traces_have_no_symbolic_vars():
         if is_concrete_trace(trace):
             assert trace_symbolic_vars(trace) == frozenset()
             assert all(
-                is_wellformed_state(atom.state)
+                is_wellformed_state(atom)
                 for atom in trace
-                if isinstance(atom, StateAtom)
+                if isinstance(atom, State)
             )
 
 
@@ -157,8 +156,8 @@ def test_gen_event_from_concrete_state_is_concrete():
 
 
 def test_count_atom():
-    assert count_atom((), StateAtom(SIGMA1)) == 0
-    assert count_atom(TAU1, StateAtom(SIGMA1)) == 2
+    assert count_atom((), SIGMA1) == 0
+    assert count_atom(TAU1, SIGMA1) == 2
     assert count_atom(TAU1, EventAtom(EventKind.INVOKE, ())) == 0
 
 

@@ -113,12 +113,13 @@ replayed and compared.
 
 Five caches keep the ext engine from computing the same thing twice in
 one command.  A local step is memoized per ``(marker, state, fresh_bound,
-conc_numeral)``: ``step``, the minimal mapping of each local trace,
-the consistency check and the choice between keeping a local trace and
-concretizing it run once per key, and only making the records of the
-kept local traces is done per node.  A state
-keeps, once asked, whether it is concrete and which names it maps to
-``*`` (see ``lagc.state``).  Concretizing is memoized per ``(rho,
+conc_numeral)``: ``step``, the consistency check and the choice between
+keeping a local trace and concretizing it run once per key, and only
+making the records of the kept local traces is done per node.  A
+concrete local trace is judged by its path condition directly and
+builds no mapping; only a symbolic one computes its minimal mapping.  A
+state keeps, once asked, whether it is concrete and which names it maps
+to ``*`` (see ``lagc.state``).  Concretizing is memoized per ``(rho,
 atom)`` and per ``(rho, cell)``, shared by the steps that concretize a
 whole trace and by the replay of their edges.  A reaction renames its
 method's body once per ``(method, fresh name)``.  The step, body and
@@ -131,7 +132,6 @@ outlives the block.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from contextlib import contextmanager
 from functools import cache, partial
 from typing import NamedTuple
@@ -314,22 +314,14 @@ def _pending(trace: Trace, marker: Marker) -> State:
     return last_state(trace)
 
 
-def _expand_all(items, expand) -> list:
-    """``(item, expand(item))`` for every item, a graph node or a marker, in order.
+def _least(errors: list) -> LagcError:
+    """The least of ``errors`` by type name and message.
 
-    Every item is expanded even after one of them fails; then the least
-    error by type name and message is raised, so which error a run reports
-    does not depend on the order in which the items are iterated.
+    Every marker of a node, and every node of a layer, is expanded even
+    after one of them fails, and then this error is raised, so which error
+    a run reports does not depend on the order in which they are iterated.
     """
-    results, errors = [], []
-    for item in items:
-        try:
-            results.append((item, expand(item)))
-        except LagcError as exc:
-            errors.append(exc)
-    if errors:
-        raise min(errors, key=lambda exc: (type(exc).__name__, str(exc)))
-    return results
+    return min(errors, key=lambda exc: (type(exc).__name__, str(exc)))
 
 
 def _divergence(policy: ComposePolicy) -> DivergenceLimitError:
@@ -468,14 +460,17 @@ def _local_steps(marker: Pending, sigma: State, fresh_bound: int, conc_numeral: 
     """The local steps of ``marker`` in ``sigma`` whose path condition is consistent.
 
     Each is ``(local, next marker, added, rho)``, made from a triple of
-    ``step``, in the order ``step`` lists them.  The path condition is
-    judged after simplification under the local trace's minimal mapping.
-    A concrete local trace is kept as it is: ``added`` is ``local[1:]``
-    and ``rho`` is ``None``.  Any other is concretized under that
-    mapping, ``rho``, and ``added`` is the whole concretized local trace,
+    ``step``, in the order ``step`` lists them.  A concrete local trace is
+    kept as it is, judged by its path condition directly: ``added`` is
+    ``local[1:]`` and ``rho`` is ``None``.  Its minimal mapping is empty
+    and would change nothing: the trace starts with the state it ran in,
+    so that state is concrete and every test evaluated in it is a literal.
+    Only a symbolic local trace computes its minimal mapping, ``rho``,
+    and is judged by its path condition simplified under it; it is then
+    concretized, and ``added`` is the whole concretized local trace,
     which replaces the last state it ran in.  So whether a step
     concretizes is decided here, once per key, for every configuration
-    whose prefix is concrete; see ``_glue``.  The result is
+    whose prefix is concrete; see ``_scheduled``.  The result is
     memoized per ``(marker, sigma, fresh_bound, conc_numeral)`` in the
     command's table; an error is not, so it is raised again on every call.
     """
@@ -485,12 +480,12 @@ def _local_steps(marker: Pending, sigma: State, fresh_bound: int, conc_numeral: 
     if steps is None:
         steps = []
         for pc, local, after in step(marker, sigma, "ext", fresh_bound):
-            local_map = min_conc_map_trace(local, conc_numeral)
-            if not is_consistent(eval_bexp_set(pc, local_map)):
-                continue
             if is_concrete_trace(local):
-                steps.append((local, after, local[1:], None))
-            else:
+                if is_consistent(pc):
+                    steps.append((local, after, local[1:], None))
+                continue
+            local_map = min_conc_map_trace(local, conc_numeral)
+            if is_consistent(eval_bexp_set(pc, local_map)):
                 steps.append((local, after, _concretize(local_map, local), local_map))
         steps = table[key] = tuple(steps)
     return steps
@@ -526,41 +521,23 @@ def _concretize_cell(rho: State, cell: Cell) -> Cell:
 
 
 def _glue(
-    trace: Trace,
-    prefix: Summary,
-    sigma: State,
-    marker: Pending,
-    rest: tuple,
-    fresh_bound: int,
-    conc_numeral: int,
+    trace: Trace, sigma: State, marker: Pending, rest: tuple, fresh_bound: int, conc_numeral: int
 ) -> list:
-    """The step records of ``marker`` in ``sigma``, to glue onto ``trace``.
+    """The step records of ``marker`` in ``sigma`` after ``trace``, whose prefix is symbolic.
 
-    ``sigma`` is the last state of ``trace``, ``prefix`` the summary of
-    the trace without it and ``rest`` the other markers.  A record is
-    ``(added, markers, summary of the glued trace without its last state,
-    rho)``; the glued trace is ``_glued(trace, rho, added)``.
-
-    A concrete prefix maps no name to ``*``, so the glued trace's minimal
-    mapping is the local trace's, and ``_local_steps`` has already decided
-    whether to concretize.  Concretizing a concrete prefix only adds
-    ρ's names to its states and changes no event argument, so the summary
-    is ``prefix`` extended by ``added`` before its last state, and nothing
-    of ``trace`` is read but its last state.  Only a configuration built
-    by hand from a trace can have a symbolic prefix; then ρ is computed
-    from the whole glued trace, which may concretize earlier event
-    arguments, so the summary is folded afresh from the concretized
-    trace, which is concrete.
+    ``sigma`` is the last state of ``trace`` and ``rest`` the other
+    markers.  Only a configuration built by hand from a trace can have a
+    symbolic prefix.  Then each local trace is glued on whole: ρ is the
+    minimal mapping of the whole glued trace, which may concretize earlier
+    event arguments, so the summary is folded afresh from the concretized
+    trace, which is concrete.  Whether a local step is kept is still
+    judged by ``_local_steps`` on the local trace alone: a concrete one by
+    its path condition directly, a symbolic one by its path condition
+    simplified under the local trace's minimal mapping.
     """
-    steps = _local_steps(marker, sigma, fresh_bound, conc_numeral)
-    if prefix.concrete:
-        return [
-            (added, rest + (after,), prefix.extend(added[:-1]), rho)
-            for _, after, added, rho in steps
-        ]
     before = trace[:-1]
     out = []
-    for local, after, _, _ in steps:
+    for local, after, _, _ in _local_steps(marker, sigma, fresh_bound, conc_numeral):
         rho = min_conc_map_trace(before + local, conc_numeral)
         added = _concretize(rho, local)
         out.append((added, rest + (after,), summarize(_concretize(rho, before) + added[:-1]), rho))
@@ -570,22 +547,42 @@ def _glue(
 def _scheduled(rep: tuple, fresh_bound: int, conc_numeral: int) -> list:
     """The records of scheduling one marker of ``rep``, a ``(trace, markers, prefix)``.
 
+    A record is ``(added, markers, summary of the glued trace without its
+    last state, rho)``; the glued trace is ``_glued(trace, rho, added)``.
     The scheduled marker's continuation takes its place at the end of the
-    markers.  Every distinct pending marker is stepped, in the order of
-    the markers, even after one of them fails; then the least error is
-    raised, so the error does not depend on the order in which they are
-    listed.
+    markers.  Each distinct pending marker is stepped once, at its first
+    occurrence, in the order of the markers, even after one of them
+    fails; then the least error is raised (``_least``), so the error does
+    not depend on the order in which they are listed.
+
+    For a concrete prefix the records are built in this loop.  A concrete
+    prefix maps no name to ``*``, so the glued trace's minimal mapping is
+    the local trace's, and ``_local_steps`` has already kept a concrete
+    local trace as it is, judged by its path condition directly, or
+    concretized a symbolic one.  Concretizing a concrete prefix only adds
+    ρ's names to its states and changes no event argument, so the summary
+    is ``prefix`` extended by ``added`` before its last state, and nothing
+    of ``trace`` is read but its last state.  A symbolic prefix is left to
+    ``_glue``.
     """
     trace, markers, prefix = rep
     sigma = last_state(trace)
-
-    def glue(marker: Pending) -> list:
-        i = markers.index(marker)
+    out, errors = [], []
+    for i, marker in enumerate(markers):
+        if not isinstance(marker, Pending) or marker in markers[:i]:
+            continue
         rest = markers[:i] + markers[i + 1 :]
-        return _glue(trace, prefix, sigma, marker, rest, fresh_bound, conc_numeral)
-
-    pending = [m for m in dict.fromkeys(markers) if isinstance(m, Pending)]
-    return [record for _, records in _expand_all(pending, glue) for record in records]
+        try:
+            if not prefix.concrete:
+                out += _glue(trace, sigma, marker, rest, fresh_bound, conc_numeral)
+                continue
+            for _, after, added, rho in _local_steps(marker, sigma, fresh_bound, conc_numeral):
+                out.append((added, rest + (after,), prefix.extend(added[:-1]), rho))
+        except LagcError as exc:
+            errors.append(exc)
+    if errors:
+        raise _least(errors)
+    return out
 
 
 def _reactions(table, rep: tuple, fresh_bound: int) -> list:
@@ -660,7 +657,7 @@ def basic_successors(
     """One step of a single process, with composition-time concretization.
 
     That is ``successors1`` of the configuration with ``config``'s marker
-    as its only one; see ``_glue``.
+    as its only one; see ``_scheduled``.
     """
     _pending(*config)
     succs = successors1(ExtConfig(config.trace, (config.marker,)), fresh_bound, conc_numeral)
@@ -739,8 +736,12 @@ def _graph(
     which are left unexpanded.  A layer is expanded in the order its nodes
     were first reached, and a node's records in the order ``_records``
     lists them, so which step represents a node does not depend on
-    identity hashes.  The least error of the shallowest failing layer is
-    raised.
+    identity hashes.  Each node of a layer not yet expanded is expanded by
+    one call of ``_records``, even after another node fails; the least
+    error (``_least``) is raised once the layer is done, so the least
+    error of the shallowest failing layer wins.  A scheduled step of a
+    concrete local trace is judged by its path condition directly and
+    builds no mapping (see ``_local_steps``).
 
     ``nodes`` is a node table, by future key, that an earlier call with
     the same methods and settings filled.  A node's successors depend only
@@ -750,12 +751,6 @@ def _graph(
     """
     if depth < 0:
         raise PolicyError("bound must be at least 0")
-
-    def expand(node: _Node):
-        if node.edges is not None:
-            return None
-        return _records(table, node.rep, fresh_bound, conc_numeral)
-
     walk = object()
     nodes = {} if nodes is None else nodes
     rep = _rep(start)
@@ -765,30 +760,38 @@ def _graph(
     for _ in range(depth):
         if not layer:
             break
-        found = []
-        for node, records in _expand_all(layer, expand):
-            if records is None:
-                for target, _, _ in node.edges:
-                    if target.walk is not walk:
+        found, errors = [], []
+        for node in layer:
+            edges = node.edges
+            if edges is None:
+                try:
+                    records = _records(table, node.rep, fresh_bound, conc_numeral)
+                except LagcError as exc:
+                    errors.append(exc)
+                    continue
+                node.edges = edges = []
+                trace = node.rep[0]
+                for added, markers, summary, rho in records:
+                    if summary.concrete:
+                        after = added[-1:] or trace[-1:]
+                    else:
+                        after = _glued(trace, rho, added)
+                    key = _future_key(after, markers, summary)
+                    target = nodes.get(key)
+                    if target is None:
+                        target = nodes[key] = _Node((after, markers, summary), walk)
+                        found.append(target)
+                    elif target.walk is not walk:
                         target.walk = walk
                         found.append(target)
+                    edges.append((target, rho, added))
                 continue
-            node.edges = edges = []
-            trace = node.rep[0]
-            for added, markers, summary, rho in records:
-                if summary.concrete:
-                    after = added[-1:] or trace[-1:]
-                else:
-                    after = _glued(trace, rho, added)
-                key = _future_key(after, markers, summary)
-                target = nodes.get(key)
-                if target is None:
-                    target = nodes[key] = _Node((after, markers, summary), walk)
-                    found.append(target)
-                elif target.walk is not walk:
+            for target, _, _ in edges:
+                if target.walk is not walk:
                     target.walk = walk
                     found.append(target)
-                edges.append((target, rho, added))
+        if errors:
+            raise _least(errors)
         reached += found
         layer = found
     return reached, layer
@@ -799,7 +802,10 @@ def _longest_path(nodes: list) -> float:
 
     Every node must be expanded and reachable from the first one.
     """
-    indegree = Counter(target for node in nodes for target, _, _ in node.edges)
+    indegree = dict.fromkeys(nodes, 0)
+    for node in nodes:
+        for target, _, _ in node.edges:
+            indegree[target] += 1
     length = dict.fromkeys(nodes, 0)
     ready = [node for node in nodes if not indegree[node]]
     done = 0

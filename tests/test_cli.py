@@ -380,6 +380,17 @@ def test_error_does_not_depend_on_the_hash_seed(write):
     assert outcomes == {(2, "", "error: unbound variable: 'a'\n")}
 
 
+def test_the_least_error_of_a_layer_is_reported(write, capsys):
+    # the two nodes of the second layer fail on different names: the one
+    # reached by `x := 1`, which is expanded first, on 'q', the one reached
+    # by `y := 1` on 'p'; the layer is expanded whole and its least error wins
+    path = write("layer.ext", "co x := 1 ;; z := q || y := 1 ;; z := p oc")
+    assert main(["traces", path, "--state", "x=0,y=0,z=0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unbound variable: 'p'\n"
+
+
 @pytest.mark.parametrize("lang", ["wl", "ext"])
 def test_negative_bound_is_a_usage_error(write, capsys, lang):
     path = write("fact.prog", FACTORIAL)

@@ -40,7 +40,7 @@ from .evaluate import eval_arith, eval_bool
 from .parser import IDENT_RE, numeral_value, parse_expression, parse_program
 from .render import pretty_aexp, pretty_bexp, render_traces
 from .state import State, make_state
-from .syntax import ABin, Num, Program, StoredExp, Var, holding_nodes
+from .syntax import ABin, Num, Program, Var, holding_nodes
 
 
 def _add_common_flags(sub: argparse.ArgumentParser):
@@ -96,7 +96,7 @@ def parse_state_spec(spec: str) -> State:
         if not IDENT_RE.fullmatch(name):
             raise ParseError(1, 1, "a variable name", name)
         try:
-            entries.append((name, StoredExp(Num(numeral_value(value)))))
+            entries.append((name, Num(numeral_value(value))))
         except ValueError:
             raise ParseError(1, 1, "an integer value", value) from None
     return make_state(entries)

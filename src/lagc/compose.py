@@ -151,7 +151,6 @@ from .syntax import (
     MethodRef,
     Program,
     Stmt,
-    StoredExp,
     canon_key,
     language_check,
     occurrences,
@@ -619,7 +618,7 @@ def _reactions(table, rep: tuple, fresh_bound: int) -> list:
                 continue
             event = EventAtom(EventKind.REACT, args)
             fresh = fresh_name(sigma, method.name, "::Param", fresh_bound)
-            bound_state = update(sigma, fresh, StoredExp(value.arith))
+            bound_state = update(sigma, fresh, value.arith)
             body = bodies.get((method, fresh))
             if body is None:
                 body = bodies[method, fresh] = Pending(substitute(method.body, method.formal, fresh))

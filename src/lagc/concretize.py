@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .evaluate import eval_bexp_set, eval_exp_list, eval_sexp
 from .state import EMPTY_STATE, State, domain, is_concrete_state, star_names, symbolic_vars
-from .syntax import Num, StoredExp
+from .syntax import Num
 from .trace import CondTrace, EventAtom, Trace
 
 
@@ -34,7 +34,7 @@ def apply_conc_state(rho: State, sigma: State) -> State:
 
 
 def min_conc_map_state(sigma: State, numeral: int) -> State:
-    value = StoredExp(Num(numeral))
+    value = Num(numeral)
     return State(tuple((name, value) for name in star_names(sigma)))
 
 
@@ -61,7 +61,7 @@ def min_conc_map_trace(trace: Trace, numeral: int) -> State:
             names.update(star_names(atom))
     if not names:
         return EMPTY_STATE
-    value = StoredExp(Num(numeral))
+    value = Num(numeral)
     return State(tuple((name, value) for name in names))
 
 

@@ -1,9 +1,9 @@
 """Operator interpretations and expression evaluation under a symbolic state.
 
 Evaluation folds an expression as far as the state allows: variables are
-replaced by their stored expressions, and an operation collapses to a
-literal exactly when both evaluated operands are literals.  Symbolic
-variables simply stay put.
+replaced by the expressions the state maps them to, and an operation
+collapses to a literal exactly when both evaluated operands are literals.
+Symbolic variables simply stay put.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .syntax import (
     RelOp,
     SExp,
     Star,
-    StoredExp,
     TRUE,
     Var,
 )
@@ -78,8 +77,6 @@ def is_concrete(item) -> bool:
         return is_concrete(item.arith)
     if isinstance(item, BoolExp):
         return is_concrete(item.boolexp)
-    if isinstance(item, StoredExp):
-        return is_concrete(item.arith)
     return False
 
 
@@ -90,9 +87,7 @@ def eval_arith(a: AExp, sigma: State) -> AExp:
         stored = sigma.lookup(a.name)
         if stored is None:
             raise UnboundVariableError(a.name)
-        if isinstance(stored, Star):
-            return a
-        return stored.arith
+        return a if stored.__class__ is Star else stored
     left = eval_arith(a.left, sigma)
     right = eval_arith(a.right, sigma)
     if isinstance(left, Num) and isinstance(right, Num):
@@ -130,9 +125,7 @@ def eval_exp(e: Exp, sigma: State) -> Exp:
 
 
 def eval_sexp(s: SExp, sigma: State) -> SExp:
-    if isinstance(s, StoredExp):
-        return StoredExp(eval_arith(s.arith, sigma))
-    return s
+    return s if s.__class__ is Star else eval_arith(s, sigma)
 
 
 def eval_exp_list(exps, sigma: State) -> tuple:

@@ -52,7 +52,6 @@ from .syntax import (
     Seq,
     Skip,
     Stmt,
-    StoredExp,
     TRUE,
     Var,
     While,
@@ -256,8 +255,7 @@ def step(marker: Pending, sigma: State, mode: str, fresh_bound: int) -> tuple:
     if isinstance(stmt, Skip):
         trace = singleton(sigma)
     elif isinstance(stmt, Assign):
-        value = StoredExp(eval_arith(stmt.value, sigma))
-        trace = sigma, update(sigma, stmt.target, value)
+        trace = sigma, update(sigma, stmt.target, eval_arith(stmt.value, sigma))
     elif mode != "ext":
         name = "LocPar" if isinstance(stmt, Par) else type(stmt).__name__
         raise ModeError(f"{name} is not available in wl mode")
@@ -273,7 +271,7 @@ def step(marker: Pending, sigma: State, mode: str, fresh_bound: int) -> tuple:
             return step(Pending(stmt.body, rest), sigma, mode, fresh_bound)
         declared, later = stmt.decls[0], stmt.decls[1:]
         fresh = fresh_name(sigma, declared, "::Scope", fresh_bound)
-        trace = sigma, update(sigma, fresh, StoredExp(Num(0)))
+        trace = sigma, update(sigma, fresh, Num(0))
         marker = Pending(substitute(LocMem(later, stmt.body), declared, fresh), rest)
         return ((_NO_PC, trace, marker),)
     elif isinstance(stmt, Guard):
@@ -281,7 +279,7 @@ def step(marker: Pending, sigma: State, mode: str, fresh_bound: int) -> tuple:
         return ((pc, singleton(sigma), Pending(stmt.body, rest)),)
     elif isinstance(stmt, Input):
         fresh = fresh_name(sigma, stmt.target, "::Input", fresh_bound)
-        rerouted = update(update(sigma, fresh, STAR), stmt.target, StoredExp(Var(fresh)))
+        rerouted = update(update(sigma, fresh, STAR), stmt.target, Var(fresh))
         trace = singleton(sigma) + gen_event(EventKind.INPUT, rerouted, (ArithExp(Var(fresh)),))
     elif isinstance(stmt, Call):
         trace = gen_event(EventKind.INVOKE, sigma, (MethodRef(stmt.method), ArithExp(stmt.arg)))

@@ -55,7 +55,6 @@ from .syntax import (
     Var,
     While,
     check_mode,
-    language_check,
     uncapped,
 )
 
@@ -104,6 +103,11 @@ _LITERALS = {"true": TRUE, "false": FALSE}
 # Each statement of the shape ``kw cond middle body end``: its node class
 # and its two other keywords.
 _BLOCKS = {"if": (If, "then", "fi"), "while": (While, "do", "od"), "guard": (Guard, "then", "end")}
+# The tokens that begin a statement outside the wl subset.  Every token of
+# a parsed program has its place in the grammar, so a program holds such a
+# statement exactly when its tokens hold one of these, and the wl check of
+# a parse reads the tokens instead of walking the tree.
+_EXT_TOKENS = frozenset(("kw", text) for text in ("co", "scope", "input", "guard", "call"))
 
 
 def _error(source: str, offset: int, expected: str, found: str) -> ParseError:
@@ -371,7 +375,7 @@ def parse_program(source: str, mode: str = "ext") -> Program:
     if mode == "wl":
         if program.methods:
             raise ModeError("methods are not available in wl mode")
-        if not language_check(program.main, "wl"):
+        if not _EXT_TOKENS.isdisjoint(parser.tokens):
             raise ModeError("statement uses constructs outside the wl subset")
     return program
 

@@ -2,7 +2,9 @@
 
 ``parse_program(pretty_program(p))`` returns ``p`` for every program, and
 trace output is byte-identical across runs: states list their variables in
-sorted order and trace sets are sorted by the canonical syntax order.
+sorted order and trace sets are sorted by the canonical syntax order.  A
+state's value is an arithmetic expression, printed as one, or ``*``, and
+``*`` sorts before every expression (``syntax.value_key``).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .syntax import (
     While,
     canon_key,
     uncapped,
+    value_key,
 )
 from .trace import Trace
 
@@ -85,9 +88,7 @@ def pretty_exp(e) -> str:
 
 
 def pretty_sexp(s) -> str:
-    if isinstance(s, Star):
-        return "*"
-    return pretty_aexp(s.arith)
+    return "*" if s.__class__ is Star else pretty_aexp(s)
 
 
 def pretty_stmt(s, min_prec: int = _SEQ) -> str:
@@ -130,7 +131,7 @@ def pretty_program(p: Program) -> str:
 # Trace rendering
 
 
-# The {stored value: text} memo of the ``render_traces`` call under way, or
+# The {state value: text} memo of the ``render_traces`` call under way, or
 # None: ``render_state`` and ``_atom_json`` share it, so a call formats each
 # distinct value once.
 _texts = None
@@ -170,17 +171,18 @@ def _atom_ranks(atoms) -> dict:
     A state is its own atom.  Keys order nodes by class name first, and
     ``"EventAtom" < "State"``, so every event ranks before every state,
     and events are ranked by their keys.  A state's key compares its
-    entries in name order, each by name and then by the key of its value,
-    and a state whose entries begin another's sorts first.  So only the
-    distinct values are ranked by ``canon_key``, and a state is ranked by
-    the tuple of ``(name, value rank)`` over its entries, which orders
-    states as their keys do while comparing small integers.
+    entries in name order, each by name and then by its value's
+    ``value_key`` (``*`` before every expression), and a state whose
+    entries begin another's sorts first.  So only the distinct values are
+    ranked, by ``value_key``, and a state is ranked by the tuple of
+    ``(name, value rank)`` over its entries, which orders states as their
+    keys do while comparing small integers.
     """
     states, events = [], []
     for atom in atoms:
         (states if atom.__class__ is State else events).append(atom)
     value_rank = _dense_ranks(
-        {value for sigma in states for _, value in sigma.entries}, canon_key
+        {value for sigma in states for _, value in sigma.entries}, value_key
     )
 
     def state_key(sigma) -> tuple:
@@ -240,7 +242,7 @@ def _atom_json(atom) -> str:
 def render_traces(traces, fmt: str = "text") -> str:
     """Render a trace set; the output is byte-deterministic.
 
-    Each distinct atom is formatted once, each distinct stored value once
+    Each distinct atom is formatted once, each distinct state value once
     for all the states that hold it, and every row is joined from those
     pieces.  The JSON is what ``json.dumps(indent=2, sort_keys=True)``
     makes of ``{"traces": [[fragment, ...], ...]}``.

@@ -1,15 +1,17 @@
-"""Symbolic states: finite maps from variables to stored expressions.
+"""Symbolic states: finite maps from variables to arithmetic expressions or ``*``.
 
 States are hash-consed syntax nodes keyed by their key-value sets, so
 equal states are one object, and they iterate in sorted key order, so
 traces built from them can live in sets and be rendered deterministically.
+A value is the expression itself, with no node around it; a state orders
+its values by ``syntax.value_key``, ``*`` before every expression.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
-from .syntax import Node, Num, SExp, Star, StoredExp, free_vars
+from .syntax import Node, Num, SExp, Star, canon_key, free_vars, node_key, tuple_key, value_key
 
 _set = object.__setattr__
 
@@ -39,6 +41,13 @@ class State(Node):
             _set(state, "_map", mapping)
         return state
 
+    def _canon(self) -> tuple:
+        """The state's ``canon_key``: its entries in name order, each by name and ``value_key``."""
+        entries = tuple_key(
+            tuple_key((canon_key(name), value_key(value))) for name, value in self.entries
+        )
+        return node_key(self, (entries,))
+
     def lookup(self, variable: str) -> Optional[SExp]:
         return self._map.get(variable)
 
@@ -58,7 +67,7 @@ EMPTY_STATE = State()
 def make_state(entries: Entries) -> State:
     """Build a state from a mapping or (name, value) pairs; later pairs win.
 
-    Every value must be a ``StoredExp`` or ``*``.  The engine's own
+    Every value must be an arithmetic expression or ``*``.  The engine's own
     ``State(...)`` and ``update`` build states from values it made, and
     check nothing.
     """
@@ -66,7 +75,7 @@ def make_state(entries: Entries) -> State:
         entries = entries.items()
     entries = tuple(entries)
     for name, value in entries:
-        if not isinstance(value, (StoredExp, Star)):
+        if not isinstance(value, SExp):
             raise TypeError(f"make_state: unsupported {type(value).__name__} for {name!r}")
     return State(entries)
 
@@ -115,10 +124,7 @@ def is_concrete_state(sigma: State) -> bool:
     """Every image is a plain numeral."""
     concrete = sigma._concrete
     if concrete is None:
-        concrete = all(
-            isinstance(value, StoredExp) and isinstance(value.arith, Num)
-            for _, value in sigma.entries
-        )
+        concrete = all(value.__class__ is Num for _, value in sigma.entries)
         _set(sigma, "_concrete", concrete)
     return concrete
 
@@ -140,7 +146,7 @@ def vargen(sigma: State, n: int, bound: int, variable: str) -> str:
 
 def initial_state(variables: Iterable[str]) -> State:
     """Map each distinct variable to the numeral 0."""
-    zero = StoredExp(Num(0))
+    zero = Num(0)
     return State(tuple((name, zero) for name in dict.fromkeys(variables)))
 
 

@@ -22,7 +22,9 @@ move to the weak table and the rest are dropped.
 and multisets built from them can be canonicalized deterministically; a
 node computes its key once and keeps it.  States, events and
 continuation markers are nodes too; a state is its own trace atom, and
-an event's atom is an ``EventAtom``.
+an event's atom is an ``EventAtom``.  A state's value is an arithmetic
+expression or ``*`` itself, with no node around it, and states order
+their values by ``value_key``: ``*`` first.
 """
 
 from __future__ import annotations
@@ -106,6 +108,10 @@ class Node:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _canon(self) -> tuple:
+        """This node's ``canon_key``, which ``canon_key`` computes once and keeps."""
+        return _fields_key(self, self._fields)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={_field_repr(getattr(self, name))}" for name in self._fields)
@@ -366,13 +372,6 @@ class MethodRef(Node):
 Exp = Union[ArithExp, BoolExp, MethodRef]
 
 
-class StoredExp(Node):
-    """A state value backed by an arithmetic expression."""
-
-    __slots__ = _fields = ("arith",)
-    arith: AExp
-
-
 class Star(Node):
     """The symbolic placeholder for a value unknown until concretization."""
 
@@ -381,7 +380,8 @@ class Star(Node):
 
 STAR = Star()
 
-SExp = Union[StoredExp, Star]
+# A state value: an arithmetic expression, or ``*``.
+SExp = Union[AExp, Star]
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +497,14 @@ def canon_key(value):
     Nodes order by constructor name first, then by their fields;
     containers, named tuples among them, order element-wise.  The induced
     order is arbitrary but fixed, which is all that deterministic
-    canonicalization needs.  A node's key is computed once and kept in the
-    node.
+    canonicalization needs.  A node's key is computed once, by its
+    ``_canon``, and kept in the node.  A state keys its values by
+    ``value_key``, not by their own keys.
     """
     if isinstance(value, Node):
         key = value._key
         if key is None:
-            key = _fields_key(value, value._fields)
+            key = value._canon()
             _set(value, "_key", key)
         return key
     if isinstance(value, bool):
@@ -527,12 +528,32 @@ def canon_key(value):
 
 
 def _fields_key(value, names) -> tuple:
-    return (_KIND_NODE, type(value).__name__, tuple(canon_key(getattr(value, n)) for n in names))
+    return node_key(value, [canon_key(getattr(value, n)) for n in names])
+
+
+def node_key(node, field_keys) -> tuple:
+    """``canon_key`` of a node, given the keys of its fields in order."""
+    return (_KIND_NODE, type(node).__name__, tuple(field_keys))
 
 
 def tuple_key(element_keys) -> tuple:
     """``canon_key`` of a tuple, given the keys of its elements in order."""
     return (_KIND_TUPLE, tuple(element_keys))
+
+
+# ``value_key`` of ``*``, less than that of every arithmetic expression
+_STAR_KEY = (0,)
+
+
+def value_key(value: SExp) -> tuple:
+    """The key a state orders a value by: ``*`` first, then expressions by ``canon_key``.
+
+    This is the one rule for ordering state values, which ``State``'s key
+    and ``render``'s ranks both follow, and it fixes the order of rendered
+    trace sets.  The values' own keys, which start with the class name,
+    would put ``*`` between numerals and variables.
+    """
+    return _STAR_KEY if value.__class__ is Star else (1, canon_key(value))
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +562,8 @@ def tuple_key(element_keys) -> tuple:
 
 # Every class ``occurrences`` walks; a subclass walks as its base among them.
 _WALKED = frozenset({
-    Num, BoolLit, MethodRef, Star, Skip, Var, ABin, Rel, BBin, LocPar, Neg, ArithExp, StoredExp,
-    BoolExp, tuple, Assign, If, While, Guard, Seq, LocMem, Input, Call, Method, Program,
+    Num, BoolLit, MethodRef, Star, Skip, Var, ABin, Rel, BBin, LocPar, Neg, ArithExp, BoolExp,
+    tuple, Assign, If, While, Guard, Seq, LocMem, Input, Call, Method, Program,
 })
 
 
@@ -583,7 +604,7 @@ def occurrences(item) -> list:
             todo += (item.body, bound), (item.cond, bound)
         elif cls is Neg:
             push((item.operand, bound))
-        elif cls is ArithExp or cls is StoredExp:
+        elif cls is ArithExp:
             push((item.arith, bound))
         elif cls is BoolExp:
             push((item.boolexp, bound))
@@ -630,8 +651,6 @@ def substitute(item, old: str, new: str):
         return ArithExp(substitute(item.arith, old, new))
     if isinstance(item, BoolExp):
         return BoolExp(substitute(item.boolexp, old, new))
-    if isinstance(item, StoredExp):
-        return StoredExp(substitute(item.arith, old, new))
     if isinstance(item, tuple):
         return tuple(
             (new if element == old else element) if isinstance(element, str)

@@ -25,7 +25,6 @@ from lagc.syntax import (
     STAR,
     Seq,
     Skip,
-    StoredExp,
     Var,
     While,
 )
@@ -116,7 +115,7 @@ def rand_ext_stmt(rng: random.Random, size: int, names=NAMES):
 
 
 def rand_concrete_state(rng: random.Random, names=NAMES) -> State:
-    return make_state({name: StoredExp(Num(rng.randint(-9, 9))) for name in names})
+    return make_state({name: Num(rng.randint(-9, 9)) for name in names})
 
 
 def rand_state(rng: random.Random, names=NAMES) -> State:
@@ -127,12 +126,29 @@ def rand_state(rng: random.Random, names=NAMES) -> State:
         if name in symbolic:
             entries[name] = STAR
         elif symbolic and rng.random() < 0.3:
-            entries[name] = StoredExp(
-                ABin(Var(rng.choice(symbolic)), ArithOp.MUL, Num(rng.randint(-3, 3)))
+            entries[name] = ABin(
+                Var(rng.choice(symbolic)), ArithOp.MUL, Num(rng.randint(-3, 3))
             )
         else:
-            entries[name] = StoredExp(Num(rng.randint(-9, 9)))
+            entries[name] = Num(rng.randint(-9, 9))
     return make_state(entries)
+
+
+def rand_value(rng: random.Random, names=NAMES):
+    """A state value of any kind: ``*``, a numeral, a variable or an operation."""
+    roll = rng.random()
+    if roll < 0.25:
+        return STAR
+    if roll < 0.5:
+        return Num(rng.randint(-3, 3))
+    if roll < 0.75:
+        return Var(rng.choice(names))
+    return ABin(rand_aexp(rng, names, 1), rng.choice(list(ArithOp)), rand_aexp(rng, names, 1))
+
+
+def rand_mixed_state(rng: random.Random, names=NAMES) -> State:
+    """A state over some of ``names``, each holding any kind of value; seldom wellformed."""
+    return make_state({name: rand_value(rng, names) for name in names if rng.random() < 0.8})
 
 
 def _rand_event(rng: random.Random):
@@ -144,16 +160,19 @@ def _rand_event(rng: random.Random):
     return EventAtom(kind, args)
 
 
-def rand_trace(rng: random.Random, names=NAMES, max_len: int = 5):
-    """A trace ending with a state; events are surrounded by that state."""
-    atoms = [rand_state(rng, names)]
+def rand_trace(rng: random.Random, names=NAMES, max_len: int = 5, state=rand_state):
+    """A trace of ``state(rng, names)`` states ending with a state.
+
+    Events are surrounded by that state.
+    """
+    atoms = [state(rng, names)]
     for _ in range(rng.randint(0, max_len)):
         if rng.random() < 0.3:
             last = atoms[-1]
             atoms.append(_rand_event(rng))
             atoms.append(last)
         else:
-            atoms.append(rand_state(rng, names))
+            atoms.append(state(rng, names))
     return tuple(atoms)
 
 

@@ -39,7 +39,6 @@ from lagc.syntax import (
     Seq,
     Skip,
     Stmt,
-    StoredExp,
     Var,
     While,
     canon_key,
@@ -116,7 +115,7 @@ def valuate(stmt: Stmt, sigma: State, mode: str, fresh_bound: int = DEFAULT_FRES
     if isinstance(stmt, Skip):
         return frozenset({ContTrace(CondTrace(frozenset(), singleton(sigma)), DONE)})
     if isinstance(stmt, Assign):
-        value = StoredExp(eval_arith(stmt.value, sigma))
+        value = eval_arith(stmt.value, sigma)
         trace = singleton(sigma) + (update(sigma, stmt.target, value),)
         return frozenset({ContTrace(CondTrace(frozenset(), trace), DONE)})
     if isinstance(stmt, If):
@@ -167,12 +166,12 @@ def valuate(stmt: Stmt, sigma: State, mode: str, fresh_bound: int = DEFAULT_FRES
             return valuate(stmt.body, sigma, mode, fresh_bound)
         declared, rest = stmt.decls[0], stmt.decls[1:]
         fresh = _fresh(sigma, declared, "::Scope", fresh_bound)
-        trace = singleton(sigma) + (update(sigma, fresh, StoredExp(Num(0))),)
+        trace = singleton(sigma) + (update(sigma, fresh, Num(0)),)
         marker = Pending(substitute(LocMem(rest, stmt.body), declared, fresh))
         return frozenset({ContTrace(CondTrace(frozenset(), trace), marker)})
     if isinstance(stmt, Input):
         fresh = _fresh(sigma, stmt.target, "::Input", fresh_bound)
-        rerouted = update(update(sigma, fresh, STAR), stmt.target, StoredExp(Var(fresh)))
+        rerouted = update(update(sigma, fresh, STAR), stmt.target, Var(fresh))
         trace = singleton(sigma) + gen_event(
             EventKind.INPUT, rerouted, (ArithExp(Var(fresh)),)
         )
@@ -374,7 +373,7 @@ def successors2(table, config: ExtConfig, fresh_bound: int = DEFAULT_FRESH_BOUND
             fresh = vargen(sigma, 0, fresh_bound, "$" + method.name + "::Param")
             if fresh.startswith(BOUND_EXCEEDED_PREFIX):
                 raise FreshBoundExceededError(fresh)
-            bound_state = update(sigma, fresh, StoredExp(value.arith))
+            bound_state = update(sigma, fresh, value.arith)
             body = substitute(method.body, method.formal, fresh)
             out.add(
                 ExtConfig(

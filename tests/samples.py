@@ -23,7 +23,6 @@ from lagc.syntax import (
     RelOp,
     STAR,
     Seq,
-    StoredExp,
     Var,
     While,
 )
@@ -37,8 +36,8 @@ AEXP_SAMPLE = ABin(ABin(X, ArithOp.MUL, Y), ArithOp.SUB, X)
 # x == 2 || false
 BEXP_SAMPLE = BBin(Rel(X, RelOp.EQ, Num(2)), BoolOp.DISJ, BoolLit(False))
 
-SIGMA1 = make_state({"x": StoredExp(ABin(Y, ArithOp.MUL, Num(4))), "y": STAR})
-SIGMA2 = make_state({"x": StoredExp(Num(8)), "y": StoredExp(Num(2))})
+SIGMA1 = make_state({"x": ABin(Y, ArithOp.MUL, Num(4)), "y": STAR})
+SIGMA2 = make_state({"x": Num(8), "y": Num(2)})
 
 TAU1 = (
     SIGMA1,

@@ -29,7 +29,6 @@ from lagc.syntax import (
     RelOp,
     Seq,
     Skip,
-    StoredExp,
     Var,
 )
 from lagc.trace import (
@@ -71,7 +70,7 @@ def criterion(number: int, title: str):
 
 
 def _state(**values) -> State:
-    return make_state({k: StoredExp(Num(v)) for k, v in values.items()})
+    return make_state({k: Num(v) for k, v in values.items()})
 
 
 def test_criterion_1_factorial():
@@ -156,8 +155,8 @@ def test_criterion_6_evaluation():
             BoolOp.DISJ,
             BoolLit(False),
         )
-        assert min_conc_map_state(SIGMA1, 0) == make_state({"y": StoredExp(Num(0))})
-        assert apply_conc_state(make_state({"y": StoredExp(Num(2))}), SIGMA1) == SIGMA2
+        assert min_conc_map_state(SIGMA1, 0) == make_state({"y": Num(0)})
+        assert apply_conc_state(make_state({"y": Num(2)}), SIGMA1) == SIGMA2
         assert semantic_chop_cond(PI1, PI3) == CondTrace(
             frozenset({BoolLit(False)}),
             (
@@ -190,7 +189,7 @@ def test_criterion_8_equivalences():
         assert trace_equivalent(
             If(Rel(Var("x"), RelOp.EQ, Num(1)), Assign("x", Num(0))),
             Assign("x", Num(0)),
-            make_state({"x": StoredExp(Num(1))}),
+            make_state({"x": Num(1)}),
         )
         assert trace_equivalent(
             Program((), LocPar(Assign("x", Num(1)), Assign("x", Num(2)))),

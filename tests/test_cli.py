@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from lagc import cli
+from lagc import cli, syntax
 from lagc.cli import main, parse_state_spec
 from lagc.compose import (
     ExtConfig,
@@ -27,7 +27,7 @@ from lagc.localeval import Pending
 from lagc.parser import parse_program
 from lagc.render import render_traces
 from lagc.state import make_state
-from lagc.syntax import Num, StoredExp
+from lagc.syntax import Num
 from lagc.trace import singleton
 
 FACTORIAL = "x := 6 ;; y := 1 ;; while x >= 2 do y := y*x ;; x := x-1 od"
@@ -170,6 +170,47 @@ def test_exit_code_mode_error(write, capsys):
     path = write("ext.wl", "input x")
     assert main(["traces", path, "--lang", "wl"]) == 1
     assert capsys.readouterr().err
+
+
+def test_a_wl_command_checks_the_wl_subset_once_per_program(write, capsys, monkeypatch):
+    # the parse reads its tokens; ``traces_wl`` walks the statement once
+    calls = []
+    check = syntax.language_check
+
+    def counting(stmt, mode):
+        calls.append(mode)
+        return check(stmt, mode)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("lagc") and hasattr(module, "language_check"):
+            monkeypatch.setattr(module, "language_check", counting)
+    path = write("loop.wl", "x := 3 ;; while x >= 1 do x := x - 1 od")
+    for argv, count in (
+        (["traces", path], 1),
+        (["traces-bounded", path, "--bound", "2"], 1),
+        (["equiv", path, path], 2),
+        (["eval", path, "--expr", "x + 1"], 0),
+    ):
+        calls.clear()
+        assert main([*argv, "--lang", "wl"]) == 0
+        assert calls == ["wl"] * count, argv
+    capsys.readouterr()
+    # an ext statement still fails the wl check, in the library and in every
+    # command, here where no step would reach it
+    text = "x := 1 ;; while x <= 0 do input x od"
+    with pytest.raises(ModeError):
+        traces_wl(parse_program(text).main, make_state({"x": Num(0)}))
+    ext = write("ext.wl", text)
+    for argv in (
+        ["traces", ext],
+        ["traces-bounded", ext, "--bound", "2"],
+        ["equiv", ext, path],
+        ["equiv", path, ext],
+        ["eval", ext, "--expr", "1"],
+    ):
+        assert main([*argv, "--lang", "wl"]) == 1
+        message = "error: statement uses constructs outside the wl subset\n"
+        assert capsys.readouterr().err == message, argv
 
 
 def test_exit_code_divergence(write, capsys):
@@ -343,10 +384,10 @@ def test_zero_fresh_bound_is_valid(write, capsys):
 
 def test_parse_state_spec():
     assert parse_state_spec("x=1, y=-2") == make_state(
-        {"x": StoredExp(Num(1)), "y": StoredExp(Num(-2))}
+        {"x": Num(1), "y": Num(-2)}
     )
     assert parse_state_spec("$x::Input=0") == make_state(
-        {"$x::Input": StoredExp(Num(0))}
+        {"$x::Input": Num(0)}
     )
 
 

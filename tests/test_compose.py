@@ -41,7 +41,6 @@ from lagc.syntax import (
     RelOp,
     Seq,
     Skip,
-    StoredExp,
     Var,
     While,
     free_vars,
@@ -60,7 +59,7 @@ from lagc.trace import (
 from gens import rand_concrete_state, rand_concrete_trace, rand_ext_stmt, rand_wl_stmt
 from samples import EXT_CALL, EXT_INPUT, EXT_SCOPE_PAR, SIGMA2, WL_FACTORIAL, WL_SWAP
 
-ZERO = StoredExp(Num(0))
+ZERO = Num(0)
 
 
 def test_successors_wl_examples():
@@ -72,7 +71,7 @@ def test_successors_wl_examples():
     assert successors_wl(skip) == {WlConfig(singleton(SIGMA2), DONE)}
 
     assign = WlConfig(singleton(SIGMA2), Pending(Assign("x", Num(3))))
-    stepped = singleton(SIGMA2) + (update(SIGMA2, "x", StoredExp(Num(3))),)
+    stepped = singleton(SIGMA2) + (update(SIGMA2, "x", Num(3)),)
     assert successors_wl(assign) == {WlConfig(stepped, DONE)}
 
 
@@ -108,7 +107,7 @@ def test_traces_wl_examples():
     (trace,) = traces
     assert len(trace) == 13
     assert last_state(trace) == make_state(
-        {"x": StoredExp(Num(1)), "y": StoredExp(Num(720))}
+        {"x": Num(1), "y": Num(720)}
     )
 
 
@@ -262,7 +261,7 @@ def test_successors2_matches_direct_construction():
                     fresh = "c" + fresh
                 expected.add(
                     ExtConfig(
-                        candidate + (update(sigma, fresh, StoredExp(v.arith)),),
+                        candidate + (update(sigma, fresh, v.arith),),
                         (DONE, Pending(substitute(m.body, "v", fresh))),
                     )
                 )
@@ -324,7 +323,7 @@ def test_conc_numeral_policy_reaches_input_values():
     policy = ComposePolicy(conc_numeral=7)
     (trace,) = traces_ext(program, make_state({"x": ZERO}), policy)
     assert last_state(trace) == make_state(
-        {"x": StoredExp(Num(7)), "$x::Input": StoredExp(Num(7))}
+        {"x": Num(7), "$x::Input": Num(7)}
     )
 
 
@@ -336,8 +335,8 @@ def test_traces_ext_scope_parallel():
         return (
             EMPTY_STATE,
             make_state({scope: ZERO}),
-            make_state({scope: StoredExp(Num(first))}),
-            make_state({scope: StoredExp(Num(second))}),
+            make_state({scope: Num(first)}),
+            make_state({scope: Num(second)}),
         )
 
     assert traces == {ladder(1, 2), ladder(2, 1)}
@@ -350,7 +349,7 @@ def test_traces_ext_call():
         kinds = [a.kind for a in trace if isinstance(a, EventAtom)]
         assert kinds == [EventKind.INVOKE, EventKind.REACT]
         assert last_state(trace) == make_state(
-            {"x": StoredExp(Num(1)), "$foo::Param": StoredExp(Num(2))}
+            {"x": Num(1), "$foo::Param": Num(2)}
         )
 
 
@@ -360,7 +359,7 @@ def test_traces_ext_input():
     (trace,) = traces
     assert EventAtom(EventKind.INPUT, (ArithExp(Num(0)),)) in trace
     assert last_state(trace) == make_state(
-        {"x": StoredExp(Num(1)), "$x::Input": ZERO}
+        {"x": Num(1), "$x::Input": ZERO}
     )
 
 
@@ -436,7 +435,7 @@ def test_trace_equivalence_examples():
         assert trace_equivalent(Skip(), Seq(Skip(), Skip()), sigma)
 
     conditioned = If(Rel(Var("x"), RelOp.EQ, Num(1)), Assign("x", Num(0)))
-    sigma = make_state({"x": StoredExp(Num(1))})
+    sigma = make_state({"x": Num(1)})
     assert trace_equivalent(conditioned, Assign("x", Num(0)), sigma)
 
     left = Program((), LocPar(Assign("x", Num(1)), Assign("x", Num(2))))

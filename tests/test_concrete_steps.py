@@ -24,7 +24,7 @@ from lagc.evaluate import eval_bexp_set, is_concrete
 from lagc.localeval import DEFAULT_FRESH_BOUND, DONE, Pending, step
 from lagc.parser import parse_program
 from lagc.state import is_concrete_state
-from lagc.syntax import Assign, Star, StoredExp, Var, holding_nodes
+from lagc.syntax import Assign, Star, Var, holding_nodes
 from lagc.trace import is_concrete_trace, is_consistent, last_state, summarize
 
 from gens import (
@@ -144,7 +144,7 @@ def _kinds(sigma) -> list:
         return ["concrete"]
     values = [value for _, value in sigma.entries]
     kinds = ["star"] if any(isinstance(value, Star) for value in values) else []
-    if any(isinstance(value, StoredExp) and not is_concrete(value) for value in values):
+    if any(not isinstance(value, Star) and not is_concrete(value) for value in values):
         kinds.append("symbolic")
     return kinds
 

@@ -10,7 +10,7 @@ from lagc.concretize import (
     min_conc_map_trace,
 )
 from lagc.state import EMPTY_STATE, domain, is_concrete_state, make_state
-from lagc.syntax import Num, STAR, StoredExp
+from lagc.syntax import Num, STAR
 from lagc.trace import (
     CondTrace,
     EventAtom,
@@ -22,7 +22,7 @@ from lagc.trace import (
 from gens import rand_concrete_state, rand_concrete_trace, rand_state, rand_trace
 from samples import PI1, SIGMA1, SIGMA2, TAU1
 
-RHO_Y2 = make_state({"y": StoredExp(Num(2))})
+RHO_Y2 = make_state({"y": Num(2)})
 
 
 def test_is_conc_map_state():
@@ -31,7 +31,7 @@ def test_is_conc_map_state():
     assert not is_conc_map_state(make_state({"x": STAR}), SIGMA2)
     assert is_conc_map_state(RHO_Y2, SIGMA1)
     # rho must hit exactly the symbolic variables among shared names
-    assert not is_conc_map_state(make_state({"x": StoredExp(Num(1))}), SIGMA1)
+    assert not is_conc_map_state(make_state({"x": Num(1)}), SIGMA1)
 
 
 def test_apply_conc_state():
@@ -53,7 +53,7 @@ def test_apply_conc_state_domain():
 
 
 def test_min_conc_map_state():
-    assert min_conc_map_state(SIGMA1, 0) == make_state({"y": StoredExp(Num(0))})
+    assert min_conc_map_state(SIGMA1, 0) == make_state({"y": Num(0)})
     assert min_conc_map_state(SIGMA2, 7) == EMPTY_STATE
     rng = random.Random(43)
     for _ in range(100):
@@ -89,7 +89,7 @@ def test_concrete_traces_are_fixed_points():
 
 
 def test_min_conc_map_trace():
-    assert min_conc_map_trace(TAU1, 0) == make_state({"y": StoredExp(Num(0))})
+    assert min_conc_map_trace(TAU1, 0) == make_state({"y": Num(0)})
     assert min_conc_map_trace((), 5) == EMPTY_STATE
     rng = random.Random(45)
     for _ in range(200):

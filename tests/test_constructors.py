@@ -14,7 +14,7 @@ import pytest
 from lagc import localeval
 from lagc.localeval import DONE, ContTrace, Pending
 from lagc.state import State, make_state, update
-from lagc.syntax import Assign, Node, Num, STAR, Skip, StoredExp, Var, holding_nodes
+from lagc.syntax import Assign, Node, Num, STAR, Skip, Var, holding_nodes
 from lagc.trace import CondTrace, cond_trace, singleton
 
 from gens import rand_concrete_state, rand_state
@@ -105,7 +105,7 @@ def test_each_field_count_has_a_constructor_and_four_is_refused():
 
 
 def test_a_new_state_keeps_its_map_and_no_other_fact():
-    value = StoredExp(Num(424242))
+    value = Num(424242)
     sigma = make_state({"constructor::state": value, "y": STAR})
     assert sigma._map == {"constructor::state": value, "y": STAR}
     assert sigma._concrete is None and sigma._stars is None and sigma._key is None
@@ -125,7 +125,7 @@ def test_pending_builds_one_cell_and_checks_its_arguments():
 
 def test_update_is_the_state_make_state_builds():
     rng = random.Random(31)
-    values = [STAR, StoredExp(Num(3)), StoredExp(Var("x")), StoredExp(Num(-1))]
+    values = [STAR, Num(3), Var("x"), Num(-1)]
     for _ in range(300):
         sigma = rand_state(rng) if rng.random() < 0.5 else rand_concrete_state(rng)
         name, value = rng.choice(["x", "y", "q", "constructor::new"]), rng.choice(values)
@@ -136,7 +136,7 @@ def test_update_is_the_state_make_state_builds():
 
 
 def test_cond_trace_is_a_pair():
-    sigma = make_state({"x": StoredExp(Num(1))})
+    sigma = make_state({"x": Num(1)})
     pc, steps = frozenset({Var("b")}), singleton(sigma)
     cond = CondTrace(pc, steps)
     assert cond.pc is pc and cond.trace is steps and tuple(cond) == (pc, steps)

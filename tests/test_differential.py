@@ -27,7 +27,6 @@ from lagc.syntax import (
     RelOp,
     Seq,
     Skip,
-    StoredExp,
     Var,
     While,
     occurrences,
@@ -43,7 +42,7 @@ MAX_SIZE = 12
 
 
 def _final_store(trace) -> dict:
-    return {name: value.arith.value for name, value in last_state(trace).entries}
+    return {name: value.value for name, value in last_state(trace).entries}
 
 
 def test_lagc_agrees_with_bigstep_interpreter():
@@ -91,7 +90,7 @@ def _rand_concurrent(rng, size: int, names: tuple, counters: list):
 def _stores(traces) -> frozenset:
     """Each trace as a tuple of states, each state as its sorted (name, integer) pairs."""
     return frozenset(
-        tuple(tuple((name, value.arith.value) for name, value in atom.entries) for atom in t)
+        tuple(tuple((name, value.value) for name, value in atom.entries) for atom in t)
         for t in traces
     )
 
@@ -106,7 +105,7 @@ def test_traces_ext_agree_with_small_step_interleavings():
     for _ in range(100):
         stmt = _rand_concurrent(rng, rng.randint(1, 7), ("x", "y", "z"), [])
         store = _start(rng, stmt)
-        sigma = make_state({name: StoredExp(Num(value)) for name, value in store.items()})
+        sigma = make_state({name: Num(value) for name, value in store.items()})
         expected = smallstep.traces(stmt, store)
         assert _stores(traces_ext(Program((), stmt), sigma)) == expected, stmt
         seen["co"] += len(expected) > 1
@@ -121,7 +120,7 @@ def test_traces_wl_agree_with_small_step_runs():
     for _ in range(150):
         stmt = rand_wl_stmt(rng, rng.randint(1, 10))
         store = _start(rng, stmt)
-        sigma = make_state({name: StoredExp(Num(value)) for name, value in store.items()})
+        sigma = make_state({name: Num(value) for name, value in store.items()})
         assert _stores(traces_wl(stmt, sigma)) == smallstep.traces(stmt, store), stmt
 
 
@@ -131,7 +130,7 @@ def test_long_traces_agree_with_small_step_interleavings():
     right = LocMem(("x",), Assign("x", Var("y")))
     stmt = Seq(LocPar(reduce(Seq, left), right), Assign("y", ABin(Var("y"), ArithOp.ADD, Var("x"))))
     store = {"x": 1, "y": 0}
-    sigma = make_state({name: StoredExp(Num(value)) for name, value in store.items()})
+    sigma = make_state({name: Num(value) for name, value in store.items()})
     expected = smallstep.traces(stmt, store)
     assert len(expected) > 600
     assert _stores(traces_ext(Program((), stmt), sigma)) == expected

@@ -28,7 +28,6 @@ from lagc.syntax import (
     Rel,
     RelOp,
     STAR,
-    StoredExp,
     Var,
     free_vars,
 )
@@ -67,7 +66,7 @@ def test_eval_bool_examples():
     )
     assert eval_bool(BEXP_SAMPLE, SIGMA1) == expected
     assert eval_bool(BoolLit(True), EMPTY_STATE) == BoolLit(True)
-    initial = make_state({v: StoredExp(Num(0)) for v in ("x", "y", "z")})
+    initial = make_state({v: Num(0) for v in ("x", "y", "z")})
     assert eval_bool(Neg(Rel(X, RelOp.EQ, Y)), initial) == BoolLit(False)
 
 
@@ -106,7 +105,7 @@ def test_concrete_expressions_are_fixed_points():
         b = BoolLit(rng.random() < 0.5)
         assert eval_arith(n, sigma) == n
         assert eval_bool(b, sigma) == b
-        assert eval_sexp(StoredExp(n), sigma) == StoredExp(n)
+        assert eval_sexp(n, sigma) == n
 
 
 def test_variable_free_expressions_evaluate_to_literals():

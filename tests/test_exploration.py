@@ -30,7 +30,6 @@ from lagc.syntax import (
     Program,
     Seq,
     Skip,
-    StoredExp,
     Var,
     While,
     free_vars,
@@ -208,8 +207,8 @@ def test_a_wl_run_keeps_the_history_of_its_start():
         assert bounded.marker is DONE and len(bounded.trace) == len(start) + 2
         assert bounded.trace[: len(start)] == start
         assert [atom.lookup("x") for atom in bounded.trace[-2:]] == [
-            StoredExp(Num(1)),
-            StoredExp(Num(2)),
+            Num(1),
+            Num(2),
         ]
         assert compose.compose_wl(ComposePolicy(), WlConfig(start, Pending(stmt))) == {bounded}
 

@@ -27,7 +27,6 @@ from lagc.syntax import (
     Num,
     Seq,
     Skip,
-    StoredExp,
     Var,
     seq_spine,
     substitute,
@@ -139,7 +138,7 @@ def _unwellformed_state(rng):
     """Images that name other variables, none of them symbolic."""
     images = {}
     for name in NAMES:
-        images[name] = StoredExp(Var(rng.choice(NAMES)) if rng.random() < 0.3 else Num(1))
+        images[name] = Var(rng.choice(NAMES)) if rng.random() < 0.3 else Num(1)
     return make_state(images)
 
 
@@ -206,7 +205,7 @@ def _expected_reactions(table, config) -> frozenset:
             fresh = "$" + method.name + "::Param"
             while fresh in domain(sigma):
                 fresh = "c" + fresh
-            bound = update(sigma, fresh, StoredExp(value.arith))
+            bound = update(sigma, fresh, value.arith)
             body = Pending(substitute(method.body, method.formal, fresh))
             out.add(compose.ExtConfig(candidate + (bound,), config.markers + (body,)))
     return frozenset(out)

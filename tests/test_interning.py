@@ -40,7 +40,6 @@ from lagc.syntax import (
     RelOp,
     STAR,
     Seq,
-    StoredExp,
     Var,
     While,
     canon_key,
@@ -82,7 +81,7 @@ def test_random_statements_built_twice_are_one_object():
 
 
 def test_equal_states_built_separately_are_one_object():
-    one, two = StoredExp(Num(1)), StoredExp(Num(2))
+    one, two = Num(1), Num(2)
     sigma = make_state({"x": one, "y": STAR})
     assert make_state([("y", STAR), ("x", one)]) is sigma
     assert make_state([("x", two), ("y", STAR), ("x", one)]) is sigma
@@ -90,17 +89,17 @@ def test_equal_states_built_separately_are_one_object():
     assert update(update(sigma, "x", two), "x", one) is sigma
     rho = make_state({"y": two})
     assert apply_conc_state(rho, sigma) is make_state({"x": one, "y": two})
-    zero = StoredExp(Num(0))
+    zero = Num(0)
     assert initial_state(["y", "x", "y"]) is make_state({"x": zero, "y": zero})
     assert sigma.lookup("x") is one and "y" in sigma and len(sigma) == 2
     assert sigma is make_state({"y": STAR, "x": one})
 
 
 def test_equal_event_atoms_are_one_object():
-    sigma = make_state({"x": StoredExp(Num(3))})
+    sigma = make_state({"x": Num(3)})
     args = (MethodRef("m"), ArithExp(Var("x")))
     first = gen_event(EventKind.INVOKE, sigma, args)
-    second = gen_event(EventKind.INVOKE, make_state({"x": StoredExp(Num(3))}), args)
+    second = gen_event(EventKind.INVOKE, make_state({"x": Num(3)}), args)
     assert all(a is b for a, b in zip(first, second))
     assert first[1] is EventAtom(EventKind.INVOKE, (MethodRef("m"), ArithExp(Num(3))))
     assert first[0] is first[2] is sigma
@@ -247,7 +246,7 @@ def test_a_loop_marker_and_its_body_marker_are_freed():
         increment = Assign("w", ABin(Var("w"), ArithOp.ADD, Num(1)))
         loop = While(Rel(Var("w"), RelOp.LEQ, Num(7_000_003)), increment)
         marker = Pending(loop)
-        step(marker, make_state({"w": StoredExp(Num(0))}), "wl", 100)
+        step(marker, make_state({"w": Num(0)}), "wl", 100)
         body = marker._body()
         assert body.rest is marker
         refs = weakref.ref(marker), weakref.ref(body)
@@ -265,17 +264,17 @@ def test_a_wl_step_adds_only_the_nodes_of_its_new_value_and_state():
         marker = Pending(loop)
         # the body's marker, which the first test of the loop would build
         Pending(increment, marker)
-        sigma = make_state({"w": StoredExp(Num(7_000_006))})
+        sigma = make_state({"w": Num(7_000_006)})
         before = len(arena)
         # a loop test builds nothing: each branch's trace is the state itself
         steps = step(marker, sigma, "wl", 100)
         assert [trace for _, trace, _ in steps] == [(sigma,), (sigma,)]
         assert len(arena) == before
         ((_, trace, _),) = step(steps[0][2], sigma, "wl", 100)
-        # an assignment of a fresh value builds the Num, its StoredExp
-        # and the new state, which is its own trace atom
-        assert len(arena) == before + 3
-        assert trace == (sigma, make_state({"w": StoredExp(Num(7_000_007))}))
+        # an assignment of a fresh value builds the Num, which the state
+        # holds as it is, and the new state, which is its own trace atom
+        assert len(arena) == before + 2
+        assert trace == (sigma, make_state({"w": Num(7_000_007)}))
         assert trace[1] is list(arena.values())[-1]
 
 
@@ -312,7 +311,12 @@ def test_nested_blocks_share_one_arena():
 
 
 def _reference_key(value):
-    """The recursive ``canon_key`` from before nodes were interned, walking every field."""
+    """The recursive ``canon_key`` from before nodes were interned, walking every field.
+
+    A state keys each value by the documented state rule: ``*`` as
+    ``(0,)``, before every arithmetic expression, which is keyed as
+    ``(1, its own key)``.
+    """
     if isinstance(value, bool):
         return (0, 0, int(value))
     if isinstance(value, int):
@@ -325,6 +329,12 @@ def _reference_key(value):
         return (3, tuple(sorted(_reference_key(v) for v in value)))
     if isinstance(value, Enum):
         return (4, type(value).__name__, value.name)
+    if isinstance(value, State):
+        entries = tuple(
+            (2, (_reference_key(name), (0,) if v is STAR else (1, _reference_key(v))))
+            for name, v in value.entries
+        )
+        return (5, "State", ((2, entries),))
     # the fields the dataclasses declared, in order
     parts = tuple(_reference_key(getattr(value, name)) for name in value._fields)
     return (5, type(value).__name__, parts)

@@ -29,7 +29,6 @@ from lagc.syntax import (
     STAR,
     Seq,
     Skip,
-    StoredExp,
     Var,
     While,
     holding_nodes,
@@ -67,7 +66,7 @@ def test_valuate_assign():
     expected = ContTrace(
         CondTrace(
             frozenset(),
-            singleton(SIGMA1) + (update(SIGMA1, "x", StoredExp(Num(2))),),
+            singleton(SIGMA1) + (update(SIGMA1, "x", Num(2)),),
         ),
         DONE,
     )
@@ -119,8 +118,8 @@ def test_valuate_while_unfolds():
 def test_valuate_locpar():
     stmt = LocPar(Assign("x", Num(1)), Seq(Assign("x", Num(2)), Skip()))
     conts = valuate(stmt, SIGMA1, "ext")
-    one = singleton(SIGMA1) + (update(SIGMA1, "x", StoredExp(Num(1))),)
-    two = singleton(SIGMA1) + (update(SIGMA1, "x", StoredExp(Num(2))),)
+    one = singleton(SIGMA1) + (update(SIGMA1, "x", Num(1)),)
+    two = singleton(SIGMA1) + (update(SIGMA1, "x", Num(2)),)
     assert conts == frozenset(
         {
             ContTrace(CondTrace(frozenset(), one), Pending(Seq(Assign("x", Num(2)), Skip()))),
@@ -137,7 +136,7 @@ def test_valuate_scope():
     cont = _single(valuate(stmt, SIGMA1, "ext"))
     fresh = "$x::Scope"
     assert cont.cond.trace == singleton(SIGMA1) + (
-        update(SIGMA1, fresh, StoredExp(Num(0))),
+        update(SIGMA1, fresh, Num(0)),
     )
     assert cont.marker == Pending(LocMem((), Assign(fresh, Num(5))))
     assert cont.cond.pc == frozenset()
@@ -151,7 +150,7 @@ def test_valuate_empty_scope_is_transparent():
 def test_valuate_input():
     cont = _single(valuate(Input("x"), SIGMA2, "ext"))
     fresh = "$x::Input"
-    rerouted = update(update(SIGMA2, fresh, STAR), "x", StoredExp(Var(fresh)))
+    rerouted = update(update(SIGMA2, fresh, STAR), "x", Var(fresh))
     assert cont.cond.trace == (
         SIGMA2,
         rerouted,
@@ -185,7 +184,7 @@ def test_wl_mode_rejects_extensions():
 
 
 def test_fresh_bound_exhaustion():
-    taken = update(SIGMA2, "$x::Input", StoredExp(Num(0)))
+    taken = update(SIGMA2, "$x::Input", Num(0))
     with pytest.raises(FreshBoundExceededError):
         valuate(Input("x"), taken, "ext", fresh_bound=1)
 
@@ -259,7 +258,7 @@ def test_a_test_marker_flattens_its_body_once(monkeypatch):
     ).main
     with holding_nodes():
         (trace,) = traces_wl(stmt, initial_state(["c", "d", "x", "y"]))
-    assert trace[-1].lookup("y") == StoredExp(Num(84))
+    assert trace[-1].lookup("y") == Num(84)
     # the body of the outer loop, of the inner loop and of the ``if``
     assert len(spines) == len(set(map(id, spines))) == 3
 

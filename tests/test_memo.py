@@ -28,7 +28,7 @@ from lagc.evaluate import eval_bexp_set, eval_exp_list
 from lagc.localeval import Pending, valuate
 from lagc.parser import parse_program
 from lagc.state import State, is_concrete_state, star_names, symbolic_vars
-from lagc.syntax import Num, Program, Star, StoredExp, holding_nodes
+from lagc.syntax import Num, Program, Star, holding_nodes
 from lagc.trace import (
     EventAtom,
     is_concrete_trace,
@@ -166,7 +166,7 @@ def test_no_table_outlives_a_command(monkeypatch, tmp_path, capsys):
 def _min_conc_map_state(sigma, numeral):
     return State(
         tuple(
-            (name, StoredExp(Num(numeral)))
+            (name, Num(numeral))
             for name, value in sigma.entries
             if isinstance(value, Star)
         )
@@ -224,10 +224,7 @@ def test_state_facts_match_their_definitions():
     for _ in range(300):
         sigma = rand_state(rng)
         stars = tuple(name for name, value in sigma.entries if isinstance(value, Star))
-        concrete = all(
-            isinstance(value, StoredExp) and isinstance(value.arith, Num)
-            for _, value in sigma.entries
-        )
+        concrete = all(isinstance(value, Num) for _, value in sigma.entries)
         for _ in range(2):
             assert star_names(sigma) == stars
             assert symbolic_vars(sigma) == frozenset(stars)

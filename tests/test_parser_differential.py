@@ -11,9 +11,10 @@ through each statement position an expression can take.
 """
 
 import random
+from collections import Counter
 
 import reference_parser
-from lagc.errors import ParseError
+from lagc.errors import ModeError, ParseError
 from lagc.parser import parse_expression, parse_program
 from lagc.render import pretty_program
 from lagc.syntax import Method, Program
@@ -126,6 +127,28 @@ def _cases(rng):
             yield parse_program, reference_parser.parse_program, context.format(expression)
     for program in _programs(rng):
         yield parse_program, reference_parser.parse_program, program
+
+
+def _wl_outcome(parse, source):
+    try:
+        return _outcome(lambda text: parse(text, "wl"), source)
+    except ModeError as error:
+        return "mode", str(error)
+
+
+def test_the_wl_check_of_a_parse_matches_the_frozen_oracle():
+    # the parser reads the wl subset off its tokens; the oracle walks the tree
+    rng = random.Random(23)
+    outcomes = Counter()
+    for source in _programs(rng):
+        tokens = source.split()
+        for text in (source, _text(rng, _mutate(rng, tokens)), _text(rng, _mutate(rng, tokens))):
+            got = _wl_outcome(parse_program, text)
+            assert got == _wl_outcome(reference_parser.parse_program, text), text
+            outcomes[got[0] if got[0] != "mode" else got[1]] += 1
+    assert outcomes["tree"] > 40 and outcomes["error"] > 40
+    assert outcomes["statement uses constructs outside the wl subset"] > 30
+    assert outcomes["methods are not available in wl mode"] > 30
 
 
 def test_parser_matches_the_frozen_oracle():

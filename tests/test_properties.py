@@ -29,7 +29,6 @@ from lagc.syntax import (
     Program,
     Seq,
     Skip,
-    StoredExp,
     free_vars,
     occurrences,
 )
@@ -65,7 +64,7 @@ def test_eval_preserves_concrete_values():
             (ArithExp(num), eval_exp),
             (BoolExp(lit), eval_exp),
             (MethodRef("m"), eval_exp),
-            (StoredExp(num), eval_sexp),
+            (num, eval_sexp),
         ):
             assert is_concrete(item)
             result = evaluate(item, sigma)

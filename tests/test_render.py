@@ -12,7 +12,7 @@ from lagc.render import (
     sorted_traces,
 )
 from lagc.state import State, make_state
-from lagc.syntax import ArithExp, MethodRef, Num, STAR, StoredExp, canon_key, tuple_key
+from lagc.syntax import ArithExp, MethodRef, Num, STAR, canon_key, tuple_key
 from lagc.trace import EventAtom, EventKind
 
 from gens import rand_aexp, rand_concrete_trace, rand_trace
@@ -20,7 +20,7 @@ from samples import EXT_INPUT, SIGMA1, TAU1, WL_FACTORIAL
 
 
 def test_render_state_sorted_keys():
-    sigma = make_state({"y": StoredExp(Num(720)), "x": StoredExp(Num(1))})
+    sigma = make_state({"y": Num(720), "x": Num(1)})
     assert render_state(sigma) == "{x=1, y=720}"
     assert render_state(SIGMA1) == "{x=y * 4, y=*}"
     assert render_state(make_state({"s": STAR})) == "{s=*}"
@@ -184,7 +184,8 @@ def test_render_traces_formats_each_distinct_stored_value_once(monkeypatch):
     assert shared > 30
 
 def test_sorted_traces_gives_atoms_with_equal_keys_equal_ranks(monkeypatch):
-    # the coarse key ties the values of one class, and every two events
+    # the coarse key ties the values of one class, and every two events;
+    # values rank by ``value_key`` and events by ``canon_key``, both coarse here
     def coarse_key(value):
         return type(value).__name__
 
@@ -194,6 +195,7 @@ def test_sorted_traces_gives_atoms_with_equal_keys_equal_ranks(monkeypatch):
         return (0, coarse_key(atom))
 
     monkeypatch.setattr(render, "canon_key", coarse_key)
+    monkeypatch.setattr(render, "value_key", coarse_key)
     rng = random.Random(62)
     for _ in range(50):
         traces = [rand_trace(rng, max_len=3) for _ in range(rng.randint(2, 8))]
@@ -211,8 +213,8 @@ def _rand_value(rng):
     if roll < 0.25:
         return STAR
     if roll < 0.7:
-        return StoredExp(Num(rng.randint(-12, 12)))
-    return StoredExp(rand_aexp(rng, depth=2))
+        return Num(rng.randint(-12, 12))
+    return rand_aexp(rng, depth=2)
 
 
 def _rand_atom(rng):

@@ -3,7 +3,7 @@
 from lagc.compose import initial_state_for, trace_equivalent, traces_ext, traces_wl
 from lagc.parser import parse_program
 from lagc.state import make_state
-from lagc.syntax import If, Num, Rel, RelOp, STAR, Skip, StoredExp, Var
+from lagc.syntax import If, Num, Rel, RelOp, STAR, Skip, Var
 from lagc.trace import EventAtom, EventKind, last_state
 
 
@@ -13,7 +13,7 @@ def _run(source: str):
 
 
 def _states(**values):
-    return make_state({k: StoredExp(Num(v)) for k, v in values.items()})
+    return make_state({k: Num(v) for k, v in values.items()})
 
 
 def test_guard_waits_for_the_other_process():

@@ -15,7 +15,17 @@ from lagc.state import (
     update,
     vargen,
 )
-from lagc.syntax import ABin, ArithOp, Num, STAR, StoredExp, Var, holding_nodes, occurrences
+from lagc.syntax import (
+    ABin,
+    ArithExp,
+    ArithOp,
+    Num,
+    STAR,
+    TRUE,
+    Var,
+    holding_nodes,
+    occurrences,
+)
 
 from gens import rand_concrete_state, rand_state
 from samples import SIGMA1, SIGMA2, WL_SWAP
@@ -24,17 +34,17 @@ from samples import SIGMA1, SIGMA2, WL_SWAP
 def test_domain():
     assert domain(EMPTY_STATE) == frozenset()
     assert domain(SIGMA1) == {"x", "y"}
-    assert domain(update(EMPTY_STATE, "v", StoredExp(Num(1)))) == {"v"}
+    assert domain(update(EMPTY_STATE, "v", Num(1))) == {"v"}
 
 
 def test_update():
-    one = update(EMPTY_STATE, "x", StoredExp(Num(2)))
-    assert one.lookup("x") == StoredExp(Num(2))
-    assert update(SIGMA2, "x", StoredExp(Num(2))) == make_state(
-        {"x": StoredExp(Num(2)), "y": StoredExp(Num(2))}
+    one = update(EMPTY_STATE, "x", Num(2))
+    assert one.lookup("x") == Num(2)
+    assert update(SIGMA2, "x", Num(2)) == make_state(
+        {"x": Num(2), "y": Num(2)}
     )
-    twice = update(update(EMPTY_STATE, "x", StoredExp(Num(1))), "x", StoredExp(Num(9)))
-    assert twice == make_state({"x": StoredExp(Num(9))})
+    twice = update(update(EMPTY_STATE, "x", Num(1)), "x", Num(9))
+    assert twice == make_state({"x": Num(9)})
 
 
 @pytest.mark.parametrize("held", [False, True], ids=["weak", "held"])
@@ -46,7 +56,7 @@ def test_update_is_make_state_of_the_merged_entries(held):
             sigma = rand_state(rng, names)
             # a name the state has, or a new one, which may sort anywhere
             variable = rng.choice(names + ["c", "v", "zz"])
-            value = rng.choice([STAR, StoredExp(Num(rng.randint(-9, 9)))])
+            value = rng.choice([STAR, Num(rng.randint(-9, 9))])
             merged = dict(sigma.entries)
             merged[variable] = value
             updated = update(sigma, variable, value)
@@ -59,23 +69,27 @@ def test_update_is_make_state_of_the_merged_entries(held):
 
 
 def test_make_state_takes_only_stored_expressions_and_star():
-    # a bare int or arithmetic node would be taken now and fail later,
-    # when a step reads the value as a stored expression
-    one = StoredExp(Num(1))
+    # a stored expression is an arithmetic expression itself; anything else
+    # would be taken now and fail later, when a step reads the value
+    one = Num(1)
     for entries, name, kind in (
         ({"x": 0, "y": 0}, "x", "int"),
-        ([("x", one), ("y", Num(1))], "y", "Num"),
+        ([("x", one), ("y", TRUE)], "y", "BoolLit"),
+        ([("x", one), ("y", ArithExp(one))], "y", "ArithExp"),
+        ({"x": STAR, "w": "1"}, "w", "str"),
         ({"x": STAR, "z": None}, "z", "NoneType"),
     ):
         with pytest.raises(TypeError) as caught:
             make_state(entries)
         assert str(caught.value) == f"make_state: unsupported {kind} for {name!r}"
     assert make_state({"x": one, "y": STAR}).as_dict() == {"x": one, "y": STAR}
+    symbolic = {"v": Var("y"), "w": ABin(Var("y"), ArithOp.ADD, one), "y": STAR}
+    assert make_state(symbolic).as_dict() == symbolic
 
 
 def test_equality_ignores_insertion_order():
-    a = make_state([("x", StoredExp(Num(1))), ("y", STAR)])
-    b = make_state([("y", STAR), ("x", StoredExp(Num(1)))])
+    a = make_state([("x", Num(1)), ("y", STAR)])
+    b = make_state([("y", STAR), ("x", Num(1))])
     assert a == b and hash(a) == hash(b)
 
 
@@ -101,7 +115,7 @@ def test_symbolic_vars():
 def test_wellformedness():
     assert is_wellformed_state(SIGMA1) and is_wellformed_state(SIGMA2)
     assert is_wellformed_state(make_state({"x0": STAR}))
-    assert not is_wellformed_state(make_state({"x": StoredExp(Var("y"))}))
+    assert not is_wellformed_state(make_state({"x": Var("y")}))
 
 
 def test_concreteness():
@@ -123,14 +137,14 @@ def test_concrete_update_preserves_concreteness():
     rng = random.Random(14)
     for _ in range(100):
         sigma = rand_concrete_state(rng)
-        updated = update(sigma, rng.choice("xyzvw"), StoredExp(Num(rng.randint(-5, 5))))
+        updated = update(sigma, rng.choice("xyzvw"), Num(rng.randint(-5, 5)))
         assert is_concrete_state(updated)
 
 
 def test_vargen():
     assert vargen(SIGMA1, 0, 100, "$x::Scope") == "$x::Scope"
     assert vargen(SIGMA1, 0, 0, "$x::Input") == "$BOUND_EXCEEDED::$x::Input"
-    taken = make_state({"$x::Scope": StoredExp(Num(0))})
+    taken = make_state({"$x::Scope": Num(0)})
     assert vargen(taken, 0, 100, "$x::Scope") == "c$x::Scope"
     crowded = make_state({"v": STAR, "cv": STAR, "ccv": STAR})
     assert vargen(crowded, 0, 100, "v") == "cccv"
@@ -148,20 +162,20 @@ def test_vargen_results_are_fresh():
 
 def test_initial_state():
     assert initial_state(occurrences(WL_SWAP)) == make_state(
-        {"x": StoredExp(Num(0)), "y": StoredExp(Num(0)), "z": StoredExp(Num(0))}
+        {"x": Num(0), "y": Num(0), "z": Num(0)}
     )
     assert initial_state([]) == EMPTY_STATE
     assert initial_state(["x", "x", "y"]) == make_state(
-        {"x": StoredExp(Num(0)), "y": StoredExp(Num(0))}
+        {"x": Num(0), "y": Num(0)}
     )
 
 
 def test_simplify_state():
     assert simplify_state(SIGMA2) == SIGMA2
     folded = simplify_state(
-        make_state({"x": StoredExp(ABin(Num(2), ArithOp.ADD, Num(3)))})
+        make_state({"x": ABin(Num(2), ArithOp.ADD, Num(3))})
     )
-    assert folded == make_state({"x": StoredExp(Num(5))})
+    assert folded == make_state({"x": Num(5)})
     assert simplify_state(SIGMA1) == SIGMA1  # y symbolic blocks folding
 
 

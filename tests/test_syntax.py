@@ -33,7 +33,6 @@ from lagc.syntax import (
     Seq,
     Skip,
     Star,
-    StoredExp,
     Var,
     While,
     canon_key,
@@ -131,12 +130,12 @@ def test_canon_key_is_a_total_order():
 
 
 def test_free_vars_of_values_and_event_arguments():
-    assert free_vars(StoredExp(AEXP_SAMPLE)) == {"x", "y"}
+    assert free_vars(AEXP_SAMPLE) == {"x", "y"}
     assert free_vars(ArithExp(Var("z"))) == {"z"}
     assert free_vars(BoolExp(Rel(Var("a"), RelOp.LEQ, Num(1)))) == {"a"}
     assert free_vars(MethodRef("x")) == frozenset()
     assert free_vars(STAR) == frozenset()
-    assert occurrences(StoredExp(AEXP_SAMPLE)) == ["x", "y", "x"]
+    assert occurrences(AEXP_SAMPLE) == ["x", "y", "x"]
 
 
 def _free_vars_items(rng):
@@ -170,7 +169,7 @@ def _recursive_occurrences(item) -> list:
         return _recursive_occurrences(item.left) + _recursive_occurrences(item.right)
     if isinstance(item, Neg):
         return _recursive_occurrences(item.operand)
-    if isinstance(item, (ArithExp, StoredExp)):
+    if isinstance(item, ArithExp):
         return _recursive_occurrences(item.arith)
     if isinstance(item, BoolExp):
         return _recursive_occurrences(item.boolexp)
@@ -298,6 +297,6 @@ def test_repr_of_a_huge_numeral_prints_every_digit():
 
 def test_repr_of_a_state_holding_a_huge_numeral_prints_every_digit():
     cap = _cap()
-    sigma = make_state({"x": StoredExp(Num(10**5000))})
-    assert repr(sigma) == f"State(entries=(('x', StoredExp(arith=Num(value={_HUGE_DIGITS}))),))"
+    sigma = make_state({"x": Num(10**5000)})
+    assert repr(sigma) == f"State(entries=(('x', Num(value={_HUGE_DIGITS})),))"
     assert _cap() == cap

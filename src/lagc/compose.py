@@ -1,4 +1,4 @@
-"""Trace composition: successor functions, bounded and fixpoint exploration.
+"""Trace composition: the wl walk and the ext graph, bounded and fixpoint exploration.
 
 The plain while language composes a single continuation marker per
 configuration; the concurrent extension keeps a multiset of markers, glues
@@ -25,16 +25,14 @@ trace without its last state (concreteness, the unanswered invocations
 and the harvested call arguments), and, when the step concretized the
 whole glued trace, the mapping ``rho`` it used, else ``None``.  The
 step takes a trace ``t`` to ``_glued(t, rho, added)``: ``t`` followed by
-``added``, or ``concretize_trace(rho, t[:-1])`` followed by it.  A step
+``added``, or ``t[:-1]`` concretized under ``rho`` followed by it.  A step
 computes the summary from its parent's and the atoms it adds, so neither
 deciding concreteness nor spawning reactions walks the trace.  That
 holds for a step that concretizes the whole trace too: concretizing a
 concrete prefix changes none of its summary.  ``_scheduled`` and
 ``_reactions`` produce the records, and ``_records`` is both.  The
 exploration consumes them directly and builds no configuration and no
-trace; the library's ``successors1``, ``successors2`` and
-``successors_ext`` glue them onto a tuple trace and return
-``ExtConfig``s, ``(trace, markers)`` named tuples.
+trace.
 
 Bounded composition explores at most a given number of steps; the
 fixpoint search has the budget ``B = (max_rounds - 1) * increment`` and
@@ -142,10 +140,9 @@ from .errors import (
     LagcError,
     ModeError,
     PolicyError,
-    UndefinedTraceOpError,
 )
 from .evaluate import eval_bexp_set, eval_exp
-from .localeval import DEFAULT_FRESH_BOUND, Done, Marker, Pending, fresh_name, ordered, step
+from .localeval import DEFAULT_FRESH_BOUND, Done, Marker, Pending, fresh_name, step
 from .state import State, initial_state, update
 from .syntax import (
     MethodRef,
@@ -173,18 +170,10 @@ from .trace import (
 
 
 class WlConfig(NamedTuple):
-    """Composed global trace plus the one statement left to run; a tuple, built by ``_wl``.
-
-    ``prefix`` summarizes ``trace[:-1]``, for the tests; the wl engine
-    does not use it.
-    """
+    """Composed global trace plus the one statement left to run; a tuple, built by ``_wl``."""
 
     trace: Trace
     marker: Marker
-
-    @property
-    def prefix(self) -> Summary:
-        return summarize(self.trace[:-1])
 
 
 # a WlConfig from the pair (trace, marker)
@@ -202,9 +191,8 @@ class ExtConfig(NamedTuple):
     ``markers`` keeps the order the configuration was built in, which is
     the order its successors come out in.  A configuration hashes and
     compares its trace and its markers as a bag (``_bag``), and is not
-    ordered.  ``prefix`` summarizes ``trace[:-1]``.  The library's
-    successor functions take and return configurations; the exploration
-    builds none (see ``_graph``).
+    ordered.  ``prefix`` summarizes ``trace[:-1]``.  A start is a
+    configuration; the exploration builds no other (see ``_graph``).
     """
 
     trace: Trace
@@ -249,10 +237,10 @@ def _extend(rope: tuple, rho, added: Trace) -> tuple:
     """``_glued`` on a rope: the rope of the trace of ``rope`` followed by ``added``.
 
     When ``rho`` is not ``None`` the step concretized the whole glued
-    trace, so ``added`` follows ``concretize_trace(rho, trace[:-1])``
-    instead, which maps each cell once per (ρ, cell) and command.  An edge
-    replayed so copies at most ``_LOOSE + len(added)`` atoms, whatever the
-    length of the trace.
+    trace, so ``added`` follows the trace before its last state
+    concretized under ``rho`` instead, which maps each cell once per
+    (ρ, cell) and command.  An edge replayed so copies at most
+    ``_LOOSE + len(added)`` atoms, whatever the length of the trace.
     """
     cell, loose = rope
     if rho is not None:
@@ -265,7 +253,7 @@ def _glued(trace: Trace, rho, added: Trace) -> Trace:
     """The trace a step record takes ``trace`` to: ``trace`` followed by ``added``.
 
     When ``rho`` is not ``None`` the step concretized the whole glued
-    trace, so ``added`` follows ``concretize_trace(rho, trace[:-1])``.
+    trace, so ``added`` follows ``trace[:-1]`` concretized under ``rho``.
     """
     return trace + added if rho is None else _concretize(rho, trace[:-1]) + added
 
@@ -306,13 +294,6 @@ def method_table(methods) -> tuple:
     return tuple(dict.fromkeys(methods))
 
 
-def _pending(trace: Trace, marker: Marker) -> State:
-    """The final state of a configuration whose marker is pending."""
-    if not isinstance(marker, Pending):
-        raise UndefinedTraceOpError("no successors for a finished configuration")
-    return last_state(trace)
-
-
 def _least(errors: list) -> LagcError:
     """The least of ``errors`` by type name and message.
 
@@ -332,25 +313,6 @@ def _divergence(policy: ComposePolicy) -> DivergenceLimitError:
 
 # ---------------------------------------------------------------------------
 # Plain while language
-
-
-def successors_wl(config: WlConfig):
-    """One evaluation step of a configuration: glue each consistent local trace onto its trace.
-
-    A local trace starts with the state it ran in, the last atom of the
-    global trace, so gluing puts it in place of that atom.  The
-    successors come out in the order ``step`` lists the local traces.
-    ``_walk`` takes the same steps without building configurations; this
-    is the step as a function of a whole configuration, for a run's last
-    check at the budget and for the library and its tests.
-    """
-    trace, marker = config
-    sigma = _pending(trace, marker)
-    return ordered(
-        _wl((trace[:-1] + local, after))
-        for pc, local, after in step(marker, sigma, "wl", DEFAULT_FRESH_BOUND)
-        if is_consistent(pc)
-    )
 
 
 def _walk(config: WlConfig, steps: int):
@@ -398,7 +360,7 @@ def compose_wl(policy: ComposePolicy, config: WlConfig) -> frozenset:
     """
     end = _walk(config, (policy.max_rounds - 1) * policy.increment)
     if end is not None and isinstance(end.marker, Pending):
-        successors_wl(_wl((end.trace[-1:], end.marker)))
+        _walk(_wl((end.trace[-1:], end.marker)), 1)
         raise _divergence(policy)
     return frozenset(() if end is None else (end,))
 
@@ -491,7 +453,7 @@ def _local_steps(marker: Pending, sigma: State, fresh_bound: int, conc_numeral: 
 
 
 def _concretize(rho: State, trace: Trace) -> Trace:
-    """``concretize_trace(rho, trace)``, mapping each distinct (ρ, atom) once per command."""
+    """``trace`` concretized under ``rho``, mapping each distinct (ρ, atom) once per command."""
     images = {} if _memo is None else _memo.atoms.setdefault(rho, {})
     out = []
     for atom in trace:
@@ -503,7 +465,7 @@ def _concretize(rho: State, trace: Trace) -> Trace:
 
 
 def _concretize_cell(rho: State, cell: Cell) -> Cell:
-    """``concretize_trace(rho, ·)`` of the trace ``cell``, as a cell.
+    """The trace ``cell`` concretized under ``rho``, as a cell.
 
     Each distinct (ρ, cell) is mapped once per command: the walk stops at
     the first cell already mapped and maps the cells below it in turn.
@@ -630,8 +592,7 @@ def _reactions(table, rep: tuple, fresh_bound: int) -> list:
 def _records(table, rep: tuple, fresh_bound: int, conc_numeral: int) -> list:
     """The step records of ``rep``: the scheduled steps, then the reactions.
 
-    This is the one expansion of a graph node, and ``successors_ext`` on
-    a configuration.
+    This is the one expansion of a graph node.
     """
     return _scheduled(rep, fresh_bound, conc_numeral) + _reactions(table, rep, fresh_bound)
 
@@ -639,52 +600,6 @@ def _records(table, rep: tuple, fresh_bound: int, conc_numeral: int) -> list:
 def _rep(config: ExtConfig) -> tuple:
     """``config`` as a node holds it: ``(trace, markers, prefix)``, with the whole trace."""
     return config.trace, config.markers, config.prefix
-
-
-def _configs(trace: Trace, records: list):
-    """The configurations ``records`` take ``trace`` to, in order, as a set-like view."""
-    return ordered(
-        ExtConfig(_glued(trace, rho, added), markers) for added, markers, _, rho in records
-    )
-
-
-def basic_successors(
-    config: WlConfig,
-    fresh_bound: int = DEFAULT_FRESH_BOUND,
-    conc_numeral: int = 0,
-) -> frozenset:
-    """One step of a single process, with composition-time concretization.
-
-    That is ``successors1`` of the configuration with ``config``'s marker
-    as its only one; see ``_scheduled``.
-    """
-    _pending(*config)
-    succs = successors1(ExtConfig(config.trace, (config.marker,)), fresh_bound, conc_numeral)
-    return frozenset(WlConfig(succ.trace, succ.markers[0]) for succ in succs)
-
-
-def successors1(
-    config: ExtConfig,
-    fresh_bound: int = DEFAULT_FRESH_BOUND,
-    conc_numeral: int = 0,
-):
-    """Schedule one marker out of the multiset and reinsert its continuation; see ``_scheduled``."""
-    return _configs(config.trace, _scheduled(_rep(config), fresh_bound, conc_numeral))
-
-
-def successors2(table, config: ExtConfig, fresh_bound: int = DEFAULT_FRESH_BOUND):
-    """Spawn processes reacting to pending method invocations; see ``_reactions``."""
-    return _configs(config.trace, _reactions(table, _rep(config), fresh_bound))
-
-
-def successors_ext(
-    table,
-    config: ExtConfig,
-    fresh_bound: int = DEFAULT_FRESH_BOUND,
-    conc_numeral: int = 0,
-):
-    """The scheduled steps of ``successors1``, then the reactions of ``successors2``."""
-    return _configs(config.trace, _records(table, _rep(config), fresh_bound, conc_numeral))
 
 
 def _future_key(trace: Trace, markers: tuple, prefix: Summary) -> tuple:
@@ -875,28 +790,6 @@ def _ends(table, config: ExtConfig, fresh_bound: int, conc_numeral: int, bound, 
         else:
             reached, _ = _graph(config, table, fresh_bound, conc_numeral, bound)
         return _paths(reached[0], config.trace, bound)
-
-
-def compose_bounded_ext(
-    bound: int,
-    table,
-    config: ExtConfig,
-    fresh_bound: int = DEFAULT_FRESH_BOUND,
-    conc_numeral: int = 0,
-) -> frozenset:
-    """The configurations at the ends of the paths of at most ``bound`` steps.
-
-    Unlike a stuck wl run, which reaches nothing, a configuration without
-    successors here (a deadlock) is kept as an end.
-    """
-    ends = _ends(table, config, fresh_bound, conc_numeral, bound)
-    return frozenset(ExtConfig(trace, node.rep[1]) for node, trace in ends)
-
-
-def compose_ext(policy: ComposePolicy, table, config: ExtConfig) -> frozenset:
-    """Every configuration reached, provided no path is longer than the policy's budget."""
-    ends = _ends(table, config, policy.fresh_bound, policy.conc_numeral, None, policy)
-    return frozenset(ExtConfig(trace, node.rep[1]) for node, trace in ends)
 
 
 def _start(program: Program, sigma: State) -> ExtConfig:

@@ -16,14 +16,10 @@ own but the result.
 
 from __future__ import annotations
 
-from .evaluate import eval_bexp_set, eval_exp_list, eval_sexp
-from .state import EMPTY_STATE, State, domain, is_concrete_state, star_names, symbolic_vars
+from .evaluate import eval_exp_list, eval_sexp
+from .state import EMPTY_STATE, State, star_names
 from .syntax import Num
-from .trace import CondTrace, EventAtom, Trace
-
-
-def is_conc_map_state(rho: State, sigma: State) -> bool:
-    return domain(rho) & domain(sigma) == symbolic_vars(sigma) and is_concrete_state(rho)
+from .trace import EventAtom, Trace
 
 
 def apply_conc_state(rho: State, sigma: State) -> State:
@@ -31,21 +27,6 @@ def apply_conc_state(rho: State, sigma: State) -> State:
     merged = {name: eval_sexp(value, rho) for name, value in sigma.entries}
     merged.update(rho.as_dict())
     return State(tuple(merged.items()))
-
-
-def min_conc_map_state(sigma: State, numeral: int) -> State:
-    value = Num(numeral)
-    return State(tuple((name, value) for name in star_names(sigma)))
-
-
-def is_conc_map_trace(rho: State, trace: Trace) -> bool:
-    if not is_concrete_state(rho):
-        return False
-    return all(
-        is_conc_map_state(rho, atom)
-        for atom in trace
-        if isinstance(atom, State)
-    )
 
 
 def min_conc_map_trace(trace: Trace, numeral: int) -> State:
@@ -70,10 +51,3 @@ def concretize_atom(rho: State, atom):
         return apply_conc_state(rho, atom)
     return EventAtom(atom.kind, eval_exp_list(atom.args, rho))
 
-
-def concretize_trace(rho: State, trace: Trace) -> Trace:
-    return tuple(concretize_atom(rho, atom) for atom in trace)
-
-
-def concretize_cond_trace(rho: State, cond: CondTrace) -> CondTrace:
-    return CondTrace(eval_bexp_set(cond.pc, rho), concretize_trace(rho, cond.trace))

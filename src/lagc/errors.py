@@ -21,10 +21,6 @@ class FreshBoundExceededError(LagcError):
     """Fresh-variable generation ran out of attempts before finding a free name."""
 
 
-class MalformedParamError(LagcError):
-    """A harvested call argument was not an arithmetic expression."""
-
-
 class DivergenceLimitError(LagcError):
     """Fixpoint composition gave up after the configured number of rounds."""
 

@@ -18,17 +18,13 @@ it shares: a step costs the same anywhere in a long sequence, and no
 marker nests deeper than the statements it holds.
 
 ``step`` yields each continuation trace as a plain triple ``(pc, trace,
-next marker)``, which is what both composition engines consume.  Only
-``valuate``, the library's view of a step, wraps the triples as
-``ContTrace(cond, marker)``s around ``CondTrace``s, named tuples that are
-built, hashed and compared in C.  An ``if`` or ``while`` step evaluates
-its test once.
+next marker)``, which is what both composition engines consume.  An
+``if`` or ``while`` step evaluates its test once.
 """
 
 from __future__ import annotations
 
-from functools import partial, reduce
-from typing import NamedTuple, Union
+from typing import Union
 from weakref import ref
 
 from .errors import FreshBoundExceededError, ModeError
@@ -55,11 +51,10 @@ from .syntax import (
     TRUE,
     Var,
     While,
-    check_mode,
     seq_spine,
     substitute,
 )
-from .trace import CondTrace, EventKind, cond_trace, gen_event, singleton
+from .trace import EventKind, gen_event, singleton
 
 DEFAULT_FRESH_BOUND = 100
 
@@ -107,14 +102,6 @@ class Pending(Node):
             stmt = Par(cls(stmt.left), cls(stmt.right))
         return cls._new(cls, stmt, rest)
 
-    @property
-    def stmt(self) -> Stmt:
-        """The pending statements as one left-nested ``Seq``, each ``Par`` as a ``LocPar``."""
-        return reduce(
-            Seq,
-            [LocPar(h.left.stmt, h.right.stmt) if isinstance(h, Par) else h for h in _heads(self)],
-        )
-
     def __repr__(self) -> str:
         return f"Pending({', '.join(map(repr, _heads(self)))})"
 
@@ -129,16 +116,6 @@ class Par(Node):
 
 Marker = Union[Pending, Done]
 
-
-class ContTrace(NamedTuple):
-    """A local trace and the marker left after it; a tuple, built by ``_cont``."""
-
-    cond: CondTrace
-    marker: Marker
-
-
-# a ContTrace from the pair (cond, marker)
-_cont = partial(tuple.__new__, ContTrace)
 
 # the path condition of a step that tests nothing, and of a literal test's two steps
 _NO_PC = frozenset()
@@ -162,11 +139,6 @@ def _then(marker: Marker, rest: Marker) -> Marker:
     for head in reversed(_heads(marker)):
         rest = Pending(head, rest)
     return rest
-
-
-def cont_append(marker: Marker, stmt: Stmt) -> Marker:
-    """Sequence another statement after whatever the marker still holds."""
-    return _then(marker, Pending(stmt))
 
 
 def parallel(left: Marker, right: Marker, rest: Marker = DONE) -> Marker:
@@ -205,32 +177,6 @@ def _test(cond, sigma: State, then: Marker, rest: Marker) -> tuple:
     if test is FALSE:
         return (_PC_FALSE, trace, then), (_PC_TRUE, trace, rest)
     return (frozenset((test,)), trace, then), (frozenset((Neg(test),)), trace, rest)
-
-
-def ordered(items):
-    """``items`` without repeats, in order, as a set-like view (``dict.keys()``)."""
-    return dict.fromkeys(items).keys()
-
-
-def valuate(
-    stmt: Union[Stmt, Pending],
-    sigma: State,
-    mode: str,
-    fresh_bound: int = DEFAULT_FRESH_BOUND,
-):
-    """All continuation traces of ``stmt`` in ``sigma`` up to one scheduling point.
-
-    ``stmt`` may also be a ``Pending`` marker: its head runs, and the rest of
-    the marker waits behind whatever the head leaves over.  The result is
-    a set-like view (``dict.keys()``) of ``ContTrace``s, one per triple of
-    ``step``, in ``step``'s order.
-    """
-    check_mode(mode)
-    marker = stmt if isinstance(stmt, Pending) else Pending(stmt)
-    return ordered(
-        _cont((cond_trace((pc, trace)), after))
-        for pc, trace, after in step(marker, sigma, mode, fresh_bound)
-    )
 
 
 def step(marker: Pending, sigma: State, mode: str, fresh_bound: int) -> tuple:

@@ -40,7 +40,6 @@ from .syntax import (
     uncapped,
     value_key,
 )
-from .trace import Trace
 
 _ADDSUB = 1
 _MUL = 2
@@ -151,10 +150,6 @@ def render_atom(atom) -> str:
     return f"Event({atom.kind.value}, [{args}])"
 
 
-def render_trace(trace: Trace) -> str:
-    return " ~> ".join(render_atom(atom) for atom in trace)
-
-
 def _dense_ranks(items, key, start: int = 0) -> dict:
     """Number ``items`` from ``start`` in ``key`` order; equal keys share a number."""
     keyed = sorted([(key(item), item) for item in items], key=itemgetter(0))
@@ -207,11 +202,6 @@ def _ordered(traces) -> tuple:
         rank = _atom_ranks(atoms)
         traces.sort(key=lambda trace: list(map(rank.__getitem__, trace)))
     return traces, atoms
-
-
-def sorted_traces(traces) -> list:
-    """The traces in ``canon_key`` order."""
-    return _ordered(traces)[0]
 
 
 # An atom sits at depth 3 of the JSON payload: object, trace list, trace.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
-from .syntax import Node, Num, SExp, Star, canon_key, free_vars, node_key, tuple_key, value_key
+from .syntax import Node, Num, SExp, Star, canon_key, node_key, tuple_key, value_key
 
 _set = object.__setattr__
 
@@ -80,10 +80,6 @@ def make_state(entries: Entries) -> State:
     return State(entries)
 
 
-def domain(sigma: State) -> frozenset:
-    return frozenset(name for name, _ in sigma.entries)
-
-
 def update(sigma: State, variable: str, value: SExp) -> State:
     """``sigma`` with ``variable`` mapped to ``value``.
 
@@ -107,17 +103,6 @@ def star_names(sigma: State) -> tuple:
         stars = tuple(name for name, value in sigma.entries if isinstance(value, Star))
         _set(sigma, "_stars", stars)
     return stars
-
-
-def symbolic_vars(sigma: State) -> frozenset:
-    """Variables the state maps to the symbolic placeholder."""
-    return frozenset(star_names(sigma))
-
-
-def is_wellformed_state(sigma: State) -> bool:
-    """Every variable mentioned in an image must be symbolic in the state."""
-    symbolic = symbolic_vars(sigma)
-    return all(free_vars(value) <= symbolic for _, value in sigma.entries)
 
 
 def is_concrete_state(sigma: State) -> bool:
@@ -149,9 +134,3 @@ def initial_state(variables: Iterable[str]) -> State:
     zero = Num(0)
     return State(tuple((name, zero) for name in dict.fromkeys(variables)))
 
-
-def simplify_state(sigma: State) -> State:
-    """Evaluate every image under the state itself; the domain is unchanged."""
-    from .evaluate import eval_sexp
-
-    return State(tuple((name, eval_sexp(value, sigma)) for name, value in sigma.entries))

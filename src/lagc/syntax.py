@@ -624,11 +624,6 @@ def occurrences(item) -> list:
     return out
 
 
-def free_vars(item) -> frozenset:
-    """The free variables of any syntax value: the set of its ``occurrences``."""
-    return frozenset(occurrences(item))
-
-
 # ---------------------------------------------------------------------------
 # Substitution
 

@@ -1,13 +1,12 @@
-"""Symbolic traces: sequences of states and events, plus path conditions.
+"""Symbolic traces: sequences of states and events.
 
-The paper's operations take a trace as a plain tuple of atoms, and so do
-the functions here that define them (``semantic_chop``, ``summarize``,
-``harvest_params`` and the rest), which the frozen reference engine in the
-tests calls as they are.  As in the paper, a trace is a sequence of
-states and events: an atom is a ``State`` itself or an ``EventAtom``,
-with nothing wrapped around the state.  Both are hash-consed syntax
-nodes, so comparing two tuples costs one identity check per atom.  A
-``CondTrace``, a trace under a path condition, is a named tuple.
+As in the paper, a trace is a sequence of states and events: a plain
+tuple of atoms, each a ``State`` itself or an ``EventAtom``, with
+nothing wrapped around the state.  Both are hash-consed syntax nodes, so
+comparing two tuples costs one identity check per atom.  The paper's
+definitions on whole traces (the semantic chop, well-formedness,
+invocation well-formedness and harvested arguments) are not computed
+here; the tests keep them as their specification (``tests/spec.py``).
 
 The replay of the ext exploration's paths holds the older part of a
 long trace as a ``Cell`` instead, inside a rope (see ``lagc.compose``):
@@ -24,21 +23,19 @@ cell; it keeps a run's trace in a list.
 
 ``Summary`` folds what composition needs to know about a trace
 (concreteness, unanswered invocations, harvested call arguments) so that
-it can be extended atom by atom.  The partial operations (first/last
-state and the semantic chop) raise ``UndefinedTraceOpError`` outside
-their domain instead of guessing.
+it can be extended atom by atom.  ``last_state`` raises
+``UndefinedTraceOpError`` outside its domain instead of guessing.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import partial
 from typing import NamedTuple, Optional, Tuple, Union
 
 from .errors import UndefinedTraceOpError
 from .evaluate import eval_exp_list, is_concrete
-from .state import State, is_concrete_state, is_wellformed_state, symbolic_vars
-from .syntax import ArithExp, MethodRef, Node, TRUE, free_vars
+from .state import State, is_concrete_state
+from .syntax import ArithExp, MethodRef, Node, TRUE
 
 _set = object.__setattr__
 
@@ -66,29 +63,8 @@ TraceAtom = Union[State, EventAtom]
 Trace = Tuple[TraceAtom, ...]
 
 
-class CondTrace(NamedTuple):
-    """A symbolic trace guarded by a path condition; a tuple, built by ``cond_trace``."""
-
-    pc: frozenset
-    trace: Trace
-
-
-# a CondTrace from the pair (pc, trace)
-cond_trace = partial(tuple.__new__, CondTrace)
-
-
 def singleton(sigma: State) -> Trace:
     return (sigma,)
-
-
-def concat(left: Trace, right: Trace) -> Trace:
-    return left + right
-
-
-def first_state(trace: Trace) -> State:
-    if trace and isinstance(trace[0], State):
-        return trace[0]
-    raise UndefinedTraceOpError("trace does not start with a state")
 
 
 def last_state(trace: Trace) -> State:
@@ -97,32 +73,9 @@ def last_state(trace: Trace) -> State:
     raise UndefinedTraceOpError("trace does not end with a state")
 
 
-def semantic_chop(left: Trace, right: Trace) -> Trace:
-    """Concatenate two traces that share a boundary state, dropping one copy.
-
-    Only the shape of ``left`` is checked; whether the boundary states agree
-    is the caller's responsibility.
-    """
-    if left and isinstance(left[-1], State):
-        return left[:-1] + right
-    raise UndefinedTraceOpError("semantic chop needs a final state on the left")
-
-
-def semantic_chop_cond(left: CondTrace, right: CondTrace) -> CondTrace:
-    return CondTrace(left.pc | right.pc, semantic_chop(left.trace, right.trace))
-
-
 def gen_event(kind: EventKind, sigma: State, args) -> Trace:
     """Surround an event with the given state, simplifying its arguments."""
     return sigma, EventAtom(kind, eval_exp_list(args, sigma)), sigma
-
-
-def trace_symbolic_vars(trace: Trace) -> frozenset:
-    out = frozenset()
-    for atom in trace:
-        if isinstance(atom, State):
-            out |= symbolic_vars(atom)
-    return out
 
 
 # literals are hash-consed, so TRUE is the one Boolean literal that is not false
@@ -132,45 +85,6 @@ _ONLY_TRUE = frozenset({TRUE})
 def is_consistent(pc: frozenset) -> bool:
     """All members are Boolean literals and none of them is false."""
     return pc <= _ONLY_TRUE
-
-
-def is_wellformed_cond_trace(cond: CondTrace) -> bool:
-    """The five wellformedness conditions, checked together.
-
-    1. Variables concrete in some state never occur symbolic elsewhere.
-    2. Path-condition variables are symbolic variables of the trace.
-    3. Event-argument variables are symbolic variables of the trace.
-    4. Events sit between identical states, and the trace starts and ends
-       with a state (the empty trace therefore fails).
-    5. All states are wellformed.
-    """
-    trace = cond.trace
-    symbolic = trace_symbolic_vars(trace)
-    for atom in trace:
-        if isinstance(atom, State):
-            non_symbolic = frozenset(n for n, _ in atom.entries) - symbolic_vars(atom)
-            if non_symbolic & symbolic:
-                return False
-            if not is_wellformed_state(atom):
-                return False
-        else:
-            if not all(free_vars(arg) <= symbolic for arg in atom.args):
-                return False
-    for b in cond.pc:
-        if not free_vars(b) <= symbolic:
-            return False
-    if not trace or not isinstance(trace[0], State) or not isinstance(trace[-1], State):
-        return False
-    for i, atom in enumerate(trace):
-        if isinstance(atom, EventAtom):
-            if i == 0 or i == len(trace) - 1:
-                return False
-            before, after = trace[i - 1], trace[i + 1]
-            if not (isinstance(before, State) and isinstance(after, State)):
-                return False
-            if before != after:
-                return False
-    return True
 
 
 def is_concrete_atom(atom: TraceAtom) -> bool:
@@ -185,18 +99,6 @@ def is_concrete_atom(atom: TraceAtom) -> bool:
 
 def is_concrete_trace(trace: Trace) -> bool:
     return all(map(is_concrete_atom, trace))
-
-
-def is_concrete_cond_trace(cond: CondTrace) -> bool:
-    return (
-        is_wellformed_cond_trace(cond)
-        and is_concrete(cond.pc)
-        and is_concrete_trace(cond.trace)
-    )
-
-
-def count_atom(trace: Trace, atom: TraceAtom) -> int:
-    return sum(1 for candidate in trace if candidate == atom)
 
 
 class Summary(NamedTuple):
@@ -261,29 +163,6 @@ EMPTY_SUMMARY = Summary(True, {}, frozenset())
 
 def summarize(trace: Trace) -> Summary:
     return EMPTY_SUMMARY.extend(trace)
-
-
-def unanswered_invocations(trace: Trace) -> dict | None:
-    """Invocations not yet reacted to, counted per argument list, in one pass.
-
-    Only argument lists with a positive count are kept.  Returns ``None``
-    when some reaction event has no unmatched invocation before it.
-    Appending a reaction with arguments ``args`` keeps the trace
-    invocation-wellformed iff ``args`` has a count.
-    """
-    open_calls = summarize(trace).open_calls
-    # a copy, so that no caller can change a summary
-    return None if open_calls is None else dict(open_calls)
-
-
-def invocation_wellformed(trace: Trace) -> bool:
-    """Every reaction event must have an unmatched invocation before it."""
-    return unanswered_invocations(trace) is not None
-
-
-def harvest_params(trace: Trace) -> frozenset:
-    """Arguments of all invocation events shaped [method, arithmetic arg]."""
-    return summarize(trace).params
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ A frozen copy, kept as an oracle for the current engine: every round
 explores again from the initial configuration, and a pending statement is
 a left-nested ``Seq`` that ``valuate`` walks by recursion.  It imports only
 the syntax, state, evaluation, trace and concretization layers, never
-``lagc.compose`` or ``lagc.localeval``.  Do not optimise it.
+``lagc.compose`` or ``lagc.localeval``, and takes the paper's definitions
+from ``spec``.  Do not optimise it.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from lagc.concretize import concretize_trace, min_conc_map_trace
+from lagc.concretize import min_conc_map_trace
 from lagc.errors import (
     DivergenceLimitError,
     FreshBoundExceededError,
-    MalformedParamError,
     ModeError,
     UndefinedTraceOpError,
 )
@@ -47,17 +47,15 @@ from lagc.syntax import (
     occurrences,
     substitute,
 )
-from lagc.trace import (
+from lagc.trace import EventKind, Trace, gen_event, is_consistent, last_state, singleton
+
+from spec import (
     CondTrace,
-    EventKind,
-    Trace,
-    gen_event,
+    MalformedParamError,
+    concretize_trace,
     harvest_params,
     invocation_wellformed,
-    is_consistent,
-    last_state,
     semantic_chop,
-    singleton,
 )
 
 DEFAULT_FRESH_BOUND = 100

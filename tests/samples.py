@@ -26,7 +26,9 @@ from lagc.syntax import (
     Var,
     While,
 )
-from lagc.trace import CondTrace, EventAtom, EventKind
+from lagc.trace import EventAtom, EventKind
+
+from spec import CondTrace
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 

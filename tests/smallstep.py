@@ -1,7 +1,7 @@
 """Direct small-step interleaving enumerator over plain integer stores.
 
 Deliberately independent of the composition engine: no symbolic states,
-no trace atoms, no continuation markers, no ``valuate`` and no
+no trace atoms, no continuation markers, no local step and no
 ``substitute``.  A run holds one store, a dict of integers, and one stack
 of work items.  An item is a statement together with its renaming, the
 store names its ``scope`` variables stand for, or a ``co`` that holds the

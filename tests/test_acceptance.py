@@ -9,9 +9,9 @@ from contextlib import contextmanager
 
 from lagc.cli import main
 from lagc.compose import initial_state_for, trace_equivalent, traces_ext, traces_wl
-from lagc.concretize import apply_conc_state, min_conc_map_state
+from lagc.concretize import apply_conc_state
 from lagc.evaluate import eval_arith, eval_bool
-from lagc.state import EMPTY_STATE, State, is_concrete_state, is_wellformed_state, make_state
+from lagc.state import EMPTY_STATE, State, is_concrete_state, make_state
 from lagc.syntax import (
     ABin,
     ArithExp,
@@ -32,12 +32,8 @@ from lagc.syntax import (
     Var,
 )
 from lagc.trace import (
-    CondTrace,
     EventAtom,
     EventKind,
-    is_concrete_cond_trace,
-    is_wellformed_cond_trace,
-    semantic_chop_cond,
 )
 
 import test_differential
@@ -56,6 +52,14 @@ from samples import (
     SIGMA2,
     WL_FACTORIAL,
     WL_SWAP,
+)
+from spec import (
+    CondTrace,
+    is_concrete_cond_trace,
+    is_wellformed_cond_trace,
+    is_wellformed_state,
+    min_conc_map_state,
+    semantic_chop_cond,
 )
 
 

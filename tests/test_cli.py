@@ -9,7 +9,6 @@ from lagc import cli, syntax
 from lagc.cli import main, parse_state_spec
 from lagc.compose import (
     ExtConfig,
-    compose_bounded_ext,
     initial_state_for,
     method_table,
     traces_wl,
@@ -29,6 +28,8 @@ from lagc.render import render_traces
 from lagc.state import make_state
 from lagc.syntax import Num
 from lagc.trace import singleton
+
+from steps import bounded
 
 FACTORIAL = "x := 6 ;; y := 1 ;; while x >= 2 do y := y*x ;; x := x-1 od"
 CALL_PROGRAM = "program { method foo(x){ x := 2 } main { (x := 0 ;; call foo(x)) ;; x := 1 } }"
@@ -102,7 +103,7 @@ def test_traces_bounded_ext_matches_compose_bounded(write, capsys, bound):
     assert main(argv) == 0
     program = parse_program(CALL_PROGRAM, "ext")
     start = ExtConfig(singleton(initial_state_for(program)), (Pending(program.main),))
-    reached = compose_bounded_ext(bound, method_table(program.methods), start, 7)
+    reached = bounded(bound, method_table(program.methods), start, 7)
     assert capsys.readouterr().out == render_traces(frozenset(c.trace for c in reached))
 
 

@@ -7,24 +7,17 @@ from lagc.compose import (
     ComposePolicy,
     ExtConfig,
     WlConfig,
-    basic_successors,
-    compose_bounded_ext,
     compose_bounded_wl,
-    compose_ext,
     compose_wl,
     initial_state_for,
     method_table,
-    successors1,
-    successors2,
-    successors_ext,
-    successors_wl,
     trace_equivalent,
     traces_ext,
     traces_wl,
 )
-from lagc.errors import DivergenceLimitError, PolicyError, UndefinedTraceOpError
-from lagc.localeval import DONE, Pending, cont_append
-from lagc.state import EMPTY_STATE, State, domain, initial_state, make_state, update
+from lagc.errors import DivergenceLimitError, PolicyError
+from lagc.localeval import DONE, Pending, _then
+from lagc.state import EMPTY_STATE, State, initial_state, make_state, update
 from lagc.syntax import (
     ArithExp,
     Assign,
@@ -43,21 +36,20 @@ from lagc.syntax import (
     Skip,
     Var,
     While,
-    free_vars,
     occurrences,
     substitute,
 )
 from lagc.trace import (
     EventAtom,
     EventKind,
-    harvest_params,
-    invocation_wellformed,
     last_state,
     singleton,
 )
 
 from gens import rand_concrete_state, rand_concrete_trace, rand_ext_stmt, rand_wl_stmt
 from samples import EXT_CALL, EXT_INPUT, EXT_SCOPE_PAR, SIGMA2, WL_FACTORIAL, WL_SWAP
+from spec import domain, free_vars, harvest_params, invocation_wellformed
+from steps import bounded, process_step, reactions, successors
 
 ZERO = Num(0)
 
@@ -65,19 +57,14 @@ ZERO = Num(0)
 def test_successors_wl_examples():
     swap_initial = initial_state_for(WL_SWAP)
     start = WlConfig(singleton(swap_initial), Pending(WL_SWAP))
-    assert successors_wl(start) == {WlConfig(singleton(swap_initial), DONE)}
+    assert compose_bounded_wl(1, start) == {WlConfig(singleton(swap_initial), DONE)}
 
     skip = WlConfig(singleton(SIGMA2), Pending(Skip()))
-    assert successors_wl(skip) == {WlConfig(singleton(SIGMA2), DONE)}
+    assert compose_bounded_wl(1, skip) == {WlConfig(singleton(SIGMA2), DONE)}
 
     assign = WlConfig(singleton(SIGMA2), Pending(Assign("x", Num(3))))
     stepped = singleton(SIGMA2) + (update(SIGMA2, "x", Num(3)),)
-    assert successors_wl(assign) == {WlConfig(stepped, DONE)}
-
-
-def test_successors_wl_undefined_on_done():
-    with pytest.raises(UndefinedTraceOpError):
-        successors_wl(WlConfig(singleton(SIGMA2), DONE))
+    assert compose_bounded_wl(1, assign) == {WlConfig(stepped, DONE)}
 
 
 def test_compose_bounded_wl():
@@ -122,13 +109,13 @@ def test_wl_is_deterministic():
 def test_basic_successors_skip():
     sigma = rand_concrete_state(random.Random(62))
     config = WlConfig(singleton(sigma), Pending(Skip()))
-    assert basic_successors(config) == {WlConfig(singleton(sigma), DONE)}
+    assert process_step(config) == {WlConfig(singleton(sigma), DONE)}
 
 
 def test_basic_successors_input_concretizes():
     sigma = make_state({"x": ZERO})
     config = WlConfig(singleton(sigma), Pending(Input("x")))
-    (succ,) = basic_successors(config)
+    (succ,) = process_step(config)
     bound = make_state({"x": ZERO, "$x::Input": ZERO})
     assert succ.marker == DONE
     assert succ.trace == (
@@ -141,18 +128,18 @@ def test_basic_successors_input_concretizes():
 
 def test_basic_successors_blocked_guard():
     config = WlConfig(singleton(SIGMA2), Pending(Guard(BoolLit(False), Skip())))
-    assert basic_successors(config) == frozenset()
+    assert process_step(config) == frozenset()
 
 
 def test_successors1():
-    assert successors1(ExtConfig(singleton(SIGMA2), (DONE,))) == frozenset()
+    assert successors((), ExtConfig(singleton(SIGMA2), (DONE,))) == frozenset()
     single = ExtConfig(singleton(SIGMA2), (Pending(Skip()),))
-    assert successors1(single) == {ExtConfig(singleton(SIGMA2), (DONE,))}
+    assert successors((), single) == {ExtConfig(singleton(SIGMA2), (DONE,))}
 
     racy = ExtConfig(
         singleton(SIGMA2), (Pending(Assign("x", Num(1))), Pending(Assign("x", Num(2))))
     )
-    succ = successors1(racy)
+    succ = successors((), racy)
     assert len(succ) == 2
     for config in succ:
         assert len(config.markers) == 2
@@ -162,7 +149,7 @@ def test_successors1():
 def test_successors2_no_invocations():
     table = method_table((Method("foo", "x", Skip()),))
     config = ExtConfig(singleton(SIGMA2), (DONE,))
-    assert successors2(table, config) == frozenset()
+    assert reactions(table, config) == frozenset()
 
 
 def test_successors2_spawns_reaction():
@@ -174,7 +161,7 @@ def test_successors2_spawns_reaction():
         sigma,
     )
     config = ExtConfig(invoked, (Pending(Assign("x", Num(1))),))
-    (succ,) = successors2(table, config)
+    (succ,) = reactions(table, config)
     bound = update(sigma, "$foo::Param", ZERO)
     assert succ.trace == invoked + (
         EventAtom(EventKind.REACT, (MethodRef("foo"), ArithExp(Num(0)))),
@@ -197,7 +184,7 @@ def test_successors2_respects_reaction_budget():
         sigma,
     )
     config = ExtConfig(matched, (DONE,))
-    assert successors2(table, config) == frozenset()
+    assert reactions(table, config) == frozenset()
 
 
 def test_successors2_builds_atoms_only_for_kept_reactions(monkeypatch):
@@ -225,9 +212,9 @@ def test_successors2_builds_atoms_only_for_kept_reactions(monkeypatch):
 
     monkeypatch.setattr(compose, "update", counting(compose.update, "State"))
     monkeypatch.setattr(compose, "EventAtom", counting(EventAtom, "EventAtom"))
-    successors = successors2(method_table(methods), config)
+    spawned = reactions(method_table(methods), config)
     monkeypatch.undo()
-    reacted = {succ.trace[len(trace)] for succ in successors}
+    reacted = {succ.trace[len(trace)] for succ in spawned}
     assert reacted == {call(EventKind.REACT, "m1", 1), call(EventKind.REACT, "m3", 4)}
     # of 4 x 5 candidates, each of the two kept builds its event and the
     # state with the bound parameter; the state around the event is the
@@ -265,7 +252,7 @@ def test_successors2_matches_direct_construction():
                         (DONE, Pending(substitute(m.body, "v", fresh))),
                     )
                 )
-        assert successors2(method_table(methods), config) == frozenset(expected)
+        assert reactions(method_table(methods), config) == frozenset(expected)
 
 
 def test_basic_seq_successors_factor_through_first_statement():
@@ -275,10 +262,10 @@ def test_basic_seq_successors_factor_through_first_statement():
         second = rand_wl_stmt(rng, rng.randint(1, 3))
         names = tuple(sorted(free_vars(first) | free_vars(second) | {"x"}))
         trace = rand_concrete_trace(rng) + (rand_concrete_state(rng, names),)
-        direct = basic_successors(WlConfig(trace, Pending(Seq(first, second))))
+        direct = process_step(WlConfig(trace, Pending(Seq(first, second))))
         lifted = frozenset(
-            WlConfig(c.trace, cont_append(c.marker, second))
-            for c in basic_successors(WlConfig(trace, Pending(first)))
+            WlConfig(c.trace, _then(c.marker, Pending(second)))
+            for c in process_step(WlConfig(trace, Pending(first)))
         )
         assert direct == lifted
 
@@ -299,7 +286,7 @@ def test_ext_config_markers_are_canonical():
 
 
 def test_successors_ext_union():
-    assert successors_ext((), ExtConfig(singleton(SIGMA2), (DONE,))) == frozenset()
+    assert successors((), ExtConfig(singleton(SIGMA2), (DONE,))) == frozenset()
     # a pending reaction keeps the configuration alive after main finished
     table = method_table(EXT_CALL.methods)
     sigma = make_state({"x": ZERO})
@@ -309,7 +296,7 @@ def test_successors_ext_union():
         sigma,
     )
     config = ExtConfig(invoked, (DONE,))
-    assert successors_ext(table, config) != frozenset()
+    assert successors(table, config) != frozenset()
 
 
 def test_compose_ext_divergence():
@@ -371,8 +358,8 @@ def test_deadlocked_guard_terminates_with_partial_trace():
 
 def test_compose_bounded_ext_keeps_frontier():
     start = ExtConfig(singleton(EMPTY_STATE), (Pending(Seq(Skip(), Skip())),))
-    assert compose_bounded_ext(0, (), start) == {start}
-    partial = compose_bounded_ext(1, (), start)
+    assert bounded(0, (), start) == {start}
+    partial = bounded(1, (), start)
     assert partial == {ExtConfig(singleton(EMPTY_STATE), (Pending(Skip()),))}
 
 
@@ -381,7 +368,7 @@ def _bounded_wl_reference(bound, config):
     if bound == 0 or config.marker == DONE:
         return frozenset({config})
     out = set()
-    for succ in successors_wl(config):
+    for succ in compose_bounded_wl(1, config):
         out |= _bounded_wl_reference(bound - 1, succ)
     return frozenset(out)
 
@@ -389,7 +376,7 @@ def _bounded_wl_reference(bound, config):
 def _bounded_ext_reference(bound, table, config):
     if bound == 0:
         return frozenset({config})
-    succ = successors_ext(table, config)
+    succ = successors(table, config)
     if not succ:
         return frozenset({config})
     out = set()
@@ -423,7 +410,7 @@ def test_bounded_ext_matches_recursive_reference():
     cases.append((ExtConfig(singleton(make_state({"x": ZERO})), (Pending(loop),)), range(13)))
     for start, bounds in cases:
         for bound in bounds:
-            assert compose_bounded_ext(bound, table, start) == _bounded_ext_reference(
+            assert bounded(bound, table, start) == _bounded_ext_reference(
                 bound, table, start
             )
 
@@ -459,7 +446,7 @@ def test_engine_traces_bracketed_by_states():
     for program in (EXT_SCOPE_PAR, EXT_CALL, EXT_INPUT):
         table = method_table(program.methods)
         start = ExtConfig(singleton(initial_state_for(program)), (Pending(program.main),))
-        reached = compose_bounded_ext(4, table, start)
+        reached = bounded(4, table, start)
         for config in reached:
             assert isinstance(config.trace[0], State)
             assert isinstance(config.trace[-1], State)
@@ -472,9 +459,9 @@ def test_negative_bound_is_a_policy_error():
         with pytest.raises(PolicyError, match="bound must be at least 0"):
             compose_bounded_wl(bound, wl_start)
         with pytest.raises(PolicyError, match="bound must be at least 0"):
-            compose_bounded_ext(bound, (), ext_start)
+            bounded(bound, (), ext_start)
     assert compose_bounded_wl(0, wl_start) == {wl_start}
-    assert compose_bounded_ext(0, (), ext_start) == {ext_start}
+    assert bounded(0, (), ext_start) == {ext_start}
 
 
 def test_initial_state_for_several_items():

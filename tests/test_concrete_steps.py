@@ -18,7 +18,7 @@ import pytest
 
 from lagc import compose
 from lagc.compose import initial_state_for, traces_ext
-from lagc.concretize import concretize_trace, min_conc_map_trace
+from lagc.concretize import min_conc_map_trace
 from lagc.errors import LagcError
 from lagc.evaluate import eval_bexp_set, is_concrete
 from lagc.localeval import DEFAULT_FRESH_BOUND, DONE, Pending, step
@@ -35,6 +35,7 @@ from gens import (
     rand_state,
     rand_trace,
 )
+from spec import concretize_trace
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 

@@ -2,25 +2,28 @@ import random
 
 from lagc.concretize import (
     apply_conc_state,
-    concretize_cond_trace,
-    concretize_trace,
-    is_conc_map_state,
-    is_conc_map_trace,
-    min_conc_map_state,
     min_conc_map_trace,
 )
-from lagc.state import EMPTY_STATE, domain, is_concrete_state, make_state
+from lagc.state import EMPTY_STATE, is_concrete_state, make_state
 from lagc.syntax import Num, STAR
 from lagc.trace import (
-    CondTrace,
     EventAtom,
     EventKind,
     is_concrete_trace,
-    trace_symbolic_vars,
 )
 
 from gens import rand_concrete_state, rand_concrete_trace, rand_state, rand_trace
 from samples import PI1, SIGMA1, SIGMA2, TAU1
+from spec import (
+    CondTrace,
+    concretize_cond_trace,
+    concretize_trace,
+    domain,
+    is_conc_map_state,
+    is_conc_map_trace,
+    min_conc_map_state,
+    trace_symbolic_vars,
+)
 
 RHO_Y2 = make_state({"y": Num(2)})
 

@@ -1,4 +1,4 @@
-"""Node constructors, one per field count, and the tuple-backed local trace records.
+"""Node constructors, one per field count, and the spec's tuple-backed ``CondTrace``.
 
 Every node class gets a constructor for its number of fields (0 to 3).
 These tests build nodes of every class with fields no other test uses, so
@@ -11,13 +11,13 @@ import random
 
 import pytest
 
-from lagc import localeval
-from lagc.localeval import DONE, ContTrace, Pending
+from lagc.localeval import DONE, Pending
 from lagc.state import State, make_state, update
-from lagc.syntax import Assign, Node, Num, STAR, Skip, Var, holding_nodes
-from lagc.trace import CondTrace, cond_trace, singleton
+from lagc.syntax import Assign, Node, Num, STAR, Var, holding_nodes
+from lagc.trace import singleton
 
 from gens import rand_concrete_state, rand_state
+from spec import CondTrace, cond_trace
 
 
 def _node_classes() -> list:
@@ -145,13 +145,3 @@ def test_cond_trace_is_a_pair():
     assert cond != CondTrace(frozenset(), steps)
     assert repr(cond) == f"CondTrace(pc={pc!r}, trace={steps!r})"
 
-
-def test_cont_trace_is_a_pair():
-    cond = CondTrace(frozenset(), singleton(make_state({})))
-    marker = Pending(Skip())
-    cont = ContTrace(cond, marker)
-    assert cont.cond is cond and cont.marker is marker and tuple(cont) == (cond, marker)
-    same = localeval._cont((CondTrace(frozenset(), singleton(make_state({}))), Pending(Skip())))
-    assert type(same) is ContTrace and same == cont and hash(same) == hash(cont)
-    assert cont != ContTrace(cond, DONE)
-    assert repr(cont) == f"ContTrace(cond={cond!r}, marker={marker!r})"

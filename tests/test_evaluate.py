@@ -14,7 +14,7 @@ from lagc.evaluate import (
     eval_sexp,
     is_concrete,
 )
-from lagc.state import EMPTY_STATE, domain, make_state
+from lagc.state import EMPTY_STATE, make_state
 from lagc.syntax import (
     ABin,
     ArithExp,
@@ -29,11 +29,11 @@ from lagc.syntax import (
     RelOp,
     STAR,
     Var,
-    free_vars,
 )
 
 from gens import rand_aexp, rand_bexp, rand_concrete_state, rand_state
 from samples import AEXP_SAMPLE, BEXP_SAMPLE, SIGMA1, SIGMA2, X, Y
+from spec import domain, free_vars
 
 
 def test_operator_tables():

@@ -17,7 +17,7 @@ from lagc.errors import (
     UnboundVariableError,
     UndefinedTraceOpError,
 )
-from lagc.localeval import DONE, Par, Pending, parallel, valuate
+from lagc.localeval import DEFAULT_FRESH_BOUND, DONE, Par, Pending, parallel, step
 from lagc.parser import parse_program
 from lagc.state import EMPTY_STATE, initial_state
 from lagc.syntax import (
@@ -32,7 +32,6 @@ from lagc.syntax import (
     Skip,
     Var,
     While,
-    free_vars,
 )
 from lagc.trace import singleton
 
@@ -45,6 +44,8 @@ from gens import (
     rand_trace,
     rand_wl_stmt,
 )
+from spec import free_vars, marker_stmt
+from steps import bounded, successors
 
 LOOP = While(BoolLit(True), Skip())
 SCHEDULE = "no fixpoint after 3 rounds (bound 21)"
@@ -75,10 +76,13 @@ def _settling_bound(engine, lang, program, sigma) -> int:
             start = engine.WlConfig(singleton(sigma), engine.Pending(program.main))
             reached = engine.compose_bounded_wl(bound, start)
             settled = all(isinstance(c.marker, engine.Done) for c in reached)
+        elif engine is ref:
+            start = ref.ExtConfig(singleton(sigma), (ref.Pending(program.main),))
+            reached = ref.compose_bounded_ext(bound, table, start)
+            settled = not any(ref.successors_ext(table, c) for c in reached)
         else:
-            start = engine.ExtConfig(singleton(sigma), (engine.Pending(program.main),))
-            reached = engine.compose_bounded_ext(bound, table, start)
-            settled = not any(engine.successors_ext(table, c) for c in reached)
+            start = ExtConfig(singleton(sigma), (Pending(program.main),))
+            settled = not any(successors(table, c) for c in bounded(bound, table, start))
         if settled:
             return bound
     raise AssertionError("no settling bound below 100")
@@ -166,7 +170,7 @@ def test_a_wl_step_has_at_most_one_successor():
             if config.marker is DONE:
                 end = "finished"
                 break
-            succ = compose.successors_wl(config)
+            succ = compose.compose_bounded_wl(1, config)
             assert len(succ) <= 1, (stmt, sigma)
             if not succ:
                 end = "stuck"
@@ -228,9 +232,9 @@ def test_a_wl_run_from_an_empty_or_finished_start():
 def test_rounds_continue_the_ext_exploration(monkeypatch):
     # one pass over the 45-step budget, then one check of the last frontier
     calls = _counting(monkeypatch, "_records")
-    start = ExtConfig(singleton(EMPTY_STATE), (Pending(LOOP),))
+    policy = ComposePolicy(max_rounds=10, increment=5)
     with pytest.raises(DivergenceLimitError):
-        compose.compose_ext(ComposePolicy(max_rounds=10, increment=5), (), start)
+        compose.traces_ext(Program((), LOOP), EMPTY_STATE, policy)
     assert calls and len(calls) <= 50
 
 
@@ -333,12 +337,12 @@ def test_pending_is_one_stack_for_every_nesting():
     assert left is right is Pending(a, Pending(b, Pending(c)))
     assert (left.head, left.rest.head, left.rest.rest.head) == (a, b, c)
     assert left.rest.rest.rest is DONE
-    assert left.stmt == Seq(Seq(a, b), c)
+    assert marker_stmt(left) == Seq(Seq(a, b), c)
     # a co is one head holding the markers of its branches
     marker = Pending(LocPar(Seq(a, b), c), Pending(a))
     assert marker.head is Par(Pending(Seq(a, b)), Pending(c))
     assert marker is parallel(Pending(Seq(a, b)), Pending(c), Pending(a))
-    assert marker.stmt == Seq(LocPar(Seq(a, b), c), a)
+    assert marker_stmt(marker) == Seq(LocPar(Seq(a, b), c), a)
 
 
 def test_long_sequence_marker_builds_steps_hashes_and_prints_without_recursion():
@@ -353,10 +357,10 @@ def test_long_sequence_marker_builds_steps_hashes_and_prints_without_recursion()
     while cell is not DONE:
         cells, cell = cells + 1, cell.rest
     assert cells == 5001
-    assert marker.stmt is left and Pending(marker.stmt) is marker
+    assert marker_stmt(marker) is left and Pending(marker_stmt(marker)) is marker
     assert repr(marker).startswith("Pending(Skip(), Assign(target='x', value=Num(value=0)), ")
-    (cont,) = valuate(marker, EMPTY_STATE, "wl")
-    assert cont.marker is marker.rest
+    ((_, _, after),) = step(marker, EMPTY_STATE, "wl", DEFAULT_FRESH_BOUND)
+    assert after is marker.rest
 
 
 def test_600_statement_program_runs(tmp_path, capsys):

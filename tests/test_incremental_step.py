@@ -1,11 +1,12 @@
 """The per-step shortcuts of ext composition against what they replace.
 
-``basic_successors`` keeps an already concrete glued trace as it is instead
-of concretizing it again; the frozen ``reference_engine`` always
-concretizes, so both must agree from concrete, half-symbolic and symbolic
-starts.  ``successors2`` counts unanswered invocations once per
-configuration; here it is held against the quadratic definition of
-invocation wellformedness, spelled out over every candidate reaction.
+A scheduled step (``compose._scheduled``) keeps an already concrete glued
+trace as it is instead of concretizing it again; the frozen
+``reference_engine`` always concretizes, so both must agree from
+concrete, half-symbolic and symbolic starts.  A reaction
+(``compose._reactions``) reads the unanswered invocations off the prefix
+summary; here it is held against the quadratic definition of invocation
+wellformedness, spelled out over every candidate reaction.
 """
 
 import random
@@ -15,7 +16,7 @@ import reference_engine as ref
 from lagc import compose
 from lagc.errors import LagcError
 from lagc.localeval import DONE, Pending
-from lagc.state import domain, make_state, update
+from lagc.state import make_state, update
 from lagc.syntax import (
     ArithExp,
     Guard,
@@ -42,6 +43,8 @@ from gens import (
     rand_trace,
     rand_wl_stmt,
 )
+from spec import domain, marker_stmt
+from steps import bounded, process_step, reactions
 
 PREFIX_NAMES = NAMES + ("u", "v")
 
@@ -94,17 +97,21 @@ def _outcome(run):
         return type(exc).__name__
 
 
+def _left(marker):
+    """What ``marker`` of either engine leaves to run, in one nesting; None when done."""
+    if isinstance(marker, Pending):
+        return _flat(marker_stmt(marker))
+    return _flat(marker.stmt) if isinstance(marker, ref.Pending) else None
+
+
 def _normalized(configs) -> frozenset:
     """Traces paired with what is left to run (None when done), in one nesting."""
-    return frozenset(
-        (c.trace, _flat(c.marker.stmt) if hasattr(c.marker, "stmt") else None)
-        for c in configs
-    )
+    return frozenset((c.trace, _left(c.marker)) for c in configs)
 
 
 def _compare(trace, stmt):
     """Both engines' successors of one process; returns the current engine's result."""
-    current = _outcome(lambda: compose.basic_successors(compose.WlConfig(trace, Pending(stmt))))
+    current = _outcome(lambda: process_step(compose.WlConfig(trace, Pending(stmt))))
     expected = _outcome(
         lambda: _normalized(ref.basic_successors(ref.WlConfig(trace, ref.Pending(stmt))))
     )
@@ -248,14 +255,14 @@ def test_unanswered_invocations_decide_reactions():
     for events in hand_built + random_events:
         config = compose.ExtConfig(_events_trace(rng, events), (DONE,))
         expected = _expected_reactions(TABLE, config)
-        assert compose.successors2(TABLE, config) == expected
-        assert compose.successors2((), config) == frozenset()
+        assert reactions(TABLE, config) == expected
+        assert reactions((), config) == frozenset()
         spawned += len(expected)
     assert spawned > 100
     config = compose.ExtConfig(_events_trace(rng, hand_built[0]), (DONE,))
-    assert compose.successors2(TABLE, config) == frozenset()
+    assert reactions(TABLE, config) == frozenset()
     config = compose.ExtConfig(_events_trace(rng, hand_built[2]), (DONE,))
-    assert len(compose.successors2(TABLE, config)) == 1
+    assert len(reactions(TABLE, config)) == 1
 
 
 def test_reactions_from_a_symbolic_start_match_reference():
@@ -277,7 +284,7 @@ def test_reactions_from_a_symbolic_start_match_reference():
         symbolic += not start.prefix.concrete
         for bound in range(4):
             reached = _outcome(
-                lambda: frozenset(c.trace for c in compose.compose_bounded_ext(bound, table, start))
+                lambda: frozenset(c.trace for c in bounded(bound, table, start))
             )
             expected = _outcome(
                 lambda: frozenset(c.trace for c in ref.compose_bounded_ext(bound, table, ref_start))

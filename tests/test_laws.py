@@ -20,10 +20,11 @@ from lagc.compose import (
     traces_wl,
 )
 from lagc.errors import LagcError
-from lagc.syntax import LocMem, LocPar, Method, Program, Seq, Skip, free_vars
-from lagc.trace import EventAtom, EventKind, invocation_wellformed, is_concrete_trace
+from lagc.syntax import LocMem, LocPar, Method, Program, Seq, Skip
+from lagc.trace import EventAtom, EventKind, is_concrete_trace
 
 from gens import rand_concrete_state, rand_ext_stmt, rand_wl_stmt
+from spec import free_vars, invocation_wellformed
 
 POLICY = ComposePolicy(max_rounds=3, increment=20)
 TRIPLES = 150

@@ -17,7 +17,6 @@ from lagc import cli, compose, concretize, localeval
 from lagc.compose import (
     ComposePolicy,
     WlConfig,
-    basic_successors,
     initial_state_for,
     memoizing,
     trace_equivalent,
@@ -25,20 +24,20 @@ from lagc.compose import (
 )
 from lagc.errors import LagcError
 from lagc.evaluate import eval_bexp_set, eval_exp_list
-from lagc.localeval import Pending, valuate
+from lagc.localeval import Pending, step
 from lagc.parser import parse_program
-from lagc.state import State, is_concrete_state, star_names, symbolic_vars
+from lagc.state import State, is_concrete_state, star_names
 from lagc.syntax import Num, Program, Star, holding_nodes
 from lagc.trace import (
     EventAtom,
     is_concrete_trace,
     is_consistent,
     last_state,
-    semantic_chop,
-    summarize,
 )
 
 from gens import rand_concrete_state, rand_ext_stmt, rand_state, rand_trace
+from spec import concretize_trace, semantic_chop, symbolic_vars
+from steps import process_step
 
 CALLS = """program {
   method m(v) { y := y + v ;; input z }
@@ -198,17 +197,16 @@ def _concretize_trace(rho, trace):
 
 def _basic_successors(config, fresh_bound, conc_numeral):
     out = set()
-    for cont in valuate(config.marker, last_state(config.trace), "ext", fresh_bound):
-        local = cont.cond.trace
+    for pc, local, after in step(config.marker, last_state(config.trace), "ext", fresh_bound):
         local_map = _min_conc_map_trace(local, conc_numeral)
-        if not is_consistent(eval_bexp_set(cont.cond.pc, local_map)):
+        if not is_consistent(eval_bexp_set(pc, local_map)):
             continue
         glued = semantic_chop(config.trace, local)
         if is_concrete_trace(glued):
-            out.add(WlConfig(glued, cont.marker))
+            out.add(WlConfig(glued, after))
         else:
             rho = _min_conc_map_trace(glued, conc_numeral)
-            out.add(WlConfig(_concretize_trace(rho, glued), cont.marker))
+            out.add(WlConfig(_concretize_trace(rho, glued), after))
     return frozenset(out)
 
 
@@ -242,7 +240,7 @@ def test_minimal_mapping_and_memoized_concretization_match_their_definitions():
             other = rand_concrete_state(rng)
             for mapping in (rho, other):
                 expected = _concretize_trace(mapping, trace)
-                assert concretize.concretize_trace(mapping, trace) == expected
+                assert concretize_trace(mapping, trace) == expected
                 assert compose._concretize(mapping, trace) == expected
                 assert compose._concretize(mapping, trace) == expected
 
@@ -256,14 +254,12 @@ def test_memoized_local_steps_match_the_step_definition(numeral):
         stmt = rand_ext_stmt(rng, rng.randint(1, 4))
         cases.append((WlConfig(trace, Pending(stmt)), rng.choice([0, 1, 100])))
     expected = [_outcome(_basic_successors, c, fresh, numeral) for c, fresh in cases]
-    for config, _ in cases:
-        assert config.prefix == summarize(config.trace[:-1])
     with holding_nodes(), memoizing():
         for _ in range(2):
             for (config, fresh), want in zip(cases, expected):
-                got = _outcome(basic_successors, config, fresh, numeral)
+                got = _outcome(process_step, config, fresh, numeral)
                 assert got == want, config
     # outside any block the step still agrees and keeps no table
     for (config, fresh), want in zip(cases, expected):
-        assert _outcome(basic_successors, config, fresh, numeral) == want
+        assert _outcome(process_step, config, fresh, numeral) == want
     assert compose._memo is None

@@ -6,18 +6,11 @@ failures are reproducible.
 
 import random
 
-from lagc.compose import (
-    ExtConfig,
-    WlConfig,
-    basic_successors,
-    compose_bounded_ext,
-    method_table,
-    successors_wl,
-)
+from lagc.compose import ExtConfig, WlConfig, compose_bounded_wl, method_table
 from lagc.concretize import min_conc_map_trace
 from lagc.evaluate import eval_arith, eval_bool, eval_exp, eval_sexp, is_concrete
-from lagc.localeval import Pending, cont_append, parallel
-from lagc.state import State, domain, initial_state
+from lagc.localeval import Pending, _then, parallel
+from lagc.state import State, initial_state
 from lagc.syntax import (
     ArithExp,
     BoolExp,
@@ -29,14 +22,9 @@ from lagc.syntax import (
     Program,
     Seq,
     Skip,
-    free_vars,
     occurrences,
 )
-from lagc.trace import (
-    concat,
-    is_concrete_trace,
-    trace_symbolic_vars,
-)
+from lagc.trace import is_concrete_trace
 
 from gens import (
     rand_aexp,
@@ -48,6 +36,8 @@ from gens import (
     rand_trace,
     rand_wl_stmt,
 )
+from spec import domain, free_vars, trace_symbolic_vars
+from steps import bounded, process_step
 
 N = 1000
 
@@ -86,7 +76,7 @@ def test_symbolic_vars_homomorphic_over_concat():
     rng = random.Random(103)
     for _ in range(N):
         left, right = rand_trace(rng), rand_trace(rng)
-        assert trace_symbolic_vars(concat(left, right)) == trace_symbolic_vars(
+        assert trace_symbolic_vars(left + right) == trace_symbolic_vars(
             left
         ) | trace_symbolic_vars(right)
 
@@ -107,10 +97,10 @@ def test_seq_successors_factor_through_first_statement():
         names = tuple(sorted(free_vars(first) | free_vars(second) | {"x"}))
         trace = rand_trace(rng) + (rand_state(rng, names),)
         config = WlConfig(trace, Pending(Seq(first, second)))
-        direct = successors_wl(config)
+        direct = compose_bounded_wl(1, config)
         lifted = frozenset(
-            WlConfig(c.trace, cont_append(c.marker, second))
-            for c in successors_wl(WlConfig(trace, Pending(first)))
+            WlConfig(c.trace, _then(c.marker, Pending(second)))
+            for c in compose_bounded_wl(1, WlConfig(trace, Pending(first)))
         )
         assert direct == lifted
 
@@ -123,14 +113,14 @@ def test_locpar_successors_split_into_both_sides():
         names = tuple(sorted(free_vars(left) | free_vars(right) | {"x"}))
         trace = rand_concrete_trace(rng) + (rand_concrete_state(rng, names),)
         config = WlConfig(trace, Pending(LocPar(left, right)))
-        direct = basic_successors(config)
+        direct = process_step(config)
         from_left = frozenset(
             WlConfig(c.trace, parallel(c.marker, Pending(right)))
-            for c in basic_successors(WlConfig(trace, Pending(left)))
+            for c in process_step(WlConfig(trace, Pending(left)))
         )
         from_right = frozenset(
             WlConfig(c.trace, parallel(Pending(left), c.marker))
-            for c in basic_successors(WlConfig(trace, Pending(right)))
+            for c in process_step(WlConfig(trace, Pending(right)))
         )
         assert direct == from_left | from_right
 
@@ -143,7 +133,7 @@ def test_composition_from_concrete_start_stays_concrete():
         sigma = initial_state(occurrences(program))
         table = method_table(program.methods)
         start = ExtConfig((sigma,), (Pending(program.main),))
-        for config in compose_bounded_ext(6, table, start):
+        for config in bounded(6, table, start):
             assert is_concrete_trace(config.trace)
             assert isinstance(config.trace[0], State)
             assert isinstance(config.trace[-1], State)

@@ -17,12 +17,14 @@ from lagc import compose
 from lagc.errors import LagcError
 from lagc.localeval import Pending
 from lagc.parser import parse_program
-from lagc.syntax import Assign, Method, Num, Program, STAR, Skip, free_vars, occurrences
+from lagc.syntax import Assign, Method, Num, Program, STAR, Skip, occurrences
 from lagc.state import initial_state, make_state
 from lagc.trace import singleton
 
 from gens import rand_concrete_state, rand_ext_stmt, rand_state, rand_wl_stmt
 from samples import EXT_CALL, EXT_INPUT, EXT_SCOPE_PAR
+from spec import free_vars, marker_stmt
+from steps import bounded
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 BOUNDS = (0, 1, 3, 8)
@@ -51,12 +53,16 @@ def _traces(configs) -> frozenset:
     return frozenset(c.trace for c in configs)
 
 
+def _left(marker):
+    """What a marker of either engine leaves to run, as a current marker (None when done)."""
+    if isinstance(marker, ref.Pending):
+        return Pending(marker.stmt)
+    return Pending(marker_stmt(marker)) if isinstance(marker, Pending) else None
+
+
 def _wl_configs(configs) -> frozenset:
     """Traces paired with what is left to run, as a current marker (None when done)."""
-    return frozenset(
-        (c.trace, Pending(c.marker.stmt) if hasattr(c.marker, "stmt") else None)
-        for c in configs
-    )
+    return frozenset((c.trace, _left(c.marker)) for c in configs)
 
 
 def assert_same_wl(stmt, sigma, increment=100):
@@ -81,7 +87,7 @@ def assert_same_ext(program, sigma, increment=100):
     ref_start = ref.ExtConfig(singleton(sigma), (ref.Pending(program.main),))
     table = compose.method_table(program.methods)
     for bound in BOUNDS:
-        reached = _outcome(lambda: _traces(compose.compose_bounded_ext(bound, table, start)))
+        reached = _outcome(lambda: _traces(bounded(bound, table, start)))
         expected = _outcome(lambda: _traces(ref.compose_bounded_ext(bound, table, ref_start)))
         assert reached == expected
 

@@ -5,12 +5,7 @@ from collections import Counter
 
 from lagc import render
 from lagc.compose import initial_state_for, traces_ext, traces_wl
-from lagc.render import (
-    render_state,
-    render_trace,
-    render_traces,
-    sorted_traces,
-)
+from lagc.render import render_atom, render_state, render_traces
 from lagc.state import State, make_state
 from lagc.syntax import ArithExp, MethodRef, Num, STAR, canon_key, tuple_key
 from lagc.trace import EventAtom, EventKind
@@ -28,8 +23,8 @@ def test_render_state_sorted_keys():
 
 def test_render_trace_atoms():
     assert (
-        render_trace(TAU1)
-        == "{x=y * 4, y=*} ~> Event(inpEv, []) ~> {x=y * 4, y=*}"
+        render_traces({TAU1})
+        == "1 trace\n\n" + "{x=y * 4, y=*} ~> Event(inpEv, []) ~> {x=y * 4, y=*}" + "\n"
     )
 
 
@@ -62,7 +57,7 @@ def test_render_deterministic():
 
 def test_sorted_traces_is_stable():
     traces = list(traces_wl(WL_FACTORIAL, initial_state_for(WL_FACTORIAL)))
-    assert sorted_traces(traces) == sorted_traces(reversed(traces))
+    assert render._ordered(traces)[0] == render._ordered(reversed(traces))[0]
 
 
 def test_sorted_traces_follows_canon_key():
@@ -73,7 +68,7 @@ def test_sorted_traces_follows_canon_key():
             rng.choice(prefixes) + rng.choice((rand_trace, rand_concrete_trace))(rng, max_len=3)
             for _ in range(rng.randint(0, 12))
         }
-        assert sorted_traces(traces) == sorted(traces, key=canon_key)
+        assert render._ordered(traces)[0] == sorted(traces, key=canon_key)
 
 
 def test_sorted_traces_builds_no_key_for_fewer_than_two(monkeypatch):
@@ -83,8 +78,8 @@ def test_sorted_traces_builds_no_key_for_fewer_than_two(monkeypatch):
     monkeypatch.setattr(render, "canon_key", no_key)
     trace = rand_trace(random.Random(59))
     for make in (list, iter):
-        assert sorted_traces(make([])) == []
-        (alone,) = sorted_traces(make([trace]))
+        assert render._ordered(make([]))[0] == []
+        (alone,) = render._ordered(make([trace]))[0]
         assert alone is trace
 
 
@@ -97,7 +92,7 @@ def _whole_payload_render(traces, fmt):
         payload = {"traces": [[_atom_payload(atom) for atom in t] for t in ordered]}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     header = f"{len(ordered)} trace" + ("" if len(ordered) == 1 else "s") + "\n"
-    return header + "".join("\n" + render_trace(t) + "\n" for t in ordered)
+    return header + "".join("\n" + " ~> ".join(map(render_atom, t)) + "\n" for t in ordered)
 
 
 def _atom_payload(atom):
@@ -200,7 +195,7 @@ def test_sorted_traces_gives_atoms_with_equal_keys_equal_ranks(monkeypatch):
     for _ in range(50):
         traces = [rand_trace(rng, max_len=3) for _ in range(rng.randint(2, 8))]
         expected = sorted(traces, key=lambda trace: [atom_key(atom) for atom in trace])
-        assert sorted_traces(traces) == expected
+        assert render._ordered(traces)[0] == expected
         atoms = set().union(*traces)
         ranks = render._atom_ranks(atoms)
         for a in atoms:

@@ -5,13 +5,9 @@ import pytest
 
 from lagc.state import (
     EMPTY_STATE,
-    domain,
     initial_state,
     is_concrete_state,
-    is_wellformed_state,
     make_state,
-    simplify_state,
-    symbolic_vars,
     update,
     vargen,
 )
@@ -29,6 +25,7 @@ from lagc.syntax import (
 
 from gens import rand_concrete_state, rand_state
 from samples import SIGMA1, SIGMA2, WL_SWAP
+from spec import domain, is_wellformed_state, symbolic_vars
 
 
 def test_domain():
@@ -169,23 +166,3 @@ def test_initial_state():
         {"x": Num(0), "y": Num(0)}
     )
 
-
-def test_simplify_state():
-    assert simplify_state(SIGMA2) == SIGMA2
-    folded = simplify_state(
-        make_state({"x": ABin(Num(2), ArithOp.ADD, Num(3))})
-    )
-    assert folded == make_state({"x": Num(5)})
-    assert simplify_state(SIGMA1) == SIGMA1  # y symbolic blocks folding
-
-
-def test_simplify_preserves_domain_and_concreteness():
-    rng = random.Random(13)
-    for _ in range(200):
-        sigma = rand_state(rng)
-        simplified = simplify_state(sigma)
-        assert domain(simplified) == domain(sigma)
-        if is_concrete_state(sigma):
-            assert simplified == sigma
-        if symbolic_vars(sigma) == frozenset() and is_wellformed_state(sigma):
-            assert is_concrete_state(simplified)

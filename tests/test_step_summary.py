@@ -36,7 +36,6 @@ from lagc.syntax import (
     Seq,
     Skip,
     Var,
-    free_vars,
     occurrences,
 )
 from lagc.trace import (
@@ -45,14 +44,14 @@ from lagc.trace import (
     EventAtom,
     EventKind,
     Summary,
-    harvest_params,
     is_concrete_trace,
     singleton,
     summarize,
-    unanswered_invocations,
 )
 
 from gens import rand_concrete_state, rand_ext_stmt, rand_state, rand_trace, rand_wl_stmt
+from spec import free_vars, harvest_params, unanswered_invocations
+from steps import successors
 
 METHODS = (
     Method("m0", "v", Skip()),
@@ -83,12 +82,6 @@ def _spelled_out(trace):
     return is_concrete_trace(trace), counts, params
 
 
-def _check_summary(config, fresh) -> None:
-    assert config.prefix == summarize(config.trace[:-1]) == fresh.prefix
-    assert tuple(config.prefix) == _spelled_out(config.trace[:-1])
-    assert config == fresh and hash(config) == hash(fresh)
-
-
 def test_carried_summaries_equal_a_fold_from_scratch():
     # a graph node keeps the summary its first step carried; every trace
     # that reaches the node must fold to it
@@ -117,8 +110,8 @@ def test_carried_summaries_equal_a_fold_from_scratch():
 
 
 def test_carried_wl_summaries_equal_a_fold_from_scratch():
-    # the wl engine builds no configuration per step, so follow each run
-    # with ``successors_wl``, which glues every step onto the whole trace
+    # the wl engine carries no summary, so follow each run one step at a
+    # time and fold the summary of every trace it reaches
     rng = random.Random(703)
     seen = Counter()
     for _ in range(200):
@@ -129,14 +122,15 @@ def test_carried_wl_summaries_equal_a_fold_from_scratch():
             if config.marker is DONE:
                 break
             try:
-                succ = compose.successors_wl(config)
+                succ = compose.compose_bounded_wl(1, config)
             except LagcError:
                 break
             if not succ:
                 break
             (config,) = succ
-            _check_summary(config, compose.WlConfig(config.trace, config.marker))
-            seen[config.prefix.concrete] += 1
+            prefix = summarize(config.trace[:-1])
+            assert tuple(prefix) == _spelled_out(config.trace[:-1])
+            seen[prefix.concrete] += 1
     # symbolic start states keep some prefixes symbolic
     assert min(seen[True], seen[False]) > 100, seen
 
@@ -229,7 +223,7 @@ def test_a_stepped_configuration_equals_the_one_built_from_its_trace():
     config = compose.ExtConfig(singleton(initial_state(["x", "y"])), (Pending(stmt),))
     lengths = []
     while config.markers != (DONE,):
-        (config,) = compose.successors_ext((), config)
+        (config,) = successors((), config)
         lengths.append(len(config.trace))
         built = compose.ExtConfig(config.trace, config.markers)
         assert built == config and hash(built) == hash(config), len(config.trace)
@@ -245,7 +239,7 @@ def test_error_does_not_depend_on_the_order_of_the_markers():
     sigma = singleton(initial_state(["x"]))
     for markers in ((first, second), (second, first)):
         with pytest.raises(UnboundVariableError, match="unbound variable: 'a'"):
-            compose.successors_ext((), compose.ExtConfig(sigma, markers))
+            successors((), compose.ExtConfig(sigma, markers))
 
 
 def test_a_step_computes_no_canonical_key(monkeypatch):
@@ -262,7 +256,7 @@ def test_a_step_computes_no_canonical_key(monkeypatch):
 
     for module in (syntax, localeval, compose):
         monkeypatch.setattr(module, "canon_key", counting, raising=False)
-    assert len(compose.successors_ext((), config)) == 2
+    assert len(successors((), config)) == 2
     assert keys[0] == 0
 
 
@@ -381,25 +375,6 @@ def test_a_wl_step_is_handed_one_state_whatever_the_trace_length(monkeypatch):
     assert small_steps == 202 and large_steps == 802, (small_steps, large_steps)
     # copying the trace on every step reads about 1200 bytes more at 400
     assert large <= small + 256, (small, large)
-
-
-def test_the_engines_build_no_cont_trace(monkeypatch):
-    # both engines consume the local step's triples; only ``valuate``, the
-    # library's view of a step, wraps them as ``ContTrace``s
-    made = [0]
-    cont = localeval._cont
-
-    def counting(fields):
-        made[0] += 1
-        return cont(fields)
-
-    monkeypatch.setattr(localeval, "_cont", counting)
-    compose.traces_wl(_countdown(100), initial_state(["x"]))
-    nest = parse_program("co x := 1 ;; y := 2 || co y := 3 || x := 4 ;; x := 5 oc oc")
-    assert len(compose.traces_ext(nest, initial_state(["x", "y"]))) == 30
-    assert made[0] == 0
-    assert len(localeval.valuate(Pending(Assign("x", Num(1))), initial_state(["x"]), "wl")) == 1
-    assert made[0] == 1
 
 
 def test_summary_work_per_step_does_not_grow_with_the_trace(monkeypatch):

@@ -36,7 +36,6 @@ from lagc.syntax import (
     Var,
     While,
     canon_key,
-    free_vars,
     language_check,
     occurrences,
     seq_spine,
@@ -47,6 +46,7 @@ from lagc.trace import EventAtom
 
 from gens import rand_aexp, rand_bexp, rand_ext_stmt, rand_trace, rand_wl_stmt
 from samples import AEXP_SAMPLE, EXT_CALL, EXT_SCOPE_PAR, WL_FACTORIAL, WL_SWAP
+from spec import free_vars
 
 
 def test_free_vars_examples():

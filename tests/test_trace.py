@@ -3,58 +3,39 @@ import random
 import pytest
 
 from lagc.errors import UndefinedTraceOpError
-from lagc.state import EMPTY_STATE, State, is_wellformed_state
+from lagc.state import EMPTY_STATE, State
 from lagc.syntax import ArithExp, BoolLit, MethodRef, Num, Rel, RelOp, Var
 from lagc.trace import (
-    CondTrace,
     EventAtom,
     EventKind,
-    concat,
-    count_atom,
-    first_state,
     gen_event,
-    harvest_params,
-    invocation_wellformed,
-    is_concrete_cond_trace,
     is_concrete_trace,
     is_consistent,
-    is_wellformed_cond_trace,
     last_state,
-    semantic_chop,
-    semantic_chop_cond,
     singleton,
-    trace_symbolic_vars,
 )
 
 from gens import rand_concrete_state, rand_trace
 from samples import PI1, PI2, PI3, SIGMA1, SIGMA2, TAU1, TAU2, TAU3
-
-
-def test_concat():
-    assert concat(TAU1, ()) == TAU1
-    assert concat((), TAU1) == TAU1
-    assert concat(singleton(SIGMA1), singleton(SIGMA2)) == (
-        SIGMA1,
-        SIGMA2,
-    )
-
-
-def test_concat_associative():
-    rng = random.Random(31)
-    for _ in range(100):
-        a, b, c = rand_trace(rng), rand_trace(rng), rand_trace(rng)
-        assert concat(concat(a, b), c) == concat(a, concat(b, c))
+from spec import (
+    CondTrace,
+    harvest_params,
+    invocation_wellformed,
+    is_concrete_cond_trace,
+    is_wellformed_cond_trace,
+    is_wellformed_state,
+    semantic_chop,
+    semantic_chop_cond,
+    trace_symbolic_vars,
+)
 
 
 def test_first_and_last_state():
-    assert first_state(singleton(SIGMA1)) == SIGMA1
     assert last_state(TAU2) == SIGMA2
     with pytest.raises(UndefinedTraceOpError):
         last_state(singleton(SIGMA1) + (EventAtom(EventKind.INPUT, ()),))
     with pytest.raises(UndefinedTraceOpError):
-        first_state(())
-    with pytest.raises(UndefinedTraceOpError):
-        first_state((EventAtom(EventKind.INPUT, ()), SIGMA1))
+        last_state(())
 
 
 def test_semantic_chop():
@@ -77,7 +58,7 @@ def test_chop_after_state_is_concat():
     rng = random.Random(32)
     for _ in range(100):
         left, right = rand_trace(rng), rand_trace(rng)
-        assert semantic_chop(left + (SIGMA2,), right) == concat(left, right)
+        assert semantic_chop(left + (SIGMA2,), right) == left + right
 
 
 def test_gen_event():
@@ -87,7 +68,7 @@ def test_gen_event():
         EventAtom(EventKind.INPUT, ()),
         EMPTY_STATE,
     )
-    assert first_state(trace) == last_state(trace)
+    assert trace[0] == last_state(trace)
     invoked = gen_event(
         EventKind.INVOKE, SIGMA2, (MethodRef("foo"), ArithExp(Var("x")))
     )
@@ -104,7 +85,7 @@ def test_trace_symbolic_vars():
     rng = random.Random(33)
     for _ in range(100):
         a, b = rand_trace(rng), rand_trace(rng)
-        assert trace_symbolic_vars(concat(a, b)) == trace_symbolic_vars(
+        assert trace_symbolic_vars(a + b) == trace_symbolic_vars(
             a
         ) | trace_symbolic_vars(b)
 
@@ -155,12 +136,6 @@ def test_gen_event_from_concrete_state_is_concrete():
             assert is_concrete_cond_trace(cond)
 
 
-def test_count_atom():
-    assert count_atom((), SIGMA1) == 0
-    assert count_atom(TAU1, SIGMA1) == 2
-    assert count_atom(TAU1, EventAtom(EventKind.INVOKE, ())) == 0
-
-
 def test_invocation_wellformed():
     args = (MethodRef("m"), ArithExp(Num(1)))
     invoke = EventAtom(EventKind.INVOKE, args)
@@ -195,6 +170,6 @@ def test_reactions_never_exceed_invocations():
                 if isinstance(atom, EventAtom) and atom.kind is not EventKind.INPUT
             )
             for args in seen:
-                reacts = count_atom(trace, EventAtom(EventKind.REACT, args))
-                invokes = count_atom(trace, EventAtom(EventKind.INVOKE, args))
+                reacts = trace.count(EventAtom(EventKind.REACT, args))
+                invokes = trace.count(EventAtom(EventKind.INVOKE, args))
                 assert reacts <= invokes

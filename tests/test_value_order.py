@@ -6,7 +6,7 @@ nodes by class name first, so ``*`` (a ``Star``) came before every stored
 expression, and stored expressions compared by their expressions' keys.
 The output order of trace sets rests on that rule; ``_frozen_key`` keeps
 it, over a key defined here by recursion on the fields, independent of
-``lagc``'s own.  ``canon_key``, ``sorted_traces`` and ``render._atom_ranks``
+``lagc``'s own.  ``canon_key``, ``render._ordered`` and ``render._atom_ranks``
 must order exactly as it does, on inputs where one variable holds ``*``,
 numerals, variables and operations.
 """
@@ -16,7 +16,7 @@ import random
 from enum import Enum
 
 from lagc import render
-from lagc.render import render_traces, sorted_traces
+from lagc.render import render_traces
 from lagc.state import State, make_state
 from lagc.syntax import ABin, ArithOp, Num, STAR, Var, canon_key
 
@@ -80,7 +80,7 @@ def test_sorted_traces_and_atom_ranks_order_as_the_frozen_rule():
             rand_trace(rng, NAMES, max_len=3, state=rand_mixed_state)
             for _ in range(rng.randint(2, 12))
         }
-        assert sorted_traces(traces) == sorted(traces, key=_frozen_key)
+        assert render._ordered(traces)[0] == sorted(traces, key=_frozen_key)
         atoms = set().union(*traces)
         ranks = render._atom_ranks(atoms)
         _assert_same_order(list(atoms), ranks.__getitem__)

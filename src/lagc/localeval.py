@@ -230,5 +230,5 @@ def step(marker: Pending, sigma: State, mode: str, fresh_bound: int) -> tuple:
     elif isinstance(stmt, Call):
         trace = gen_event(EventKind.INVOKE, sigma, (MethodRef(stmt.method), ArithExp(stmt.arg)))
     else:
-        raise ModeError(f"valuate: unsupported statement {type(stmt).__name__}")
+        raise ModeError(f"step: unsupported statement {type(stmt).__name__}")
     return ((_NO_PC, trace, rest),)

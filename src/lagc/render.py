@@ -139,7 +139,7 @@ _texts = None
 def render_state(sigma: State) -> str:
     texts = {} if _texts is None else _texts
     parts = [f"{name}={texts.get(v) or texts.setdefault(v, pretty_sexp(v))}"
-             for name, v in sigma.entries]
+             for name, v in zip(sigma.domain.names, sigma.values)]
     return "{" + ", ".join(parts) + "}"
 
 
@@ -176,12 +176,10 @@ def _atom_ranks(atoms) -> dict:
     states, events = [], []
     for atom in atoms:
         (states if atom.__class__ is State else events).append(atom)
-    value_rank = _dense_ranks(
-        {value for sigma in states for _, value in sigma.entries}, value_key
-    )
+    value_rank = _dense_ranks({value for sigma in states for value in sigma.values}, value_key)
 
     def state_key(sigma) -> tuple:
-        return tuple([(name, value_rank[value]) for name, value in sigma.entries])
+        return tuple(zip(sigma.domain.names, map(value_rank.__getitem__, sigma.values)))
 
     ranks = _dense_ranks(events, canon_key)
     ranks.update(_dense_ranks(states, state_key, len(events)))
@@ -219,12 +217,11 @@ def _atom_json(atom) -> str:
             "event": {"kind": atom.kind.value, "args": [pretty_exp(arg) for arg in atom.args]}
         }
         return json.dumps(fragment, indent=2, sort_keys=True).replace("\n", _DEPTH3)
-    entries = atom.entries
-    if not entries:
+    if not atom.values:
         return '{\n        "state": {}\n      }'
     dumps, texts = json.dumps, {} if _texts is None else _texts
     parts = [dumps(name) + ": " + dumps(texts.get(v) or texts.setdefault(v, pretty_sexp(v)))
-             for name, v in entries]
+             for name, v in zip(atom.domain.names, atom.values)]
     inner = ",\n          ".join(parts)
     return '{\n        "state": {\n          ' + inner + "\n        }\n      }"
 

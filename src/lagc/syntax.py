@@ -22,7 +22,8 @@ move to the weak table and the rest are dropped.
 and multisets built from them can be canonicalized deterministically; a
 node computes its key once and keeps it.  States, events and
 continuation markers are nodes too; a state is its own trace atom, and
-an event's atom is an ``EventAtom``.  A state's value is an arithmetic
+an event's atom is an ``EventAtom``.  A state is a shared ``Domain`` of
+names and a tuple of values.  A state's value is an arithmetic
 expression or ``*`` itself, with no node around it, and states order
 their values by ``value_key``: ``*`` first.
 """
@@ -74,7 +75,9 @@ class Node:
 
     Each class gets a constructor for its number of fields, 0 to 3, as
     ``_new`` and, unless the class defines its own ``__new__`` (which then
-    calls ``_new``), as ``__new__``.  It takes the fields as positional
+    calls ``_new``), as ``__new__``.  ``State``, whose fields are a
+    ``Domain`` and a tuple of values, and ``Domain``, which fills its slot
+    index, define their own.  It takes the fields as positional
     parameters, builds one key tuple, looks it up in the arena, if one is
     open, and then in the weak table, and calls the slot setters directly,
     so no ``*args`` tuple, arity check or loop over the fields runs per

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from lagc.localeval import DONE, Pending
-from lagc.state import State, make_state, update
+from lagc.state import Domain, State, make_state, update
 from lagc.syntax import Assign, Node, Num, STAR, Var, holding_nodes
 from lagc.trace import singleton
 
@@ -32,7 +32,7 @@ def _node_classes() -> list:
 
 
 # classes whose own ``__new__`` takes other arguments than their fields
-_OWN_CONSTRUCTOR = (State, Pending)
+_OWN_CONSTRUCTOR = (State, Domain, Pending)
 _CLASSES = [cls for cls in _node_classes() if cls not in _OWN_CONSTRUCTOR]
 
 
@@ -104,10 +104,12 @@ def test_each_field_count_has_a_constructor_and_four_is_refused():
         type("Fields4", (Node,), {"__slots__": names, "_fields": names})
 
 
-def test_a_new_state_keeps_its_map_and_no_other_fact():
+def test_a_new_state_keeps_its_domain_and_values_and_no_other_fact():
     value = Num(424242)
     sigma = make_state({"constructor::state": value, "y": STAR})
-    assert sigma._map == {"constructor::state": value, "y": STAR}
+    assert sigma.domain is Domain(("constructor::state", "y"))
+    assert sigma.domain.index == {"constructor::state": 0, "y": 1}
+    assert sigma.values == (value, STAR)
     assert sigma._concrete is None and sigma._stars is None and sigma._key is None
     assert State(tuple(sigma.entries)) is sigma
 

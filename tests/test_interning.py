@@ -122,8 +122,9 @@ def test_a_state_nothing_holds_leaves_the_table():
     gc.collect()
     before = len(syntax._interned)
     sigma = make_state({"only_here": STAR})
-    # a state is its own trace atom, so it adds one entry and no wrapper
-    assert len(syntax._interned) == before + 1
+    # a state is its own trace atom, so it adds no wrapper: one entry for
+    # the state and one for its new domain, which leaves with it
+    assert len(syntax._interned) == before + 2
     gone = weakref.ref(sigma)
     del sigma
     gc.collect()

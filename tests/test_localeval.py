@@ -23,6 +23,7 @@ from lagc.syntax import (
     Input,
     LocMem,
     LocPar,
+    Method,
     MethodRef,
     Neg,
     Num,
@@ -171,6 +172,14 @@ def test_valuate_call():
 def test_wl_mode_rejects_extensions():
     with pytest.raises(ModeError):
         _steps(Input("x"), SIGMA2, "wl")
+
+
+def test_a_statement_step_has_no_case_for_is_reported_by_step():
+    # no parsed program puts a method where a statement goes, so no command
+    # reaches this error; the message names the function that raises it
+    marker = Pending(Method("m", "p", Skip()))
+    with pytest.raises(ModeError, match=r"^step: unsupported statement Method$"):
+        localeval.step(marker, SIGMA2, "ext", DEFAULT_FRESH_BOUND)
 
 
 def test_fresh_bound_exhaustion():

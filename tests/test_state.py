@@ -3,8 +3,12 @@ from contextlib import nullcontext
 
 import pytest
 
+from lagc.compose import traces_wl
+from lagc.parser import parse_program
 from lagc.state import (
     EMPTY_STATE,
+    Domain,
+    State,
     initial_state,
     is_concrete_state,
     make_state,
@@ -23,7 +27,7 @@ from lagc.syntax import (
     occurrences,
 )
 
-from gens import rand_concrete_state, rand_state
+from gens import NAMES, rand_concrete_state, rand_mixed_state, rand_state, rand_value
 from samples import SIGMA1, SIGMA2, WL_SWAP
 from spec import domain, is_wellformed_state, symbolic_vars
 
@@ -166,3 +170,77 @@ def test_initial_state():
         {"x": Num(0), "y": Num(0)}
     )
 
+
+
+# ---------------------------------------------------------------------------
+# The state API against a plain dict
+
+# names the random states have, then names they never have, which sort
+# before, between and after those
+_KNOWN = NAMES
+_NEW = ("a", "v", "xx", "zz", "$x::Input")
+
+
+def _agrees(sigma: State, plain: dict, rng: random.Random) -> None:
+    """``sigma`` answers every question of the API as the dict ``plain`` does."""
+    assert sigma.entries == tuple(sorted(plain.items()))
+    assert sigma.as_dict() == plain
+    assert len(sigma) == len(plain)
+    assert sigma.domain.names == tuple(sorted(plain))
+    for name in (*_KNOWN, *_NEW):
+        assert sigma.lookup(name) is plain.get(name)
+        assert (name in sigma) == (name in plain)
+    pairs = list(plain.items())
+    rng.shuffle(pairs)
+    assert make_state(pairs) is sigma
+    assert make_state(dict(pairs)) is sigma
+    # later pairs win, so stale pairs in front of the real ones change nothing
+    assert make_state([(name, STAR) for name, _ in pairs] + pairs) is sigma
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["weak", "held"])
+def test_the_state_api_agrees_with_a_plain_dict(held):
+    rng = random.Random(33)
+    kinds = (rand_state, rand_concrete_state, rand_mixed_state)
+    with holding_nodes() if held else nullcontext():
+        for _ in range(300):
+            names = rng.sample(_KNOWN, rng.randint(0, len(_KNOWN)))
+            sigma = rng.choice(kinds)(rng, names)
+            plain = sigma.as_dict()
+            for _ in range(rng.randint(1, 6)):
+                _agrees(sigma, plain, rng)
+                variable = rng.choice(list(plain) + list(_NEW)) if plain else rng.choice(_NEW)
+                value = rand_value(rng)
+                updated = update(sigma, variable, value)
+                if variable in plain:
+                    # assigning a name the state has keeps its domain
+                    assert updated.domain is sigma.domain
+                else:
+                    assert updated.domain is not sigma.domain
+                plain[variable] = value
+                sigma = updated
+            _agrees(sigma, plain, rng)
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["weak", "held"])
+def test_equal_name_sets_have_one_domain_however_built(held):
+    rng = random.Random(34)
+    with holding_nodes() if held else nullcontext():
+        for _ in range(200):
+            names = rng.sample(_KNOWN + _NEW, rng.randint(0, 6))
+            built = make_state({name: Num(rng.randint(0, 3)) for name in names}).domain
+            grown = EMPTY_STATE
+            for name in rng.sample(names, len(names)):
+                grown = update(grown, name, rand_value(rng))
+            assert grown.domain is built is Domain(tuple(sorted(names)))
+            assert initial_state(names + names[:1]).domain is built
+            assert built.index == {name: slot for slot, name in enumerate(sorted(names))}
+
+
+def test_every_state_of_a_wl_countdown_shares_one_domain():
+    program = parse_program("x := 60 ;; while x >= 1 do x := x - 1 od", "wl")
+    with holding_nodes():
+        (trace,) = traces_wl(program.main, make_state({"x": Num(0)}))
+        # a loop test adds no state, so the trace is the start and each value of x
+        assert [sigma.lookup("x").value for sigma in trace] == [0, *range(60, -1, -1)]
+        assert {sigma.domain for sigma in trace} == {Domain(("x",))}

@@ -17,27 +17,16 @@ own but the result.
 from __future__ import annotations
 
 from .evaluate import eval_exp_list, eval_sexp
-from .state import EMPTY_STATE, Domain, State, star_names
+from .state import EMPTY_STATE, State, star_names
 from .syntax import Num
 from .trace import EventAtom, Trace
 
 
 def apply_conc_state(rho: State, sigma: State) -> State:
-    """Simplify ``sigma`` under ``rho``, then merge with ``rho`` winning.
-
-    When ``sigma`` has every name of ``rho``, the result keeps its domain.
-    """
-    domain = sigma.domain
-    values = [eval_sexp(value, rho) for value in sigma.values]
-    index = domain.index
-    for name, value in zip(rho.domain.names, rho.values):
-        slot = index.get(name)
-        if slot is None:
-            merged = dict(zip(domain.names, values))
-            merged.update(zip(rho.domain.names, rho.values))
-            return State(tuple(merged.items()))
-        values[slot] = value
-    return State._new(State, domain, tuple(values))
+    """Simplify ``sigma`` under ``rho``, then merge with ``rho`` winning."""
+    merged = {name: eval_sexp(value, rho) for name, value in sigma.entries}
+    merged.update(rho.as_dict())
+    return State(tuple(merged.items()))
 
 
 def min_conc_map_trace(trace: Trace, numeral: int) -> State:
@@ -53,8 +42,8 @@ def min_conc_map_trace(trace: Trace, numeral: int) -> State:
             names.update(star_names(atom))
     if not names:
         return EMPTY_STATE
-    names = tuple(sorted(names))
-    return State._new(State, Domain(names), (Num(numeral),) * len(names))
+    value = Num(numeral)
+    return State(tuple((name, value) for name in names))
 
 
 def concretize_atom(rho: State, atom):

@@ -84,10 +84,9 @@ def eval_arith(a: AExp, sigma: State) -> AExp:
     if isinstance(a, Num):
         return a
     if isinstance(a, Var):
-        slot = sigma.domain.index.get(a.name)
-        if slot is None:
+        stored = sigma.lookup(a.name)
+        if stored is None:
             raise UnboundVariableError(a.name)
-        stored = sigma.values[slot]
         return a if stored.__class__ is Star else stored
     left = eval_arith(a.left, sigma)
     right = eval_arith(a.right, sigma)

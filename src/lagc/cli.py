@@ -16,7 +16,6 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
 
 from .compose import (
     DEFAULT_POLICY,
@@ -111,7 +110,9 @@ def _policy(args) -> ComposePolicy:
 
 
 def _load(path: str, mode: str) -> Program:
-    return parse_program(Path(path).read_text(encoding="utf-8"), mode)
+    with open(path, encoding="utf-8") as file:
+        source = file.read()
+    return parse_program(source, mode)
 
 
 def _initial(args, *items) -> State:

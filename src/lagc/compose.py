@@ -154,6 +154,7 @@ from .syntax import (
     substitute,
 )
 from .trace import (
+    _ONLY_TRUE,
     Cell,
     EventAtom,
     EventKind,
@@ -321,21 +322,28 @@ def _walk(config: WlConfig, steps: int):
     The run keeps its atoms in one list.  A step reads only the last state
     and the marker, so each one calls ``step`` on them and appends the
     consistent local trace after its first atom, which is that state; no
-    configuration is built until the run ends.  The run stops once its
-    marker is ``Done``, and reaches nothing, ``None``, once it gets stuck:
-    a step without a consistent local trace.  A step has no second one
-    (see the module docstring); the walk fails loudly if one ever does.
+    configuration is built until the run ends.  The state the next step
+    runs in is the last atom of the local trace kept, so the list is read
+    once, by ``last_state`` before the first step, which raises on a trace
+    that does not end with a state.  A path condition is consistent when
+    it holds no literal but ``true``, a subset test with no call per local
+    trace.  The run stops once its marker is ``Done``, and reaches nothing,
+    ``None``, once it gets stuck: a step without a consistent local trace.
+    A step has no second one (see the module docstring); the walk fails
+    loudly if one ever does.
     """
     if steps < 0:
         raise PolicyError("bound must be at least 0")
     trace, marker = config
     atoms = list(trace)
+    if steps and marker.__class__ is not Done:
+        sigma = last_state(atoms)
     for _ in range(steps):
-        if isinstance(marker, Done):
+        if marker.__class__ is Done:
             break
         kept = None
-        for pc, local, after in step(marker, last_state(atoms), "wl", DEFAULT_FRESH_BOUND):
-            if is_consistent(pc):
+        for pc, local, after in step(marker, sigma, "wl", DEFAULT_FRESH_BOUND):
+            if pc <= _ONLY_TRUE:
                 if kept is not None:
                     raise AssertionError("a wl step with two consistent local traces")
                 kept = local, after
@@ -343,6 +351,7 @@ def _walk(config: WlConfig, steps: int):
             return None
         local, marker = kept
         atoms += local[1:]
+        sigma = local[-1]
     return _wl((tuple(atoms), marker))
 
 

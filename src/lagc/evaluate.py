@@ -4,9 +4,16 @@ Evaluation folds an expression as far as the state allows: variables are
 replaced by the expressions the state maps them to, and an operation
 collapses to a literal exactly when both evaluated operands are literals.
 Symbolic variables simply stay put.
+
+An operator's interpretation is the function of the ``operator`` module,
+found by the operator in a table, so folding two literals costs one
+lookup and one C call.  ``eval_arith`` recurses on both operands: a loop
+over the spine of a sum was measured slower on every ``x - 1``.
 """
 
 from __future__ import annotations
+
+from operator import add, and_, eq, ge, le, mul, or_, sub
 
 from .errors import UnboundVariableError
 from .state import State
@@ -33,34 +40,12 @@ from .syntax import (
     Var,
 )
 
-_ARITH = {
-    ArithOp.ADD: lambda l, r: l + r,
-    ArithOp.SUB: lambda l, r: l - r,
-    ArithOp.MUL: lambda l, r: l * r,
-}
+# each operator's function on the values of literal operands
+_ARITH = {ArithOp.ADD: add, ArithOp.SUB: sub, ArithOp.MUL: mul}
 
-_BOOL = {
-    BoolOp.CONJ: lambda l, r: l and r,
-    BoolOp.DISJ: lambda l, r: l or r,
-}
+_BOOL = {BoolOp.CONJ: and_, BoolOp.DISJ: or_}
 
-_REL = {
-    RelOp.LEQ: lambda l, r: l <= r,
-    RelOp.GEQ: lambda l, r: l >= r,
-    RelOp.EQ: lambda l, r: l == r,
-}
-
-
-def apply_arith(op: ArithOp, left: int, right: int) -> int:
-    return _ARITH[op](left, right)
-
-
-def apply_bool(op: BoolOp, left: bool, right: bool) -> bool:
-    return _BOOL[op](left, right)
-
-
-def apply_rel(op: RelOp, left: int, right: int) -> bool:
-    return _REL[op](left, right)
+_REL = {RelOp.LEQ: le, RelOp.GEQ: ge, RelOp.EQ: eq}
 
 
 def is_concrete(item) -> bool:
@@ -91,7 +76,7 @@ def eval_arith(a: AExp, sigma: State) -> AExp:
     left = eval_arith(a.left, sigma)
     right = eval_arith(a.right, sigma)
     if isinstance(left, Num) and isinstance(right, Num):
-        return Num(apply_arith(a.op, left.value, right.value))
+        return Num(_ARITH[a.op](left.value, right.value))
     return ABin(left, a.op, right)
 
 
@@ -107,12 +92,12 @@ def eval_bool(b: BExp, sigma: State) -> BExp:
         left = eval_bool(b.left, sigma)
         right = eval_bool(b.right, sigma)
         if isinstance(left, BoolLit) and isinstance(right, BoolLit):
-            return TRUE if apply_bool(b.op, left.value, right.value) else FALSE
+            return TRUE if _BOOL[b.op](left.value, right.value) else FALSE
         return BBin(left, b.op, right)
     left = eval_arith(b.left, sigma)
     right = eval_arith(b.right, sigma)
     if isinstance(left, Num) and isinstance(right, Num):
-        return TRUE if apply_rel(b.op, left.value, right.value) else FALSE
+        return TRUE if _REL[b.op](left.value, right.value) else FALSE
     return Rel(left, b.op, right)
 
 

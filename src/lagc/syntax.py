@@ -11,12 +11,14 @@ nodes are one object: equality is identity and the hash is the object's,
 both O(1) however deep the node.  Nodes are immutable.
 
 Outside every ``holding_nodes`` block the table refers to its nodes
-weakly, so a node nothing else holds leaves it.  Inside, a new node
-enters the block's arena instead, a plain table that holds it until the
-outermost block ends (region-based allocation; Tofte and Talpin,
-"Region-based memory management", 1997), so it costs no weak reference;
-nested blocks share one arena.  When the block ends, the nodes still held
-move to the weak table and the rest are dropped.
+weakly, so a node nothing else holds leaves it.  Inside, the table is
+the block's arena, a plain dict that starts with the live nodes of the
+weak table and holds every node built in the block until the outermost
+block ends (region-based allocation; Tofte and Talpin, "Region-based
+memory management", 1997).  So a node is looked up in one table and
+built there on a miss, with no weak reference; nested blocks share one
+arena.  When the block ends, the new nodes still held move to the weak
+table and the rest are dropped.
 
 ``canon_key`` gives a total order over every syntax value, so that sets
 and multisets built from them can be canonicalized deterministically; a
@@ -78,10 +80,10 @@ class Node:
     calls ``_new``), as ``__new__``.  ``State``, whose fields are a
     ``Domain`` and a tuple of values, and ``Domain``, which fills its slot
     index, define their own.  It takes the fields as positional
-    parameters, builds one key tuple, looks it up in the arena, if one is
-    open, and then in the weak table, and calls the slot setters directly,
-    so no ``*args`` tuple, arity check or loop over the fields runs per
-    node.
+    parameters, builds one key tuple, looks it up in the arena if one is
+    open and in the weak table if not, and calls the slot setters
+    directly, so no ``*args`` tuple, arity check or loop over the fields
+    runs per node.
     """
 
     __slots__ = ("_key", "__weakref__")
@@ -130,71 +132,104 @@ def _field_repr(value) -> str:
 
 
 def _constructor(name: str, setters: tuple, memo: tuple):
-    """The constructor of a node class with these field and memo slot setters."""
+    """The constructor of a node class with these field and memo slot setters.
+
+    Inside a block the arena holds every live node (see ``holding_nodes``),
+    so a key the arena lacks is a new node, built there and then.  Outside
+    every block the key is looked up in the weak table, which a new node
+    enters.
+    """
     if len(setters) > 3:
         raise TypeError(f"{name} has {len(setters)} fields; a node has at most 3")
     get = _interned.get
     set_a, set_b, set_c = setters + (None,) * (3 - len(setters))
 
-    def fresh(key, arena):
-        """A new node of the class ``key[0]`` entered under ``key``; the caller sets its fields."""
+    def fresh(key):
+        """A new node of the class ``key[0]`` in the weak table; the caller sets its fields."""
         node = object.__new__(key[0])
         for setter in memo:
             setter(node, None)
-        if arena is None:
-            _enter(key, node)
-        else:
-            arena[key] = node
+        _enter(key, node)
         return node
 
     def new0(cls):
         key = (cls,)
         arena = _arena
-        if arena is None or (node := arena.get(key)) is None:
-            ref = get(key)
-            if ref is None or (node := ref()) is None:
-                node = fresh(key, arena)
+        if arena is not None:
+            node = arena.get(key)
+            if node is None:
+                node = arena[key] = object.__new__(cls)
+                for setter in memo:
+                    setter(node, None)
+            return node
+        ref = get(key)
+        if ref is None or (node := ref()) is None:
+            node = fresh(key)
         return node
 
     def new1(cls, a):
         key = (cls, a)
         arena = _arena
-        if arena is None or (node := arena.get(key)) is None:
-            ref = get(key)
-            if ref is None or (node := ref()) is None:
-                node = fresh(key, arena)
+        if arena is not None:
+            node = arena.get(key)
+            if node is None:
+                node = arena[key] = object.__new__(cls)
+                for setter in memo:
+                    setter(node, None)
                 set_a(node, a)
+            return node
+        ref = get(key)
+        if ref is None or (node := ref()) is None:
+            node = fresh(key)
+            set_a(node, a)
         return node
 
     def new2(cls, a, b):
         key = (cls, a, b)
         arena = _arena
-        if arena is None or (node := arena.get(key)) is None:
-            ref = get(key)
-            if ref is None or (node := ref()) is None:
-                node = fresh(key, arena)
+        if arena is not None:
+            node = arena.get(key)
+            if node is None:
+                node = arena[key] = object.__new__(cls)
+                for setter in memo:
+                    setter(node, None)
                 set_a(node, a)
                 set_b(node, b)
+            return node
+        ref = get(key)
+        if ref is None or (node := ref()) is None:
+            node = fresh(key)
+            set_a(node, a)
+            set_b(node, b)
         return node
 
     def new3(cls, a, b, c):
         key = (cls, a, b, c)
         arena = _arena
-        if arena is None or (node := arena.get(key)) is None:
-            ref = get(key)
-            if ref is None or (node := ref()) is None:
-                node = fresh(key, arena)
+        if arena is not None:
+            node = arena.get(key)
+            if node is None:
+                node = arena[key] = object.__new__(cls)
+                for setter in memo:
+                    setter(node, None)
                 set_a(node, a)
                 set_b(node, b)
                 set_c(node, c)
+            return node
+        ref = get(key)
+        if ref is None or (node := ref()) is None:
+            node = fresh(key)
+            set_a(node, a)
+            set_b(node, b)
+            set_c(node, c)
         return node
 
     return (new0, new1, new2, new3)[len(setters)]
 
 
-# (class, *fields) -> the node with them, for each node built inside the
-# outermost ``holding_nodes`` block, in the order they were built; None
-# outside every block
+# (class, *fields) -> the node with them, for each node alive when the
+# outermost ``holding_nodes`` block began and then each node built inside
+# it, in the order they were built; None outside every block
 _arena = None
 
 
@@ -210,23 +245,39 @@ def holding_nodes():
     block, so hashes taken at different times of a run compare like the
     values.
 
-    The outermost block opens an arena, a plain table from key to node
-    that a new node enters instead of the weak table, so a node built in
-    the block costs no weak reference; a block inside another uses the
-    outer block's arena.  When the outermost block ends, ``_sweep`` empties
-    the arena and moves each node that something still holds into the
-    weak table.
+    The outermost block opens an arena, a plain table from key to node.
+    It starts with the live nodes of the weak table, taken from a copy,
+    since a node dying while the table is walked would change it; from
+    then on the arena alone is probed, and a new node enters it instead of
+    the weak table, so a node built in the block costs one lookup and no
+    weak reference.  A block inside another uses the outer block's arena.
+    When the outermost block ends, ``_sweep`` empties the arena and moves
+    each new node that something still holds into the weak table.
     """
     global _arena
     if _arena is not None:
         yield
         return
-    _arena = {}
+    _arena = _live_nodes()
     try:
         yield
     finally:
         arena, _arena = _arena, None
         _sweep(arena)
+
+
+def _live_nodes() -> dict:
+    """Key to node for each node of the weak table still alive, in the table's order.
+
+    It walks a copy of the table: a node that dies during the walk would
+    delete its entry from the table itself.
+    """
+    live = {}
+    for key, ref in _interned.copy().items():
+        node = ref()
+        if node is not None:
+            live[key] = node
+    return live
 
 
 def _sweep(arena: dict) -> None:
@@ -236,21 +287,25 @@ def _sweep(arena: dict) -> None:
     checked every newer node of the arena that held it has been dropped;
     what holds it now lies outside the arena, or is a newer node that was
     itself still held, and so kept.  Such a node enters the weak table,
-    under the same key, and leaves it when it dies.  A memo slot may point
-    at a newer node; that node is kept then, which is safe.
+    under the same key, unless the table already refers to it, as it does
+    to each node the arena started with; a node leaves the table when it
+    dies.  A memo slot may point at a newer node; that node is kept then,
+    which is safe.
 
     A node is still held when its reference count exceeds that of an
     object only a local variable holds, measured here, since what a local
     adds to the count differs between Python versions.
     """
-    count, pop = sys.getrefcount, arena.popitem
+    count, pop, get = sys.getrefcount, arena.popitem, _interned.get
     probe = object()
     # the references of a node that only this function's local holds
     alone = count(probe)
     while arena:
         key, node = pop()
         if count(node) > alone:
-            _enter(key, node)
+            ref = get(key)
+            if ref is None or ref() is not node:
+                _enter(key, node)
 
 
 def uncapped(convert, value):

@@ -343,7 +343,16 @@ def test_memory_error_is_exit_5(write, capsys, monkeypatch):
 
 def test_missing_file(capsys):
     assert main(["traces", "/nonexistent/prog.wl"]) == 1
-    assert capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: [Errno 2] No such file or directory: '/nonexistent/prog.wl'\n"
+    )
+
+
+def test_a_directory_is_not_a_program(tmp_path, capsys):
+    assert main(["traces", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
 
 @pytest.mark.parametrize(

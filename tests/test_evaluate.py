@@ -4,9 +4,6 @@ import pytest
 
 from lagc.errors import UnboundVariableError
 from lagc.evaluate import (
-    apply_arith,
-    apply_bool,
-    apply_rel,
     eval_arith,
     eval_bool,
     eval_exp,
@@ -37,14 +34,27 @@ from spec import domain, free_vars
 
 
 def test_operator_tables():
-    assert apply_arith(ArithOp.MUL, 6, 120) == 720
-    assert apply_arith(ArithOp.SUB, 5, 5) == 0
-    assert apply_arith(ArithOp.ADD, -3, 3) == 0
-    assert apply_rel(RelOp.GEQ, 1, 2) is False
-    assert apply_rel(RelOp.EQ, 0, 0) is True
-    assert apply_rel(RelOp.LEQ, -1, 0) is True
-    assert apply_bool(BoolOp.DISJ, False, False) is False
-    assert apply_bool(BoolOp.CONJ, True, False) is False
+    def arith(left, op, right):
+        return eval_arith(ABin(Num(left), op, Num(right)), EMPTY_STATE)
+
+    def rel(left, op, right):
+        return eval_bool(Rel(Num(left), op, Num(right)), EMPTY_STATE)
+
+    def boolean(left, op, right):
+        return eval_bool(BBin(BoolLit(left), op, BoolLit(right)), EMPTY_STATE)
+
+    assert arith(6, ArithOp.MUL, 120) is Num(720)
+    assert arith(5, ArithOp.SUB, 5) is Num(0)
+    assert arith(-3, ArithOp.ADD, 3) is Num(0)
+    assert rel(1, RelOp.GEQ, 2) is BoolLit(False)
+    assert rel(0, RelOp.EQ, 0) is BoolLit(True)
+    assert rel(-1, RelOp.LEQ, 0) is BoolLit(True)
+    assert boolean(False, BoolOp.DISJ, False) is BoolLit(False)
+    assert boolean(True, BoolOp.CONJ, False) is BoolLit(False)
+    # integers are unbounded: a product past Python's 4300-digit cap on int/str conversion
+    big = 10**2200 + 7
+    assert big * big > 10**4300
+    assert arith(big, ArithOp.MUL, big) is Num(big * big)
 
 
 def test_eval_arith_examples():

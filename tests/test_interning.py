@@ -215,6 +215,27 @@ def test_a_command_builds_its_nodes_without_weak_references(tmp_path, capsys, we
     assert len(weak_refs) == 1
 
 
+def test_a_node_held_outside_every_block_is_the_one_a_block_finds(tmp_path, capsys, weak_refs):
+    program = tmp_path / "held.wl"
+    program.write_text("x := 7000008 ;; y := x - 1", encoding="utf-8")
+    held = Num(7_000_008)
+    decrement = ABin(Var("x"), ArithOp.SUB, Num(1))
+    weak_refs.clear()
+    gc.collect()
+    before = len(syntax._interned)
+    with holding_nodes():
+        assert Num(7_000_008) is held
+        assert ABin(Var("x"), ArithOp.SUB, Num(1)) is decrement
+    assert cli.main(["traces", str(program), "--lang", "wl"]) == 0
+    assert capsys.readouterr().out.startswith("1 trace\n")
+    assert Num(7_000_008) is held
+    assert ABin(Var("x"), ArithOp.SUB, Num(1)) is decrement
+    # the sweeps left each held node under the weak reference it already had
+    assert not {held, decrement, decrement.left, decrement.right} & {ref() for ref in weak_refs}
+    gc.collect()
+    assert len(syntax._interned) == before
+
+
 def test_a_node_kept_after_a_block_is_found_again(weak_refs):
     with holding_nodes():
         kept = Var("kept after the block")
